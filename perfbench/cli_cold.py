@@ -2,10 +2,12 @@
 
 Each round runs the seven README-sized experiments and ``validate`` as
 ``python -m lnoisim`` processes, one at a time, interleaved with six
-malformed configs.  About 1.1 s of each process is ``import lnoisim.cli``,
-so this workload measures start-up, config handling and artifact writing
-and barely touches a kernel.  A run makes at least ``MIN_ROUNDS`` rounds,
-so that two processes given the same config can be compared byte for byte.
+malformed configs, and ends with one switch-cell calibration as a fresh
+``calibrate.py`` process.  About 1.1 s of each process is ``import
+lnoisim.cli``, so this workload measures start-up, config handling and
+artifact writing and barely touches a kernel.  A run makes at least
+``MIN_ROUNDS`` rounds, so that two processes given the same config can be
+compared byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 import checks
 import inputs
-from common import CheckError, Samples, child_env, run_child, write_json
+from common import BENCH_DIR, CheckError, Samples, child_env, run_child, write_json
 
 MIN_ROUNDS = 2
 
@@ -34,6 +36,7 @@ class CliCold:
             (command, name, write_json(workdir / "cfg" / f"{name}.json", cfg))
             for command, name, cfg in inputs.MALFORMED
         ]
+        self.cell = inputs.cli_cell(seed)
 
     def cold_start(self) -> float:
         """Wall time of one fresh ``python -m lnoisim --version``."""
@@ -43,13 +46,14 @@ class CliCold:
         return seconds
 
     def schedule(self):
-        """Well-formed and malformed processes alternate; validate ends it."""
+        """Well-formed and malformed processes alternate; validate and the
+        calibration end it."""
         order = []
         for idx, good in enumerate(self.good):
             order.append(("good", good))
             if idx < len(self.bad):
                 order.append(("bad", self.bad[idx]))
-        return order + [("validate", self.good[0])]
+        return order + [("validate", self.good[0]), ("calibration", (self.cell, "calibration"))]
 
     def run_round(self, r: int, tr, samples: Samples) -> None:
         samples.round = r
@@ -73,6 +77,7 @@ class CliCold:
         if not ok:
             return
         samples.add("cli_run", seconds)
+        samples.add(name, seconds)
         checks.manifest_matches(out)
         getattr(self, "check_" + name.replace("-", "_"))(cfg, out)
         if r > 0:
@@ -95,6 +100,20 @@ class CliCold:
         samples.op(ok, f"round {r} validate {name}: exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
         if ok and proc.stdout.strip() != f"config ok: {name}":
             raise CheckError(f"validate printed {proc.stdout.strip()!r}")
+
+    def run_calibration(self, r, item, tr, samples):
+        (er, il), _ = item
+        with tr.job("process.calibration"):
+            with tr.span("cli.process.calibration"):
+                seconds, proc = run_child([str(BENCH_DIR / "calibrate.py"), repr(er), repr(il)], self.env, self.workdir)
+        ok = proc.returncode == 0
+        samples.op(ok, f"round {r} calibration: exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
+        if not ok:
+            return
+        samples.add("calibration", seconds)
+        measured = json.loads(proc.stdout.strip().splitlines()[-1])
+        checks.extinction(measured["extinction_db"], er)
+        checks.cell_loss(measured["cell_loss_db"], il)
 
     # ------------------------------------------------------------ checks
 
@@ -145,6 +164,13 @@ class CliCold:
         payload = json.loads((out / "budget.json").read_text())
         checks.loss_budget(payload, checks.read_csv(out / "sweep.csv"), cfg)
 
-    @staticmethod
-    def metrics(samples) -> dict:
-        return {"cli_run_s": (samples.job_median("cli_run"), "s")}
+    def metrics(self, samples) -> dict:
+        """Every end-to-end metric but the two ``run.py`` adds, each from
+        fresh processes: the median over the run's processes of a kind."""
+        cfg = {name: cfg for _, name, cfg, _ in self.good}
+        return {
+            "cli_run_s": (samples.job_median("cli_run"), "s"),
+            "frames_per_s": (cfg["demux"]["n_frames"] / samples.job_median("demux"), "1/s"),
+            "fringe_points_per_s": (cfg["hom-fringe"]["n_points"] / samples.job_median("hom-fringe"), "1/s"),
+            "calibrations_per_s": (1.0 / samples.job_median("calibration"), "1/s"),
+        }

@@ -188,6 +188,13 @@ def cli_configs(seed: int) -> list[tuple[list[str], str, dict]]:
     ]
 
 
+def cli_cell(seed: int) -> tuple[float, float]:
+    """(extinction dB, loss dB) of the switch cell ``cli-cold`` calibrates
+    in a fresh process, drawn as in ``switching``."""
+    rng = np.random.default_rng([seed, 5])
+    return float(rng.uniform(15.0, 35.0)), float(rng.uniform(0.1, 1.5))
+
+
 _BUDGET = {
     "schema_version": 1,
     "experiment": "loss-budget",

@@ -30,12 +30,8 @@ import checks  # noqa: E402
 import inputs  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-OWN_METRICS = {
-    "cli-cold": {"cli_run_s"},
-    "switching": {"frames_per_s", "fringe_points_per_s", "calibrations_per_s"},
-}
 MALFORMED_PER_ROUND = len(inputs.MALFORMED)
-CLI_OPS_PER_ROUND = 14
+CLI_OPS_PER_ROUND = 15
 
 failures: list[str] = []
 
@@ -65,13 +61,10 @@ def check_schema(workload: str, trace: int) -> None:
     expect(isinstance(result["attempted"], int) and result["attempted"] >= 1, f"{label}: attempted {result['attempted']}")
     if workload == "cli-cold":
         share = result["failed"] * CLI_OPS_PER_ROUND == result["attempted"] * MALFORMED_PER_ROUND
-        expect(share, f"{label}: {result['failed']} of {result['attempted']} failed, not 6 per round of 14")
+        expect(share, f"{label}: {result['failed']} of {result['attempted']} failed, not 6 per round of 15")
     else:
         expect(result["failed"] == 0, f"{label}: {result['failed']} failed")
-    spec = SPEC["per_layer"] if trace else [
-        m for m in SPEC["end_to_end"] if m["name"] in OWN_METRICS[workload] | {"setup_s", "peak_rss_mb"}
-    ]
-    want = {m["name"]: m["unit"] for m in spec}
+    want = {m["name"]: m["unit"] for m in SPEC["per_layer" if trace else "end_to_end"]}
     got = result["metrics"]
     expect(set(got) == set(want), f"{label}: metrics {sorted(set(got) ^ set(want))} differ from BENCHMARK.json")
     for name, entry in got.items():

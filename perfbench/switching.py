@@ -70,6 +70,7 @@ class Switching(RoundWorkload):
         if code != 0:
             raise RuntimeError(f"lnoisim {argv[0]} exited {code}")
         samples.add(kind, seconds)
+        samples.add("cli_run", seconds)
         return replayed
 
     def demux(self, rd, i, tr, samples):
@@ -187,8 +188,11 @@ class Switching(RoundWorkload):
 
     def metrics(self, samples) -> dict:
         """Rates from each kind's mean job time per round, median over
-        rounds.  Every round holds two noise-free and two Poisson sweeps."""
+        rounds.  Every round holds two noise-free and two Poisson sweeps.
+        ``cli_run_s`` is the mean over a round's in-process CLI runs,
+        its six trains and four sweeps alike."""
         return {
+            "cli_run_s": (samples.round_mean("cli_run"), "s"),
             "frames_per_s": (self.n_frames / samples.round_mean("demux"), "1/s"),
             "fringe_points_per_s": (self.n_points / samples.round_mean("fringe"), "1/s"),
             "calibrations_per_s": (1.0 / samples.round_mean("calibration"), "1/s"),
