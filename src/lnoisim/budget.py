@@ -8,6 +8,8 @@ compose additively in dB; the end-to-end transmission is ``10**(-total/10)``.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -18,6 +20,16 @@ from .components import GratingSpectrum
 __all__ = ["BudgetEntry", "LossBudget", "sweep_wavelength"]
 
 BUDGET_SCHEMA_VERSION = 1
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number; bools, NaN, +-inf and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -34,6 +46,10 @@ class BudgetEntry:
     length_cm: float | None = None
 
     def __post_init__(self):
+        for name in ("loss_db", "db_per_cm", "length_cm"):
+            value = getattr(self, name)
+            if value is not None and not is_finite_number(value):
+                raise ValueError(f"entry {self.label!r}: {name} must be a finite number")
         has_direct = self.loss_db is not None
         has_density = self.db_per_cm is not None or self.length_cm is not None
         if has_direct == has_density:

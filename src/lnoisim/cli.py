@@ -15,9 +15,7 @@ one attempt.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -28,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .budget import BudgetEntry, LossBudget, sweep_wavelength
+from .budget import BudgetEntry, LossBudget, is_finite_number, sweep_wavelength
 from .components import GratingSpectrum, MZIParams, PhaseShifterParams, phase_from_voltage
 from .core import matrix_distance
 from .errors import ConfigError, LnoisimError
@@ -36,6 +34,7 @@ from .mesh import MeshConfig, compose, decompose, modulator_layout
 from .photons import (
     SourceModel,
     fit_hom_visibility,
+    fit_hom_visibility_poisson,
     fringe_contrast_from_overlap,
     hom_fringe,
     single_photon_distribution,
@@ -83,13 +82,11 @@ def _dump_json(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _csv_bytes(header, rows) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue().encode("utf-8")
+def _csv_bytes(header, columns) -> bytes:
+    """CSV of equal-length columns (1-d arrays or 2-d blocks), values as float reprs."""
+    rows = np.column_stack(columns).tolist()
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -110,18 +107,14 @@ def _atomic_write(path: Path, data: bytes) -> None:
 # config validation
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _number(cfg, diags, key, default=None, minimum=None, maximum=None, required=False):
     if key not in cfg:
         if required:
             diags.append(f"missing required field {key!r}")
         return default
     value = cfg[key]
-    if not _is_number(value):
-        diags.append(f"field {key!r} must be a number")
+    if not is_finite_number(value):
+        diags.append(f"field {key!r} must be a finite number")
         return default
     if minimum is not None and value < minimum:
         diags.append(f"field {key!r} must be >= {minimum}")
@@ -205,7 +198,7 @@ def _validate_hom_fringe(cfg, diags) -> None:
     _optional_number(cfg, diags, "poisson_mean_counts", minimum=1.0)
     start = cfg.get("voltage_start", 0.0)
     stop = cfg.get("voltage_stop", 9.0)
-    if _is_number(start) and _is_number(stop) and not stop > start:
+    if is_finite_number(start) and is_finite_number(stop) and not stop > start:
         diags.append("voltage_stop must exceed voltage_start")
 
 
@@ -222,8 +215,10 @@ def _validate_demux(cfg, diags) -> None:
     if cfg.get("extinction_db") is not None and cfg.get("bar_leakage") is not None:
         diags.append("give at most one of extinction_db and bar_leakage")
     errors = cfg.get("phase_errors_rad", [0.0, 0.0, 0.0])
-    if not (isinstance(errors, list) and len(errors) == 3 and all(_is_number(v) for v in errors)):
-        diags.append("field 'phase_errors_rad' must be a list of 3 numbers")
+    if not (
+        isinstance(errors, list) and len(errors) == 3 and all(is_finite_number(v) for v in errors)
+    ):
+        diags.append("field 'phase_errors_rad' must be a list of 3 finite numbers")
 
 
 def _validate_distribution(cfg, diags) -> None:
@@ -295,9 +290,9 @@ def _validate_loss_budget(cfg, diags) -> None:
     if not (
         isinstance(wavelengths, list)
         and len(wavelengths) >= 1
-        and all(_is_number(v) for v in wavelengths)
+        and all(is_finite_number(v) for v in wavelengths)
     ):
-        diags.append("sweep.wavelengths_nm must be a non-empty list of numbers")
+        diags.append("sweep.wavelengths_nm must be a non-empty list of finite numbers")
     labels = sweep.get("coupler_labels")
     if not (isinstance(labels, list) and labels and all(isinstance(v, str) for v in labels)):
         diags.append("sweep.coupler_labels must be a non-empty list of entry labels")
@@ -332,16 +327,15 @@ def _run_hom_fringe(cfg, seed):
     er = cfg.get("extinction_db")
     cell = MZIParams.ideal(shifter) if er is None else MZIParams.with_extinction(er, shifter)
     volts = np.linspace(cfg.get("voltage_start", 0.0), cfg.get("voltage_stop", 9.0), n_points)
-    phases = np.array([phase_from_voltage(shifter, v) for v in volts])
+    phases = phase_from_voltage(shifter, volts)
     probs = hom_fringe(cell, phases, overlap, cfg.get("accidental_floor", 0.0))
     if mean_counts is None:
         values = probs
-        sigma = None
+        visibility, stderr = fit_hom_visibility(phases, values)
     else:
         rng = np.random.default_rng(seed)
         values = rng.poisson(probs * mean_counts).astype(float)
-        sigma = np.sqrt(np.maximum(values, 1.0))
-    visibility, stderr = fit_hom_visibility(phases, values, sigma=sigma)
+        visibility, stderr = fit_hom_visibility_poisson(phases, values)
     top, bottom = float(values.max()), float(values.min())
     fit = {
         "visibility": visibility,
@@ -351,9 +345,7 @@ def _run_hom_fringe(cfg, seed):
         "n_points": int(n_points),
     }
     outputs = {
-        "fringe.csv": _csv_bytes(
-            ["voltage_v", "phase_rad", "coincidence"], zip(volts, phases, values)
-        ),
+        "fringe.csv": _csv_bytes(["voltage_v", "phase_rad", "coincidence"], (volts, phases, values)),
         "fit.json": _dump_json(fit),
     }
     lines = [f"visibility: {visibility:.6f} +/- {stderr:.6f}"]
@@ -395,8 +387,7 @@ def _run_demux(cfg, seed):
     metrics = switch_metrics(trace)
     outputs = {
         "trace.csv": _csv_bytes(
-            ["time_ns", "out0", "out1", "out2", "out3"],
-            (np.concatenate(([t], row)) for t, row in zip(trace.times_ns, trace.outputs)),
+            ["time_ns", "out0", "out1", "out2", "out3"], (trace.times_ns, trace.outputs)
         ),
         "metrics.json": _dump_json(metrics.to_json_dict()),
     }
@@ -518,7 +509,7 @@ def _run_loss_budget(cfg, seed):
             budget, grating, wavelengths, sweep["coupler_labels"]
         )
         outputs["sweep.csv"] = _csv_bytes(
-            ["wavelength_nm", "transmission"], zip(wavelengths, transmissions)
+            ["wavelength_nm", "transmission"], (wavelengths, transmissions)
         )
         lines.append(f"swept {len(wavelengths)} wavelengths")
     return outputs, lines

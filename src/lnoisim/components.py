@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import lfilter, lfilter_zi
 
 from .errors import AliasingError, BandRangeError, DimensionError
 
@@ -163,8 +161,8 @@ class WaveguideLossParams:
         return self.db_per_cm * self.length_cm
 
 
-def phase_from_voltage(p: PhaseShifterParams, volts: float) -> float:
-    """Linear electro-optic phase: offset + pi * V / V_pi."""
+def phase_from_voltage(p: PhaseShifterParams, volts: float | np.ndarray) -> float | np.ndarray:
+    """Linear electro-optic phase: offset + pi * V / V_pi, elementwise on arrays."""
     return p.phase_offset_rad + math.pi * volts / p.v_pi_volts
 
 
@@ -190,44 +188,38 @@ def coupler_matrix(c: CouplerParams) -> np.ndarray:
     return np.array([[t, 1j * k], [1j * k, t]], dtype=np.complex128)
 
 
-def mzi_transfer(m: MZIParams, phase_rad: float) -> np.ndarray:
+def mzi_transfer(m: MZIParams, phase_rad: float | np.ndarray) -> np.ndarray:
     """Transfer matrix C_out . diag(e^{i phase}, 1) . C_in with uniform loss.
 
+    ``phase_rad`` may be a scalar or an array of shape S; the result has
+    shape S + (2, 2), one matrix per phase.  The product expands to
+    ``e^{i phase} (c_out[:, 0] x c_in[0, :]) + c_out[:, 1] x c_in[1, :]``.
     Insertion loss scales amplitudes by 10^(-insertion_loss_db / 20).
     """
-    inner = np.array([[np.exp(1j * phase_rad), 0.0], [0.0, 1.0]], dtype=np.complex128)
-    mat = coupler_matrix(m.coupler_out) @ inner @ coupler_matrix(m.coupler_in)
-    return 10.0 ** (-m.insertion_loss_db / 20.0) * mat
+    c_in = coupler_matrix(m.coupler_in)
+    c_out = coupler_matrix(m.coupler_out)
+    upper = np.outer(c_out[:, 0], c_in[0, :])
+    lower = np.outer(c_out[:, 1], c_in[1, :])
+    rotation = np.exp(1j * np.asarray(phase_rad, dtype=float))
+    return 10.0 ** (-m.insertion_loss_db / 20.0) * (np.multiply.outer(rotation, upper) + lower)
 
 
-def _bar_power(m: MZIParams, phase_rad: float) -> float:
-    return float(abs(mzi_transfer(m, phase_rad)[0, 0]) ** 2)
-
-
-def extinction_ratio_db(m: MZIParams, n_sweep: int = 4096) -> float:
+def extinction_ratio_db(m: MZIParams) -> float:
     """Bar-port extinction ratio 10 log10(max/min) over the internal phase.
 
-    Found by a dense sweep refined with a bounded scalar minimizer.  A
-    perfectly balanced cell has zero minimum leakage; the ratio is then
-    reported as the cap ``EXTINCTION_CAP_DB``.
+    The bar amplitude is ``e^{i phase} t1 t2 - k1 k2`` (times the loss
+    factor, which cancels), so the ratio is
+    ``20 log10((t1 t2 + k1 k2) / |t1 t2 - k1 k2|)`` with t, k the bar and
+    cross amplitudes of the two couplers.  A cell with zero minimum
+    leakage (balanced couplers) is reported at the cap
+    ``EXTINCTION_CAP_DB``.
     """
-    phases = np.linspace(0.0, 2.0 * math.pi, n_sweep, endpoint=False)
-    powers = np.array([_bar_power(m, p) for p in phases])
-    step = 2.0 * math.pi / n_sweep
-
-    def refine(idx: int, sign: float) -> float:
-        lo, hi = phases[idx] - step, phases[idx] + step
-        res = minimize_scalar(
-            lambda p: sign * _bar_power(m, p), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return sign * float(res.fun)
-
-    p_min = refine(int(np.argmin(powers)), 1.0)
-    p_max = refine(int(np.argmax(powers)), -1.0)
-    if p_min <= 0.0 or 10.0 * math.log10(p_max / p_min) >= EXTINCTION_CAP_DB:
+    r1, r2 = m.coupler_in.effective_ratio, m.coupler_out.effective_ratio
+    t1, t2, k1, k2 = math.sqrt(1.0 - r1), math.sqrt(1.0 - r2), math.sqrt(r1), math.sqrt(r2)
+    leak = abs(t1 * t2 - k1 * k2)
+    if leak == 0.0:
         return EXTINCTION_CAP_DB
-    return 10.0 * math.log10(p_max / p_min)
+    return min(20.0 * math.log10((t1 * t2 + k1 * k2) / leak), EXTINCTION_CAP_DB)
 
 
 def imbalance_for_bar_leakage(leakage: float) -> float:
@@ -286,6 +278,8 @@ def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz:
         )
     if x.size == 0:
         return x.copy()
+    from scipy.signal import lfilter, lfilter_zi
+
     b, a = _tustin_coefficients(p.f_3db_ghz, sample_rate_ghz)
     zi = lfilter_zi(b, a) * x[0]
     y, _ = lfilter(b, a, x, zi=zi)
@@ -306,6 +300,8 @@ def eom_step_response(
         return t, np.ones(n)
     if sample_rate_ghz <= 2.0 * p.f_3db_ghz:
         raise AliasingError("sample rate must exceed twice the bandwidth")
+    from scipy.signal import lfilter
+
     b, a = _tustin_coefficients(p.f_3db_ghz, sample_rate_ghz)
     y, _ = lfilter(b, a, np.ones(n), zi=np.zeros(1))
     return t, y

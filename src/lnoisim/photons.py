@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .components import MZIParams, mzi_transfer
 from .core import ProbabilityDistribution, as_complex_matrix, permanent
@@ -26,6 +25,7 @@ __all__ = [
     "TwoPhotonDistribution",
     "effective_pair_overlap",
     "fit_hom_visibility",
+    "fit_hom_visibility_poisson",
     "fringe_contrast_from_overlap",
     "hom_fringe",
     "nphoton_collision_free_distribution",
@@ -197,23 +197,15 @@ def two_photon_distribution(
         raise ValueError("overlap must lie in [0, 1]")
 
     amp = np.outer(mat[:, k], mat[:, l])  # amp[i, j] = t_ik * t_jl
-    indist = np.abs(amp + amp.T) ** 2
-    dist = np.abs(amp) ** 2 + np.abs(amp.T) ** 2
     x = overlap
-
-    patterns = []
-    probs = []
-    for i in range(n_out):
-        start = i if not collision_free_only else i + 1
-        for j in range(start, n_out):
-            if i == j:
-                p = (1.0 + x) * float(np.abs(amp[i, i]) ** 2)
-            else:
-                p = x * float(indist[i, j]) + (1.0 - x) * float(dist[i, j])
-            patterns.append((i, j))
-            probs.append(p)
+    probs = x * np.abs(amp + amp.T) ** 2 + (1.0 - x) * (np.abs(amp) ** 2 + np.abs(amp.T) ** 2)
+    np.fill_diagonal(probs, (1.0 + x) * np.abs(np.diagonal(amp)) ** 2)
+    # Row-major upper triangle, as np.triu_indices gives it at several times the cost.
+    modes = np.arange(n_out)
+    rows, cols = np.nonzero(modes[:, None] < modes if collision_free_only else modes[:, None] <= modes)
+    patterns = tuple(zip(rows.tolist(), cols.tolist()))
     return TwoPhotonDistribution(
-        (k, l), tuple(patterns), np.array(probs), collision_free_only=collision_free_only
+        (k, l), patterns, probs[rows, cols], collision_free_only=collision_free_only
     )
 
 
@@ -226,9 +218,11 @@ def hom_fringe(
     """Cross-port coincidence probability of an MZI versus internal phase.
 
     Two photons enter the two ports of the cell; the returned array is the
-    probability of one photon in each output.  For an ideal cell this
-    follows ``(1 - x + (1 + x) cos^2 phase) / 2``: maxima at multiples of
-    pi and minima of ``(1 - x) / 2`` at odd multiples of pi/2.
+    probability of one photon in each output,
+    ``x |a + b|^2 + (1 - x) (|a|^2 + |b|^2)`` with ``a = t00 t11`` and
+    ``b = t01 t10``.  For an ideal cell this follows
+    ``(1 - x + (1 + x) cos^2 phase) / 2``: maxima at multiples of pi and
+    minima of ``(1 - x) / 2`` at odd multiples of pi/2.
 
     Args:
         m: MZI parameters (imbalance and loss shift the fringe shape).
@@ -240,11 +234,13 @@ def hom_fringe(
     """
     if accidental_floor < 0:
         raise ValueError("accidental_floor must be non-negative")
-    out = np.empty(len(phases_rad))
-    for idx, phase in enumerate(phases_rad):
-        dist = two_photon_distribution(mzi_transfer(m, phase), (0, 1), overlap)
-        out[idx] = dist.probability((0, 1)) + accidental_floor
-    return out
+    if not (0.0 <= overlap <= 1.0):
+        raise ValueError("overlap must lie in [0, 1]")
+    t = mzi_transfer(m, phases_rad)
+    a = t[..., 0, 0] * t[..., 1, 1]
+    b = t[..., 1, 0] * t[..., 0, 1]
+    x = overlap
+    return x * np.abs(a + b) ** 2 + (1.0 - x) * (np.abs(a) ** 2 + np.abs(b) ** 2) + accidental_floor
 
 
 def fringe_contrast_from_overlap(overlap: float) -> float:
@@ -262,6 +258,36 @@ def fringe_contrast_from_overlap(overlap: float) -> float:
 def _fringe_model(phase, amplitude, visibility, scale, offset):
     shifted = scale * phase + offset
     return amplitude * (1.0 - visibility + (1.0 + visibility) * np.cos(shifted) ** 2) / 2.0
+
+
+def _fit_fringe(phases_rad, coincidences, sigma) -> tuple[float, float, np.ndarray]:
+    """Fit :func:`_fringe_model`; returns ``(V, stderr of V, parameters)``."""
+    from scipy.optimize import curve_fit
+
+    phases = np.asarray(phases_rad, dtype=float)
+    counts = np.asarray(coincidences, dtype=float)
+    if phases.ndim != 1 or phases.shape != counts.shape:
+        raise DimensionError("phases and coincidences must be matching 1-d arrays")
+    if phases.size < 5:
+        raise FitError(f"need at least 5 fringe points, got {phases.size}")
+    if np.ptp(phases) < math.pi / 2.0 - 1e-12:
+        raise FitError("fringe data must span at least half a period (pi/2)")
+    top = float(counts.max())
+    if top <= 0:
+        raise FitError("coincidence data has no positive values")
+    v0 = float(np.clip(1.0 - 2.0 * counts.min() / top, 0.0, 1.0))
+    p0 = [top, v0, 1.0, 0.0]
+    bounds = ([0.0, 0.0, 0.2, -math.pi], [np.inf, 1.2, 5.0, math.pi])
+    try:
+        popt, pcov = curve_fit(
+            _fringe_model, phases, counts, p0=p0, sigma=sigma, bounds=bounds, maxfev=20000
+        )
+    except (RuntimeError, ValueError) as exc:
+        raise FitError(f"fringe fit failed: {exc}") from exc
+    variance = float(pcov[1, 1])
+    if not math.isfinite(variance) or variance < 0:
+        raise FitError("fringe fit covariance is singular; data cannot constrain V")
+    return float(popt[1]), math.sqrt(variance), popt
 
 
 def fit_hom_visibility(
@@ -287,31 +313,26 @@ def fit_hom_visibility(
     Raises:
         FitError: for degenerate sampling or a failed fit.
     """
-    phases = np.asarray(phases_rad, dtype=float)
-    counts = np.asarray(coincidences, dtype=float)
-    if phases.ndim != 1 or phases.shape != counts.shape:
-        raise DimensionError("phases and coincidences must be matching 1-d arrays")
-    if phases.size < 5:
-        raise FitError(f"need at least 5 fringe points, got {phases.size}")
-    if np.ptp(phases) < math.pi / 2.0 - 1e-12:
-        raise FitError("fringe data must span at least half a period (pi/2)")
-    top = float(counts.max())
-    if top <= 0:
-        raise FitError("coincidence data has no positive values")
-    v0 = float(np.clip(1.0 - 2.0 * counts.min() / top, 0.0, 1.0))
-    p0 = [top, v0, 1.0, 0.0]
-    bounds = ([0.0, 0.0, 0.2, -math.pi], [np.inf, 1.2, 5.0, math.pi])
-    try:
-        popt, pcov = curve_fit(
-            _fringe_model, phases, counts, p0=p0, sigma=sigma, bounds=bounds, maxfev=20000
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"fringe fit failed: {exc}") from exc
-    visibility = float(popt[1])
-    variance = float(pcov[1, 1])
-    if not math.isfinite(variance) or variance < 0:
-        raise FitError("fringe fit covariance is singular; data cannot constrain V")
-    return visibility, math.sqrt(variance)
+    visibility, stderr, _ = _fit_fringe(phases_rad, coincidences, sigma)
+    return visibility, stderr
+
+
+def fit_hom_visibility_poisson(
+    phases_rad: Sequence[float], counts: Sequence[float]
+) -> tuple[float, float]:
+    """Fringe visibility from Poisson-distributed coincidence counts.
+
+    Weighting each point by its own count, ``sigma = sqrt(n)``, gives the
+    points that fluctuated low too much weight and pulls ``V`` upward.
+    The weights come from the model instead: an unweighted fit gives the
+    expected counts ``mu``, and the counts are refitted with
+    ``sigma = sqrt(max(mu, 1))``.
+
+    Returns and raises as :func:`fit_hom_visibility`.
+    """
+    *_, popt = _fit_fringe(phases_rad, counts, None)
+    expected = _fringe_model(np.asarray(phases_rad, dtype=float), *popt)
+    return fit_hom_visibility(phases_rad, counts, sigma=np.sqrt(np.maximum(expected, 1.0)))
 
 
 def nphoton_collision_free_distribution(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import as_complex_matrix
 from .errors import ConvergenceError, CoverageError, DimensionError
@@ -240,6 +239,7 @@ def reconstruct_unitary(
         raise ValueError("overlap must lie in [0, 1]")
     if n_restarts < 1:
         raise ValueError("n_restarts must be at least 1")
+    from scipy.optimize import least_squares
 
     n = measured.n_modes
     layout = clements_layout(n)

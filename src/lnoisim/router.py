@@ -181,9 +181,10 @@ def default_pulse_program(
     n_samples = SLOTS_PER_FRAME * n_frames * samples_per_slot
     dt = repetition_period_ns / samples_per_slot
     t = start_ns + dt * np.arange(n_samples)
-    slot = (np.arange(n_samples) // samples_per_slot) % SLOTS_PER_FRAME
-    wave_a = np.where(slot < 2, v_pi_volts, 0.0)
-    wave_b = np.where(slot % 2 == 0, v_pi_volts, 0.0)
+    frame_a = np.repeat(np.array([v_pi_volts, v_pi_volts, 0.0, 0.0]), samples_per_slot)
+    frame_b = np.repeat(np.array([v_pi_volts, 0.0, v_pi_volts, 0.0]), samples_per_slot)
+    wave_a = np.tile(frame_a, n_frames)
+    wave_b = np.tile(frame_b, n_frames)
     return PulseProgram(t, {"A": wave_a, "B": wave_b}, {"A": (0,), "B": (1, 2)})
 
 
@@ -243,7 +244,7 @@ def _switch_phases(
         if key not in filtered_cache:
             filtered_cache[key] = eom_response(shifter, program.channels[name], fs)
         volts = np.interp(photon_times, program.t_ns, filtered_cache[key])
-        phases[s] = [phase_from_voltage(shifter, v) for v in volts]
+        phases[s] = phase_from_voltage(shifter, volts)
     return phases
 
 
@@ -285,18 +286,11 @@ def simulate_demux(
             f"covers [{program.t_ns[0]:.6g}, {program.t_ns[-1]:.6g}] ns"
         )
 
-    phases = _switch_phases(tree, program, times)
-    outputs = np.empty((times.size, N_OUTPUTS))
-    for idx in range(times.size):
-        m0 = mzi_transfer(tree[0], phases[0, idx] + errors[0])
-        m1 = mzi_transfer(tree[1], phases[1, idx] + errors[1])
-        m2 = mzi_transfer(tree[2], phases[2, idx] + errors[2])
-        upper, lower = m0[0, 0], m0[1, 0]
-        outputs[idx, 0] = abs(m1[0, 0] * upper) ** 2
-        outputs[idx, 1] = abs(m1[1, 0] * upper) ** 2
-        outputs[idx, 2] = abs(m2[0, 0] * lower) ** 2
-        outputs[idx, 3] = abs(m2[1, 0] * lower) ** 2
-    return TimeTrace(times, outputs, period, frame)
+    phases = _switch_phases(tree, program, times) + np.array(errors)[:, None]
+    m0, m1, m2 = (mzi_transfer(cell, ph) for cell, ph in zip(tree, phases))
+    upper, lower = m0[:, :1, 0], m0[:, 1:, 0]
+    amplitudes = np.concatenate([m1[:, :, 0] * upper, m2[:, :, 0] * lower], axis=1)
+    return TimeTrace(times, np.abs(amplitudes) ** 2, period, frame)
 
 
 @dataclass(frozen=True)
@@ -344,9 +338,8 @@ def switch_metrics(
     if np.any(totals <= 0):
         raise ValueError("trace contains events with zero total probability")
     slots = np.arange(trace.n_events) % SLOTS_PER_FRAME
-    fractions = np.empty(trace.n_events)
-    for k in range(trace.n_events):
-        fractions[k] = trace.outputs[k, chosen[int(slots[k])]] / totals[k]
+    columns = np.array([chosen[s] for s in range(SLOTS_PER_FRAME)])[slots]
+    fractions = trace.outputs[np.arange(trace.n_events), columns] / totals
     per_slot = tuple(float(np.mean(fractions[slots == s])) for s in range(SLOTS_PER_FRAME))
     p = float(np.mean(fractions))
     residual = 1.0 - p

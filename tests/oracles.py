@@ -5,6 +5,8 @@ calling into lnoisim so that a bug in the package cannot hide inside its
 own oracle.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -81,3 +83,47 @@ def extinction_by_dense_sweep(transfer, n_phases=10_000):
     phases = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
     powers = np.array([abs(transfer(p)[0, 0]) ** 2 for p in phases])
     return 10.0 * math.log10(powers.max() / powers.min())
+
+
+def mzi_by_matmul(ratio_in, ratio_out, insertion_loss_db, phase_rad):
+    """One MZI cell as the literal product C_out . diag(e^{i phase}, 1) . C_in.
+
+    ``ratio_in`` and ``ratio_out`` are the couplers' cross-coupled power
+    fractions; insertion loss scales every amplitude by 10^(-dB / 20).
+    """
+
+    def coupler(r):
+        t, k = math.sqrt(1.0 - r), math.sqrt(r)
+        return np.array([[t, 1j * k], [1j * k, t]])
+
+    inner = np.array([[complex(math.cos(phase_rad), math.sin(phase_rad)), 0.0], [0.0, 1.0]])
+    return 10.0 ** (-insertion_loss_db / 20.0) * (coupler(ratio_out) @ inner @ coupler(ratio_in))
+
+
+def demux_by_photon_loop(transfers, phases):
+    """Output probabilities of the 1-to-4 switch tree, one photon at a time.
+
+    ``transfers`` holds three callables phase -> 2x2 matrix (the first-layer
+    switch, then the switches feeding outputs 0-1 and 2-3); ``phases`` has
+    shape (3, n), each switch's phase at each photon.  The photon enters
+    port 0 of the first switch, whose two outputs feed port 0 of the two
+    second-layer switches.  Returns an (n, 4) array.
+    """
+    n = phases.shape[1]
+    out = np.empty((n, 4))
+    for k in range(n):
+        first = transfers[0](phases[0, k]) @ np.array([1.0, 0.0])
+        pair01 = transfers[1](phases[1, k]) @ np.array([first[0], 0.0])
+        pair23 = transfers[2](phases[2, k]) @ np.array([first[1], 0.0])
+        out[k] = np.abs(np.concatenate([pair01, pair23])) ** 2
+    return out
+
+
+def csv_by_writer(header, rows):
+    """CSV bytes from the csv module, every value written as repr(float(v))."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode("utf-8")

@@ -7,9 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lnoisim import compose, haar_random_unitary, matrix_distance
-from lnoisim.cli import build_parser, main, matrix_from_json_dict, matrix_to_json_dict
+from lnoisim.cli import _csv_bytes, build_parser, main, matrix_from_json_dict, matrix_to_json_dict
+from oracles import csv_by_writer
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -357,6 +361,86 @@ def test_loss_budget_with_wavelength_sweep(tmp_path):
     # the center wavelength transmits best
     transmissions = [float(r.split(",")[1]) for r in rows[1:]]
     assert transmissions[1] == max(transmissions)
+
+
+def test_nan_overlap_is_a_config_error(tmp_path, capsys):
+    identity = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    cfg = write_config(
+        tmp_path,
+        "dist.json",
+        {"schema_version": 1, "experiment": "distribution", "unitary": identity,
+         "input_modes": [0, 1], "overlap": float("nan")},
+    )
+    assert main(["validate", "--config", cfg]) == 2
+    assert run(["distribution", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: field 'overlap' must be a finite number") == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "fields", [{"loss_db": "3.4"}, {"loss_db": "abc"}, {"db_per_cm": True, "length_cm": 1.0}]
+)
+def test_non_numeric_loss_is_a_config_error(tmp_path, capsys, fields):
+    entry = {"label": "chip", **fields}
+    cfg = write_config(
+        tmp_path,
+        "budget.json",
+        {"schema_version": 1, "experiment": "loss-budget", "entries": [entry]},
+    )
+    assert main(["validate", "--config", cfg]) == 2
+    assert run(["loss-budget", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: entries[0]: entry 'chip':") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_poisson_fringe_fit_is_unbiased(tmp_path):
+    # Weighting by each point's own count pulled V about 3.4 stderr above x
+    # at this size; model weights leave a pull within noise.
+    x = 0.945
+    pulls = []
+    for seed in range(16):
+        cfg = write_config(
+            tmp_path,
+            f"fringe{seed}.json",
+            {"schema_version": 1, "experiment": "hom-fringe", "overlap": x, "n_points": 1001,
+             "poisson_mean_counts": 500, "seed": seed},
+        )
+        out = tmp_path / f"out{seed}"
+        assert run(["hom-fringe", "--config", cfg, "--output-dir", str(out)]) == 0
+        fit = read_json(out / "fit.json")
+        pulls.append((fit["visibility"] - x) / fit["stderr"])
+    assert abs(np.mean(pulls)) < 1.0
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True), min_size=2, max_size=5).flatmap(
+        lambda header: st.tuples(
+            st.just(header),
+            hnp.arrays(
+                float, st.tuples(st.integers(1, 12), st.just(len(header))), elements=st.floats()
+            ),
+        )
+    )
+)
+def test_csv_bytes_match_csv_writer_oracle(header_and_data):
+    header, data = header_and_data
+    assert _csv_bytes(header, (data[:, 0], data[:, 1:])) == csv_by_writer(header, data)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy is imported by the experiments that filter or fit, not at start-up.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, lnoisim.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_runs(tmp_path):

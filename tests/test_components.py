@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lnoisim import (
     EXTINCTION_CAP_DB,
@@ -28,7 +31,12 @@ from lnoisim import (
     s21_crossing_ghz,
     voltage_for_phase,
 )
-from oracles import extinction_by_dense_sweep, first_order_lowpass_gain_db, first_order_step
+from oracles import (
+    extinction_by_dense_sweep,
+    first_order_lowpass_gain_db,
+    first_order_step,
+    mzi_by_matmul,
+)
 
 
 # --- phase shifter --------------------------------------------------------
@@ -115,6 +123,57 @@ def test_mzi_insertion_loss_scales_power():
     m = mzi_transfer(cell, 1.3)
     total = np.sum(np.abs(m[:, 0]) ** 2)
     assert total == pytest.approx(10 ** (-0.05), rel=1e-12)
+
+
+imbalances = st.floats(-0.5, 0.5)
+phase_arrays = hnp.arrays(
+    float,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats(-20.0, 20.0),
+)
+
+
+def cell_with(d_in, d_out, loss_db=0.0):
+    return MZIParams(
+        coupler_in=CouplerParams(imbalance=d_in),
+        coupler_out=CouplerParams(imbalance=d_out),
+        insertion_loss_db=loss_db,
+    )
+
+
+@settings(deadline=None)
+@given(imbalances, imbalances, st.floats(0.0, 30.0), phase_arrays)
+def test_batched_mzi_matches_matmul_oracle(d_in, d_out, loss_db, phases):
+    cell = cell_with(d_in, d_out, loss_db)
+    got = mzi_transfer(cell, phases)
+    assert got.shape == phases.shape + (2, 2)
+    r_in, r_out = cell.coupler_in.effective_ratio, cell.coupler_out.effective_ratio
+    for idx in np.ndindex(phases.shape):
+        want = mzi_by_matmul(r_in, r_out, loss_db, float(phases[idx]))
+        assert np.max(np.abs(got[idx] - want)) <= 1e-14
+    scalar = float(phases.flat[0]) if phases.size else 0.3
+    want = mzi_by_matmul(r_in, r_out, loss_db, scalar)
+    assert np.max(np.abs(mzi_transfer(cell, scalar) - want)) <= 1e-14
+
+
+@settings(deadline=None)
+@given(imbalances, imbalances, phase_arrays)
+def test_lossless_cell_conserves_power_at_every_phase(d_in, d_out, phases):
+    t = mzi_transfer(cell_with(d_in, d_out), phases)
+    gram = np.conj(np.swapaxes(t, -1, -2)) @ t
+    assert np.max(np.abs(gram - np.eye(2)), initial=0.0) <= 1e-14
+
+
+@settings(deadline=None, max_examples=25)
+@given(imbalances, imbalances, st.floats(0.0, 10.0))
+def test_closed_form_extinction_matches_dense_sweep(d_in, d_out, loss_db):
+    cell = cell_with(d_in, d_out, loss_db)
+    got = extinction_ratio_db(cell)
+    assume(got < 100.0)
+    r_in, r_out = cell.coupler_in.effective_ratio, cell.coupler_out.effective_ratio
+    # 2000 phases put both extrema (0 and pi) on the grid
+    want = extinction_by_dense_sweep(lambda p: mzi_by_matmul(r_in, r_out, loss_db, p), n_phases=2000)
+    assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_extinction_ideal_cell_hits_cap():

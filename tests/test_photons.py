@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnoisim import (
+    CouplerParams,
     FitError,
     MZIParams,
     SourceModel,
@@ -20,7 +23,7 @@ from lnoisim import (
     single_photon_distribution,
     two_photon_distribution,
 )
-from oracles import hom_fringe_law, two_photon_probabilities_by_mode_expansion
+from oracles import hom_fringe_law, mzi_by_matmul, two_photon_probabilities_by_mode_expansion
 
 
 def test_source_model_derived_quantities():
@@ -87,6 +90,11 @@ def test_two_photon_collision_free_view():
     u = haar_random_unitary(4, seed=5)
     d = two_photon_distribution(u, (0, 2), overlap=0.9)
     cf = d.collision_free()
+    assert d.patterns == tuple((i, j) for i in range(4) for j in range(i, 4))
+    assert cf.patterns == tuple(itertools.combinations(range(4), 2))
+    direct = two_photon_distribution(u, (0, 2), overlap=0.9, collision_free_only=True)
+    assert direct.patterns == cf.patterns
+    assert np.array_equal(direct.probabilities, cf.probabilities)
     assert cf.collision_free_only
     assert all(i < j for i, j in cf.patterns)
     assert cf.total < d.total
@@ -118,6 +126,28 @@ def test_hom_fringe_matches_closed_form():
     for x in (0.0, 0.5, 0.927, 1.0):
         got = hom_fringe(cell, phases, x)
         assert np.allclose(got, hom_fringe_law(phases, x), atol=1e-12)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.floats(-0.5, 0.5),
+    st.floats(-0.5, 0.5),
+    st.floats(0.0, 6.0),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+)
+def test_hom_fringe_matches_mode_expansion_on_any_cell(d_in, d_out, loss_db, x, phases):
+    cell = MZIParams(
+        coupler_in=CouplerParams(imbalance=d_in),
+        coupler_out=CouplerParams(imbalance=d_out),
+        insertion_loss_db=loss_db,
+    )
+    got = hom_fringe(cell, phases, x)
+    r_in, r_out = cell.coupler_in.effective_ratio, cell.coupler_out.effective_ratio
+    for value, phase in zip(got, phases):
+        t = mzi_by_matmul(r_in, r_out, loss_db, phase)
+        want = two_photon_probabilities_by_mode_expansion(t, 0, 1, x)[(0, 1)]
+        assert value == pytest.approx(want, abs=1e-14)
 
 
 def test_hom_fringe_extrema():

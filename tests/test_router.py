@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnoisim import (
+    CouplerParams,
     DimensionError,
     MZIParams,
     PhaseShifterParams,
@@ -14,10 +17,12 @@ from lnoisim import (
     TopologyError,
     default_pulse_program,
     demux_input_transmissions,
+    eom_response,
     estimate_mzi_loss_from_demux,
     simulate_demux,
     switch_metrics,
 )
+from oracles import demux_by_photon_loop, mzi_by_matmul
 
 WIDE = PhaseShifterParams(f_3db_ghz=math.inf)
 
@@ -186,3 +191,48 @@ def test_input_transmissions_and_loss_recovery():
     # lossless tree transmits everything from every port
     t0, _, _ = demux_input_transmissions(make_tree())
     assert np.allclose(t0, 1.0, atol=1e-12)
+
+
+tree_cells = st.builds(
+    MZIParams,
+    shifter=st.builds(
+        PhaseShifterParams,
+        v_pi_volts=st.floats(3.0, 6.0),
+        phase_offset_rad=st.floats(-0.5, 0.5),
+        f_3db_ghz=st.one_of(st.just(math.inf), st.floats(0.5, 8.0)),
+    ),
+    coupler_in=st.builds(CouplerParams, imbalance=st.floats(-0.2, 0.2)),
+    coupler_out=st.builds(CouplerParams, imbalance=st.floats(-0.2, 0.2)),
+    insertion_loss_db=st.floats(0.0, 3.0),
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.lists(tree_cells, min_size=3, max_size=3),
+    st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+    st.integers(1, 3),
+    st.floats(0.0, 0.4),
+)
+def test_simulate_demux_matches_photon_loop_oracle(tree, errors, n_frames, offset_slots):
+    period = 13.8
+    prog = default_pulse_program(repetition_period_ns=period, n_frames=n_frames)
+    offset = offset_slots * period
+    trace = simulate_demux(tree, prog, SourceModel(), n_frames, offset, errors)
+
+    times = offset + period * (np.arange(4 * n_frames) + 0.5)
+    phases = np.empty((3, times.size))
+    for s, cell in enumerate(tree):
+        shifter = cell.shifter
+        drive = eom_response(shifter, prog.channels["A" if s == 0 else "B"], prog.sample_rate_ghz)
+        volts = np.interp(times, prog.t_ns, drive)
+        phases[s] = shifter.phase_offset_rad + math.pi * volts / shifter.v_pi_volts + errors[s]
+    transfers = [
+        lambda p, c=cell: mzi_by_matmul(
+            c.coupler_in.effective_ratio, c.coupler_out.effective_ratio, c.insertion_loss_db, p
+        )
+        for cell in tree
+    ]
+    want = demux_by_photon_loop(transfers, phases)
+    assert np.array_equal(trace.times_ns, times)
+    assert np.max(np.abs(trace.outputs - want)) <= 1e-14
