@@ -46,7 +46,13 @@ from .reconstruct import (
     reconstruct_unitary,
     synthesize_statistics,
 )
-from .router import default_pulse_program, simulate_demux, switch_metrics
+from .router import (
+    SLOTS_PER_FRAME,
+    TIMING_TOLERANCE_NS,
+    default_pulse_program,
+    simulate_demux,
+    switch_metrics,
+)
 
 __all__ = ["main", "matrix_from_json_dict", "matrix_to_json_dict"]
 
@@ -203,15 +209,32 @@ def _validate_hom_fringe(cfg, diags) -> None:
 
 
 def _validate_demux(cfg, diags) -> None:
-    _integer(cfg, diags, "n_frames", default=10, minimum=1)
-    _number(cfg, diags, "repetition_period_ns", default=13.8, minimum=1e-9)
+    n_frames = _integer(cfg, diags, "n_frames", default=10, minimum=1)
+    period = _number(cfg, diags, "repetition_period_ns", default=13.8, minimum=1e-9)
     _number(cfg, diags, "v_pi_volts", default=4.5, minimum=1e-9)
-    _optional_number(cfg, diags, "f_3db_ghz", minimum=1e-9)
-    _integer(cfg, diags, "samples_per_slot", default=256, minimum=2)
+    # An absent f_3db_ghz runs at 6.5 GHz; null means an instantaneous shifter.
+    f_3db = _optional_number(cfg, diags, "f_3db_ghz", minimum=1e-9) if "f_3db_ghz" in cfg else 6.5
+    per_slot = _integer(cfg, diags, "samples_per_slot", default=256, minimum=2)
     _optional_number(cfg, diags, "extinction_db", minimum=0.1)
     _optional_number(cfg, diags, "bar_leakage", minimum=0.0, maximum=0.499)
     _number(cfg, diags, "insertion_loss_db", default=0.0, minimum=0.0)
-    _number(cfg, diags, "train_offset_ns", default=0.0, minimum=0.0)
+    offset = _number(cfg, diags, "train_offset_ns", default=0.0, minimum=0.0)
+    if None not in (n_frames, period, per_slot, offset):
+        # The same arithmetic as the run: PulseProgram.sample_rate_ghz and
+        # end_ns, and the last photon instant of simulate_demux.
+        dt = period / per_slot
+        if f_3db is not None and 1.0 / dt <= 2.0 * f_3db:
+            diags.append(
+                f"samples_per_slot / repetition_period_ns = {1.0 / dt:.6g} GHz must exceed "
+                f"twice f_3db_ghz ({2.0 * f_3db:.6g} GHz)"
+            )
+        last_photon = offset + period * (SLOTS_PER_FRAME * n_frames - 0.5)
+        program_end = dt * (SLOTS_PER_FRAME * n_frames * per_slot - 1)
+        if last_photon > program_end + TIMING_TOLERANCE_NS:
+            diags.append(
+                f"train_offset_ns puts the last photon at {last_photon:.10g} ns, past the end "
+                f"of the pulse program at {program_end:.10g} ns"
+            )
     if cfg.get("extinction_db") is not None and cfg.get("bar_leakage") is not None:
         diags.append("give at most one of extinction_db and bar_leakage")
     errors = cfg.get("phase_errors_rad", [0.0, 0.0, 0.0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "coupler_matrix",
     "eom_response",
     "eom_s21_db",
+    "eom_slot_response",
     "eom_step_response",
     "estimate_mzi_loss_from_demux",
     "extinction_ratio_db",
@@ -284,6 +286,57 @@ def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz:
     zi = lfilter_zi(b, a) * x[0]
     y, _ = lfilter(b, a, x, zi=zi)
     return y
+
+
+def eom_slot_response(
+    p: PhaseShifterParams,
+    levels: Sequence[float],
+    samples_per_slot: int,
+    sample_rate_ghz: float,
+    indices: np.ndarray,
+) -> np.ndarray:
+    """:func:`eom_response` of a piecewise-constant drive, at chosen samples only.
+
+    The drive holds ``levels[j]`` for samples ``j S .. j S + S - 1`` with
+    ``S = samples_per_slot``.  The result equals
+    ``eom_response(p, np.repeat(levels, S), sample_rate_ghz)[indices]``
+    without building or filtering that grid.  Within slot j the filter
+    relaxes geometrically toward the held level, so with the Tustin
+    coefficients g and r (``y[n] = g (x[n] + x[n-1]) + r y[n-1]``)
+
+        y[j S + m] = v_j + r^m d_j,
+        d_j = (1 - g) (v_{j-1} - v_j) + r^S d_{j-1},   d_0 = 0,
+
+    where ``d_0 = 0`` is the first level held forever.  The recurrence
+    costs one step per slot.
+
+    Raises:
+        AliasingError: when ``sample_rate_ghz <= 2 * f_3db_ghz``.
+    """
+    v = np.asarray(levels, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise DimensionError("levels must be a non-empty 1-d array")
+    if samples_per_slot < 1:
+        raise ValueError("samples_per_slot must be at least 1")
+    idx = np.asarray(indices)
+    if idx.size and (idx.min() < 0 or idx.max() >= v.size * samples_per_slot):
+        raise DimensionError("sample indices lie outside the drive")
+    slot, m = np.divmod(idx, samples_per_slot)
+    if not math.isfinite(p.f_3db_ghz):
+        return v[slot]
+    if sample_rate_ghz <= 2.0 * p.f_3db_ghz:
+        raise AliasingError(
+            f"sample rate {sample_rate_ghz} GHz must exceed twice the bandwidth "
+            f"{p.f_3db_ghz} GHz"
+        )
+    b, a = _tustin_coefficients(p.f_3db_ghz, sample_rate_ghz)
+    g, r = float(b[0]), -float(a[1])
+    q = r**samples_per_slot
+    steps = ((1.0 - g) * (v[:-1] - v[1:])).tolist()
+    d = np.fromiter(accumulate(steps, lambda prev, c: c + q * prev, initial=0.0), float, v.size)
+    # A float power of a negative base is slow; photons share few offsets m.
+    offsets, which = np.unique(m, return_inverse=True)
+    return v[slot] + (r**offsets)[which] * d[slot]
 
 
 def eom_step_response(

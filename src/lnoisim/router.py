@@ -23,7 +23,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .components import MZIParams, eom_response, mzi_transfer, phase_from_voltage
+from .components import (
+    MZIParams,
+    PhaseShifterParams,
+    eom_slot_response,
+    mzi_transfer,
+    phase_from_voltage,
+)
 from .errors import DimensionError, TimingError, TopologyError
 from .photons import SourceModel
 
@@ -37,12 +43,15 @@ __all__ = [
     "switch_metrics",
 ]
 
-PULSE_SCHEMA_VERSION = 1
+PULSE_SCHEMA_VERSION = 2
 
 #: Output pair fed by each switch: switch 1 -> outputs (0, 1), switch 2 -> (2, 3).
 N_TREE_SWITCHES = 3
 N_OUTPUTS = 4
 SLOTS_PER_FRAME = 4
+
+#: Slack allowed when checking that a program covers the photon train.
+TIMING_TOLERANCE_NS = 1e-9
 
 #: Default slot -> output assignment for the standard program.
 IDENTITY_ASSIGNMENT = {0: 0, 1: 1, 2: 2, 3: 3}
@@ -50,43 +59,51 @@ IDENTITY_ASSIGNMENT = {0: 0, 1: 1, 2: 2, 3: 3}
 
 @dataclass(frozen=True, eq=False)
 class PulseProgram:
-    """Drive waveforms on a shared uniform time grid.
+    """Drive levels held for whole slots on a shared uniform sample grid.
+
+    Every channel holds one level per slot; slot j covers the samples
+    ``j S .. j S + S - 1`` of a grid with spacing ``slot_ns / S``.
 
     Attributes:
-        t_ns: sample times, uniformly spaced and increasing.
-        channels: waveform per channel name (volts), aligned with ``t_ns``.
+        slot_ns: slot duration.
+        samples_per_slot: grid samples per slot (S, at least 2).
+        levels: channel name -> per-slot drive (volts); all equally long.
         routing: channel name -> switch indices it drives.
+        start_ns: time of the first sample.
     """
 
-    t_ns: np.ndarray
-    channels: dict[str, np.ndarray]
+    slot_ns: float
+    samples_per_slot: int
+    levels: dict[str, np.ndarray]
     routing: dict[str, tuple[int, ...]]
+    start_ns: float = 0.0
 
     def __post_init__(self):
-        t = np.asarray(self.t_ns, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise DimensionError("time grid needs at least two samples")
-        steps = np.diff(t)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise TimingError("time grid must be uniform and increasing")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "t_ns", t)
-        channels = {}
-        for name, wave in self.channels.items():
-            arr = np.asarray(wave, dtype=float)
-            if arr.shape != t.shape:
-                raise DimensionError(f"channel {name!r} length does not match the grid")
+        if not (math.isfinite(self.slot_ns) and self.slot_ns > 0):
+            raise ValueError(f"slot_ns must be positive and finite, got {self.slot_ns}")
+        if int(self.samples_per_slot) != self.samples_per_slot or self.samples_per_slot < 2:
+            raise ValueError("samples_per_slot must be an integer of at least 2")
+        if not math.isfinite(self.start_ns):
+            raise ValueError("start_ns must be finite")
+        object.__setattr__(self, "slot_ns", float(self.slot_ns))
+        object.__setattr__(self, "samples_per_slot", int(self.samples_per_slot))
+        object.__setattr__(self, "start_ns", float(self.start_ns))
+        levels = {}
+        for name, values in self.levels.items():
+            arr = np.array(values, dtype=float)
+            if arr.ndim != 1 or arr.size == 0:
+                raise DimensionError(f"channel {name!r} needs a 1-d array of slot levels")
+            if levels and arr.size != next(iter(levels.values())).size:
+                raise DimensionError(f"channel {name!r} holds a different number of slots")
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"channel {name!r} has non-finite samples")
-            arr = arr.copy()
+                raise ValueError(f"channel {name!r} has non-finite levels")
             arr.setflags(write=False)
-            channels[name] = arr
-        object.__setattr__(self, "channels", channels)
+            levels[name] = arr
+        object.__setattr__(self, "levels", levels)
         routing = {}
         driven: set[int] = set()
         for name, targets in self.routing.items():
-            if name not in channels:
+            if name not in levels:
                 raise ValueError(f"routing references unknown channel {name!r}")
             targets = tuple(int(s) for s in targets)
             for s in targets:
@@ -101,12 +118,36 @@ class PulseProgram:
         object.__setattr__(self, "routing", routing)
 
     @property
-    def sample_rate_ghz(self) -> float:
-        return 1.0 / float(self.t_ns[1] - self.t_ns[0])
+    def n_samples(self) -> int:
+        return next(iter(self.levels.values())).size * self.samples_per_slot
 
     @property
-    def duration_ns(self) -> float:
-        return float(self.t_ns[-1] - self.t_ns[0])
+    def dt_ns(self) -> float:
+        return self.slot_ns / self.samples_per_slot
+
+    @property
+    def sample_rate_ghz(self) -> float:
+        return 1.0 / self.dt_ns
+
+    @property
+    def end_ns(self) -> float:
+        """Time of the last sample."""
+        return self.start_ns + self.dt_ns * (self.n_samples - 1)
+
+    @property
+    def t_ns(self) -> np.ndarray:
+        """Sample times, built on each access."""
+        t = self.start_ns + self.dt_ns * np.arange(self.n_samples)
+        t.setflags(write=False)
+        return t
+
+    @property
+    def channels(self) -> dict[str, np.ndarray]:
+        """Waveform per channel on the sample grid, built on each access."""
+        waves = {name: np.repeat(v, self.samples_per_slot) for name, v in self.levels.items()}
+        for wave in waves.values():
+            wave.setflags(write=False)
+        return waves
 
     def channel_for_switch(self, switch: int) -> str:
         for name, targets in self.routing.items():
@@ -114,17 +155,37 @@ class PulseProgram:
                 return name
         raise TopologyError(f"no channel drives switch {switch}")
 
-    def shifted(self, offset_ns: float) -> "PulseProgram":
-        """Same waveforms displaced in absolute time by ``offset_ns``."""
-        return PulseProgram(self.t_ns + offset_ns, dict(self.channels), dict(self.routing))
+    def filtered_drive(
+        self, channel: str, shifter: PhaseShifterParams, times_ns: np.ndarray
+    ) -> np.ndarray:
+        """Channel drive after the shifter's low-pass response, at ``times_ns``.
+
+        The filtered grid samples on either side of each instant come from
+        :func:`eom_slot_response` and are joined linearly; instants outside
+        the grid take the nearest end sample, as ``np.interp`` on
+        ``t_ns`` does.
+        """
+        last = self.n_samples - 1
+        u = np.clip((np.asarray(times_ns, dtype=float) - self.start_ns) / self.dt_ns, 0.0, last)
+        lo = np.floor(u).astype(np.intp)
+        w = u - lo
+        ends = eom_slot_response(
+            shifter,
+            self.levels[channel],
+            self.samples_per_slot,
+            self.sample_rate_ghz,
+            np.concatenate([lo, np.minimum(lo + 1, last)]),
+        )
+        below, above = ends[: lo.size], ends[lo.size :]
+        return below + w * (above - below)
 
     def to_json_dict(self) -> dict:
         return {
             "schema_version": PULSE_SCHEMA_VERSION,
-            "channels": {
-                name: {"t_ns": [float(t) for t in self.t_ns], "v": [float(v) for v in wave]}
-                for name, wave in self.channels.items()
-            },
+            "slot_ns": self.slot_ns,
+            "samples_per_slot": self.samples_per_slot,
+            "start_ns": self.start_ns,
+            "levels": {name: v.tolist() for name, v in self.levels.items()},
             "routing": {name: list(targets) for name, targets in self.routing.items()},
         }
 
@@ -133,18 +194,10 @@ class PulseProgram:
         version = data.get("schema_version")
         if version != PULSE_SCHEMA_VERSION:
             raise ValueError(f"unsupported pulse program schema_version {version!r}")
-        channels_json = data["channels"]
-        grids = [np.asarray(entry["t_ns"], dtype=float) for entry in channels_json.values()]
-        if not grids:
-            raise ValueError("pulse program has no channels")
-        for grid in grids[1:]:
-            if grid.shape != grids[0].shape or not np.allclose(grid, grids[0]):
-                raise TimingError("all channels must share one time grid")
-        channels = {
-            name: np.asarray(entry["v"], dtype=float) for name, entry in channels_json.items()
-        }
         routing = {name: tuple(v) for name, v in data["routing"].items()}
-        return cls(grids[0], channels, routing)
+        return cls(
+            data["slot_ns"], data["samples_per_slot"], data["levels"], routing, data["start_ns"]
+        )
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -178,14 +231,13 @@ def default_pulse_program(
         raise ValueError("repetition_period_ns must be positive")
     if n_frames < 1 or samples_per_slot < 2:
         raise ValueError("need at least one frame and two samples per slot")
-    n_samples = SLOTS_PER_FRAME * n_frames * samples_per_slot
-    dt = repetition_period_ns / samples_per_slot
-    t = start_ns + dt * np.arange(n_samples)
-    frame_a = np.repeat(np.array([v_pi_volts, v_pi_volts, 0.0, 0.0]), samples_per_slot)
-    frame_b = np.repeat(np.array([v_pi_volts, 0.0, v_pi_volts, 0.0]), samples_per_slot)
-    wave_a = np.tile(frame_a, n_frames)
-    wave_b = np.tile(frame_b, n_frames)
-    return PulseProgram(t, {"A": wave_a, "B": wave_b}, {"A": (0,), "B": (1, 2)})
+    levels = {
+        "A": np.tile([v_pi_volts, v_pi_volts, 0.0, 0.0], n_frames),
+        "B": np.tile([v_pi_volts, 0.0, v_pi_volts, 0.0], n_frames),
+    }
+    return PulseProgram(
+        repetition_period_ns, samples_per_slot, levels, {"A": (0,), "B": (1, 2)}, start_ns
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,16 +287,14 @@ def _switch_phases(
 ) -> np.ndarray:
     """Filtered drive phases per switch at each photon instant, shape (3, n)."""
     phases = np.empty((N_TREE_SWITCHES, photon_times.size))
-    fs = program.sample_rate_ghz
-    filtered_cache: dict[tuple[str, float], np.ndarray] = {}
+    volts_cache: dict[tuple[str, float], np.ndarray] = {}
     for s in range(N_TREE_SWITCHES):
         name = program.channel_for_switch(s)
         shifter = tree[s].shifter
         key = (name, shifter.f_3db_ghz)
-        if key not in filtered_cache:
-            filtered_cache[key] = eom_response(shifter, program.channels[name], fs)
-        volts = np.interp(photon_times, program.t_ns, filtered_cache[key])
-        phases[s] = phase_from_voltage(shifter, volts)
+        if key not in volts_cache:
+            volts_cache[key] = program.filtered_drive(name, shifter, photon_times)
+        phases[s] = phase_from_voltage(shifter, volts_cache[key])
     return phases
 
 
@@ -280,10 +330,13 @@ def simulate_demux(
     period = source.repetition_period_ns
     frame = SLOTS_PER_FRAME * period
     times = train_offset_ns + period * (np.arange(SLOTS_PER_FRAME * n_frames) + 0.5)
-    if times[0] < program.t_ns[0] - 1e-9 or times[-1] > program.t_ns[-1] + 1e-9:
+    if (
+        times[0] < program.start_ns - TIMING_TOLERANCE_NS
+        or times[-1] > program.end_ns + TIMING_TOLERANCE_NS
+    ):
         raise TimingError(
             f"photon train spans [{times[0]:.6g}, {times[-1]:.6g}] ns but the program "
-            f"covers [{program.t_ns[0]:.6g}, {program.t_ns[-1]:.6g}] ns"
+            f"covers [{program.start_ns:.6g}, {program.end_ns:.6g}] ns"
         )
 
     phases = _switch_phases(tree, program, times) + np.array(errors)[:, None]

@@ -127,3 +127,27 @@ def csv_by_writer(header, rows):
     for row in rows:
         writer.writerow([repr(float(v)) for v in row])
     return buf.getvalue().encode("utf-8")
+
+
+def tustin_lowpass_by_sample_loop(drive, f_3db_ghz, sample_rate_ghz):
+    """Single-pole low-pass, one sample at a time, over the whole grid.
+
+    The bilinear transform prewarped to f_3db gives
+    y[n] = g (x[n] + x[n-1]) + r y[n-1] with lam = tan(pi f_3db / fs),
+    g = lam / (1 + lam) and r = (1 - lam) / (1 + lam).  The drive is taken
+    as held at its first sample forever before the grid starts.  An
+    infinite bandwidth passes the drive through unchanged.
+    """
+    x = [float(v) for v in drive]
+    if math.isinf(f_3db_ghz):
+        return np.array(x)
+    lam = math.tan(math.pi * f_3db_ghz / sample_rate_ghz)
+    g = lam / (1.0 + lam)
+    r = (1.0 - lam) / (1.0 + lam)
+    y = []
+    prev_x = prev_y = x[0]
+    for value in x:
+        prev_y = g * (value + prev_x) + r * prev_y
+        prev_x = value
+        y.append(prev_y)
+    return np.array(y)

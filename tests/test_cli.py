@@ -197,6 +197,30 @@ def test_demux_rejects_conflicting_extinction_settings(tmp_path, capsys):
     assert "extinction_db" in err and "bar_leakage" in err
 
 
+def test_demux_rejects_aliased_grid(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "demux.json",
+        {"schema_version": 1, "experiment": "demux", "samples_per_slot": 2, "f_3db_ghz": 6.5},
+    )
+    for args in (["validate", "--config", cfg], ["demux", "--config", cfg]):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "f_3db_ghz" in err
+
+
+def test_demux_rejects_train_past_program(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "demux.json",
+        {"schema_version": 1, "experiment": "demux", "n_frames": 10, "train_offset_ns": 30.0},
+    )
+    for args in (["validate", "--config", cfg], ["demux", "--config", cfg]):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "train_offset_ns" in err
+
+
 def test_distribution_single_photon(tmp_path):
     u = haar_random_unitary(4, seed=21)
     cfg = write_config(
@@ -430,17 +454,28 @@ def test_csv_bytes_match_csv_writer_oracle(header_and_data):
     assert _csv_bytes(header, (data[:, 0], data[:, 1:])) == csv_by_writer(header, data)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # SciPy is imported by the experiments that filter or fit, not at start-up.
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # SciPy is imported by the experiments that fit, not at start-up, and a
+    # finite-bandwidth demux filters its drives at slot rate without it.
+    cfg = write_config(
+        tmp_path,
+        "demux.json",
+        {"schema_version": 1, "experiment": "demux", "n_frames": 5, "f_3db_ghz": 6.5},
+    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
     code = (
         "import sys, lnoisim.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))"
+        "loaded = lambda: sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules); "
+        "print(loaded()); "
+        f"assert lnoisim.cli.main(['demux', '--config', {cfg!r}, '--output-dir', {str(tmp_path / 'out')!r}, '--quiet']) == 0; "
+        "print(loaded()); "
+        "program = lnoisim.default_pulse_program(n_frames=1000); "
+        "print(sorted((name, v.size) for name, v in program.levels.items()))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]", "[('A', 4000), ('B', 4000)]"]
 
 
 def test_console_script_runs(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnoisim import (
+    AliasingError,
     CouplerParams,
     DimensionError,
     MZIParams,
@@ -18,11 +19,12 @@ from lnoisim import (
     default_pulse_program,
     demux_input_transmissions,
     eom_response,
+    eom_slot_response,
     estimate_mzi_loss_from_demux,
     simulate_demux,
     switch_metrics,
 )
-from oracles import demux_by_photon_loop, mzi_by_matmul
+from oracles import demux_by_photon_loop, mzi_by_matmul, tustin_lowpass_by_sample_loop
 
 WIDE = PhaseShifterParams(f_3db_ghz=math.inf)
 
@@ -48,22 +50,32 @@ def test_default_program_structure():
 
 
 def test_program_validation():
-    t = np.linspace(0, 10, 11)
-    v = np.zeros(11)
-    with pytest.raises(TimingError):
-        PulseProgram(np.array([0.0, 1.0, 3.0]), {"A": np.zeros(3)}, {"A": (0, 1, 2)})
+    v = np.zeros(4)
     with pytest.raises(DimensionError):
-        PulseProgram(t, {"A": np.zeros(5)}, {"A": (0, 1, 2)})
+        PulseProgram(13.8, 8, {"A": v, "B": np.zeros(5)}, {"A": (0,), "B": (1, 2)})
+    with pytest.raises(DimensionError):
+        PulseProgram(13.8, 8, {"A": np.zeros(0)}, {"A": (0, 1, 2)})
     with pytest.raises(ValueError):
-        PulseProgram(t, {"A": v}, {"B": (0, 1, 2)})  # unknown channel
+        PulseProgram(13.8, 8, {"A": np.array([0.0, math.nan])}, {"A": (0, 1, 2)})
+    with pytest.raises(ValueError):
+        PulseProgram(13.8, 8, {"A": np.array([0.0, math.inf])}, {"A": (0, 1, 2)})
+    with pytest.raises(ValueError):
+        PulseProgram(13.8, 1, {"A": v}, {"A": (0, 1, 2)})
+    for slot_ns in (0.0, -13.8):
+        with pytest.raises(ValueError):
+            PulseProgram(slot_ns, 8, {"A": v}, {"A": (0, 1, 2)})
+    with pytest.raises(ValueError):
+        PulseProgram(13.8, 8, {"A": v}, {"B": (0, 1, 2)})  # unknown channel
     with pytest.raises(TopologyError):
-        PulseProgram(t, {"A": v, "B": v}, {"A": (0, 1), "B": (1, 2)})  # double-driven
+        PulseProgram(13.8, 8, {"A": v, "B": v}, {"A": (0, 1), "B": (1, 2)})  # double-driven
     with pytest.raises(TopologyError):
-        PulseProgram(t, {"A": v}, {"A": (0, 1)})  # switch 2 undriven
+        PulseProgram(13.8, 8, {"A": v}, {"A": (0, 1)})  # switch 2 undriven
+    with pytest.raises(TopologyError):
+        PulseProgram(13.8, 8, {"A": v}, {"A": (0, 1, 3)})  # no switch 3
 
 
 def test_program_json_round_trip(tmp_path):
-    prog = default_pulse_program(n_frames=1, samples_per_slot=4)
+    prog = default_pulse_program(n_frames=1, samples_per_slot=4, start_ns=2.5)
     path = tmp_path / "prog.json"
     prog.save(path)
     loaded = PulseProgram.load(path)
@@ -71,6 +83,17 @@ def test_program_json_round_trip(tmp_path):
     for name in prog.channels:
         assert np.array_equal(loaded.channels[name], prog.channels[name])
     assert loaded.routing == prog.routing
+
+
+def test_program_json_rejects_sampled_schema():
+    # Schema 1 stored every grid sample with its time; it cannot be read back.
+    v1 = {
+        "schema_version": 1,
+        "channels": {"A": {"t_ns": [0.0, 1.0], "v": [0.0, 0.0]}},
+        "routing": {"A": [0, 1, 2]},
+    }
+    with pytest.raises(ValueError, match="unsupported pulse program schema_version 1"):
+        PulseProgram.from_json_dict(v1)
 
 
 def test_ideal_routing_is_perfect():
@@ -236,3 +259,49 @@ def test_simulate_demux_matches_photon_loop_oracle(tree, errors, n_frames, offse
     want = demux_by_photon_loop(transfers, phases)
     assert np.array_equal(trace.times_ns, times)
     assert np.max(np.abs(trace.outputs - want)) <= 1e-14
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12),
+    st.integers(2, 256),
+    st.floats(0.5, 20.0),
+    st.one_of(st.none(), st.floats(0.005, 0.495)),
+    st.floats(-100.0, 100.0),
+    st.floats(0.0, 1.0),
+)
+def test_slot_rate_filter_matches_sample_loop(levels, per_slot, slot_ns, band, start_ns, offset):
+    prog = PulseProgram(slot_ns, per_slot, {"A": levels}, {"A": (0, 1, 2)}, start_ns)
+    fs = prog.sample_rate_ghz
+    shifter = PhaseShifterParams(f_3db_ghz=math.inf if band is None else band * fs)
+    wave = prog.channels["A"]
+    want = tustin_lowpass_by_sample_loop(wave, shifter.f_3db_ghz, fs)
+    sampled = eom_response(shifter, wave, fs)
+    got = eom_slot_response(shifter, levels, per_slot, fs, np.arange(wave.size))
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.max(np.abs(got - sampled)) <= 1e-13
+
+    # A photon train at any offset within a slot, plus both ends of the grid.
+    # Rounding of t, start_ns and the grid times moves an instant's place
+    # between its two samples by up to a few eps * (|t| + |start_ns|) / dt,
+    # so where the filtered drive steps between samples (a slot edge) the
+    # two interpolations may differ by that fraction of the step.
+    times = start_ns + slot_ns * (offset + np.arange(len(levels) - 1))
+    times = np.concatenate([times, [prog.start_ns, prog.end_ns]])
+    volts = prog.filtered_drive("A", shifter, times)
+    dt = prog.dt_ns
+    steps = np.abs(np.diff(want, prepend=want[0], append=want[-1]))
+    k = np.clip(((times - start_ns) / dt).astype(int), 0, wave.size - 1)
+    near = np.maximum.reduce([steps[np.clip(k + j, 0, wave.size)] for j in (0, 1, 2)])
+    slack = 1e-13 + 8 * np.finfo(float).eps * (np.abs(times) + abs(start_ns) + dt) / dt * near
+    assert np.all(np.abs(volts - np.interp(times, prog.t_ns, want)) <= slack)
+    assert np.all(np.abs(volts - np.interp(times, prog.t_ns, sampled)) <= slack)
+
+
+def test_slot_rate_filter_rejects_aliased_grid():
+    shifter = PhaseShifterParams(f_3db_ghz=6.5)
+    with pytest.raises(AliasingError):
+        eom_slot_response(shifter, [0.0, 4.5], 2, 13.0, np.arange(4))
+    prog = default_pulse_program(n_frames=1, samples_per_slot=2)
+    with pytest.raises(AliasingError):
+        simulate_demux(make_tree(MZIParams.ideal(shifter)), prog, SourceModel(), 1)
