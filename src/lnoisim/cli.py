@@ -90,9 +90,10 @@ def _dump_json(obj) -> bytes:
 
 def _csv_bytes(header, columns) -> bytes:
     """CSV of equal-length columns (1-d arrays or 2-d blocks), values as float reprs."""
-    rows = np.column_stack(columns).tolist()
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    table = np.column_stack(columns)
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    body = (row * table.shape[0]) % tuple(table.ravel().tolist())
+    return (",".join(header) + "\n" + body).encode("utf-8")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -177,6 +178,16 @@ def _matrix_field(cfg, diags, key, required=False):
         return None
 
 
+def _check_parses(cfg, diags, key, parse) -> None:
+    """Report why ``parse(cfg[key])``, the runner's own parse, fails, if it does."""
+    try:
+        parse(cfg[key])
+    except KeyError as exc:
+        diags.append(f"field {key!r} is missing the key {exc}")
+    except (TypeError, ValueError) as exc:
+        diags.append(f"field {key!r}: {exc}")
+
+
 def _validate_common(cfg, experiment, diags) -> None:
     if not isinstance(cfg, dict):
         diags.append("config must be a JSON object")
@@ -253,6 +264,8 @@ def _validate_distribution(cfg, diags) -> None:
         _matrix_field(cfg, diags, "unitary")
     if has_mesh and not isinstance(cfg["mesh"], dict):
         diags.append("field 'mesh' must be a mesh configuration object")
+    elif has_mesh:
+        _check_parses(cfg, diags, "mesh", MeshConfig.from_json_dict)
     modes = cfg.get("input_modes")
     if not (
         isinstance(modes, list)
@@ -274,6 +287,8 @@ def _validate_mesh_decompose(cfg, diags) -> None:
 def _validate_mesh_compose(cfg, diags) -> None:
     if not isinstance(cfg.get("mesh"), dict):
         diags.append("missing required field 'mesh' (mesh configuration object)")
+    else:
+        _check_parses(cfg, diags, "mesh", MeshConfig.from_json_dict)
 
 
 def _validate_reconstruct(cfg, diags) -> None:
@@ -285,6 +300,8 @@ def _validate_reconstruct(cfg, diags) -> None:
         _matrix_field(cfg, diags, "unitary")
     if has_stats and not isinstance(cfg["statistics"], dict):
         diags.append("field 'statistics' must be a measured-statistics object")
+    elif has_stats:
+        _check_parses(cfg, diags, "statistics", MeasuredStatistics.from_json_dict)
     _number(cfg, diags, "overlap", default=1.0, minimum=0.0, maximum=1.0)
     _integer(cfg, diags, "n_restarts", default=12, minimum=1)
     _boolean(cfg, diags, "collision_free_only", default=True)
@@ -319,9 +336,19 @@ def _validate_loss_budget(cfg, diags) -> None:
     labels = sweep.get("coupler_labels")
     if not (isinstance(labels, list) and labels and all(isinstance(v, str) for v in labels)):
         diags.append("sweep.coupler_labels must be a non-empty list of entry labels")
+    else:
+        known = {entry.get("label") for entry in entries if isinstance(entry, dict)}
+        for label in labels:
+            if label not in known:
+                diags.append(f"sweep.coupler_labels: no entry is labelled {label!r}")
     grating = sweep.get("grating", {})
     if not isinstance(grating, dict):
         diags.append("sweep.grating must be an object of grating parameters")
+        return
+    try:
+        GratingSpectrum(**grating)
+    except (TypeError, ValueError) as exc:
+        diags.append(f"sweep.grating: {exc}")
 
 
 _VALIDATORS = {

@@ -36,7 +36,6 @@ __all__ = [
     "eom_step_response",
     "estimate_mzi_loss_from_demux",
     "extinction_ratio_db",
-    "grating_efficiency_db",
     "imbalance_for_bar_leakage",
     "imbalance_for_extinction",
     "mzi_transfer",
@@ -47,6 +46,9 @@ __all__ = [
 
 #: Reported in place of an unbounded extinction ratio (perfectly balanced couplers).
 EXTINCTION_CAP_DB = 300.0
+
+#: Samples per block of the scan in :func:`eom_response`.
+_SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -280,12 +282,26 @@ def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz:
         )
     if x.size == 0:
         return x.copy()
-    from scipy.signal import lfilter, lfilter_zi
-
     b, a = _tustin_coefficients(p.f_3db_ghz, sample_rate_ghz)
-    zi = lfilter_zi(b, a) * x[0]
-    y, _ = lfilter(b, a, x, zi=zi)
-    return y
+    g, r = float(b[0]), -float(a[1])
+    # y[n] = u[n] + r y[n-1] with u[n] = g (x[n] + x[n-1]) and x[-1] = y[-1] = x[0],
+    # scanned in blocks: a lower-triangular matrix of powers of r inside
+    # each block, and one carry y at the end of each block across them.
+    n_blocks = -(-x.size // _SCAN_BLOCK)
+    u = np.zeros(n_blocks * _SCAN_BLOCK)
+    u[: x.size] = g * (x + np.concatenate(([x[0]], x[:-1])))
+    u = u.reshape(n_blocks, _SCAN_BLOCK)
+    lag = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
+    decay = np.where(lag >= 0, r ** np.maximum(lag, 0).astype(float), 0.0)
+    local = u @ decay.T
+    q = r**_SCAN_BLOCK
+    carry = np.fromiter(
+        accumulate(local[:-1, -1].tolist(), lambda prev, last: last + q * prev, initial=x[0]),
+        float,
+        n_blocks,
+    )
+    lead = r ** np.arange(1.0, _SCAN_BLOCK + 1.0)
+    return (local + carry[:, None] * lead).ravel()[: x.size]
 
 
 def eom_slot_response(
@@ -353,11 +369,10 @@ def eom_step_response(
         return t, np.ones(n)
     if sample_rate_ghz <= 2.0 * p.f_3db_ghz:
         raise AliasingError("sample rate must exceed twice the bandwidth")
-    from scipy.signal import lfilter
-
     b, a = _tustin_coefficients(p.f_3db_ghz, sample_rate_ghz)
-    y, _ = lfilter(b, a, np.ones(n), zi=np.zeros(1))
-    return t, y
+    g, r = float(b[0]), -float(a[1])
+    # y[0] = g and the error y[n] - 1 shrinks by r per sample.
+    return t, 1.0 + (g - 1.0) * r ** np.arange(float(n))
 
 
 def _steady_state_gain(
@@ -493,11 +508,6 @@ class GratingSpectrum:
     def efficiency(self, wavelength_nm: float) -> float:
         """Linear power efficiency at the given wavelength."""
         return 10.0 ** (self.efficiency_db(wavelength_nm) / 10.0)
-
-
-def grating_efficiency_db(g: GratingSpectrum, wavelength_nm: float) -> float:
-    """Functional spelling of :meth:`GratingSpectrum.efficiency_db`."""
-    return g.efficiency_db(wavelength_nm)
 
 
 def coupler_efficiency_from_loopback(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "ProbabilityDistribution",
     "as_complex_matrix",
     "haar_random_unitary",
-    "is_submatrix_of_unitary",
     "is_subunitary",
     "is_unitary",
     "matrix_distance",
@@ -31,6 +30,9 @@ PERMANENT_MAX_ORDER = 20
 
 #: Probability sums within this tolerance of one count as normalized.
 NORMALIZATION_TOL = 1e-9
+
+#: Smallest Marquardt scale of a parameter, relative to the largest one.
+_SCALE_FLOOR = 1e-6
 
 
 def as_complex_matrix(m: object) -> np.ndarray:
@@ -63,11 +65,6 @@ def is_subunitary(m: object, tol: float = 1e-10) -> bool:
         return True
     smax = np.linalg.svd(arr, compute_uv=False)[0]
     return bool(smax <= 1.0 + tol)
-
-
-def is_submatrix_of_unitary(m: object, tol: float = 1e-10) -> bool:
-    """Alias predicate: a rectangular block of a unitary is sub-unitary."""
-    return is_subunitary(m, tol=tol)
 
 
 def _permanent_direct(a: np.ndarray) -> complex:
@@ -161,6 +158,85 @@ def matrix_distance(a: object, b: object) -> float:
     alpha = np.angle(t) if t != 0 else 0.0
     diff = am - np.exp(1j * alpha) * bm
     return float(np.linalg.norm(diff) / np.sqrt(am.shape[0]))
+
+
+class LeastSquaresFit(NamedTuple):
+    """Outcome of :func:`_levenberg_marquardt`; ``cost`` is sum(residuals**2)."""
+
+    x: np.ndarray
+    residuals: np.ndarray
+    jacobian: np.ndarray
+    cost: float
+    nfev: int
+
+
+def _levenberg_marquardt(
+    fun_and_jac: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
+    x0: Sequence[float],
+    lower: Sequence[float] | None = None,
+    upper: Sequence[float] | None = None,
+    xtol: float = 1e-12,
+    ftol: float = 1e-12,
+    max_nfev: int = 1000,
+) -> LeastSquaresFit:
+    """Minimize ``sum(r(x)**2)`` by Levenberg-Marquardt, optionally inside a box.
+
+    ``fun_and_jac(x)`` returns the residual vector r(x) and a callable that
+    gives the Jacobian dr/dx at the same x; it is called only for accepted
+    points.  Each step solves ``(J^T J + mu D) h = -J^T r`` with Marquardt's
+    scaling D, the running maximum of diag(J^T J) (Moré 1978), floored at
+    a millionth of its largest entry so that rounding noise in a column the
+    residuals barely see cannot drive the step.  A parameter on a bound
+    that the gradient pushes outward is held there; the step of the others
+    is clipped into ``[lower, upper]``.  The damping mu follows Nielsen's
+    update (Madsen, Nielsen & Tingleff 2004, eq. 3.16): after a step with
+    gain ratio rho > 0 it is multiplied by max(1/3, 1 - (2 rho - 1)^3);
+    after a rejected one by nu, which then doubles.
+
+    The iteration stops before evaluating a step with
+    ``|h| <= xtol (|x| + xtol)``, after an accepted step that lowered the
+    cost by at most ``ftol`` of itself, or after ``max_nfev`` evaluations.
+    """
+    x = np.array(x0, dtype=float)
+    lo = np.full(x.shape, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    hi = np.full(x.shape, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    x = np.clip(x, lo, hi)
+    r, jac = fun_and_jac(x)
+    nfev = 1
+    cost = float(r @ r)
+    j = jac()
+    scale = np.zeros(x.size)
+    mu, nu = 1e-3, 2.0
+    while nfev < max_nfev:
+        normal = j.T @ j
+        grad = j.T @ r
+        scale = np.maximum(scale, np.diagonal(normal))
+        damping = mu * np.maximum(scale, _SCALE_FLOOR * (scale.max() or 1.0))
+        free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
+        step = np.zeros(x.size)
+        system = (normal + np.diag(damping))[np.ix_(free, free)]
+        step[free] = -np.linalg.solve(system, grad[free])
+        trial = np.clip(x + step, lo, hi)
+        step = trial - x
+        if np.linalg.norm(step) <= xtol * (np.linalg.norm(x) + xtol):
+            break
+        r_trial, jac_trial = fun_and_jac(trial)
+        nfev += 1
+        cost_trial = float(r_trial @ r_trial)
+        j_step = j @ step
+        predicted = -(2.0 * float(step @ grad) + float(j_step @ j_step))
+        rho = (cost - cost_trial) / predicted if predicted > 0.0 else -1.0
+        if rho > 0.0:
+            small = cost - cost_trial <= ftol * cost
+            x, r, cost, j = trial, r_trial, cost_trial, jac_trial()
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+            if small:
+                break
+        else:
+            mu *= nu
+            nu *= 2.0
+    return LeastSquaresFit(x, r, j, cost, nfev)
 
 
 @dataclass(frozen=True, eq=False)

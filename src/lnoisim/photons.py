@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .components import MZIParams, mzi_transfer
-from .core import ProbabilityDistribution, as_complex_matrix, permanent
+from .core import ProbabilityDistribution, _levenberg_marquardt, as_complex_matrix, permanent
 from .errors import DimensionError, FitError
 
 __all__ = [
@@ -260,14 +260,41 @@ def _fringe_model(phase, amplitude, visibility, scale, offset):
     return amplitude * (1.0 - visibility + (1.0 + visibility) * np.cos(shifted) ** 2) / 2.0
 
 
-def _fit_fringe(phases_rad, coincidences, sigma) -> tuple[float, float, np.ndarray]:
-    """Fit :func:`_fringe_model`; returns ``(V, stderr of V, parameters)``."""
-    from scipy.optimize import curve_fit
+#: Box of the fringe parameters (A, V, s, d).
+_FRINGE_LOWER = np.array([0.0, 0.0, 0.2, -math.pi])
+_FRINGE_UPPER = np.array([np.inf, 1.2, 5.0, math.pi])
+_FRINGE_MAX_NFEV = 20000
 
+
+def _fringe_start(phases, counts, weights) -> np.ndarray:
+    """(A, V, s, d) from the linear fit at s = 1.
+
+    The model equals ``A (3 - V) / 4 + A (1 + V) / 4 cos(2 phase + 2 d)``,
+    which at fixed s is linear in ``c0 + c1 cos 2phase + c2 sin 2phase``.
+    """
+    design = np.column_stack([np.ones_like(phases), np.cos(2.0 * phases), np.sin(2.0 * phases)])
+    c0, c1, c2 = np.linalg.lstsq(design * weights[:, None], counts * weights, rcond=None)[0]
+    swing = math.hypot(c1, c2)
+    amplitude = c0 + swing
+    visibility = 4.0 * swing / amplitude - 1.0 if amplitude > 0 else 0.0
+    start = [amplitude, visibility, 1.0, math.atan2(-c2, c1) / 2.0]
+    return np.clip(start, _FRINGE_LOWER, _FRINGE_UPPER)
+
+
+def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float, np.ndarray]:
+    """Fit :func:`_fringe_model`; returns ``(V, stderr of V, parameters)``.
+
+    Levenberg-Marquardt with the analytic Jacobian, inside the box
+    A >= 0, 0 <= V <= 1.2, 0.2 <= s <= 5, |d| <= pi, started from ``p0``
+    or else from :func:`_fringe_start`.  The covariance is
+    ``(J^T W J)^-1 chi^2 / (N - 4)``.
+    """
     phases = np.asarray(phases_rad, dtype=float)
     counts = np.asarray(coincidences, dtype=float)
     if phases.ndim != 1 or phases.shape != counts.shape:
         raise DimensionError("phases and coincidences must be matching 1-d arrays")
+    if not (np.all(np.isfinite(phases)) and np.all(np.isfinite(counts))):
+        raise FitError("phases and coincidences must be finite")
     if phases.size < 5:
         raise FitError(f"need at least 5 fringe points, got {phases.size}")
     if np.ptp(phases) < math.pi / 2.0 - 1e-12:
@@ -275,19 +302,41 @@ def _fit_fringe(phases_rad, coincidences, sigma) -> tuple[float, float, np.ndarr
     top = float(counts.max())
     if top <= 0:
         raise FitError("coincidence data has no positive values")
-    v0 = float(np.clip(1.0 - 2.0 * counts.min() / top, 0.0, 1.0))
-    p0 = [top, v0, 1.0, 0.0]
-    bounds = ([0.0, 0.0, 0.2, -math.pi], [np.inf, 1.2, 5.0, math.pi])
-    try:
-        popt, pcov = curve_fit(
-            _fringe_model, phases, counts, p0=p0, sigma=sigma, bounds=bounds, maxfev=20000
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"fringe fit failed: {exc}") from exc
-    variance = float(pcov[1, 1])
-    if not math.isfinite(variance) or variance < 0:
+    if sigma is None:
+        weights = np.ones_like(counts)
+    else:
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != counts.shape or not np.all((sigma > 0) & np.isfinite(sigma)):
+            raise FitError("sigma must hold one finite positive value per point")
+        weights = 1.0 / sigma
+
+    def fun_and_jac(p):
+        amplitude, visibility, scale, offset = p
+        angle = 2.0 * (scale * phases + offset)
+        cos2 = np.cos(angle)
+        d_amplitude = (3.0 - visibility) / 4.0 + (1.0 + visibility) / 4.0 * cos2
+        residuals = (amplitude * d_amplitude - counts) * weights
+
+        def jac():
+            d_offset = -amplitude * (1.0 + visibility) / 2.0 * np.sin(angle)
+            d_visibility = amplitude * (cos2 - 1.0) / 4.0
+            columns = [d_amplitude, d_visibility, d_offset * phases, d_offset]
+            return np.column_stack(columns) * weights[:, None]
+
+        return residuals, jac
+
+    start = _fringe_start(phases, counts, weights) if p0 is None else p0
+    fit = _levenberg_marquardt(
+        fun_and_jac, start, _FRINGE_LOWER, _FRINGE_UPPER, max_nfev=_FRINGE_MAX_NFEV
+    )
+    if fit.nfev >= _FRINGE_MAX_NFEV or not math.isfinite(fit.cost):
+        raise FitError(f"fringe fit did not converge in {fit.nfev} evaluations")
+    # With the weighted Jacobian J = U diag(sv) vt, (J^T W J)^-1 = vt^T diag(sv^-2) vt.
+    _, sv, vt = np.linalg.svd(fit.jacobian, full_matrices=False)
+    if sv[-1] <= np.finfo(float).eps * max(fit.jacobian.shape) * sv[0]:
         raise FitError("fringe fit covariance is singular; data cannot constrain V")
-    return float(popt[1]), math.sqrt(variance), popt
+    variance = float(np.sum((vt[:, 1] / sv) ** 2)) * fit.cost / (phases.size - 4)
+    return float(fit.x[1]), math.sqrt(variance), fit.x
 
 
 def fit_hom_visibility(
@@ -332,7 +381,10 @@ def fit_hom_visibility_poisson(
     """
     *_, popt = _fit_fringe(phases_rad, counts, None)
     expected = _fringe_model(np.asarray(phases_rad, dtype=float), *popt)
-    return fit_hom_visibility(phases_rad, counts, sigma=np.sqrt(np.maximum(expected, 1.0)))
+    visibility, stderr, _ = _fit_fringe(
+        phases_rad, counts, np.sqrt(np.maximum(expected, 1.0)), p0=popt
+    )
+    return visibility, stderr
 
 
 def nphoton_collision_free_distribution(

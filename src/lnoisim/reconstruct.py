@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import as_complex_matrix
+from .core import _levenberg_marquardt, as_complex_matrix
 from .errors import ConvergenceError, CoverageError, DimensionError
 from .mesh import MeshCell, MeshConfig, _ideal_cell_matrix, clements_layout, compose, wrap_phase
 from .photons import TwoPhotonDistribution, two_photon_distribution
@@ -181,6 +181,10 @@ class ReconstructionResult:
         object.__setattr__(self, "unitary", mat)
 
 
+#: Relative forward-difference step of the fit Jacobian, sqrt(machine epsilon).
+_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+
+
 def _mesh_unitary(phases: np.ndarray, layout, n: int) -> np.ndarray:
     """Compose the mesh for stacked phases [thetas..., phis...]; no output phases."""
     u = np.eye(n, dtype=complex)
@@ -239,8 +243,6 @@ def reconstruct_unitary(
         raise ValueError("overlap must lie in [0, 1]")
     if n_restarts < 1:
         raise ValueError("n_restarts must be at least 1")
-    from scipy.optimize import least_squares
-
     n = measured.n_modes
     layout = clements_layout(n)
     iu, ju = np.triu_indices(n, k=1)
@@ -261,26 +263,30 @@ def reconstruct_unitary(
             parts.append(_pair_probabilities(u, key[0], key[1], x, iu, ju) - data)
         return np.concatenate(parts)
 
+    def residuals_and_jac(phases: np.ndarray):
+        r = residuals(phases)
+
+        def forward_difference() -> np.ndarray:
+            steps = _DIFF_STEP * np.maximum(1.0, np.abs(phases))
+            jac = np.empty((r.size, phases.size))
+            for col, step in enumerate(steps):
+                shifted = phases.copy()
+                shifted[col] += step
+                jac[:, col] = (residuals(shifted) - r) / (shifted[col] - phases[col])
+            return jac
+
+        return r, forward_difference
+
     rng = np.random.default_rng(seed)
     best_x = None
     best_cost = math.inf
     used = 0
     for _ in range(n_restarts):
         start = rng.uniform(0.0, 2.0 * math.pi, size=2 * len(layout))
-        fit = least_squares(
-            residuals,
-            start,
-            method="lm",
-            jac="2-point",
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
-            max_nfev=5000,
-        )
+        fit = _levenberg_marquardt(residuals_and_jac, start, xtol=1e-14, ftol=1e-14, max_nfev=5000)
         used += 1
-        cost = 2.0 * float(fit.cost)  # scipy reports half the squared-residual sum
-        if cost < best_cost:
-            best_cost = cost
+        if fit.cost < best_cost:
+            best_cost = fit.cost
             best_x = fit.x
         if best_cost <= success_cost:
             break

@@ -2,7 +2,8 @@
 
 Everything here is written for clarity over speed, on purpose, and avoids
 calling into lnoisim so that a bug in the package cannot hide inside its
-own oracle.
+own oracle.  The SciPy references import SciPy inside the function, so
+this module loads without it.
 """
 
 import csv
@@ -151,3 +152,60 @@ def tustin_lowpass_by_sample_loop(drive, f_3db_ghz, sample_rate_ghz):
         prev_x = value
         y.append(prev_y)
     return np.array(y)
+
+
+def fringe_model(phase, amplitude, visibility, scale, offset):
+    """A (1 - V + (1 + V) cos^2(s phase + d)) / 2, the fitted HOM fringe."""
+    shifted = scale * np.asarray(phase) + offset
+    return amplitude * (1.0 - visibility + (1.0 + visibility) * np.cos(shifted) ** 2) / 2.0
+
+
+def fringe_fit_by_curve_fit(phases, counts, sigma=None):
+    """(V, stderr of V, parameters) of :func:`fringe_model` from SciPy's curve_fit.
+
+    Started at (max counts, 1 - 2 min/max, 1, 0) inside the box
+    A >= 0, 0 <= V <= 1.2, 0.2 <= s <= 5, |d| <= pi; the covariance is
+    curve_fit's default, scaled by chi^2 / (N - 4).  The tolerances are
+    tightened from curve_fit's 1e-8 to 1e-14: at 1e-8 a noisy 41-point
+    sweep can stop 1e-6 short of the optimum in V.
+    """
+    from scipy.optimize import curve_fit
+
+    counts = np.asarray(counts, dtype=float)
+    top = float(counts.max())
+    p0 = [top, float(np.clip(1.0 - 2.0 * counts.min() / top, 0.0, 1.0)), 1.0, 0.0]
+    bounds = ([0.0, 0.0, 0.2, -math.pi], [np.inf, 1.2, 5.0, math.pi])
+    popt, pcov = curve_fit(
+        fringe_model, phases, counts, p0=p0, sigma=sigma, bounds=bounds, maxfev=20000,
+        xtol=1e-14, ftol=1e-14, gtol=1e-14,
+    )
+    return float(popt[1]), math.sqrt(pcov[1, 1]), popt
+
+
+def tustin_lowpass_by_lfilter(drive, f_3db_ghz, sample_rate_ghz):
+    """The filter of :func:`tustin_lowpass_by_sample_loop`, run by SciPy's lfilter."""
+    from scipy.signal import lfilter, lfilter_zi
+
+    x = np.asarray(drive, dtype=float)
+    lam = math.tan(math.pi * f_3db_ghz / sample_rate_ghz)
+    b = [lam / (1.0 + lam), lam / (1.0 + lam)]
+    a = [1.0, (lam - 1.0) / (1.0 + lam)]
+    return lfilter(b, a, x, zi=lfilter_zi(b, a) * x[0])[0]
+
+
+def tustin_step_by_lfilter(n_samples, f_3db_ghz, sample_rate_ghz):
+    """Unit step through the same filter with zero drive before it, by lfilter."""
+    from scipy.signal import lfilter
+
+    lam = math.tan(math.pi * f_3db_ghz / sample_rate_ghz)
+    b = [lam / (1.0 + lam), lam / (1.0 + lam)]
+    a = [1.0, (lam - 1.0) / (1.0 + lam)]
+    return lfilter(b, a, np.ones(n_samples), zi=np.zeros(1))[0]
+
+
+def least_squares_by_minpack(fun, x0):
+    """(x, sum of squared residuals) from SciPy's MINPACK Levenberg-Marquardt."""
+    from scipy.optimize import least_squares
+
+    fit = least_squares(fun, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    return fit.x, 2.0 * fit.cost

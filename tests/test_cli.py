@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lnoisim import compose, haar_random_unitary, matrix_distance
+from lnoisim import compose, decompose, haar_random_unitary, matrix_distance
 from lnoisim.cli import _csv_bytes, build_parser, main, matrix_from_json_dict, matrix_to_json_dict
 from oracles import csv_by_writer
 
@@ -30,6 +30,13 @@ def read_json(path):
 
 def run(args):
     return main([*args, "--quiet"])
+
+
+_BUDGET = {
+    "schema_version": 1,
+    "experiment": "loss-budget",
+    "entries": [{"label": "coupler_in", "loss_db": 3.4}, {"label": "coupler_out", "loss_db": 3.4}],
+}
 
 
 def test_parser_accepts_all_subcommands():
@@ -454,28 +461,54 @@ def test_csv_bytes_match_csv_writer_oracle(header_and_data):
     assert _csv_bytes(header, (data[:, 0], data[:, 1:])) == csv_by_writer(header, data)
 
 
+def _readme_sized_runs(tmp_path):
+    """CLI argument lists running each of the seven experiments at README size."""
+    u = matrix_to_json_dict(haar_random_unitary(4, seed=7))
+    mesh = decompose(haar_random_unitary(4, seed=8)).to_json_dict()
+    configs = [
+        (["hom-fringe"], {"n_points": 41, "poisson_mean_counts": 500, "seed": 3}),
+        (["demux"], {"n_frames": 10, "f_3db_ghz": 6.5, "bar_leakage": 0.01}),
+        (["distribution"], {"unitary": u, "input_modes": [0, 1], "overlap": 0.945}),
+        (["mesh", "decompose"], {"unitary": u}),
+        (["mesh", "compose"], {"mesh": mesh}),
+        (["reconstruct"], {"unitary": u, "overlap": 0.945, "seed": 0}),
+        (["loss-budget"], {
+            "entries": _BUDGET["entries"],
+            "sweep": {"wavelengths_nm": [920.0, 930.0], "coupler_labels": ["coupler_in"]},
+        }),
+    ]
+    runs = []
+    for argv, fields in configs:
+        name = "-".join(argv)
+        payload = {"schema_version": 1, "experiment": name, **fields}
+        runs.append([*argv, "--config", write_config(tmp_path, f"{name}.json", payload),
+                     "--output-dir", str(tmp_path / name), "--quiet"])
+    return runs
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # SciPy is imported by the experiments that fit, not at start-up, and a
-    # finite-bandwidth demux filters its drives at slot rate without it.
-    cfg = write_config(
-        tmp_path,
-        "demux.json",
-        {"schema_version": 1, "experiment": "demux", "n_frames": 5, "f_3db_ghz": 6.5},
-    )
+    # No experiment needs SciPy: with it made unimportable, all seven run,
+    # and a finite-bandwidth demux filters its drives at slot rate.
+    runs = _readme_sized_runs(tmp_path)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
     code = (
-        "import sys, lnoisim.cli; "
-        "loaded = lambda: sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules); "
+        "import sys; sys.modules['scipy'] = None; import lnoisim.cli; "
+        "loaded = lambda: sorted(m for m, mod in sys.modules.items() "
+        "if m.startswith('scipy') and mod is not None); "
         "print(loaded()); "
-        f"assert lnoisim.cli.main(['demux', '--config', {cfg!r}, '--output-dir', {str(tmp_path / 'out')!r}, '--quiet']) == 0; "
+        f"print([lnoisim.cli.main(argv) for argv in {runs!r}]); "
+        "lnoisim.eom_step_response(lnoisim.PhaseShifterParams(), 40.0, 1.0); "
+        "lnoisim.eom_response(lnoisim.PhaseShifterParams(), [0.0, 1.0, 1.0], 40.0); "
         "print(loaded()); "
         "program = lnoisim.default_pulse_program(n_frames=1000); "
         "print(sorted((name, v.size) for name, v in program.levels.items()))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "[('A', 4000), ('B', 4000)]"]
+    assert proc.stdout.splitlines() == [
+        "[]", "[0, 0, 0, 0, 0, 0, 0]", "[]", "[('A', 4000), ('B', 4000)]"
+    ]
 
 
 def test_console_script_runs(tmp_path):
@@ -509,6 +542,63 @@ def test_console_script_entry_point_is_cli_main():
     with open(SRC_DIR.parent / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"lnoisim": "lnoisim.cli:main"}
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC_DIR.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert any(req.startswith("scipy") for req in project["optional-dependencies"]["test"])
+
+
+def _assert_config_error_twice(tmp_path, capsys, argv, cfg, diagnostic):
+    assert main(["validate", "--config", cfg]) == 2
+    assert run([*argv, "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {diagnostic}") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_coupler_label_is_a_config_error(tmp_path, capsys):
+    sweep = {"wavelengths_nm": [930.0], "coupler_labels": ["coupler_in", "nope"], "grating": {}}
+    cfg = write_config(tmp_path, "budget.json", {**_BUDGET, "sweep": sweep})
+    _assert_config_error_twice(
+        tmp_path, capsys, ["loss-budget"], cfg, "sweep.coupler_labels: no entry is labelled 'nope'"
+    )
+
+
+def test_unknown_grating_key_is_a_config_error(tmp_path, capsys):
+    sweep = {"wavelengths_nm": [930.0], "coupler_labels": ["coupler_in"], "grating": {"colour": 1}}
+    cfg = write_config(tmp_path, "budget.json", {**_BUDGET, "sweep": sweep})
+    _assert_config_error_twice(tmp_path, capsys, ["loss-budget"], cfg, "sweep.grating:")
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [(["mesh", "compose"], {}), (["distribution"], {"input_modes": [0, 1]})],
+)
+def test_mesh_without_schema_version_is_a_config_error(tmp_path, capsys, argv, extra):
+    mesh = {"n_modes": 2, "cells": [{"modes": [0, 1], "theta": 0.5}], "output_phases": [0.0, 0.0]}
+    payload = {"schema_version": 1, "experiment": "-".join(argv), "mesh": mesh, **extra}
+    cfg = write_config(tmp_path, "mesh.json", payload)
+    _assert_config_error_twice(
+        tmp_path, capsys, argv, cfg, "field 'mesh': unsupported mesh schema_version None"
+    )
+
+
+def test_statistics_without_pairs_is_a_config_error(tmp_path, capsys):
+    payload = {
+        "schema_version": 1,
+        "experiment": "reconstruct",
+        "seed": 0,
+        "statistics": {"singles": [[1.0, 0.0], [0.0, 1.0]]},
+    }
+    cfg = write_config(tmp_path, "rec.json", payload)
+    _assert_config_error_twice(
+        tmp_path, capsys, ["reconstruct"], cfg, "field 'statistics' is missing the key 'pairs'"
+    )
 
 
 def test_compose_output_matches_library(tmp_path):

@@ -22,7 +22,6 @@ from lnoisim import (
     eom_step_response,
     estimate_mzi_loss_from_demux,
     extinction_ratio_db,
-    grating_efficiency_db,
     imbalance_for_bar_leakage,
     imbalance_for_extinction,
     is_unitary,
@@ -36,6 +35,9 @@ from oracles import (
     first_order_lowpass_gain_db,
     first_order_step,
     mzi_by_matmul,
+    tustin_lowpass_by_lfilter,
+    tustin_lowpass_by_sample_loop,
+    tustin_step_by_lfilter,
 )
 
 
@@ -225,6 +227,29 @@ def test_eom_aliasing_guard():
     assert np.array_equal(eom_response(wide, x, 1.0), x)
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    hnp.arrays(float, st.integers(1, 3000), elements=st.floats(-10.0, 10.0)),
+    st.floats(0.5, 50.0),
+    st.one_of(st.none(), st.floats(0.005, 0.495)),
+)
+def test_eom_response_matches_sample_loop_and_lfilter(drive, fs, band):
+    p = PhaseShifterParams(f_3db_ghz=math.inf if band is None else band * fs)
+    got = eom_response(p, drive, fs)
+    assert np.max(np.abs(got - tustin_lowpass_by_sample_loop(drive, p.f_3db_ghz, fs))) <= 1e-13
+    if band is not None:
+        assert np.max(np.abs(got - tustin_lowpass_by_lfilter(drive, p.f_3db_ghz, fs))) <= 1e-13
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 5000), st.floats(0.5, 50.0), st.floats(0.005, 0.495))
+def test_eom_step_response_matches_lfilter(n, fs, band):
+    p = PhaseShifterParams(f_3db_ghz=band * fs)
+    t, y = eom_step_response(p, fs, n / fs)
+    assert t.size == y.size == n
+    assert np.max(np.abs(y - tustin_step_by_lfilter(n, p.f_3db_ghz, fs))) <= 1e-13
+
+
 def test_eom_step_approaches_first_order_response():
     p = PhaseShifterParams()
     fs = 200.0
@@ -274,7 +299,7 @@ def test_grating_band_limits():
     with pytest.raises(BandRangeError):
         g.efficiency_db(904.9)
     with pytest.raises(BandRangeError):
-        grating_efficiency_db(g, 955.1)
+        g.efficiency_db(955.1)
 
 
 def test_grating_csv_round_trip(tmp_path):

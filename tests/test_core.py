@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnoisim import (
     DimensionError,
@@ -15,7 +17,8 @@ from lnoisim import (
     permanent,
     statistical_fidelity,
 )
-from oracles import permanent_by_permutation_sum
+from lnoisim.core import _levenberg_marquardt
+from oracles import least_squares_by_minpack, permanent_by_permutation_sum
 
 
 def test_permanent_identity_and_ones():
@@ -141,3 +144,54 @@ def test_statistical_fidelity_requires_normalization():
     q = ProbabilityDistribution.from_values([(0,), (1,)], [0.3, 0.3])
     with pytest.raises(NormalizationError):
         statistical_fidelity(p, q)
+
+
+def _decay_residuals(t, y):
+    """Residuals of a * exp(-b t) + c against y, with their Jacobian."""
+
+    def fun_and_jac(p):
+        a, b, c = p
+        e = np.exp(-b * t)
+        return a * e + c - y, lambda: np.column_stack([e, -a * t * e, np.ones_like(t)])
+
+    return fun_and_jac
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(0.5, 5.0),
+    st.floats(0.3, 3.0),
+    st.floats(-1.0, 1.0),
+    st.floats(0.0, 0.05),
+    st.integers(0, 2**32 - 1),
+)
+def test_levenberg_marquardt_matches_minpack(a, b, c, noise, seed):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 4.0, 40)
+    y = a * np.exp(-b * t) + c + noise * rng.standard_normal(t.size)
+    fun_and_jac = _decay_residuals(t, y)
+    # From far away the two solvers may settle in different local minima.
+    start = [1.2 * a, 0.8 * b, c + 0.2]
+    fit = _levenberg_marquardt(fun_and_jac, start, xtol=1e-14, ftol=1e-14)
+    x_ref, cost_ref = least_squares_by_minpack(lambda p: fun_and_jac(p)[0], start)
+    assert fit.cost == pytest.approx(float(fit.residuals @ fit.residuals), rel=1e-15)
+    # Near-exact data leave both costs at the rounding level of the
+    # residuals, up to about 1e-20; stopping on a relative cost decrease
+    # of 1e-14 leaves x within about sqrt(1e-14) of the optimum.
+    assert fit.cost <= cost_ref * (1.0 + 1e-9) + 1e-20
+    assert np.allclose(fit.x, x_ref, rtol=1e-6, atol=1e-6)
+    assert np.allclose(fit.jacobian, fun_and_jac(fit.x)[1](), rtol=0.0, atol=0.0)
+
+
+def test_levenberg_marquardt_keeps_to_the_box():
+    t = np.linspace(0.0, 4.0, 40)
+    fun_and_jac = _decay_residuals(t, 2.0 * np.exp(-1.5 * t) - 0.5)
+    # c >= 0 binds: the constrained optimum lies on that face.
+    fit = _levenberg_marquardt(fun_and_jac, [1.0, 1.0, 0.5], lower=[0.0, 0.0, 0.0])
+    assert fit.x[2] == 0.0
+    assert np.all(fit.x >= 0.0)
+    free = _levenberg_marquardt(_decay_residuals(t, 2.0 * np.exp(-1.5 * t)), [1.0, 1.0, 0.5])
+    assert np.allclose(free.x, [2.0, 1.5, 0.0], atol=1e-9)
+    capped = _levenberg_marquardt(fun_and_jac, [1.0, 1.0, -0.5], upper=[np.inf, 1.0, np.inf])
+    assert capped.x[1] == 1.0
+    assert capped.nfev < 1000

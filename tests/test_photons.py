@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lnoisim import (
     CouplerParams,
@@ -14,6 +15,7 @@ from lnoisim import (
     TwoPhotonDistribution,
     effective_pair_overlap,
     fit_hom_visibility,
+    fit_hom_visibility_poisson,
     fringe_contrast_from_overlap,
     haar_random_unitary,
     hom_fringe,
@@ -23,7 +25,14 @@ from lnoisim import (
     single_photon_distribution,
     two_photon_distribution,
 )
-from oracles import hom_fringe_law, mzi_by_matmul, two_photon_probabilities_by_mode_expansion
+from lnoisim.photons import _fit_fringe
+from oracles import (
+    fringe_fit_by_curve_fit,
+    fringe_model,
+    hom_fringe_law,
+    mzi_by_matmul,
+    two_photon_probabilities_by_mode_expansion,
+)
 
 
 def test_source_model_derived_quantities():
@@ -203,6 +212,57 @@ def test_fit_rejects_degenerate_data():
         fit_hom_visibility(phases, np.ones(10))
     with pytest.raises(FitError):
         fit_hom_visibility(np.linspace(0, 3, 10), np.zeros(10))
+    phases = np.linspace(0, 2 * math.pi, 21)
+    counts = hom_fringe(MZIParams.ideal(), phases, 0.9)
+    with pytest.raises(FitError):
+        fit_hom_visibility(phases, np.where(phases > 3, np.nan, counts))
+    for sigma in (np.zeros(21), -np.ones(21), np.full(21, np.inf), np.ones(20)):
+        with pytest.raises(FitError):
+            fit_hom_visibility(phases, counts, sigma=sigma)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(0.3, 0.99),
+    st.one_of(st.none(), st.floats(15.0, 35.0)),
+    st.floats(0.9, 1.1),
+    st.floats(-0.3, 0.3),
+    st.sampled_from([41, 201, 1001]),
+    st.floats(50.0, 2000.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_fringe_fit_matches_curve_fit(x, extinction_db, scale, offset, n_points, mean, seed):
+    cell = MZIParams.ideal() if extinction_db is None else MZIParams.with_extinction(extinction_db)
+    nominal = np.linspace(0.0, 2 * math.pi, n_points)
+    probs = hom_fringe(cell, scale * nominal + offset, x)
+    counts = np.random.default_rng(seed).poisson(probs * mean).astype(float)
+
+    v, err = fit_hom_visibility(nominal, counts)
+    v_ref, err_ref, popt = fringe_fit_by_curve_fit(nominal, counts)
+    assert abs(v - v_ref) <= 1e-6
+    assert abs(err - err_ref) <= 1e-4 * err_ref
+
+    v, err = fit_hom_visibility_poisson(nominal, counts)
+    sigma = np.sqrt(np.maximum(fringe_model(nominal, *popt), 1.0))
+    v_ref, err_ref, _ = fringe_fit_by_curve_fit(nominal, counts, sigma)
+    assert abs(v - v_ref) <= 1e-6
+    assert abs(err - err_ref) <= 1e-4 * err_ref
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    hnp.arrays(float, st.integers(5, 60), elements=st.floats(0.0, 1e3)),
+    st.floats(math.pi / 2, 4 * math.pi),
+    st.floats(-10.0, 10.0),
+)
+def test_fringe_fit_parameters_stay_inside_bounds(counts, span, start):
+    phases = np.linspace(start, start + span, counts.size)
+    try:
+        _, _, params = _fit_fringe(phases, counts, None)
+    except FitError:
+        return
+    assert np.all(params >= [0.0, 0.0, 0.2, -math.pi])
+    assert np.all(params <= [np.inf, 1.2, 5.0, math.pi])
 
 
 def test_nphoton_collision_free_agrees_with_pair_statistics():

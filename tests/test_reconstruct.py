@@ -93,6 +93,8 @@ def test_reconstruction_recovers_random_unitaries():
         stats = synthesize_statistics(u)
         result = reconstruct_unitary(stats, seed=seed)
         assert result.converged
+        # exact statistics are fitted down to rounding level
+        assert result.cost < 1e-20
         assert matrix_distance(canonical_form(u), result.unitary) < 1e-6
         # the fitted mesh reproduces the statistics it was trained on
         refit = synthesize_statistics(result.unitary)
