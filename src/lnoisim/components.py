@@ -47,9 +47,6 @@ __all__ = [
 #: Reported in place of an unbounded extinction ratio (perfectly balanced couplers).
 EXTINCTION_CAP_DB = 300.0
 
-#: Samples per block of the scan in :func:`eom_response`.
-_SCAN_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class PhaseShifterParams:
@@ -282,26 +279,8 @@ def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz:
         )
     if x.size == 0:
         return x.copy()
-    b, a = _tustin_coefficients(p.f_3db_ghz, sample_rate_ghz)
-    g, r = float(b[0]), -float(a[1])
-    # y[n] = u[n] + r y[n-1] with u[n] = g (x[n] + x[n-1]) and x[-1] = y[-1] = x[0],
-    # scanned in blocks: a lower-triangular matrix of powers of r inside
-    # each block, and one carry y at the end of each block across them.
-    n_blocks = -(-x.size // _SCAN_BLOCK)
-    u = np.zeros(n_blocks * _SCAN_BLOCK)
-    u[: x.size] = g * (x + np.concatenate(([x[0]], x[:-1])))
-    u = u.reshape(n_blocks, _SCAN_BLOCK)
-    lag = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
-    decay = np.where(lag >= 0, r ** np.maximum(lag, 0).astype(float), 0.0)
-    local = u @ decay.T
-    q = r**_SCAN_BLOCK
-    carry = np.fromiter(
-        accumulate(local[:-1, -1].tolist(), lambda prev, last: last + q * prev, initial=x[0]),
-        float,
-        n_blocks,
-    )
-    lead = r ** np.arange(1.0, _SCAN_BLOCK + 1.0)
-    return (local + carry[:, None] * lead).ravel()[: x.size]
+    # Every sample is its own one-sample slot.
+    return eom_slot_response(p, x, 1, sample_rate_ghz, np.arange(x.size))
 
 
 def eom_slot_response(

@@ -175,8 +175,7 @@ def _levenberg_marquardt(
     x0: Sequence[float],
     lower: Sequence[float] | None = None,
     upper: Sequence[float] | None = None,
-    xtol: float = 1e-12,
-    ftol: float = 1e-12,
+    tol: float = 1e-12,
     max_nfev: int = 1000,
 ) -> LeastSquaresFit:
     """Minimize ``sum(r(x)**2)`` by Levenberg-Marquardt, optionally inside a box.
@@ -194,8 +193,8 @@ def _levenberg_marquardt(
     after a rejected one by nu, which then doubles.
 
     The iteration stops before evaluating a step with
-    ``|h| <= xtol (|x| + xtol)``, after an accepted step that lowered the
-    cost by at most ``ftol`` of itself, or after ``max_nfev`` evaluations.
+    ``|h| <= tol (|x| + tol)``, after an accepted step that lowered the
+    cost by at most ``tol`` of itself, or after ``max_nfev`` evaluations.
     """
     x = np.array(x0, dtype=float)
     lo = np.full(x.shape, -np.inf) if lower is None else np.asarray(lower, dtype=float)
@@ -218,7 +217,7 @@ def _levenberg_marquardt(
         step[free] = -np.linalg.solve(system, grad[free])
         trial = np.clip(x + step, lo, hi)
         step = trial - x
-        if np.linalg.norm(step) <= xtol * (np.linalg.norm(x) + xtol):
+        if np.linalg.norm(step) <= tol * (np.linalg.norm(x) + tol):
             break
         r_trial, jac_trial = fun_and_jac(trial)
         nfev += 1
@@ -227,7 +226,7 @@ def _levenberg_marquardt(
         predicted = -(2.0 * float(step @ grad) + float(j_step @ j_step))
         rho = (cost - cost_trial) / predicted if predicted > 0.0 else -1.0
         if rho > 0.0:
-            small = cost - cost_trial <= ftol * cost
+            small = cost - cost_trial <= tol * cost
             x, r, cost, j = trial, r_trial, cost_trial, jac_trial()
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0

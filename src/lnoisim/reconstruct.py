@@ -283,7 +283,7 @@ def reconstruct_unitary(
     used = 0
     for _ in range(n_restarts):
         start = rng.uniform(0.0, 2.0 * math.pi, size=2 * len(layout))
-        fit = _levenberg_marquardt(residuals_and_jac, start, xtol=1e-14, ftol=1e-14, max_nfev=5000)
+        fit = _levenberg_marquardt(residuals_and_jac, start, tol=1e-14, max_nfev=5000)
         used += 1
         if fit.cost < best_cost:
             best_cost = fit.cost

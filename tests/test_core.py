@@ -172,7 +172,7 @@ def test_levenberg_marquardt_matches_minpack(a, b, c, noise, seed):
     fun_and_jac = _decay_residuals(t, y)
     # From far away the two solvers may settle in different local minima.
     start = [1.2 * a, 0.8 * b, c + 0.2]
-    fit = _levenberg_marquardt(fun_and_jac, start, xtol=1e-14, ftol=1e-14)
+    fit = _levenberg_marquardt(fun_and_jac, start, tol=1e-14)
     x_ref, cost_ref = least_squares_by_minpack(lambda p: fun_and_jac(p)[0], start)
     assert fit.cost == pytest.approx(float(fit.residuals @ fit.residuals), rel=1e-15)
     # Near-exact data leave both costs at the rounding level of the
