@@ -7,7 +7,6 @@ compose additively in dB; the end-to-end transmission is ``10**(-total/10)``.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -126,16 +125,6 @@ class LossBudget:
         if version != BUDGET_SCHEMA_VERSION:
             raise ValueError(f"unsupported budget schema_version {version!r}")
         return cls(tuple(BudgetEntry.from_json_dict(e) for e in data["entries"]))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "LossBudget":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def sweep_wavelength(

@@ -2,7 +2,7 @@
 
 Each subcommand reads one JSON config, writes its artifacts into an output
 directory, and finishes with a ``manifest.json`` recording the tool
-version, the config digest, the seed, and a SHA-256 per artifact.  Nothing
+version, the config digest, the seed, and a sha256 digest per artifact.  Nothing
 time-dependent is written, so a rerun with the same config and seed is
 byte-identical.
 
@@ -81,6 +81,8 @@ def matrix_from_json_dict(data) -> np.ndarray:
     im = np.asarray(data["im"], dtype=float)
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError("matrix 're' and 'im' must be matching 2-d arrays")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValueError("matrix entries must be finite")
     return re + 1j * im
 
 
@@ -111,13 +113,15 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config parsing: one pass per experiment turns the config into the library
+# objects its run needs and collects every diagnostic on the way.  `validate`
+# runs the same parse and stops there, so `config ok` means the run will not
+# exit 2.  A key the config leaves out is left out of the library call too,
+# so the library's own defaults apply.
 
 
-def _number(cfg, diags, key, default=None, minimum=None, maximum=None, required=False):
+def _number(cfg, diags, key, default=None, minimum=None, maximum=None):
     if key not in cfg:
-        if required:
-            diags.append(f"missing required field {key!r}")
         return default
     value = cfg[key]
     if not is_finite_number(value):
@@ -129,29 +133,21 @@ def _number(cfg, diags, key, default=None, minimum=None, maximum=None, required=
     if maximum is not None and value > maximum:
         diags.append(f"field {key!r} must be <= {maximum}")
         return default
-    return float(value)
-
-
-def _integer(cfg, diags, key, default=None, minimum=None, required=False):
-    if key not in cfg:
-        if required:
-            diags.append(f"missing required field {key!r}")
-        return default
-    value = cfg[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        diags.append(f"field {key!r} must be an integer")
-        return default
-    if minimum is not None and value < minimum:
-        diags.append(f"field {key!r} must be >= {minimum}")
-        return default
     return value
 
 
-def _boolean(cfg, diags, key, default=False):
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        diags.append(f"field {key!r} must be true or false")
+def _integer(cfg, diags, key, default=None, minimum=None):
+    if key in cfg and (not isinstance(cfg[key], int) or isinstance(cfg[key], bool)):
+        diags.append(f"field {key!r} must be an integer")
         return default
+    return _number(cfg, diags, key, default, minimum)
+
+
+def _boolean(cfg, diags, key):
+    value = cfg.get(key)
+    if key in cfg and not isinstance(value, bool):
+        diags.append(f"field {key!r} must be true or false")
+        return None
     return value
 
 
@@ -160,6 +156,22 @@ def _optional_number(cfg, diags, key, minimum=None, maximum=None):
     if cfg.get(key) is None:
         return None
     return _number(cfg, diags, key, minimum=minimum, maximum=maximum)
+
+
+def _given(**options) -> dict:
+    """The keyword arguments a config set; absent ones keep the library default."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
+def _build(diags, where, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, or None and a diagnostic if it refuses the input."""
+    try:
+        return make(*args, **kwargs)
+    except KeyError as exc:
+        diags.append(f"{where} is missing the key {exc}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        diags.append(f"{where}: {exc}")
+    return None
 
 
 def _matrix_field(cfg, diags, key, required=False):
@@ -171,27 +183,18 @@ def _matrix_field(cfg, diags, key, required=False):
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         diags.append(f"field {key!r} must be an object with 're' and 'im' arrays")
         return None
-    try:
-        return matrix_from_json_dict(obj)
-    except (ValueError, TypeError) as exc:
-        diags.append(f"field {key!r}: {exc}")
-        return None
+    return _build(diags, f"field {key!r}", matrix_from_json_dict, obj)
 
 
-def _check_parses(cfg, diags, key, parse) -> None:
-    """Report why ``parse(cfg[key])``, the runner's own parse, fails, if it does."""
-    try:
-        parse(cfg[key])
-    except KeyError as exc:
-        diags.append(f"field {key!r} is missing the key {exc}")
-    except (TypeError, ValueError) as exc:
-        diags.append(f"field {key!r}: {exc}")
+def _switch_cell(diags, shifter, er_db, bar_leakage=None, **loss):
+    if er_db is not None:
+        return _build(diags, "field 'extinction_db'", MZIParams.with_extinction, er_db, shifter, **loss)
+    if bar_leakage is not None:
+        return MZIParams.with_bar_leakage(bar_leakage, shifter, **loss)
+    return MZIParams(shifter=shifter, **loss)
 
 
-def _validate_common(cfg, experiment, diags) -> None:
-    if not isinstance(cfg, dict):
-        diags.append("config must be a JSON object")
-        return
+def _check_common(cfg, experiment, diags) -> None:
     version = cfg.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         diags.append(
@@ -204,68 +207,78 @@ def _validate_common(cfg, experiment, diags) -> None:
         _integer(cfg, diags, "seed", minimum=0)
 
 
-def _validate_hom_fringe(cfg, diags) -> None:
-    _number(cfg, diags, "overlap", default=0.945, minimum=0.0, maximum=1.0)
-    _number(cfg, diags, "v_pi_volts", default=4.5, minimum=1e-9)
-    _number(cfg, diags, "voltage_start", default=0.0)
-    _number(cfg, diags, "voltage_stop", default=9.0)
-    _integer(cfg, diags, "n_points", default=41, minimum=5)
-    _number(cfg, diags, "accidental_floor", default=0.0, minimum=0.0)
-    _optional_number(cfg, diags, "extinction_db", minimum=0.1)
-    _optional_number(cfg, diags, "poisson_mean_counts", minimum=1.0)
-    start = cfg.get("voltage_start", 0.0)
-    stop = cfg.get("voltage_stop", 9.0)
-    if is_finite_number(start) and is_finite_number(stop) and not stop > start:
+def _parse_hom_fringe(cfg, seed, diags):
+    overlap = _number(
+        cfg, diags, "overlap", default=SourceModel.indistinguishability, minimum=0.0, maximum=1.0
+    )
+    v_pi = _number(cfg, diags, "v_pi_volts", default=PhaseShifterParams.v_pi_volts, minimum=1e-9)
+    start = _number(cfg, diags, "voltage_start", default=0.0)
+    stop = _number(cfg, diags, "voltage_stop", default=9.0)
+    n_points = _integer(cfg, diags, "n_points", default=41, minimum=5)
+    floor = _number(cfg, diags, "accidental_floor", minimum=0.0)
+    er = _optional_number(cfg, diags, "extinction_db", minimum=0.1)
+    mean_counts = _optional_number(cfg, diags, "poisson_mean_counts", minimum=1.0)
+    if not stop > start:
         diags.append("voltage_stop must exceed voltage_start")
+    if mean_counts is not None and seed is None:
+        diags.append("seed is required when poisson_mean_counts is set")
+    cell = _switch_cell(diags, PhaseShifterParams(v_pi_volts=v_pi), er)
+    return cell, (start, stop, n_points), overlap, _given(accidental_floor=floor), mean_counts, seed
 
 
-def _validate_demux(cfg, diags) -> None:
+def _parse_demux(cfg, seed, diags):
     n_frames = _integer(cfg, diags, "n_frames", default=10, minimum=1)
-    period = _number(cfg, diags, "repetition_period_ns", default=13.8, minimum=1e-9)
-    _number(cfg, diags, "v_pi_volts", default=4.5, minimum=1e-9)
-    # An absent f_3db_ghz runs at 6.5 GHz; null means an instantaneous shifter.
-    f_3db = _optional_number(cfg, diags, "f_3db_ghz", minimum=1e-9) if "f_3db_ghz" in cfg else 6.5
-    per_slot = _integer(cfg, diags, "samples_per_slot", default=256, minimum=2)
-    _optional_number(cfg, diags, "extinction_db", minimum=0.1)
-    _optional_number(cfg, diags, "bar_leakage", minimum=0.0, maximum=0.499)
-    _number(cfg, diags, "insertion_loss_db", default=0.0, minimum=0.0)
+    period = _number(
+        cfg, diags, "repetition_period_ns", default=SourceModel.repetition_period_ns, minimum=1e-9
+    )
+    v_pi = _number(cfg, diags, "v_pi_volts", default=PhaseShifterParams.v_pi_volts, minimum=1e-9)
+    # An absent f_3db_ghz keeps the stock bandwidth; null means an instantaneous shifter.
+    f_3db = PhaseShifterParams.f_3db_ghz
+    if "f_3db_ghz" in cfg:
+        f_3db = _optional_number(cfg, diags, "f_3db_ghz", minimum=1e-9)
+        f_3db = math.inf if f_3db is None else f_3db
+    per_slot = _integer(cfg, diags, "samples_per_slot", minimum=2)
+    er = _optional_number(cfg, diags, "extinction_db", minimum=0.1)
+    leak = _optional_number(cfg, diags, "bar_leakage", minimum=0.0, maximum=0.499)
+    loss = _number(cfg, diags, "insertion_loss_db", minimum=0.0)
     offset = _number(cfg, diags, "train_offset_ns", default=0.0, minimum=0.0)
-    if None not in (n_frames, period, per_slot, offset):
-        # The same arithmetic as the run: PulseProgram.sample_rate_ghz and
-        # end_ns, and the last photon instant of simulate_demux.
-        dt = period / per_slot
-        if f_3db is not None and 1.0 / dt <= 2.0 * f_3db:
-            diags.append(
-                f"samples_per_slot / repetition_period_ns = {1.0 / dt:.6g} GHz must exceed "
-                f"twice f_3db_ghz ({2.0 * f_3db:.6g} GHz)"
-            )
-        last_photon = offset + period * (SLOTS_PER_FRAME * n_frames - 0.5)
-        program_end = dt * (SLOTS_PER_FRAME * n_frames * per_slot - 1)
-        if last_photon > program_end + TIMING_TOLERANCE_NS:
-            diags.append(
-                f"train_offset_ns puts the last photon at {last_photon:.10g} ns, past the end "
-                f"of the pulse program at {program_end:.10g} ns"
-            )
+    program = default_pulse_program(period, v_pi, n_frames, **_given(samples_per_slot=per_slot))
+    if math.isfinite(f_3db) and program.sample_rate_ghz <= 2.0 * f_3db:
+        diags.append(
+            f"samples_per_slot / repetition_period_ns = {program.sample_rate_ghz:.6g} GHz must "
+            f"exceed twice f_3db_ghz ({2.0 * f_3db:.6g} GHz)"
+        )
+    # The last photon instant of simulate_demux, which the program must reach.
+    last_photon = offset + period * (SLOTS_PER_FRAME * n_frames - 0.5)
+    if last_photon > program.end_ns + TIMING_TOLERANCE_NS:
+        diags.append(
+            f"train_offset_ns puts the last photon at {last_photon:.10g} ns, past the end "
+            f"of the pulse program at {program.end_ns:.10g} ns"
+        )
     if cfg.get("extinction_db") is not None and cfg.get("bar_leakage") is not None:
         diags.append("give at most one of extinction_db and bar_leakage")
-    errors = cfg.get("phase_errors_rad", [0.0, 0.0, 0.0])
-    if not (
+    errors = cfg.get("phase_errors_rad")
+    if "phase_errors_rad" in cfg and not (
         isinstance(errors, list) and len(errors) == 3 and all(is_finite_number(v) for v in errors)
     ):
         diags.append("field 'phase_errors_rad' must be a list of 3 finite numbers")
+    shifter = PhaseShifterParams(v_pi_volts=v_pi, f_3db_ghz=f_3db)
+    cell = _switch_cell(diags, shifter, er, leak, **_given(insertion_loss_db=loss))
+    source = SourceModel(repetition_period_ns=period)
+    return (cell, cell, cell), program, source, n_frames, offset, _given(phase_errors_rad=errors)
 
 
-def _validate_distribution(cfg, diags) -> None:
+def _parse_distribution(cfg, seed, diags):
     has_unitary = cfg.get("unitary") is not None
     has_mesh = cfg.get("mesh") is not None
     if has_unitary == has_mesh:
         diags.append("give exactly one of 'unitary' and 'mesh'")
-    if has_unitary:
-        _matrix_field(cfg, diags, "unitary")
+    u = _matrix_field(cfg, diags, "unitary")
     if has_mesh and not isinstance(cfg["mesh"], dict):
         diags.append("field 'mesh' must be a mesh configuration object")
     elif has_mesh:
-        _check_parses(cfg, diags, "mesh", MeshConfig.from_json_dict)
+        mesh = _build(diags, "field 'mesh'", MeshConfig.from_json_dict, cfg["mesh"])
+        u = None if mesh is None else compose(mesh)
     modes = cfg.get("input_modes")
     if not (
         isinstance(modes, list)
@@ -275,57 +288,81 @@ def _validate_distribution(cfg, diags) -> None:
         diags.append("field 'input_modes' must be a list of 1 or 2 port indices")
     elif len(modes) == 2 and modes[0] == modes[1]:
         diags.append("two-photon input_modes must be distinct ports")
-    _number(cfg, diags, "overlap", default=1.0, minimum=0.0, maximum=1.0)
-    _boolean(cfg, diags, "collision_free_only", default=False)
+    elif u is not None and max(modes) >= u.shape[1]:
+        diags.append(
+            f"field 'input_modes': port {max(modes)} out of range for {u.shape[1]} inputs"
+        )
+    overlap = _number(cfg, diags, "overlap", minimum=0.0, maximum=1.0)
+    collision_free = _boolean(cfg, diags, "collision_free_only")
+    return u, modes, _given(overlap=overlap, collision_free_only=collision_free)
 
 
-def _validate_mesh_decompose(cfg, diags) -> None:
-    _matrix_field(cfg, diags, "unitary", required=True)
-    _number(cfg, diags, "tol", default=1e-8, minimum=0.0)
+def _parse_mesh_decompose(cfg, seed, diags):
+    u = _matrix_field(cfg, diags, "unitary", required=True)
+    tol = _number(cfg, diags, "tol", minimum=0.0)
+    if u is None:
+        return None
+    return u, _build(diags, "field 'unitary'", decompose, u, **_given(tol=tol))
 
 
-def _validate_mesh_compose(cfg, diags) -> None:
+def _parse_mesh_compose(cfg, seed, diags):
     if not isinstance(cfg.get("mesh"), dict):
         diags.append("missing required field 'mesh' (mesh configuration object)")
-    else:
-        _check_parses(cfg, diags, "mesh", MeshConfig.from_json_dict)
+        return None
+    return _build(diags, "field 'mesh'", MeshConfig.from_json_dict, cfg["mesh"])
 
 
-def _validate_reconstruct(cfg, diags) -> None:
+def _parse_reconstruct(cfg, seed, diags):
+    if seed is None:
+        diags.append("seed is required for reconstruction (random restarts)")
     has_unitary = cfg.get("unitary") is not None
     has_stats = cfg.get("statistics") is not None
     if has_unitary == has_stats:
         diags.append("give exactly one of 'unitary' and 'statistics'")
-    if has_unitary:
-        _matrix_field(cfg, diags, "unitary")
+    reference = _matrix_field(cfg, diags, "unitary")
+    stats = None
     if has_stats and not isinstance(cfg["statistics"], dict):
         diags.append("field 'statistics' must be a measured-statistics object")
     elif has_stats:
-        _check_parses(cfg, diags, "statistics", MeasuredStatistics.from_json_dict)
-    _number(cfg, diags, "overlap", default=1.0, minimum=0.0, maximum=1.0)
-    _integer(cfg, diags, "n_restarts", default=12, minimum=1)
-    _boolean(cfg, diags, "collision_free_only", default=True)
+        stats = _build(
+            diags, "field 'statistics'", MeasuredStatistics.from_json_dict, cfg["statistics"]
+        )
+    overlap = _given(overlap=_number(cfg, diags, "overlap", minimum=0.0, maximum=1.0))
+    n_restarts = _integer(cfg, diags, "n_restarts", minimum=1)
+    collision_free = _boolean(cfg, diags, "collision_free_only")
+    if reference is not None:
+        stats = _build(
+            diags, "field 'unitary'", synthesize_statistics, reference,
+            **overlap, **_given(collision_free_only=collision_free),
+        )
+    if stats is not None and stats.missing_pairs():
+        diags.append(
+            f"field 'statistics': no two-photon data for input pairs {stats.missing_pairs()}"
+        )
+    return stats, reference, seed, {**overlap, **_given(n_restarts=n_restarts)}
 
 
-def _validate_loss_budget(cfg, diags) -> None:
+def _parse_loss_budget(cfg, seed, diags):
     entries = cfg.get("entries")
     if not (isinstance(entries, list) and entries):
         diags.append("field 'entries' must be a non-empty list")
         entries = []
+    parsed = []
     for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
+        if isinstance(entry, dict) and isinstance(entry.get("label"), str):
+            parsed.append(_build(diags, f"entries[{idx}]", BudgetEntry.from_json_dict, entry))
+        else:
             diags.append(f"entries[{idx}] must be an object with a string 'label'")
-            continue
-        try:
-            BudgetEntry.from_json_dict(entry)
-        except (ValueError, TypeError) as exc:
-            diags.append(f"entries[{idx}]: {exc}")
+            parsed.append(None)
+    budget = None
+    if parsed and None not in parsed:
+        budget = _build(diags, "entries", LossBudget, tuple(parsed))
     sweep = cfg.get("sweep")
     if sweep is None:
-        return
+        return budget, None
     if not isinstance(sweep, dict):
         diags.append("field 'sweep' must be an object")
-        return
+        return budget, None
     wavelengths = sweep.get("wavelengths_nm")
     if not (
         isinstance(wavelengths, list)
@@ -333,52 +370,36 @@ def _validate_loss_budget(cfg, diags) -> None:
         and all(is_finite_number(v) for v in wavelengths)
     ):
         diags.append("sweep.wavelengths_nm must be a non-empty list of finite numbers")
+        wavelengths = []
+    wavelengths = [float(v) for v in wavelengths]
     labels = sweep.get("coupler_labels")
     if not (isinstance(labels, list) and labels and all(isinstance(v, str) for v in labels)):
         diags.append("sweep.coupler_labels must be a non-empty list of entry labels")
     else:
-        known = {entry.get("label") for entry in entries if isinstance(entry, dict)}
+        known = [entry.get("label") for entry in entries if isinstance(entry, dict)]
         for label in labels:
             if label not in known:
                 diags.append(f"sweep.coupler_labels: no entry is labelled {label!r}")
     grating = sweep.get("grating", {})
     if not isinstance(grating, dict):
         diags.append("sweep.grating must be an object of grating parameters")
-        return
-    try:
-        GratingSpectrum(**grating)
-    except (TypeError, ValueError) as exc:
-        diags.append(f"sweep.grating: {exc}")
-
-
-_VALIDATORS = {
-    "hom-fringe": _validate_hom_fringe,
-    "demux": _validate_demux,
-    "distribution": _validate_distribution,
-    "mesh-decompose": _validate_mesh_decompose,
-    "mesh-compose": _validate_mesh_compose,
-    "reconstruct": _validate_reconstruct,
-    "loss-budget": _validate_loss_budget,
-}
+        return budget, None
+    spectrum = _build(diags, "sweep.grating", GratingSpectrum, **grating)
+    if spectrum is not None:
+        for wavelength in wavelengths:
+            _build(diags, "sweep.wavelengths_nm", spectrum.efficiency_db, wavelength)
+    return budget, (spectrum, wavelengths, labels)
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: config -> ({filename: bytes}, [summary lines])
+# experiment runners: parsed config -> ({filename: bytes}, [summary lines])
 
 
-def _run_hom_fringe(cfg, seed):
-    overlap = cfg.get("overlap", 0.945)
-    v_pi = cfg.get("v_pi_volts", 4.5)
-    n_points = cfg.get("n_points", 41)
-    mean_counts = cfg.get("poisson_mean_counts")
-    if mean_counts is not None and seed is None:
-        raise ConfigError(["seed is required when poisson_mean_counts is set"])
-    shifter = PhaseShifterParams(v_pi_volts=v_pi)
-    er = cfg.get("extinction_db")
-    cell = MZIParams.ideal(shifter) if er is None else MZIParams.with_extinction(er, shifter)
-    volts = np.linspace(cfg.get("voltage_start", 0.0), cfg.get("voltage_stop", 9.0), n_points)
-    phases = phase_from_voltage(shifter, volts)
-    probs = hom_fringe(cell, phases, overlap, cfg.get("accidental_floor", 0.0))
+def _run_hom_fringe(parsed):
+    cell, (start, stop, n_points), overlap, floor, mean_counts, seed = parsed
+    volts = np.linspace(start, stop, n_points)
+    phases = phase_from_voltage(cell.shifter, volts)
+    probs = hom_fringe(cell, phases, overlap, **floor)
     if mean_counts is None:
         values = probs
         visibility, stderr = fit_hom_visibility(phases, values)
@@ -402,38 +423,9 @@ def _run_hom_fringe(cfg, seed):
     return outputs, lines
 
 
-def _run_demux(cfg, seed):
-    period = cfg.get("repetition_period_ns", 13.8)
-    v_pi = cfg.get("v_pi_volts", 4.5)
-    n_frames = cfg.get("n_frames", 10)
-    f_3db = cfg.get("f_3db_ghz", 6.5)
-    shifter = PhaseShifterParams(
-        v_pi_volts=v_pi, f_3db_ghz=math.inf if f_3db is None else f_3db
-    )
-    loss = cfg.get("insertion_loss_db", 0.0)
-    er = cfg.get("extinction_db")
-    leak = cfg.get("bar_leakage")
-    if er is not None:
-        cell = MZIParams.with_extinction(er, shifter, insertion_loss_db=loss)
-    elif leak is not None:
-        cell = MZIParams.with_bar_leakage(leak, shifter, insertion_loss_db=loss)
-    else:
-        cell = MZIParams(shifter=shifter, insertion_loss_db=loss)
-    program = default_pulse_program(
-        repetition_period_ns=period,
-        v_pi_volts=v_pi,
-        n_frames=n_frames,
-        samples_per_slot=cfg.get("samples_per_slot", 256),
-    )
-    source = SourceModel(repetition_period_ns=period)
-    trace = simulate_demux(
-        [cell, cell, cell],
-        program,
-        source,
-        n_frames,
-        train_offset_ns=cfg.get("train_offset_ns", 0.0),
-        phase_errors_rad=cfg.get("phase_errors_rad", [0.0, 0.0, 0.0]),
-    )
+def _run_demux(parsed):
+    tree, program, source, n_frames, offset, errors = parsed
+    trace = simulate_demux(tree, program, source, n_frames, train_offset_ns=offset, **errors)
     metrics = switch_metrics(trace)
     outputs = {
         "trace.csv": _csv_bytes(
@@ -448,15 +440,8 @@ def _run_demux(cfg, seed):
     return outputs, lines
 
 
-def _unitary_from_config(cfg):
-    if cfg.get("unitary") is not None:
-        return matrix_from_json_dict(cfg["unitary"])
-    return compose(MeshConfig.from_json_dict(cfg["mesh"]))
-
-
-def _run_distribution(cfg, seed):
-    u = _unitary_from_config(cfg)
-    modes = cfg["input_modes"]
+def _run_distribution(parsed):
+    u, modes, options = parsed
     if len(modes) == 1:
         dist = single_photon_distribution(u, modes[0])
         payload = {
@@ -468,22 +453,15 @@ def _run_distribution(cfg, seed):
         }
         total = float(np.sum(dist.probabilities))
     else:
-        pair = (min(modes), max(modes))
-        dist = two_photon_distribution(
-            u,
-            pair,
-            overlap=cfg.get("overlap", 1.0),
-            collision_free_only=cfg.get("collision_free_only", False),
-        )
+        dist = two_photon_distribution(u, (min(modes), max(modes)), **options)
         payload = dist.to_json_dict()
         total = dist.total
     outputs = {"distribution.json": _dump_json(payload)}
     return outputs, [f"total probability: {total:.9f}"]
 
 
-def _run_mesh_decompose(cfg, seed):
-    u = matrix_from_json_dict(cfg["unitary"])
-    config = decompose(u, tol=cfg.get("tol", 1e-8))
+def _run_mesh_decompose(parsed):
+    u, config = parsed
     residual = matrix_distance(compose(config), u)
     report = {
         "recompose_distance": residual,
@@ -498,28 +476,15 @@ def _run_mesh_decompose(cfg, seed):
     return outputs, [f"recompose distance: {residual:.3e}"]
 
 
-def _run_mesh_compose(cfg, seed):
-    config = MeshConfig.from_json_dict(cfg["mesh"])
+def _run_mesh_compose(config):
     u = compose(config)
     outputs = {"unitary.json": _dump_json(matrix_to_json_dict(u))}
     return outputs, [f"composed {config.n_modes}x{config.n_modes} transfer matrix"]
 
 
-def _run_reconstruct(cfg, seed):
-    if seed is None:
-        raise ConfigError(["seed is required for reconstruction (random restarts)"])
-    overlap = cfg.get("overlap", 1.0)
-    reference = None
-    if cfg.get("unitary") is not None:
-        reference = matrix_from_json_dict(cfg["unitary"])
-        stats = synthesize_statistics(
-            reference, overlap=overlap, collision_free_only=cfg.get("collision_free_only", True)
-        )
-    else:
-        stats = MeasuredStatistics.from_json_dict(cfg["statistics"])
-    result = reconstruct_unitary(
-        stats, seed=seed, overlap=overlap, n_restarts=cfg.get("n_restarts", 12)
-    )
+def _run_reconstruct(parsed):
+    stats, reference, seed, options = parsed
+    result = reconstruct_unitary(stats, seed=seed, **options)
     report = {
         "cost": result.cost,
         "converged": result.converged,
@@ -539,8 +504,8 @@ def _run_reconstruct(cfg, seed):
     return outputs, lines
 
 
-def _run_loss_budget(cfg, seed):
-    budget = LossBudget(tuple(BudgetEntry.from_json_dict(e) for e in cfg["entries"]))
+def _run_loss_budget(parsed):
+    budget, sweep = parsed
     payload = {
         "total_db": budget.total_db,
         "end_to_end_transmission": budget.end_to_end_transmission,
@@ -551,13 +516,9 @@ def _run_loss_budget(cfg, seed):
         f"total loss: {budget.total_db:.3f} dB "
         f"(transmission {budget.end_to_end_transmission:.4e})"
     ]
-    sweep = cfg.get("sweep")
     if sweep is not None:
-        grating = GratingSpectrum(**sweep.get("grating", {}))
-        wavelengths = [float(v) for v in sweep["wavelengths_nm"]]
-        transmissions = sweep_wavelength(
-            budget, grating, wavelengths, sweep["coupler_labels"]
-        )
+        grating, wavelengths, labels = sweep
+        transmissions = sweep_wavelength(budget, grating, wavelengths, labels)
         outputs["sweep.csv"] = _csv_bytes(
             ["wavelength_nm", "transmission"], (wavelengths, transmissions)
         )
@@ -565,15 +526,28 @@ def _run_loss_budget(cfg, seed):
     return outputs, lines
 
 
-_RUNNERS = {
-    "hom-fringe": _run_hom_fringe,
-    "demux": _run_demux,
-    "distribution": _run_distribution,
-    "mesh-decompose": _run_mesh_decompose,
-    "mesh-compose": _run_mesh_compose,
-    "reconstruct": _run_reconstruct,
-    "loss-budget": _run_loss_budget,
+#: experiment -> (parse, run); the parse is validate's whole job.
+_EXPERIMENTS = {
+    "hom-fringe": (_parse_hom_fringe, _run_hom_fringe),
+    "demux": (_parse_demux, _run_demux),
+    "distribution": (_parse_distribution, _run_distribution),
+    "mesh-decompose": (_parse_mesh_decompose, _run_mesh_decompose),
+    "mesh-compose": (_parse_mesh_compose, _run_mesh_compose),
+    "reconstruct": (_parse_reconstruct, _run_reconstruct),
+    "loss-budget": (_parse_loss_budget, _run_loss_budget),
 }
+
+
+def _parse(experiment, cfg, seed):
+    """The parsed inputs of ``experiment``, or ConfigError with every diagnostic."""
+    diags: list[str] = []
+    _check_common(cfg, experiment, diags)
+    parsed = None
+    if not diags or cfg.get("experiment") == experiment:
+        parsed = _EXPERIMENTS[experiment][0](cfg, seed, diags)
+    if diags:
+        raise ConfigError(diags)
+    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +567,19 @@ def _load_config(path: str) -> tuple[dict, str]:
 
 def _execute(experiment: str, args) -> int:
     cfg, digest = _load_config(args.config)
-    diags: list[str] = []
-    _validate_common(cfg, experiment, diags)
-    if not diags or cfg.get("experiment") == experiment:
-        _VALIDATORS[experiment](cfg, diags)
-    if diags:
-        raise ConfigError(diags)
-
+    if experiment == "validate":
+        experiment = cfg.get("experiment")
+        if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
+            raise ConfigError(
+                [f"unknown experiment {experiment!r}; expected one of {sorted(_EXPERIMENTS)}"]
+            )
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    outputs, lines = _RUNNERS[experiment](cfg, seed)
+    parsed = _parse(experiment, cfg, seed)
+    if args.command == "validate":
+        if not args.quiet:
+            print(f"config ok: {experiment}")
+        return 0
+    outputs, lines = _EXPERIMENTS[experiment][1](parsed)
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -625,24 +603,6 @@ def _execute(experiment: str, args) -> int:
             print(line)
         for name in [*outputs, "manifest.json"]:
             print(f"wrote {outdir / name}")
-    return 0
-
-
-def _execute_validate(args) -> int:
-    cfg, _ = _load_config(args.config)
-    experiment = cfg.get("experiment")
-    diags: list[str] = []
-    if experiment not in _VALIDATORS:
-        diags.append(
-            f"unknown experiment {experiment!r}; expected one of {sorted(_VALIDATORS)}"
-        )
-    else:
-        _validate_common(cfg, experiment, diags)
-        _VALIDATORS[experiment](cfg, diags)
-    if diags:
-        raise ConfigError(diags)
-    if not args.quiet:
-        print(f"config ok: {experiment}")
     return 0
 
 
@@ -694,8 +654,6 @@ def main(argv=None) -> int:
     else:
         experiment = args.command
     try:
-        if experiment == "validate":
-            return _execute_validate(args)
         return _execute(experiment, args)
     except ConfigError as exc:
         for diag in exc.diagnostics:

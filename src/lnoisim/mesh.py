@@ -12,7 +12,6 @@ residual diagonal to the outputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -138,16 +137,6 @@ class MeshConfig:
             for entry in data["cells"]
         )
         return cls(int(data["n_modes"]), cells, np.asarray(data["output_phases"], dtype=float))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "MeshConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def clements_layout(n: int) -> list[tuple[int, int]]:

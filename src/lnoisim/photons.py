@@ -45,13 +45,11 @@ class SourceModel:
             per-pulse two-photon emission probability is ``g2_zero / 2``
             and contributes only an accidental background, disabled by
             default in fringe analysis.
-        end_to_end_efficiency: probability that a triggered photon arrives.
     """
 
     repetition_period_ns: float = 13.8
     indistinguishability: float = 0.945
     g2_zero: float = 0.005
-    end_to_end_efficiency: float = 1.0
 
     def __post_init__(self):
         if not (self.repetition_period_ns > 0):
@@ -60,8 +58,6 @@ class SourceModel:
             raise ValueError("indistinguishability must lie in [0, 1]")
         if not (0.0 <= self.g2_zero < 1.0):
             raise ValueError("g2_zero must lie in [0, 1)")
-        if not (0.0 < self.end_to_end_efficiency <= 1.0):
-            raise ValueError("end_to_end_efficiency must lie in (0, 1]")
 
     @property
     def repetition_rate_mhz(self) -> float:

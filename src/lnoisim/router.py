@@ -15,8 +15,6 @@ the output within the pair), giving a frame of four slots.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -199,16 +197,6 @@ class PulseProgram:
             data["slot_ns"], data["samples_per_slot"], data["levels"], routing, data["start_ns"]
         )
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "PulseProgram":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def default_pulse_program(
     repetition_period_ns: float = 13.8,
@@ -262,13 +250,6 @@ class TimeTrace:
     @property
     def n_events(self) -> int:
         return int(self.times_ns.size)
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_ns"] + [f"out{i}" for i in range(N_OUTPUTS)])
-            for t, row in zip(self.times_ns, self.outputs):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
     @classmethod
     def load_csv(cls, path, repetition_period_ns: float | None = None) -> "TimeTrace":

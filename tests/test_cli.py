@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lnoisim import compose, decompose, haar_random_unitary, matrix_distance
+from lnoisim import (
+    compose,
+    decompose,
+    haar_random_unitary,
+    matrix_distance,
+    synthesize_statistics,
+)
 from lnoisim.cli import _csv_bytes, build_parser, main, matrix_from_json_dict, matrix_to_json_dict
 from oracles import csv_by_writer
 
@@ -461,26 +469,34 @@ def test_csv_bytes_match_csv_writer_oracle(header_and_data):
     assert _csv_bytes(header, (data[:, 0], data[:, 1:])) == csv_by_writer(header, data)
 
 
-def _readme_sized_runs(tmp_path):
-    """CLI argument lists running each of the seven experiments at README size."""
-    u = matrix_to_json_dict(haar_random_unitary(4, seed=7))
-    mesh = decompose(haar_random_unitary(4, seed=8)).to_json_dict()
+def _readme_configs(n_modes):
+    """(subcommand, config) for each of the seven experiments at README size."""
+    u = matrix_to_json_dict(haar_random_unitary(n_modes, seed=7))
+    mesh = decompose(haar_random_unitary(n_modes, seed=8)).to_json_dict()
     configs = [
-        (["hom-fringe"], {"n_points": 41, "poisson_mean_counts": 500, "seed": 3}),
-        (["demux"], {"n_frames": 10, "f_3db_ghz": 6.5, "bar_leakage": 0.01}),
+        (["hom-fringe"], {"overlap": 0.945, "voltage_start": 0.0, "voltage_stop": 9.0,
+                          "n_points": 41, "poisson_mean_counts": 500, "seed": 3}),
+        (["demux"], {"n_frames": 10, "repetition_period_ns": 13.8, "f_3db_ghz": 6.5,
+                     "bar_leakage": 0.01}),
         (["distribution"], {"unitary": u, "input_modes": [0, 1], "overlap": 0.945}),
         (["mesh", "decompose"], {"unitary": u}),
         (["mesh", "compose"], {"mesh": mesh}),
         (["reconstruct"], {"unitary": u, "overlap": 0.945, "seed": 0}),
         (["loss-budget"], {
             "entries": _BUDGET["entries"],
-            "sweep": {"wavelengths_nm": [920.0, 930.0], "coupler_labels": ["coupler_in"]},
+            "sweep": {"wavelengths_nm": [920.0, 930.0], "coupler_labels": ["coupler_in"],
+                      "grating": {}},
         }),
     ]
+    return [(argv, {"schema_version": 1, "experiment": "-".join(argv), **fields})
+            for argv, fields in configs]
+
+
+def _readme_sized_runs(tmp_path):
+    """CLI argument lists running each of the seven experiments at README size."""
     runs = []
-    for argv, fields in configs:
-        name = "-".join(argv)
-        payload = {"schema_version": 1, "experiment": name, **fields}
+    for argv, payload in _readme_configs(4):
+        name = payload["experiment"]
         runs.append([*argv, "--config", write_config(tmp_path, f"{name}.json", payload),
                      "--output-dir", str(tmp_path / name), "--quiet"])
     return runs
@@ -615,3 +631,121 @@ def test_compose_output_matches_library(tmp_path):
     u_cli = matrix_from_json_dict(read_json(out / "unitary.json"))
     u_lib = compose(MeshConfig.from_json_dict(mesh_dict))
     assert np.array_equal(u_cli, u_lib)
+
+
+def _statistics_without_pair(pair):
+    stats = synthesize_statistics(haar_random_unitary(3, seed=5)).to_json_dict()
+    stats["pairs"] = [p for p in stats["pairs"] if tuple(p["input"]) != pair]
+    return stats
+
+
+_IDENTITY_2 = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+# Configs the run rejects, each with the one diagnostic `validate` must print too.
+_REJECTED = {
+    "wavelength-outside-band": (["loss-budget"], {
+        **_BUDGET,
+        "sweep": {"wavelengths_nm": [930.0, 1000.0], "coupler_labels": ["coupler_in"]},
+    }, "sweep.wavelengths_nm: wavelength 1000.0 nm outside modeled band [905.0, 955.0] nm"),
+    "duplicate-budget-label": (["loss-budget"], {
+        **_BUDGET,
+        "entries": [{"label": "chip", "loss_db": 1.0}, {"label": "chip", "loss_db": 2.0}],
+    }, "entries: budget entry labels must be unique"),
+    "decompose-not-unitary": (["mesh", "decompose"], {
+        "schema_version": 1, "experiment": "mesh-decompose", "tol": 1e-12,
+        "unitary": {"re": [[1.0, 1e-9], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    }, "field 'unitary': matrix is not unitary within tolerance"),
+    "input-mode-out-of-range": (["distribution"], {
+        "schema_version": 1, "experiment": "distribution", "unitary": _IDENTITY_2,
+        "input_modes": [0, 2],
+    }, "field 'input_modes': port 2 out of range for 2 inputs"),
+    "reconstruct-non-square": (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "seed": 0,
+        "unitary": {"re": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "im": [[0.0] * 3] * 2},
+    }, "field 'unitary': need a square transfer matrix"),
+    "statistics-missing-pair": (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "seed": 0,
+        "statistics": _statistics_without_pair((0, 2)),
+    }, "field 'statistics': no two-photon data for input pairs [(0, 2)]"),
+    "poisson-fringe-without-seed": (["hom-fringe"], {
+        "schema_version": 1, "experiment": "hom-fringe", "poisson_mean_counts": 500,
+    }, "seed is required when poisson_mean_counts is set"),
+    "reconstruct-without-seed": (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "unitary": _IDENTITY_2,
+    }, "seed is required for reconstruction (random restarts)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_validate_rejects_what_the_run_rejects(tmp_path, capsys, case):
+    argv, payload, diagnostic = _REJECTED[case]
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    _assert_config_error_twice(tmp_path, capsys, argv, cfg, diagnostic)
+
+
+@pytest.mark.parametrize("case", ["poisson-fringe-without-seed", "reconstruct-without-seed"])
+def test_validate_seed_flag_supplies_the_seed(tmp_path, case):
+    argv, payload, _ = _REJECTED[case]
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run(["validate", "--config", cfg, "--seed", "3"]) == 0
+    assert run([*argv, "--config", cfg, "--output-dir", str(tmp_path / "out"), "--seed", "3"]) == 0
+
+
+def _paths(node, prefix=()):
+    """The path to every value below ``node``, and whether it ends in a dict key."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,), isinstance(node, dict)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+_DROP = object()
+_BAD_VALUES = ("x", 7, True, math.nan, math.inf, -math.inf, -1.5, 2**1024, [], None)
+
+
+def _mutations(argv, payload):
+    """(argv, config, path, new value or _DROP) for each single mutation of a config."""
+    changes = []
+    for path, in_dict in _paths(payload):
+        changes += [(path, _DROP)] if in_dict else []
+        changes += [(path, value) for value in _BAD_VALUES]
+    if argv == ["loss-budget"]:
+        changes.append((("entries", 1, "label"), payload["entries"][0]["label"]))
+    if argv == ["distribution"]:
+        changes += [(("input_modes", i), 2) for i in (0, 1)]
+    return [(argv, payload, path, value) for path, value in changes]
+
+
+# 2-mode matrices and at most 2 reconstruction restarts keep each example fast.
+_CONFIG_MUTATIONS = [
+    mutation
+    for argv, payload in _readme_configs(2)
+    for mutation in _mutations(
+        argv, {**payload, "n_restarts": 2} if argv == ["reconstruct"] else payload
+    )
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_CONFIG_MUTATIONS))
+def test_mutated_configs_exit_cleanly_and_validate_agrees(mutation):
+    # A config `validate` passes never fails the run with a config error, and
+    # no mutation of a valid config ends in a traceback.
+    argv, payload, (*head, last), value = mutation
+    cfg = json.loads(json.dumps(payload))
+    parent = cfg
+    for key in head:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        checked = main(["validate", "--config", path, "--quiet"])
+        ran = main([*argv, "--config", path, "--output-dir", os.path.join(tmp, "out"), "--quiet"])
+    assert checked in (0, 2) and ran in (0, 1, 2)
+    assert (checked == 0) == (ran != 2), (cfg, checked, ran)
