@@ -15,6 +15,7 @@ one attempt.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -60,6 +61,13 @@ CONFIG_SCHEMA_VERSION = 1
 UNITARY_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
 
+#: The longest ``demux`` train, so that a run stays well inside memory:
+#: 100,000 frames take about 0.3 GB and write a 37 MB trace.csv.
+MAX_N_FRAMES = 100_000
+
+#: The largest mean numpy's Poisson sampler accepts.
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -91,10 +99,18 @@ def _dump_json(obj) -> bytes:
 
 
 def _csv_bytes(header, columns) -> bytes:
-    """CSV of equal-length columns (1-d arrays or 2-d blocks), values as float reprs."""
+    """CSV of equal-length columns (1-d arrays or 2-d blocks), values as float reprs.
+
+    ``repr`` of a float64 is a function of its 64-bit pattern alone, so each
+    distinct pattern is formatted once and every cell takes its pattern's
+    text.  Keying on the pattern rather than the value keeps 0.0 and -0.0
+    apart; every NaN payload still prints as ``nan``.
+    """
     table = np.column_stack(columns)
-    row = ",".join(["%r"] * table.shape[1]) + "\n"
-    body = (row * table.shape[0]) % tuple(table.ravel().tolist())
+    bits, inverse = np.unique(table.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    row = ",".join(["%s"] * table.shape[1]) + "\n"
+    body = (row * table.shape[0]) % tuple(texts[inverse.ravel()].tolist())
     return (",".join(header) + "\n" + body).encode("utf-8")
 
 
@@ -136,11 +152,11 @@ def _number(cfg, diags, key, default=None, minimum=None, maximum=None):
     return value
 
 
-def _integer(cfg, diags, key, default=None, minimum=None):
+def _integer(cfg, diags, key, default=None, minimum=None, maximum=None):
     if key in cfg and (not isinstance(cfg[key], int) or isinstance(cfg[key], bool)):
         diags.append(f"field {key!r} must be an integer")
         return default
-    return _number(cfg, diags, key, default, minimum)
+    return _number(cfg, diags, key, default, minimum, maximum)
 
 
 def _boolean(cfg, diags, key):
@@ -222,12 +238,18 @@ def _parse_hom_fringe(cfg, seed, diags):
         diags.append("voltage_stop must exceed voltage_start")
     if mean_counts is not None and seed is None:
         diags.append("seed is required when poisson_mean_counts is set")
+    # A passive cell's coincidence probability is at most 1, plus the floor.
+    if mean_counts is not None and mean_counts * (1.0 + (floor or 0.0)) > _POISSON_LAM_MAX:
+        diags.append(
+            f"poisson_mean_counts times (1 + accidental_floor) must not exceed "
+            f"{_POISSON_LAM_MAX:.6g}, the largest Poisson mean numpy samples"
+        )
     cell = _switch_cell(diags, PhaseShifterParams(v_pi_volts=v_pi), er)
     return cell, (start, stop, n_points), overlap, _given(accidental_floor=floor), mean_counts, seed
 
 
 def _parse_demux(cfg, seed, diags):
-    n_frames = _integer(cfg, diags, "n_frames", default=10, minimum=1)
+    n_frames = _integer(cfg, diags, "n_frames", default=10, minimum=1, maximum=MAX_N_FRAMES)
     period = _number(
         cfg, diags, "repetition_period_ns", default=SourceModel.repetition_period_ns, minimum=1e-9
     )
@@ -335,7 +357,10 @@ def _parse_reconstruct(cfg, seed, diags):
             diags, "field 'unitary'", synthesize_statistics, reference,
             **overlap, **_given(collision_free_only=collision_free),
         )
-    if stats is not None and stats.missing_pairs():
+    if stats is not None and stats.n_modes < 2:
+        source = "unitary" if reference is not None else "statistics"
+        diags.append(f"field {source!r}: reconstruction needs at least 2 modes")
+    elif stats is not None and stats.missing_pairs():
         diags.append(
             f"field 'statistics': no two-photon data for input pairs {stats.missing_pairs()}"
         )
@@ -617,7 +642,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quiet", action="store_true", help="suppress the run summary")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``parse_args`` keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="lnoisim",
         description="Reproducible simulations of a fast switched photonic processor.",

@@ -232,10 +232,13 @@ def reconstruct_unitary(
         success_cost: squared-residual threshold declaring convergence.
 
     Raises:
+        ValueError: for fewer than 2 modes, which leave no mesh to fit.
         CoverageError: if any input pair has no two-photon data.
         ConvergenceError: if no restart converges; the best attempt is
             attached as ``best_result``.
     """
+    if measured.n_modes < 2:
+        raise ValueError("reconstruction needs at least 2 modes")
     missing = measured.missing_pairs()
     if missing:
         raise CoverageError(f"no two-photon data for input pairs {missing}")

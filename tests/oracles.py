@@ -203,9 +203,13 @@ def tustin_step_by_lfilter(n_samples, f_3db_ghz, sample_rate_ghz):
     return lfilter(b, a, np.ones(n_samples), zi=np.zeros(1))[0]
 
 
-def least_squares_by_minpack(fun, x0):
-    """(x, sum of squared residuals) from SciPy's MINPACK Levenberg-Marquardt."""
+def least_squares_by_minpack(fun, x0, jac="2-point"):
+    """(x, sum of squared residuals) from SciPy's MINPACK Levenberg-Marquardt.
+
+    ``jac`` maps x to the Jacobian of ``fun``; by default MINPACK takes
+    forward differences, which can stop a few 1e-6 short of the optimum.
+    """
     from scipy.optimize import least_squares
 
-    fit = least_squares(fun, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    fit = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
     return fit.x, 2.0 * fit.cost

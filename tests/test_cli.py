@@ -20,7 +20,14 @@ from lnoisim import (
     matrix_distance,
     synthesize_statistics,
 )
-from lnoisim.cli import _csv_bytes, build_parser, main, matrix_from_json_dict, matrix_to_json_dict
+from lnoisim.cli import (
+    MAX_N_FRAMES,
+    _csv_bytes,
+    build_parser,
+    main,
+    matrix_from_json_dict,
+    matrix_to_json_dict,
+)
 from oracles import csv_by_writer
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -371,6 +378,19 @@ def test_seed_flag_overrides_config(tmp_path):
     assert (out_a / "fringe.csv").read_bytes() != (out_b / "fringe.csv").read_bytes()
 
 
+def test_consecutive_runs_share_no_parser_state(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "demux.json", {"schema_version": 1, "experiment": "demux", "seed": 7}
+    )
+    out = tmp_path / "out"
+    assert main(["demux", "--config", cfg, "--output-dir", str(out), "--seed", "3", "--quiet"]) == 0
+    assert read_json(out / "manifest.json")["seed"] == 3
+    assert capsys.readouterr().out == ""
+    assert main(["demux", "--config", cfg, "--output-dir", str(out)]) == 0
+    assert read_json(out / "manifest.json")["seed"] == 7
+    assert "average routing probability:" in capsys.readouterr().out
+
+
 def test_loss_budget_with_wavelength_sweep(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -453,15 +473,34 @@ def test_poisson_fringe_fit_is_unbiased(tmp_path):
     assert abs(np.mean(pulls)) < 1.0
 
 
-@settings(deadline=None)
-@given(
-    st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True), min_size=2, max_size=5).flatmap(
+def _tables(elements):
+    """(header, table) with 2-5 named columns and 1-12 rows of ``elements``."""
+    return st.lists(
+        st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True), min_size=2, max_size=5
+    ).flatmap(
         lambda header: st.tuples(
             st.just(header),
-            hnp.arrays(
-                float, st.tuples(st.integers(1, 12), st.just(len(header))), elements=st.floats()
-            ),
+            hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(len(header))), elements=elements),
         )
+    )
+
+
+# Values that share a table repeat, as the routing levels of a demux trace do.
+# They include both zeros and NaNs of either sign with different payloads.
+_NANS = np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000123],
+    dtype=np.uint64,
+).view(np.float64)
+_POOL = [0.0, -0.0, *_NANS.tolist(), math.inf, -math.inf, 5e-324, 1e16, 1e-5, 1.0, -7.0, 4e3]
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        _tables(st.floats()),
+        st.lists(st.floats(), max_size=3).flatmap(
+            lambda extra: _tables(st.sampled_from([*_POOL, *extra]))
+        ),
     )
 )
 def test_csv_bytes_match_csv_writer_oracle(header_and_data):
@@ -673,6 +712,17 @@ _REJECTED = {
     "reconstruct-without-seed": (["reconstruct"], {
         "schema_version": 1, "experiment": "reconstruct", "unitary": _IDENTITY_2,
     }, "seed is required for reconstruction (random restarts)"),
+    "poisson-mean-too-large": (["hom-fringe"], {
+        "schema_version": 1, "experiment": "hom-fringe", "seed": 1,
+        "poisson_mean_counts": 5e18, "accidental_floor": 1.0,
+    }, "poisson_mean_counts times (1 + accidental_floor) must not exceed 9.22337e+18"),
+    "reconstruct-one-mode": (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "seed": 0,
+        "unitary": {"re": [[1.0]], "im": [[0.0]]},
+    }, "field 'unitary': reconstruction needs at least 2 modes"),
+    "demux-too-many-frames": (["demux"], {
+        "schema_version": 1, "experiment": "demux", "n_frames": MAX_N_FRAMES + 1,
+    }, f"field 'n_frames' must be <= {MAX_N_FRAMES}"),
 }
 
 

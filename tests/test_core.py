@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lnoisim import (
@@ -165,6 +165,10 @@ def _decay_residuals(t, y):
     st.floats(0.0, 0.05),
     st.integers(0, 2**32 - 1),
 )
+# MINPACK on its own forward differences stops 3.7e-6 short of this optimum.
+@example(a=0.5, b=0.3046875, c=0.0, noise=0.046875, seed=11592)
+# A straight line fits these data better than any decay: no optimum exists.
+@example(a=0.5, b=0.375, c=0.0, noise=0.046875, seed=47)
 def test_levenberg_marquardt_matches_minpack(a, b, c, noise, seed):
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 4.0, 40)
@@ -173,13 +177,22 @@ def test_levenberg_marquardt_matches_minpack(a, b, c, noise, seed):
     # From far away the two solvers may settle in different local minima.
     start = [1.2 * a, 0.8 * b, c + 0.2]
     fit = _levenberg_marquardt(fun_and_jac, start, tol=1e-14)
-    x_ref, cost_ref = least_squares_by_minpack(lambda p: fun_and_jac(p)[0], start)
+    x_ref, cost_ref = least_squares_by_minpack(
+        lambda p: fun_and_jac(p)[0], start, jac=lambda p: fun_and_jac(p)[1]()
+    )
     assert fit.cost == pytest.approx(float(fit.residuals @ fit.residuals), rel=1e-15)
     # Near-exact data leave both costs at the rounding level of the
     # residuals, up to about 1e-20; stopping on a relative cost decrease
     # of 1e-14 leaves x within about sqrt(1e-14) of the optimum.
     assert fit.cost <= cost_ref * (1.0 + 1e-9) + 1e-20
-    assert np.allclose(fit.x, x_ref, rtol=1e-6, atol=1e-6)
+    # As b -> 0 with a b fixed the model tends to the best straight line.
+    # Unless the fit beats that line, the cost keeps falling towards it
+    # along a valley where a -> inf, and the solvers stop at arbitrary
+    # points of it: there is no optimum whose x they could agree on.
+    line = np.column_stack([t, np.ones_like(t)])
+    line_residuals = line @ np.linalg.lstsq(line, y, rcond=None)[0] - y
+    if fit.cost < (1.0 - 1e-6) * float(line_residuals @ line_residuals):
+        assert np.allclose(fit.x, x_ref, rtol=1e-6, atol=1e-6)
     assert np.allclose(fit.jacobian, fun_and_jac(fit.x)[1](), rtol=0.0, atol=0.0)
 
 
