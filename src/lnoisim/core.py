@@ -190,7 +190,8 @@ def _levenberg_marquardt(
     is clipped into ``[lower, upper]``.  The damping mu follows Nielsen's
     update (Madsen, Nielsen & Tingleff 2004, eq. 3.16): after a step with
     gain ratio rho > 0 it is multiplied by max(1/3, 1 - (2 rho - 1)^3);
-    after a rejected one by nu, which then doubles.
+    after a rejected one by nu, which then doubles.  A damped system that
+    is singular in floating point counts as a rejected step.
 
     The iteration stops before evaluating a step with
     ``|h| <= tol (|x| + tol)``, after an accepted step that lowered the
@@ -214,7 +215,14 @@ def _levenberg_marquardt(
         free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
         step = np.zeros(x.size)
         system = (normal + np.diag(damping))[np.ix_(free, free)]
-        step[free] = -np.linalg.solve(system, grad[free])
+        try:
+            step[free] = -np.linalg.solve(system, grad[free])
+        except np.linalg.LinAlgError:
+            # mu has shrunk below the rounding of J^T J; the floor lifts
+            # a mu that underflowed to zero.
+            mu = max(mu, np.finfo(float).tiny) * nu
+            nu *= 2.0
+            continue
         trial = np.clip(x + step, lo, hi)
         step = trial - x
         if np.linalg.norm(step) <= tol * (np.linalg.norm(x) + tol):

@@ -169,6 +169,8 @@ def _decay_residuals(t, y):
 @example(a=0.5, b=0.3046875, c=0.0, noise=0.046875, seed=11592)
 # A straight line fits these data better than any decay: no optimum exists.
 @example(a=0.5, b=0.375, c=0.0, noise=0.046875, seed=47)
+# Along that valley mu once shrank until J^T J + mu D was singular.
+@example(a=0.560434282729164, b=0.3, c=0.0, noise=0.05, seed=205128210)
 def test_levenberg_marquardt_matches_minpack(a, b, c, noise, seed):
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 4.0, 40)
@@ -188,11 +190,16 @@ def test_levenberg_marquardt_matches_minpack(a, b, c, noise, seed):
     # As b -> 0 with a b fixed the model tends to the best straight line.
     # Unless the fit beats that line, the cost keeps falling towards it
     # along a valley where a -> inf, and the solvers stop at arbitrary
-    # points of it: there is no optimum whose x they could agree on.
+    # points of it: there is no optimum whose x they could agree on, and
+    # the fit must instead have walked down to the line's cost.  In 1000
+    # evaluations it gets within 2e-6 of it on every such draw seen.
     line = np.column_stack([t, np.ones_like(t)])
     line_residuals = line @ np.linalg.lstsq(line, y, rcond=None)[0] - y
-    if fit.cost < (1.0 - 1e-6) * float(line_residuals @ line_residuals):
+    line_cost = float(line_residuals @ line_residuals)
+    if fit.cost < (1.0 - 1e-6) * line_cost:
         assert np.allclose(fit.x, x_ref, rtol=1e-6, atol=1e-6)
+    else:
+        assert fit.cost <= (1.0 + 1e-5) * line_cost
     assert np.allclose(fit.jacobian, fun_and_jac(fit.x)[1](), rtol=0.0, atol=0.0)
 
 
