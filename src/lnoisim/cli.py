@@ -65,6 +65,9 @@ MANIFEST_SCHEMA_VERSION = 1
 #: 100,000 frames take about 0.3 GB and write a 37 MB trace.csv.
 MAX_N_FRAMES = 100_000
 
+#: The longest ``hom-fringe`` sweep, for the same reason as MAX_N_FRAMES.
+MAX_N_POINTS = 100_000
+
 #: The largest mean numpy's Poisson sampler accepts.
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
@@ -230,7 +233,7 @@ def _parse_hom_fringe(cfg, seed, diags):
     v_pi = _number(cfg, diags, "v_pi_volts", default=PhaseShifterParams.v_pi_volts, minimum=1e-9)
     start = _number(cfg, diags, "voltage_start", default=0.0)
     stop = _number(cfg, diags, "voltage_stop", default=9.0)
-    n_points = _integer(cfg, diags, "n_points", default=41, minimum=5)
+    n_points = _integer(cfg, diags, "n_points", default=41, minimum=5, maximum=MAX_N_POINTS)
     floor = _number(cfg, diags, "accidental_floor", minimum=0.0)
     er = _optional_number(cfg, diags, "extinction_db", minimum=0.1)
     mean_counts = _optional_number(cfg, diags, "poisson_mean_counts", minimum=1.0)

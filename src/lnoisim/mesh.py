@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -161,48 +161,45 @@ def _ideal_cell_matrix(theta: float, phi: float) -> np.ndarray:
     return pref * np.array([[eip * s, c], [eip * c, -s]], dtype=np.complex128)
 
 
-def _cell_matrix(cell: MeshCell, params: MZIParams | None) -> np.ndarray:
-    if params is None:
-        return _ideal_cell_matrix(cell.theta, cell.phi)
-    block = mzi_transfer(params, cell.theta)
-    block = block @ np.array(
-        [[np.exp(1j * cell.phi), 0.0], [0.0, 1.0]], dtype=np.complex128
-    )
-    return block
+def _mesh_product(n, modes, thetas, phis, cell_params: MZIParams | None = None) -> np.ndarray:
+    """Product of the cells in list order (first cell hits the input first).
+
+    Ideal cells use the closed form; physical cells come from one
+    ``mzi_transfer`` call, with ``e^{i phi}`` on each cell's upper input.
+    """
+    if cell_params is None:
+        blocks = map(_ideal_cell_matrix, thetas, phis)
+    else:
+        blocks = mzi_transfer(cell_params, thetas)
+        blocks[:, :, 0] *= np.exp(1j * np.asarray(phis, dtype=float))[:, None]
+    u = np.eye(n, dtype=np.complex128)
+    for (i, j), block in zip(modes, blocks):
+        u[[i, j], :] = block @ u[[i, j], :]
+    return u
 
 
-def compose(
-    config: MeshConfig,
-    cell_params: MZIParams | Sequence[MZIParams] | None = None,
-) -> np.ndarray:
+def compose(config: MeshConfig, cell_params: MZIParams | None = None) -> np.ndarray:
     """Transfer matrix of the configured mesh.
 
     Cells multiply in list order (first cell hits the input first), then
-    the output phases apply as a diagonal.  With ``cell_params`` each cell
-    uses the given physical MZI model instead of the ideal one; a single
-    ``MZIParams`` is broadcast to every cell.
+    the output phases apply as a diagonal.  With ``cell_params`` every
+    cell uses that one physical MZI model instead of the ideal one.
 
     Args:
         config: mesh phases and layout.
-        cell_params: None for ideal cells, one ``MZIParams`` for all cells,
-            or one per cell.
+        cell_params: None for ideal cells, or one ``MZIParams`` shared by
+            all cells.
     """
-    n = config.n_modes
-    if cell_params is None:
-        per_cell: list[MZIParams | None] = [None] * len(config.cells)
-    elif isinstance(cell_params, MZIParams):
-        per_cell = [cell_params] * len(config.cells)
-    else:
-        per_cell = list(cell_params)
-        if len(per_cell) != len(config.cells):
-            raise DimensionError(
-                f"need {len(config.cells)} cell params, got {len(per_cell)}"
-            )
-    u = np.eye(n, dtype=np.complex128)
-    for cell, params in zip(config.cells, per_cell):
-        i, j = cell.modes
-        block = _cell_matrix(cell, params)
-        u[[i, j], :] = block @ u[[i, j], :]
+    if cell_params is not None and not isinstance(cell_params, MZIParams):
+        raise TypeError(f"cell_params must be MZIParams or None, got {type(cell_params).__name__}")
+    cells = config.cells
+    u = _mesh_product(
+        config.n_modes,
+        [cell.modes for cell in cells],
+        [cell.theta for cell in cells],
+        [cell.phi for cell in cells],
+        cell_params,
+    )
     u *= np.exp(1j * config.output_phases)[:, None]
     return u
 

@@ -162,6 +162,15 @@ class TwoPhotonDistribution:
         return cls(tuple(data["input"]), patterns, probs, collision_free_only=collision_free)
 
 
+def _coincidence(a, b, x: float) -> np.ndarray:
+    """Probability of two photons leaving by amplitudes ``a`` and ``b``.
+
+    ``a`` and ``b`` are the two paths to one output pair; overlap ``x``
+    mixes their interference ``|a + b|^2`` with the classical sum.
+    """
+    return x * np.abs(a + b) ** 2 + (1.0 - x) * (np.abs(a) ** 2 + np.abs(b) ** 2)
+
+
 def two_photon_distribution(
     t: object,
     input_pair: tuple[int, int],
@@ -193,9 +202,8 @@ def two_photon_distribution(
         raise ValueError("overlap must lie in [0, 1]")
 
     amp = np.outer(mat[:, k], mat[:, l])  # amp[i, j] = t_ik * t_jl
-    x = overlap
-    probs = x * np.abs(amp + amp.T) ** 2 + (1.0 - x) * (np.abs(amp) ** 2 + np.abs(amp.T) ** 2)
-    np.fill_diagonal(probs, (1.0 + x) * np.abs(np.diagonal(amp)) ** 2)
+    probs = _coincidence(amp, amp.T, overlap)
+    np.fill_diagonal(probs, (1.0 + overlap) * np.abs(np.diagonal(amp)) ** 2)
     # Row-major upper triangle, as np.triu_indices gives it at several times the cost.
     modes = np.arange(n_out)
     rows, cols = np.nonzero(modes[:, None] < modes if collision_free_only else modes[:, None] <= modes)
@@ -233,10 +241,8 @@ def hom_fringe(
     if not (0.0 <= overlap <= 1.0):
         raise ValueError("overlap must lie in [0, 1]")
     t = mzi_transfer(m, phases_rad)
-    a = t[..., 0, 0] * t[..., 1, 1]
-    b = t[..., 1, 0] * t[..., 0, 1]
-    x = overlap
-    return x * np.abs(a + b) ** 2 + (1.0 - x) * (np.abs(a) ** 2 + np.abs(b) ** 2) + accidental_floor
+    coincidence = _coincidence(t[..., 0, 0] * t[..., 1, 1], t[..., 1, 0] * t[..., 0, 1], overlap)
+    return coincidence + accidental_floor
 
 
 def fringe_contrast_from_overlap(overlap: float) -> float:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .core import _levenberg_marquardt, as_complex_matrix
 from .errors import ConvergenceError, CoverageError, DimensionError
-from .mesh import MeshCell, MeshConfig, _ideal_cell_matrix, clements_layout, compose, wrap_phase
-from .photons import TwoPhotonDistribution, two_photon_distribution
+from .mesh import MeshCell, MeshConfig, _mesh_product, clements_layout, compose, wrap_phase
+from .photons import TwoPhotonDistribution, _coincidence, two_photon_distribution
 
 __all__ = [
     "MeasuredStatistics",
@@ -185,24 +185,6 @@ class ReconstructionResult:
 _DIFF_STEP = math.sqrt(np.finfo(float).eps)
 
 
-def _mesh_unitary(phases: np.ndarray, layout, n: int) -> np.ndarray:
-    """Compose the mesh for stacked phases [thetas..., phis...]; no output phases."""
-    u = np.eye(n, dtype=complex)
-    half = len(layout)
-    for (a, b), theta, phi in zip(layout, phases[:half], phases[half:]):
-        u[[a, b], :] = _ideal_cell_matrix(theta, phi) @ u[[a, b], :]
-    return u
-
-
-def _pair_probabilities(u: np.ndarray, k: int, l: int, x: float, iu, ju) -> np.ndarray:
-    amp = np.outer(u[:, k], u[:, l])
-    cross = amp[iu, ju]
-    swapped = amp[ju, iu]
-    indist = np.abs(cross + swapped) ** 2
-    dist = np.abs(cross) ** 2 + np.abs(swapped) ** 2
-    return x * indist + (1.0 - x) * dist
-
-
 def reconstruct_unitary(
     measured: MeasuredStatistics,
     seed: int,
@@ -258,12 +240,14 @@ def reconstruct_unitary(
     ]
     singles_data = measured.singles
     x = float(overlap)
+    half = len(layout)
 
     def residuals(phases: np.ndarray) -> np.ndarray:
-        u = _mesh_unitary(phases, layout, n)
+        u = _mesh_product(n, layout, phases[:half], phases[half:])
         parts = [(np.abs(u) ** 2 - singles_data).ravel()]
-        for key, data in zip(pair_keys, pair_data):
-            parts.append(_pair_probabilities(u, key[0], key[1], x, iu, ju) - data)
+        for (k, l), data in zip(pair_keys, pair_data):
+            amp = np.outer(u[:, k], u[:, l])
+            parts.append(_coincidence(amp[iu, ju], amp[ju, iu], x) - data)
         return np.concatenate(parts)
 
     def residuals_and_jac(phases: np.ndarray):
@@ -285,7 +269,7 @@ def reconstruct_unitary(
     best_cost = math.inf
     used = 0
     for _ in range(n_restarts):
-        start = rng.uniform(0.0, 2.0 * math.pi, size=2 * len(layout))
+        start = rng.uniform(0.0, 2.0 * math.pi, size=2 * half)
         fit = _levenberg_marquardt(residuals_and_jac, start, tol=1e-14, max_nfev=5000)
         used += 1
         if fit.cost < best_cost:
@@ -294,7 +278,6 @@ def reconstruct_unitary(
         if best_cost <= success_cost:
             break
 
-    half = len(layout)
     cells = [
         MeshCell(modes=pair, theta=wrap_phase(th), phi=wrap_phase(ph))
         for pair, th, ph in zip(layout, best_x[:half], best_x[half:])

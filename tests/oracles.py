@@ -101,6 +101,22 @@ def mzi_by_matmul(ratio_in, ratio_out, insertion_loss_db, phase_rad):
     return 10.0 ** (-insertion_loss_db / 20.0) * (coupler(ratio_out) @ inner @ coupler(ratio_in))
 
 
+def mesh_by_embedding(n, cells, output_phases, ratio_in=0.5, ratio_out=0.5, insertion_loss_db=0.0):
+    """Mesh transfer matrix as a product of full n x n matrices.
+
+    ``cells`` holds ``((i, i + 1), theta, phi)`` in propagation order.  Each
+    cell is ``mzi_by_matmul(...) @ diag(e^{i phi}, 1)`` embedded into an
+    n x n identity; the output phases apply last as a diagonal.
+    """
+    u = np.eye(n, dtype=complex)
+    for (a, b), theta, phi in cells:
+        cell = mzi_by_matmul(ratio_in, ratio_out, insertion_loss_db, theta)
+        emb = np.eye(n, dtype=complex)
+        emb[a : b + 1, a : b + 1] = cell @ np.diag([complex(math.cos(phi), math.sin(phi)), 1.0])
+        u = emb @ u
+    return np.diag(np.exp(1j * np.asarray(output_phases))) @ u
+
+
 def demux_by_photon_loop(transfers, phases):
     """Output probabilities of the 1-to-4 switch tree, one photon at a time.
 

@@ -41,7 +41,7 @@ from lnoisim import (
     synthesize_statistics,
     two_photon_distribution,
 )
-from lnoisim.cli import main as cli_main
+from lnoisim.cli import main as cli_main, matrix_to_json_dict
 from lnoisim.router import TimeTrace
 
 from oracles import hom_fringe_law, permanent_by_permutation_sum, two_photon_probabilities_by_mode_expansion
@@ -223,7 +223,8 @@ def test_reconstruction_succeeds_for_19_of_20_seeded_instances():
 
 def test_cli_outputs_are_bit_reproducible(tmp_path):
     # identical config + seed => byte-identical artifacts, manifest
-    # digests included, across every experiment type exercised here
+    # digests included, for each of the seven experiments
+    unitary = matrix_to_json_dict(haar_random_unitary(4, seed=31))
     configs = {
         "fringe.json": {
             "schema_version": 1,
@@ -247,8 +248,40 @@ def test_cli_outputs_are_bit_reproducible(tmp_path):
                 {"label": "out", "loss_db": 3.4},
             ],
         },
+        "distribution.json": {
+            "schema_version": 1,
+            "experiment": "distribution",
+            "unitary": unitary,
+            "input_modes": [0, 1],
+            "overlap": 0.945,
+        },
+        "decompose.json": {
+            "schema_version": 1,
+            "experiment": "mesh-decompose",
+            "unitary": unitary,
+        },
+        "compose.json": {
+            "schema_version": 1,
+            "experiment": "mesh-compose",
+            "mesh": decompose(haar_random_unitary(4, seed=32)).to_json_dict(),
+        },
+        "reconstruct.json": {
+            "schema_version": 1,
+            "experiment": "reconstruct",
+            "unitary": matrix_to_json_dict(haar_random_unitary(3, seed=33)),
+            "n_restarts": 2,
+            "seed": 7,
+        },
     }
-    commands = {"fringe.json": "hom-fringe", "demux.json": "demux", "budget.json": "loss-budget"}
+    commands = {
+        "fringe.json": ["hom-fringe"],
+        "demux.json": ["demux"],
+        "budget.json": ["loss-budget"],
+        "distribution.json": ["distribution"],
+        "decompose.json": ["mesh", "decompose"],
+        "compose.json": ["mesh", "compose"],
+        "reconstruct.json": ["reconstruct"],
+    }
     for name, payload in configs.items():
         cfg = tmp_path / name
         cfg.write_text(json.dumps(payload))
@@ -256,7 +289,7 @@ def test_cli_outputs_are_bit_reproducible(tmp_path):
         out_b = tmp_path / (name + ".b")
         for out in (out_a, out_b):
             code = cli_main(
-                [commands[name], "--config", str(cfg), "--output-dir", str(out), "--quiet"]
+                [*commands[name], "--config", str(cfg), "--output-dir", str(out), "--quiet"]
             )
             assert code == 0
         files = sorted(p.name for p in out_a.iterdir())

@@ -22,6 +22,7 @@ from lnoisim import (
 )
 from lnoisim.cli import (
     MAX_N_FRAMES,
+    MAX_N_POINTS,
     _csv_bytes,
     build_parser,
     main,
@@ -714,6 +715,9 @@ _REJECTED = {
     "demux-too-many-frames": (["demux"], {
         "schema_version": 1, "experiment": "demux", "n_frames": MAX_N_FRAMES + 1,
     }, f"field 'n_frames' must be <= {MAX_N_FRAMES}"),
+    "hom-fringe-too-many-points": (["hom-fringe"], {
+        "schema_version": 1, "experiment": "hom-fringe", "n_points": MAX_N_POINTS + 1,
+    }, f"field 'n_points' must be <= {MAX_N_POINTS}"),
 }
 
 

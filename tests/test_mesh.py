@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnoisim import (
     ComplianceError,
+    CouplerParams,
     DimensionError,
     GaugeError,
     MeshCell,
@@ -29,6 +32,7 @@ from lnoisim import (
 )
 from lnoisim.cli import _dump_json
 from lnoisim.components import phase_from_voltage
+from oracles import mesh_by_embedding
 
 
 def test_layout_shape():
@@ -127,12 +131,10 @@ def test_compose_with_leaky_cells_stays_unitary():
     assert matrix_distance(m, u) > 1e-4  # imperfection is visible
 
 
-def test_compose_accepts_per_cell_params():
+def test_compose_rejects_per_cell_params():
     cfg = all_bar_config(4)
-    cells = [MZIParams.ideal() for _ in cfg.cells]
-    assert np.allclose(compose(cfg, cells), compose(cfg))
-    with pytest.raises(DimensionError):
-        compose(cfg, cells[:-1])
+    with pytest.raises(TypeError):
+        compose(cfg, [MZIParams.ideal() for _ in cfg.cells])
 
 
 def test_config_json_round_trip():
@@ -216,29 +218,34 @@ def test_phases_to_voltages_guards():
         phases_to_voltages(reduced, PhaseShifterParams(), compliance_volts=1.0)
 
 
-def test_compose_equals_direct_cell_product():
-    """The mesh product must equal explicitly embedding each 2x2 block."""
-    u = haar_random_unitary(4, seed=30)
-    cfg = decompose(u)
-    acc = np.eye(4, dtype=complex)
-    for cell in cfg.cells:
-        theta, phi = cell.theta, cell.phi
-        block = (
-            1j
-            * np.exp(1j * theta / 2)
-            * np.array(
-                [
-                    [np.exp(1j * phi) * math.sin(theta / 2), math.cos(theta / 2)],
-                    [np.exp(1j * phi) * math.cos(theta / 2), -math.sin(theta / 2)],
-                ]
-            )
-        )
-        emb = np.eye(4, dtype=complex)
-        a, b = cell.modes
-        emb[np.ix_((a, b), (a, b))] = block
-        acc = emb @ acc
-    acc = np.diag(np.exp(1j * cfg.output_phases)) @ acc
-    assert np.allclose(acc, compose(cfg), atol=1e-12)
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(2, 8),
+    st.floats(-0.2, 0.2),
+    st.floats(-0.2, 0.2),
+    st.floats(0.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_compose_equals_direct_cell_product(n, d_in, d_out, loss_db, seed):
+    """The mesh product equals embedding each 2x2 block, for ideal and
+    physical cells, and compose inverts decompose."""
+    rng = np.random.default_rng(seed)
+    layout = clements_layout(n)
+    thetas, phis = rng.uniform(0.0, 2 * math.pi, (2, len(layout)))
+    cells = list(zip(layout, thetas, phis))
+    cfg = MeshConfig(n, tuple(MeshCell(*cell) for cell in cells), rng.uniform(0.0, 2 * math.pi, n))
+    assert np.allclose(compose(cfg), mesh_by_embedding(n, cells, cfg.output_phases), atol=1e-12)
+
+    physical = MZIParams(
+        coupler_in=CouplerParams(imbalance=d_in),
+        coupler_out=CouplerParams(imbalance=d_out),
+        insertion_loss_db=loss_db,
+    )
+    want = mesh_by_embedding(n, cells, cfg.output_phases, 0.5 + d_in, 0.5 + d_out, loss_db)
+    assert np.allclose(compose(cfg, physical), want, atol=1e-12)
+
+    u = haar_random_unitary(n, seed=seed)
+    assert matrix_distance(compose(decompose(u)), u) < 1e-10
 
 
 def test_decomposition_phases_canonical():
