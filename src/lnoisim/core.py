@@ -6,7 +6,7 @@ circuit is unitary; uniform loss scales the matrix below unity (sub-unitary).
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
@@ -67,49 +67,43 @@ def is_subunitary(m: object, tol: float = 1e-10) -> bool:
     return bool(smax <= 1.0 + tol)
 
 
-def _permanent_direct(a: np.ndarray) -> complex:
-    """Sum over permutations; exact and O(n!), used for small orders."""
-    n = a.shape[0]
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        prod = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            prod *= a[i, j]
-        total += prod
-    return total
+@functools.lru_cache(maxsize=None)
+def _sign_vectors(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows d in {+1, -1}^k (bit i of the row index negates d_i) and each prod_i d_i."""
+    signs = 1.0 - 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
+    parity = signs.prod(axis=1)
+    for shared in (signs, parity):  # cached, so every caller gets the same arrays
+        shared.setflags(write=False)
+    return signs, parity
 
 
-def _permanent_ryser(a: np.ndarray) -> complex:
-    """Ryser inclusion-exclusion evaluated over vectorized subset blocks.
+def _permanents(a: np.ndarray) -> np.ndarray:
+    """Permanents of a stack of square matrices, shape ``(..., n, n)`` to ``(...)``.
 
-    perm(A) = (-1)^n sum_{S != {}} (-1)^{|S|} prod_i sum_{j in S} a_ij.
-    Column subsets are enumerated in blocks so the n = 20 worst case stays
-    within a bounded working set.
+    Glynn's formula, perm(A) = 2^(1-n) sum_d (prod_i d_i) prod_j sum_i d_i a_ij
+    over sign vectors d in {+1, -1}^n with d_0 = +1.  The sums over the low
+    k free signs are tabulated once, and each setting of the other signs
+    shifts that table, so a sign vector costs O(n).  k is the largest
+    with batch size x 2^k <= 2^16, which bounds the working set.
     """
-    n = a.shape[0]
-    cols = np.arange(n)
-    at = np.ascontiguousarray(a.T)
-    total = 0.0 + 0.0j
-    block = 1 << min(n, 16)
-    for start in range(1, 1 << n, block):
-        stop = min(start + block, 1 << n)
-        subsets = np.arange(start, stop, dtype=np.uint32)
-        bits = ((subsets[:, None] >> cols) & 1).astype(np.float64)
-        row_sums = bits @ at
-        prods = np.prod(row_sums, axis=1)
-        parity = 1.0 - 2.0 * (bits.sum(axis=1).astype(np.int64) % 2)
-        total += np.sum(prods * parity)
-    if n % 2:
-        total = -total
-    return complex(total)
+    *batch, n, _ = a.shape
+    at = a.reshape(-1, n, n).transpose(0, 2, 1)
+    k = min(n - 1, max(0, ((1 << 16) // at.shape[0]).bit_length() - 1))
+    low, low_parity = _sign_vectors(k)
+    table = at[:, :, :1] + at[:, :, 1 : k + 1] @ low.T
+    total = 0.0
+    for high, parity in zip(*_sign_vectors(n - 1 - k)):
+        sums = table + (at[:, :, k + 1 :] @ high)[:, :, None]
+        total = total + parity * (sums.prod(axis=1) @ low_parity)
+    return (total / 2.0 ** (n - 1)).reshape(batch)
 
 
 def permanent(m: object) -> complex:
     """Permanent of a square complex matrix of order at most 20.
 
-    Orders up to four are summed directly over permutations; larger ones
-    use Ryser's formula.  The permanent of amplitude submatrices gives
-    multi-photon transition amplitudes for indistinguishable photons.
+    Evaluated by :func:`_permanents`, Glynn's formula in O(2^n n) time.  The
+    permanent of amplitude submatrices gives multi-photon transition
+    amplitudes for indistinguishable photons.
     """
     arr = as_complex_matrix(m)
     n, ncols = arr.shape
@@ -119,9 +113,7 @@ def permanent(m: object) -> complex:
         raise DimensionError("permanent of an empty matrix is not defined here")
     if n > PERMANENT_MAX_ORDER:
         raise DimensionError(f"permanent limited to order {PERMANENT_MAX_ORDER}, got {n}")
-    if n <= 4:
-        return _permanent_direct(arr)
-    return _permanent_ryser(arr)
+    return complex(_permanents(arr))
 
 
 def haar_random_unitary(n: int, seed: int) -> np.ndarray:

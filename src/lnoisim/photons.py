@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .components import MZIParams, mzi_transfer
-from .core import ProbabilityDistribution, _levenberg_marquardt, as_complex_matrix, permanent
+from .core import PERMANENT_MAX_ORDER, ProbabilityDistribution, _levenberg_marquardt
+from .core import _permanents, as_complex_matrix
 from .errors import DimensionError, FitError
 
 __all__ = [
@@ -335,8 +336,14 @@ def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float,
         raise FitError(f"fringe fit did not converge in {fit.nfev} evaluations")
     # With the weighted Jacobian J = U diag(sv) vt, (J^T W J)^-1 = vt^T diag(sv^-2) vt.
     _, sv, vt = np.linalg.svd(fit.jacobian, full_matrices=False)
-    if sv[-1] <= np.finfo(float).eps * max(fit.jacobian.shape) * sv[0]:
-        raise FitError("fringe fit covariance is singular; data cannot constrain V")
+    rank_tol = np.finfo(float).eps * max(fit.jacobian.shape)
+    if sv[-1] <= rank_tol * sv[0]:
+        # A's column scales as 1/sqrt(counts) and V's as sqrt(counts): judge
+        # the rank again on unit-norm columns.  A zero column still fails.
+        norms = np.linalg.norm(fit.jacobian, axis=0)
+        unit_sv = np.linalg.svd(fit.jacobian / np.where(norms > 0, norms, 1.0), compute_uv=False)
+        if unit_sv[-1] <= rank_tol * unit_sv[0]:
+            raise FitError("fringe fit covariance is singular; data cannot constrain V")
     variance = float(np.sum((vt[:, 1] / sv) ** 2)) * fit.cost / (phases.size - 4)
     return float(fit.x[1]), math.sqrt(variance), fit.x
 
@@ -394,9 +401,9 @@ def nphoton_collision_free_distribution(
 ) -> ProbabilityDistribution:
     """Indistinguishable n-photon statistics over collision-free patterns.
 
-    Each output pattern (one photon per listed mode) gets
-    ``|perm(t[pattern, inputs])|^2``.  Bunched patterns are excluded, so
-    the total is below one in general.
+    For 1 to 20 photons, each output pattern (one photon per listed mode)
+    gets ``|perm(t[pattern, inputs])|^2``.  Bunched patterns are excluded,
+    so the total is below one in general.
     """
     mat = as_complex_matrix(t)
     n_out = mat.shape[0]
@@ -405,10 +412,10 @@ def nphoton_collision_free_distribution(
         raise ValueError("input modes must be distinct")
     if any(not (0 <= m < mat.shape[1]) for m in inputs):
         raise DimensionError("input mode out of range")
+    if not (1 <= len(inputs) <= PERMANENT_MAX_ORDER):
+        raise DimensionError(f"need 1 to {PERMANENT_MAX_ORDER} photons, got {len(inputs)}")
     if len(inputs) > n_out:
         raise DimensionError("more photons than output modes for collision-free patterns")
     patterns = list(itertools.combinations(range(n_out), len(inputs)))
-    probs = np.array(
-        [abs(permanent(mat[np.ix_(pattern, inputs)])) ** 2 for pattern in patterns]
-    )
-    return ProbabilityDistribution.from_values(patterns, probs)
+    amplitudes = _permanents(mat[np.array(patterns)[:, :, None], inputs])
+    return ProbabilityDistribution.from_values(patterns, np.abs(amplitudes) ** 2)

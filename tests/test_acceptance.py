@@ -67,7 +67,8 @@ def test_mesh_round_trip_200_haar_within_1e_9_and_10_modulators():
 
 def test_permanent_agrees_with_permutation_sum_and_handles_16_modes_fast():
     # 500 random matrices up to 5x5 against the brute-force permutation
-    # sum, relative error <= 1e-12; then one 16x16 in under a second
+    # sum, relative error <= 1e-12; then one 16x16 and one 20x20, each in
+    # under a second
     rng = np.random.default_rng(17)
     for _ in range(500):
         n = int(rng.integers(1, 6))
@@ -83,6 +84,14 @@ def test_permanent_agrees_with_permutation_sum_and_handles_16_modes_fast():
     got = permanent(scipy.linalg.block_diag(*blocks))
     elapsed = time.perf_counter() - start
     assert abs(got - want) <= 1e-9 * abs(want)
+    assert elapsed < 1.0
+    # n = 20, the largest order, from five 4x4 blocks: relative error <= 1e-10
+    blocks.append(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    want = np.prod([permanent_by_permutation_sum(b) for b in blocks])
+    start = time.perf_counter()
+    got = permanent(scipy.linalg.block_diag(*blocks))
+    elapsed = time.perf_counter() - start
+    assert abs(got - want) <= 1e-10 * abs(want)
     assert elapsed < 1.0
 
 

@@ -465,6 +465,21 @@ def test_poisson_fringe_fit_is_unbiased(tmp_path):
     assert abs(np.mean(pulls)) < 1.0
 
 
+@pytest.mark.parametrize("mean_counts", [1e14, 1e15, 1e17, 9e18])
+def test_poisson_fringe_fits_clean_high_count_data(tmp_path, mean_counts):
+    # The amplitude column of the weighted Jacobian shrinks as 1/sqrt(counts)
+    # while V's grows as sqrt(counts); their ratio alone must not fail the fit.
+    x = 0.945
+    cfg = write_config(
+        tmp_path,
+        "fringe.json",
+        {"schema_version": 1, "experiment": "hom-fringe", "overlap": x,
+         "poisson_mean_counts": mean_counts, "seed": 1},
+    )
+    assert run(["hom-fringe", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert abs(read_json(tmp_path / "out" / "fit.json")["visibility"] - x) <= 1e-6
+
+
 def _tables(elements):
     """(header, table) with 2-5 named columns and 1-12 rows of ``elements``."""
     return st.lists(

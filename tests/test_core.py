@@ -14,10 +14,11 @@ from lnoisim import (
     is_subunitary,
     is_unitary,
     matrix_distance,
+    nphoton_collision_free_distribution,
     permanent,
     statistical_fidelity,
 )
-from lnoisim.core import _levenberg_marquardt
+from lnoisim.core import _levenberg_marquardt, _permanents
 from oracles import least_squares_by_minpack, permanent_by_permutation_sum
 
 
@@ -51,6 +52,54 @@ def test_permanent_rejects_bad_shapes():
         permanent(np.ones((0, 0)))
     with pytest.raises(DimensionError):
         permanent(np.ones((21, 21)))
+    # the n-photon distribution has the same bounds on its photon number
+    with pytest.raises(DimensionError):
+        nphoton_collision_free_distribution(np.eye(3), [])
+    with pytest.raises(DimensionError):
+        nphoton_collision_free_distribution(np.eye(22), range(21))
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_permanent_symmetries(n, seed):
+    """perm(PAQ) = perm(A), perm(DA) = prod(d) perm(A) and perm(A^T) = perm(A)."""
+    rng = np.random.default_rng(seed)
+    a = _complex_normal(rng, (n, n))
+    d = _complex_normal(rng, n)
+    p, q = np.eye(n)[rng.permutation(n)], np.eye(n)[rng.permutation(n)]
+    want = permanent(a)
+    for got, expected in [
+        (permanent(p @ a @ q), want),
+        (permanent(np.diag(d) @ a), np.prod(d) * want),
+        (permanent(a.T), want),
+    ]:
+        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.lists(st.integers(1, 4), max_size=2), st.integers(0, 2**32 - 1))
+def test_permanents_of_a_stack_match_the_permutation_sum(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    a = _complex_normal(rng, (*batch, n, n))
+    got = _permanents(a)
+    assert got.shape == tuple(batch)
+    for index in np.ndindex(*batch):
+        want = permanent_by_permutation_sum(a[index])
+        assert abs(got[index] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_permanents_of_a_large_stack_split_the_signs():
+    # 20,000 x 2^k <= 2^16 leaves one tabulated sign and three looped ones
+    rng = np.random.default_rng(23)
+    a = _complex_normal(rng, (20_000, 5, 5))
+    got = _permanents(a)
+    for index in rng.choice(len(a), size=25, replace=False):
+        want = permanent_by_permutation_sum(a[index])
+        assert abs(got[index] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_haar_random_unitary_is_unitary_and_seeded():
