@@ -47,6 +47,9 @@ __all__ = [
 #: Reported in place of an unbounded extinction ratio (perfectly balanced couplers).
 EXTINCTION_CAP_DB = 300.0
 
+#: Most sweeps of the slot recurrence worth running before one slot at a time is cheaper.
+_MAX_SWEEPS = 16
+
 
 @dataclass(frozen=True)
 class PhaseShifterParams:
@@ -197,12 +200,23 @@ def mzi_transfer(m: MZIParams, phase_rad: float | np.ndarray) -> np.ndarray:
     ``e^{i phase} (c_out[:, 0] x c_in[0, :]) + c_out[:, 1] x c_in[1, :]``.
     Insertion loss scales amplitudes by 10^(-insertion_loss_db / 20).
     """
+    entries = _mzi_columns(m, phase_rad, slice(None))
+    # C order, so that each 2x2 block multiplies as a plain matrix.
+    return np.ascontiguousarray(entries.transpose(*range(2, entries.ndim), 0, 1))
+
+
+def _mzi_columns(m: MZIParams, phase_rad: float | np.ndarray, inputs: slice) -> np.ndarray:
+    """The ``inputs`` columns of :func:`mzi_transfer`, entry first: shape (2, k) + S.
+
+    Each entry is one pass over all the phases.
+    """
     c_in = coupler_matrix(m.coupler_in)
     c_out = coupler_matrix(m.coupler_out)
-    upper = np.outer(c_out[:, 0], c_in[0, :])
-    lower = np.outer(c_out[:, 1], c_in[1, :])
     rotation = np.exp(1j * np.asarray(phase_rad, dtype=float))
-    return 10.0 ** (-m.insertion_loss_db / 20.0) * (np.multiply.outer(rotation, upper) + lower)
+    per_phase = (...,) + (np.newaxis,) * rotation.ndim
+    upper = np.outer(c_out[:, 0], c_in[0, inputs])[per_phase]
+    lower = np.outer(c_out[:, 1], c_in[1, inputs])[per_phase]
+    return 10.0 ** (-m.insertion_loss_db / 20.0) * (rotation * upper + lower)
 
 
 def extinction_ratio_db(m: MZIParams) -> float:
@@ -296,8 +310,16 @@ def eom_slot_response(
         y[j S + m] = v_j + r^m d_j,
         d_j = (1 - g) (v_{j-1} - v_j) + r^S d_{j-1},   d_0 = 0,
 
-    where ``d_0 = 0`` is the first level held forever.  The recurrence
-    costs one step per slot.
+    where ``d_0 = 0`` is the first level held forever.  Writing ``c_j``
+    for the step term and ``q = r^S``, numpy sweeps
+    ``d <- c + q shift(d)`` over all slots until the array stops
+    changing.  A fixed point rounds every step as the sequential
+    recurrence does, and only one sequence with ``d_0 = 0`` does that, so
+    by induction on j it is that recurrence, bit for bit.  Sweep k
+    settles at least slots 0 .. k, and an offset in d_{j-k} reaches d_j
+    as q^k, so the sweeps stop about when q^k underflows.  When that
+    takes more than ``_MAX_SWEEPS`` sweeps, ``|q|`` is too close to one
+    and the recurrence runs one slot at a time; q alone picks the path.
 
     Raises:
         AliasingError: when ``sample_rate_ghz <= 2 * f_3db_ghz``.
@@ -321,11 +343,25 @@ def eom_slot_response(
     b, a = _tustin_coefficients(p.f_3db_ghz, sample_rate_ghz)
     g, r = float(b[0]), -float(a[1])
     q = r**samples_per_slot
-    steps = ((1.0 - g) * (v[:-1] - v[1:])).tolist()
-    d = np.fromiter(accumulate(steps, lambda prev, c: c + q * prev, initial=0.0), float, v.size)
-    # A float power of a negative base is slow; photons share few offsets m.
-    offsets, which = np.unique(m, return_inverse=True)
-    return v[slot] + (r**offsets)[which] * d[slot]
+    steps = (1.0 - g) * (v[:-1] - v[1:])
+    if abs(q) ** _MAX_SWEEPS > 0.0:  # long memory
+        d = np.fromiter(
+            accumulate(steps.tolist(), lambda prev, c: c + q * prev, initial=0.0), float, v.size
+        )
+    else:
+        d = np.concatenate([[0.0], steps])
+        # Sweep v.size - 1 settles every slot, whatever the input.
+        for _ in range(v.size - 1):
+            swept = steps + q * d[:-1]
+            if np.array_equal(swept.view(np.int64), d[1:].view(np.int64)):
+                break
+            d[1:] = swept
+    # A float power of a negative base is slow; a slot has only S offsets.
+    if samples_per_slot < m.size:
+        decay = (r ** np.arange(samples_per_slot))[m]
+    else:
+        decay = r**m
+    return v[slot] + decay * d[slot]
 
 
 def eom_step_response(

@@ -43,6 +43,9 @@ __all__ = [
 
 MESH_SCHEMA_VERSION = 1
 
+#: The keys a cell may carry in a mesh configuration.
+_CELL_KEYS = frozenset({"modes", "theta", "phi"})
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -132,10 +135,14 @@ class MeshConfig:
         version = data.get("schema_version")
         if version != MESH_SCHEMA_VERSION:
             raise ValueError(f"unsupported mesh schema_version {version!r}")
-        cells = tuple(
-            MeshCell(tuple(entry["modes"]), float(entry["theta"]), float(entry.get("phi", 0.0)))
-            for entry in data["cells"]
-        )
+        cells = []
+        for entry in data["cells"]:
+            modes = tuple(entry["modes"])
+            cell = MeshCell(modes, float(entry["theta"]), float(entry.get("phi", 0.0)))
+            unknown = sorted(set(entry) - _CELL_KEYS)
+            if unknown:
+                raise ValueError(f"cell {cell.modes} has unknown keys {unknown}")
+            cells.append(cell)
         return cls(int(data["n_modes"]), cells, np.asarray(data["output_phases"], dtype=float))
 
 

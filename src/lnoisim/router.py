@@ -24,6 +24,7 @@ import numpy as np
 from .components import (
     MZIParams,
     PhaseShifterParams,
+    _mzi_columns,
     eom_slot_response,
     mzi_transfer,
     phase_from_voltage,
@@ -321,9 +322,14 @@ def simulate_demux(
         )
 
     phases = _switch_phases(tree, program, times) + np.array(errors)[:, None]
-    m0, m1, m2 = (mzi_transfer(cell, ph) for cell, ph in zip(tree, phases))
-    upper, lower = m0[:, :1, 0], m0[:, 1:, 0]
-    amplitudes = np.concatenate([m1[:, :, 0] * upper, m2[:, :, 0] * lower], axis=1)
+    # The photon enters port 0 of every cell, so only column 0 is needed;
+    # each is (2, n), one row per output port of the cell.
+    first, pair01, pair23 = (
+        _mzi_columns(cell, ph, slice(0, 1))[:, 0] for cell, ph in zip(tree, phases)
+    )
+    amplitudes = np.empty((times.size, N_OUTPUTS), dtype=complex)
+    np.multiply(pair01, first[0], out=amplitudes[:, :2].T)
+    np.multiply(pair23, first[1], out=amplitudes[:, 2:].T)
     return TimeTrace(times, np.abs(amplitudes) ** 2, period, frame)
 
 
@@ -365,16 +371,20 @@ def switch_metrics(
         raise ValueError(f"assignment must cover slots 0..{SLOTS_PER_FRAME - 1}")
     if any(not (0 <= v < N_OUTPUTS) for v in chosen.values()):
         raise ValueError("assigned outputs out of range")
+    if trace.n_events == 0:
+        raise DimensionError("trace holds no events")
     if trace.n_events % SLOTS_PER_FRAME:
         raise DimensionError("trace length must be a whole number of frames")
 
     totals = trace.outputs.sum(axis=1)
     if np.any(totals <= 0):
         raise ValueError("trace contains events with zero total probability")
-    slots = np.arange(trace.n_events) % SLOTS_PER_FRAME
-    columns = np.array([chosen[s] for s in range(SLOTS_PER_FRAME)])[slots]
-    fractions = trace.outputs[np.arange(trace.n_events), columns] / totals
-    per_slot = tuple(float(np.mean(fractions[slots == s])) for s in range(SLOTS_PER_FRAME))
+    # Row f, column s: the event in slot s of frame f.
+    frames = trace.outputs.reshape(-1, SLOTS_PER_FRAME, N_OUTPUTS)
+    slots = np.arange(SLOTS_PER_FRAME)
+    columns = [chosen[s] for s in range(SLOTS_PER_FRAME)]
+    fractions = frames[:, slots, columns] / totals.reshape(-1, SLOTS_PER_FRAME)
+    per_slot = tuple(float(np.mean(fractions[:, s])) for s in range(SLOTS_PER_FRAME))
     p = float(np.mean(fractions))
     residual = 1.0 - p
     suppression = 10.0 * math.log10(residual) if residual > 0 else -math.inf

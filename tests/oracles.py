@@ -170,6 +170,41 @@ def tustin_lowpass_by_sample_loop(drive, f_3db_ghz, sample_rate_ghz):
     return np.array(y)
 
 
+def slot_response_by_accumulate(levels, samples_per_slot, f_3db_ghz, sample_rate_ghz, indices):
+    """Slot-rate shifter filter at the given grid samples, one slot at a time.
+
+    The drive holds ``levels[j]`` for samples ``j S .. j S + S - 1``.  With
+    the Tustin coefficients of :func:`tustin_lowpass_by_sample_loop`, the
+    response at sample ``j S + m`` is ``v_j + r^m d_j``, where ``d_0 = 0``
+    and ``d_j = (1 - g) (v_{j-1} - v_j) + r^S d_{j-1}`` runs sequentially
+    in Python floats, one ``accumulate`` step per slot.
+    """
+    v = np.asarray(levels, dtype=float)
+    lam = math.tan(math.pi * f_3db_ghz / sample_rate_ghz)
+    g = lam / (1.0 + lam)
+    r = (1.0 - lam) / (1.0 + lam)
+    q = r**samples_per_slot
+    steps = ((1.0 - g) * (v[:-1] - v[1:])).tolist()
+    d = np.array(list(itertools.accumulate(steps, lambda prev, c: c + q * prev, initial=0.0)))
+    slot, m = np.divmod(np.asarray(indices), samples_per_slot)
+    return v[slot] + r**m * d[slot]
+
+
+def switch_fractions_by_event_loop(outputs, assignment):
+    """(average, per-slot averages) of each event's share in its assigned output.
+
+    Event k sits in slot k mod 4 and is routed to ``assignment[k % 4]``;
+    its share is that output's probability over the event's total, and
+    the sums run one event at a time.
+    """
+    totals = [0.0] * 4
+    counts = [0] * 4
+    for k, row in enumerate(np.asarray(outputs, dtype=float).tolist()):
+        totals[k % 4] += row[assignment[k % 4]] / sum(row)
+        counts[k % 4] += 1
+    return sum(totals) / sum(counts), [t / c for t, c in zip(totals, counts)]
+
+
 def fringe_model(phase, amplitude, visibility, scale, offset):
     """A (1 - V + (1 + V) cos^2(s phase + d)) / 2, the fitted HOM fringe."""
     shifted = scale * np.asarray(phase) + offset

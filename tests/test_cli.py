@@ -650,6 +650,25 @@ def test_mesh_without_schema_version_is_a_config_error(tmp_path, capsys, argv, e
     )
 
 
+@pytest.mark.parametrize(
+    "argv, extra",
+    [(["mesh", "compose"], {}), (["distribution"], {"input_modes": [0, 1]})],
+)
+def test_unknown_mesh_cell_key_is_a_config_error(tmp_path, capsys, argv, extra):
+    cell = {"modes": [0, 1], "theta": 0.3, "phii": 1.2}
+    mesh = {"schema_version": 1, "n_modes": 2, "cells": [cell], "output_phases": [0.0, 0.0]}
+    payload = {"schema_version": 1, "experiment": "-".join(argv), "mesh": mesh, **extra}
+    cfg = write_config(tmp_path, "mesh.json", payload)
+    _assert_config_error_twice(
+        tmp_path, capsys, argv, cfg, "field 'mesh': cell (0, 1) has unknown keys ['phii']"
+    )
+    # phi may still be left out.
+    del cell["phii"]
+    cfg = write_config(tmp_path, "mesh.json", payload)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    assert run([*argv, "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+
+
 def test_statistics_without_pairs_is_a_config_error(tmp_path, capsys):
     payload = {
         "schema_version": 1,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,6 +19,7 @@ from lnoisim import (
     coupler_matrix,
     eom_response,
     eom_s21_db,
+    eom_slot_response,
     eom_step_response,
     estimate_mzi_loss_from_demux,
     extinction_ratio_db,
@@ -35,6 +36,7 @@ from oracles import (
     first_order_lowpass_gain_db,
     first_order_step,
     mzi_by_matmul,
+    slot_response_by_accumulate,
     tustin_lowpass_by_lfilter,
     tustin_lowpass_by_sample_loop,
     tustin_step_by_lfilter,
@@ -239,6 +241,38 @@ def test_eom_response_matches_sample_loop_and_lfilter(drive, fs, band):
     assert np.max(np.abs(got - tustin_lowpass_by_sample_loop(drive, p.f_3db_ghz, fs))) <= 1e-13
     if band is not None:
         assert np.max(np.abs(got - tustin_lowpass_by_lfilter(drive, p.f_3db_ghz, fs))) <= 1e-13
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    # Drive levels are often exactly 0 or V_pi: after a step to 0 V the
+    # output is r^m d_j itself, so every bit of d_j shows.
+    st.lists(st.sampled_from([0.0, 4.5]) | st.floats(-10.0, 10.0), min_size=1, max_size=400),
+    st.integers(1, 40),
+    st.integers(1, 256),
+    st.floats(0.5, 50.0),
+    # log10 of the band over fs: anywhere, or near fs / 4, where r = 0.
+    st.one_of(st.floats(-6.0, math.log10(0.495)), st.floats(math.log10(0.15), math.log10(0.35))),
+    st.data(),
+)
+@example([4.5, 4.5, 0.0, 0.0] * 100, 1, 256, 256 / 13.8, math.log10(6.5 * 13.8 / 256), None)
+@example([4.5, 0.0] * 200, 1, 2, 2 / 13.8, -6.0, None)
+@example([4.5, 0.0], 30, 64, 10.0, math.log10(0.2), None)
+@example([1.0, -2.0, 3.0], 30, 1, 10.0, math.log10(0.25), None)
+@example([1.0, -2.0, 3.0], 30, 1, 10.0, math.log10(0.3), None)
+def test_slot_response_is_the_sequential_recurrence(levels, run, per_slot, fs, log_band, data):
+    # Long constant runs give long stretches of zero steps, where a sweep
+    # settles one slot at a time; a tiny band gives q = r^S next to one.
+    v = np.repeat(levels, run)
+    n_samples = v.size * per_slot
+    if data is None:
+        idx = np.arange(n_samples)
+    else:
+        draw = data.draw(st.lists(st.integers(0, n_samples - 1), max_size=3 * per_slot + 9))
+        idx = np.array(draw, dtype=np.intp)
+    p = PhaseShifterParams(f_3db_ghz=10.0**log_band * fs)
+    got = eom_slot_response(p, v, per_slot, fs, idx)
+    assert np.array_equal(got, slot_response_by_accumulate(v, per_slot, p.f_3db_ghz, fs, idx))
 
 
 @settings(deadline=None, max_examples=100)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lnoisim import (
     AliasingError,
@@ -26,7 +27,12 @@ from lnoisim import (
     switch_metrics,
 )
 from lnoisim.cli import _csv_bytes, _dump_json
-from oracles import demux_by_photon_loop, mzi_by_matmul, tustin_lowpass_by_sample_loop
+from oracles import (
+    demux_by_photon_loop,
+    mzi_by_matmul,
+    switch_fractions_by_event_loop,
+    tustin_lowpass_by_sample_loop,
+)
 
 WIDE = PhaseShifterParams(f_3db_ghz=math.inf)
 
@@ -180,6 +186,30 @@ def test_metrics_validation():
         switch_metrics(trace, {0: 0, 1: 1, 2: 2, 3: 9})
     custom = switch_metrics(trace, {0: 1, 1: 0, 2: 3, 3: 2})
     assert custom.average_probability == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 60),
+    st.one_of(st.permutations(range(4)), st.lists(st.integers(0, 3), min_size=4, max_size=4)),
+    st.data(),
+)
+def test_switch_metrics_match_event_loop(n_frames, outputs_of_slots, data):
+    outputs = data.draw(hnp.arrays(float, (4 * n_frames, 4), elements=st.floats(1e-3, 1.0)))
+    trace = TimeTrace((np.arange(4 * n_frames) + 0.5) * 13.8, outputs, 13.8, 55.2)
+    assignment = dict(enumerate(outputs_of_slots))
+    got = switch_metrics(trace, assignment)
+    average, per_slot = switch_fractions_by_event_loop(outputs, assignment)
+    assert got.n_frames == n_frames
+    assert got.average_probability == pytest.approx(average, rel=1e-12)
+    assert got.per_slot_probability == pytest.approx(per_slot, rel=1e-12)
+    assert 10.0 ** (got.suppression_db / 10.0) == pytest.approx(1.0 - average, abs=1e-12)
+
+
+def test_switch_metrics_reject_an_empty_trace():
+    trace = TimeTrace(np.empty(0), np.empty((0, 4)), 13.8, 55.2)
+    with pytest.raises(DimensionError):
+        switch_metrics(trace)
 
 
 def test_trace_csv_round_trip(tmp_path):
