@@ -267,6 +267,8 @@ def _fringe_model(phase, amplitude, visibility, scale, offset):
 _FRINGE_LOWER = np.array([0.0, 0.0, 0.2, -math.pi])
 _FRINGE_UPPER = np.array([np.inf, 1.2, 5.0, math.pi])
 _FRINGE_MAX_NFEV = 20000
+#: Below this smallest singular value the covariance is taken on unit-norm columns.
+_FRINGE_TINY_SV = 1e-140
 
 
 def _fringe_start(phases, counts, weights) -> np.ndarray:
@@ -344,7 +346,16 @@ def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float,
         unit_sv = np.linalg.svd(fit.jacobian / np.where(norms > 0, norms, 1.0), compute_uv=False)
         if unit_sv[-1] <= rank_tol * unit_sv[0]:
             raise FitError("fringe fit covariance is singular; data cannot constrain V")
-    variance = float(np.sum((vt[:, 1] / sv) ** 2)) * fit.cost / (phases.size - 4)
+    if sv[-1] >= _FRINGE_TINY_SV:
+        variance = float(np.sum((vt[:, 1] / sv) ** 2)) * fit.cost / (phases.size - 4)
+    else:
+        # Counts near the float floor: sv^-2 would overflow.  On unit-norm
+        # columns, var(V) = (sqrt(cost) / |J_V|)^2 sum((vt_n[:, 1] / sv_n)^2),
+        # where sqrt(cost) and |J_V| both scale with the counts.
+        norms = np.linalg.norm(fit.jacobian, axis=0)
+        _, unit_sv, unit_vt = np.linalg.svd(fit.jacobian / norms, full_matrices=False)
+        spread = math.sqrt(fit.cost) / norms[1]
+        variance = float(np.sum((unit_vt[:, 1] / unit_sv) ** 2)) * spread**2 / (phases.size - 4)
     return float(fit.x[1]), math.sqrt(variance), fit.x
 
 
