@@ -6,6 +6,14 @@ version, the config digest, the seed, and a sha256 digest per artifact.  Nothing
 time-dependent is written, so a rerun with the same config and seed is
 byte-identical.
 
+A run writes in commit order: it first removes ``manifest.json`` and every
+artifact it is about to write, then writes each artifact, then the
+manifest.  Each file is written to a temp file and renamed onto its free
+name, so it appears whole or not at all, and whenever ``manifest.json``
+exists every digest in it matches the file on disk.  A directory without
+``manifest.json`` holds an incomplete run.  Nothing is fsynced: after a
+power loss an artifact may be empty, and its manifest digest shows it.
+
 Exit codes: 0 on success, 1 on a runtime failure (solver did not converge,
 file missing, ...), 2 when the config fails validation.  Validation
 collects every diagnostic before exiting so a bad config round-trips in
@@ -65,6 +73,11 @@ MANIFEST_SCHEMA_VERSION = 1
 #: 100,000 frames take about 0.3 GB and write a 37 MB trace.csv.
 MAX_N_FRAMES = 100_000
 
+#: The most grid samples per ``demux`` slot: the drive grid indexes its
+#: 4 * n_frames * samples_per_slot samples with int64, and this keeps that
+#: count within int64 for every n_frames up to MAX_N_FRAMES.
+MAX_SAMPLES_PER_SLOT = int(np.iinfo(np.int64).max) // (SLOTS_PER_FRAME * MAX_N_FRAMES)
+
 #: The longest ``hom-fringe`` sweep, for the same reason as MAX_N_FRAMES.
 MAX_N_POINTS = 100_000
 
@@ -118,6 +131,18 @@ def _csv_bytes(header, columns) -> bytes:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to a fresh temp file beside ``path`` and rename it there.
+
+    ``path`` then appears whole or not at all.  ``_execute`` removes the
+    manifest and every artifact of the run before the first call, writes
+    the artifacts, and writes ``manifest.json`` last, so a directory without
+    one holds an incomplete run.  Every rename thus lands on a free name:
+    a rename onto an existing file makes ext4 (``auto_da_alloc``) start
+    writing the new file back inside the rename, and a file the next rerun
+    removes is otherwise usually never written to disk at all.  Nothing is
+    fsynced, so after a power loss a file may be empty; the manifest
+    digest of an artifact shows it.
+    """
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -262,7 +287,7 @@ def _parse_demux(cfg, seed, diags):
     if "f_3db_ghz" in cfg:
         f_3db = _optional_number(cfg, diags, "f_3db_ghz", minimum=1e-9)
         f_3db = math.inf if f_3db is None else f_3db
-    per_slot = _integer(cfg, diags, "samples_per_slot", minimum=2)
+    per_slot = _integer(cfg, diags, "samples_per_slot", minimum=2, maximum=MAX_SAMPLES_PER_SLOT)
     er = _optional_number(cfg, diags, "extinction_db", minimum=0.1)
     leak = _optional_number(cfg, diags, "bar_leakage", minimum=0.0, maximum=0.499)
     loss = _number(cfg, diags, "insertion_loss_db", minimum=0.0)
@@ -611,6 +636,10 @@ def _execute(experiment: str, args) -> int:
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # The manifest goes first and comes back last, so it never lists a
+    # digest that the file beside it does not have.
+    for name in ["manifest.json", *outputs]:
+        (outdir / name).unlink(missing_ok=True)
     digests = {}
     for name, data in outputs.items():
         _atomic_write(outdir / name, data)

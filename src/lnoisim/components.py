@@ -330,6 +330,8 @@ def eom_slot_response(
     if samples_per_slot < 1:
         raise ValueError("samples_per_slot must be at least 1")
     idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        raise DimensionError(f"sample indices must be integers, got dtype {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= v.size * samples_per_slot):
         raise DimensionError("sample indices lie outside the drive")
     slot, m = np.divmod(idx, samples_per_slot)

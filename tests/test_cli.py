@@ -20,9 +20,11 @@ from lnoisim import (
     matrix_distance,
     synthesize_statistics,
 )
+from lnoisim import cli
 from lnoisim.cli import (
     MAX_N_FRAMES,
     MAX_N_POINTS,
+    MAX_SAMPLES_PER_SLOT,
     _csv_bytes,
     build_parser,
     main,
@@ -171,6 +173,69 @@ def test_reruns_are_byte_identical(tmp_path):
     assert names == sorted(p.name for p in dirs[1].iterdir())
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+_RERUN_CONFIGS = {
+    "demux": {"schema_version": 1, "experiment": "demux", "n_frames": 3},
+    "hom-fringe": {
+        "schema_version": 1, "experiment": "hom-fringe", "poisson_mean_counts": 800, "seed": 7,
+    },
+}
+
+
+def _populated(tmp_path, experiment):
+    """An output directory holding one run of ``experiment``, and its files' bytes."""
+    cfg = write_config(tmp_path, "cfg.json", _RERUN_CONFIGS[experiment])
+    out = tmp_path / "out"
+    assert run([experiment, "--config", cfg, "--output-dir", str(out)]) == 0
+    return cfg, out, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("experiment", sorted(_RERUN_CONFIGS))
+def test_rerun_into_a_populated_directory_renames_onto_free_names(
+    tmp_path, monkeypatch, experiment
+):
+    cfg, out, first = _populated(tmp_path, experiment)
+    replace = os.replace
+
+    def replace_onto_free_name(src, dst):
+        if os.path.lexists(dst):
+            raise FileExistsError(f"rename onto the existing file {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_onto_free_name)
+    assert run([experiment, "--config", cfg, "--output-dir", str(out)]) == 0
+    # Byte-identical, and no .<name>.* temp file left beside them.
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+@pytest.mark.parametrize("experiment", sorted(_RERUN_CONFIGS))
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch, capsys, experiment):
+    cfg, out, _ = _populated(tmp_path, experiment)
+    write = cli._atomic_write
+    calls = []
+
+    def fail_on_second_artifact(path, data):
+        calls.append(path.name)
+        if len(calls) == 2:
+            raise OSError(f"no space left for {path.name}")
+        write(path, data)
+
+    monkeypatch.setattr(cli, "_atomic_write", fail_on_second_artifact)
+    assert run([experiment, "--config", cfg, "--output-dir", str(out)]) == 1
+    assert "error: no space left for" in capsys.readouterr().err
+    assert calls[1] != "manifest.json"
+    assert not (out / "manifest.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == [calls[0]]
+
+
+def test_artifact_path_that_is_a_directory_is_an_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", _RERUN_CONFIGS["hom-fringe"])
+    out = tmp_path / "out"
+    (out / "fit.json").mkdir(parents=True)
+    assert run(["hom-fringe", "--config", cfg, "--output-dir", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["fit.json"]
 
 
 def test_poisson_fringe_requires_seed(tmp_path, capsys):
@@ -752,6 +817,10 @@ _REJECTED = {
     "hom-fringe-too-many-points": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "n_points": MAX_N_POINTS + 1,
     }, f"field 'n_points' must be <= {MAX_N_POINTS}"),
+    "demux-samples-past-int64": (["demux"], {
+        "schema_version": 1, "experiment": "demux", "n_frames": 2,
+        "samples_per_slot": 2 * 10**18,
+    }, f"field 'samples_per_slot' must be <= {MAX_SAMPLES_PER_SLOT}"),
 }
 
 

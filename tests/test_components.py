@@ -11,6 +11,7 @@ from lnoisim import (
     AliasingError,
     BandRangeError,
     CouplerParams,
+    DimensionError,
     GratingSpectrum,
     MZIParams,
     PhaseShifterParams,
@@ -273,6 +274,12 @@ def test_slot_response_is_the_sequential_recurrence(levels, run, per_slot, fs, l
     p = PhaseShifterParams(f_3db_ghz=10.0**log_band * fs)
     got = eom_slot_response(p, v, per_slot, fs, idx)
     assert np.array_equal(got, slot_response_by_accumulate(v, per_slot, p.f_3db_ghz, fs, idx))
+
+
+@pytest.mark.parametrize("indices", [np.array([]), np.array([0.5])], ids=["empty-float", "fraction"])
+def test_slot_response_rejects_non_integer_indices(indices):
+    with pytest.raises(DimensionError, match="sample indices must be integers"):
+        eom_slot_response(PhaseShifterParams(), [0.0, 4.5], 256, 18.5, indices)
 
 
 @settings(deadline=None, max_examples=100)
