@@ -8,191 +8,20 @@ time-domain demultiplexing of a photon train; loss budgeting; and transfer
 matrix reconstruction from measured statistics.
 """
 
-from .budget import BudgetEntry, LossBudget, sweep_wavelength
-from .components import (
-    EXTINCTION_CAP_DB,
-    CouplerParams,
-    GratingSpectrum,
-    MZIParams,
-    PhaseShifterParams,
-    WaveguideLossParams,
-    coupler_efficiency_from_loopback,
-    coupler_matrix,
-    eom_response,
-    eom_s21_db,
-    eom_slot_response,
-    eom_step_response,
-    estimate_mzi_loss_from_demux,
-    extinction_ratio_db,
-    imbalance_for_bar_leakage,
-    imbalance_for_extinction,
-    mzi_transfer,
-    phase_from_voltage,
-    s21_crossing_ghz,
-    voltage_for_phase,
-)
-from .core import (
-    PERMANENT_MAX_ORDER,
-    ProbabilityDistribution,
-    as_complex_matrix,
-    haar_random_unitary,
-    is_subunitary,
-    is_unitary,
-    matrix_distance,
-    permanent,
-    statistical_fidelity,
-)
-from .errors import (
-    AliasingError,
-    BandRangeError,
-    ComplianceError,
-    ConfigError,
-    ConvergenceError,
-    CoverageError,
-    DimensionError,
-    FitError,
-    GaugeError,
-    LnoisimError,
-    NormalizationError,
-    OutcomeMismatchError,
-    TimingError,
-    TopologyError,
-)
-from .mesh import (
-    MeshCell,
-    MeshConfig,
-    VoltageProgram,
-    all_bar_config,
-    all_cross_config,
-    clements_layout,
-    compose,
-    decompose,
-    gauge_input_phases,
-    modulator_layout,
-    phases_to_voltages,
-    wrap_phase,
-)
-from .photons import (
-    SourceModel,
-    TwoPhotonDistribution,
-    effective_pair_overlap,
-    fit_hom_visibility,
-    fit_hom_visibility_poisson,
-    fringe_contrast_from_overlap,
-    hom_fringe,
-    nphoton_collision_free_distribution,
-    single_photon_distribution,
-    two_photon_distribution,
-)
-from .reconstruct import (
-    MeasuredStatistics,
-    ReconstructionResult,
-    canonical_form,
-    canonical_phase_gauge,
-    reconstruct_unitary,
-    synthesize_statistics,
-)
-from .router import (
-    PulseProgram,
-    SwitchMetrics,
-    TimeTrace,
-    default_pulse_program,
-    demux_input_transmissions,
-    simulate_demux,
-    switch_metrics,
-)
+from . import budget, components, core, errors, mesh, photons, reconstruct, router
+from .budget import *
+from .components import *
+from .core import *
+from .errors import *
+from .mesh import *
+from .photons import *
+from .reconstruct import *
+from .router import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "PERMANENT_MAX_ORDER",
-    "ProbabilityDistribution",
-    "as_complex_matrix",
-    "haar_random_unitary",
-    "is_subunitary",
-    "is_unitary",
-    "matrix_distance",
-    "permanent",
-    "statistical_fidelity",
-    # components
-    "EXTINCTION_CAP_DB",
-    "CouplerParams",
-    "GratingSpectrum",
-    "MZIParams",
-    "PhaseShifterParams",
-    "WaveguideLossParams",
-    "coupler_efficiency_from_loopback",
-    "coupler_matrix",
-    "eom_response",
-    "eom_s21_db",
-    "eom_slot_response",
-    "eom_step_response",
-    "estimate_mzi_loss_from_demux",
-    "extinction_ratio_db",
-    "imbalance_for_bar_leakage",
-    "imbalance_for_extinction",
-    "mzi_transfer",
-    "phase_from_voltage",
-    "s21_crossing_ghz",
-    "voltage_for_phase",
-    # mesh
-    "MeshCell",
-    "MeshConfig",
-    "VoltageProgram",
-    "all_bar_config",
-    "all_cross_config",
-    "clements_layout",
-    "compose",
-    "decompose",
-    "gauge_input_phases",
-    "modulator_layout",
-    "phases_to_voltages",
-    "wrap_phase",
-    # photons
-    "SourceModel",
-    "TwoPhotonDistribution",
-    "effective_pair_overlap",
-    "fit_hom_visibility",
-    "fit_hom_visibility_poisson",
-    "fringe_contrast_from_overlap",
-    "hom_fringe",
-    "nphoton_collision_free_distribution",
-    "single_photon_distribution",
-    "two_photon_distribution",
-    # router
-    "PulseProgram",
-    "SwitchMetrics",
-    "TimeTrace",
-    "default_pulse_program",
-    "demux_input_transmissions",
-    "simulate_demux",
-    "switch_metrics",
-    # budget
-    "BudgetEntry",
-    "LossBudget",
-    "sweep_wavelength",
-    # reconstruct
-    "MeasuredStatistics",
-    "ReconstructionResult",
-    "canonical_form",
-    "canonical_phase_gauge",
-    "reconstruct_unitary",
-    "synthesize_statistics",
-    # errors
-    "AliasingError",
-    "BandRangeError",
-    "ComplianceError",
-    "ConfigError",
-    "ConvergenceError",
-    "CoverageError",
-    "DimensionError",
-    "FitError",
-    "GaugeError",
-    "LnoisimError",
-    "NormalizationError",
-    "OutcomeMismatchError",
-    "TimingError",
-    "TopologyError",
+__all__ = ["__version__"] + [
+    name
+    for module in (core, components, mesh, photons, router, budget, reconstruct, errors)
+    for name in module.__all__
 ]

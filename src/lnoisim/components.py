@@ -9,6 +9,8 @@ Conventions used throughout:
   couplers.  With ideal couplers the bar-port power transmission is
   ``sin^2(phase/2)``: zero phase is a full cross state, phase pi is bar.
 * Finite extinction comes from coupler imbalance, not phase error.
+* The phase shifter's bandwidth is one Tustin low-pass section prewarped
+  to its -3 dB corner, so its S21 and threshold crossings are closed forms.
 """
 
 from __future__ import annotations
@@ -23,17 +25,15 @@ import numpy as np
 from .errors import AliasingError, BandRangeError, DimensionError
 
 __all__ = [
+    "EXTINCTION_CAP_DB",
     "CouplerParams",
     "GratingSpectrum",
     "MZIParams",
     "PhaseShifterParams",
-    "WaveguideLossParams",
-    "coupler_efficiency_from_loopback",
     "coupler_matrix",
     "eom_response",
     "eom_s21_db",
     "eom_slot_response",
-    "eom_step_response",
     "estimate_mzi_loss_from_demux",
     "extinction_ratio_db",
     "imbalance_for_bar_leakage",
@@ -57,31 +57,22 @@ class PhaseShifterParams:
 
     Attributes:
         v_pi_volts: voltage producing a pi phase shift.
-        length_cm: electrode length; with v_pi gives the voltage-length product.
         phase_offset_rad: static phase at zero volts.
         f_3db_ghz: single-pole small-signal bandwidth; ``math.inf`` models an
             instantaneous shifter.
     """
 
     v_pi_volts: float = 4.5
-    length_cm: float = 0.125
     phase_offset_rad: float = 0.0
     f_3db_ghz: float = 6.5
 
     def __post_init__(self):
         if not (self.v_pi_volts > 0):
             raise ValueError(f"v_pi_volts must be positive, got {self.v_pi_volts}")
-        if not (self.length_cm > 0):
-            raise ValueError(f"length_cm must be positive, got {self.length_cm}")
         if not (self.f_3db_ghz > 0):
             raise ValueError(f"f_3db_ghz must be positive, got {self.f_3db_ghz}")
         if not math.isfinite(self.phase_offset_rad):
             raise ValueError("phase_offset_rad must be finite")
-
-    @property
-    def voltage_length_product(self) -> float:
-        """V*cm figure of merit for the electrode."""
-        return self.v_pi_volts * self.length_cm
 
 
 @dataclass(frozen=True)
@@ -147,22 +138,6 @@ class MZIParams:
             coupler_in=CouplerParams(imbalance=delta),
             insertion_loss_db=insertion_loss_db,
         )
-
-
-@dataclass(frozen=True)
-class WaveguideLossParams:
-    """Propagation loss expressed as dB/cm times a length."""
-
-    db_per_cm: float
-    length_cm: float
-
-    def __post_init__(self):
-        if self.db_per_cm < 0 or self.length_cm < 0:
-            raise ValueError("waveguide loss parameters must be non-negative")
-
-    @property
-    def loss_db(self) -> float:
-        return self.db_per_cm * self.length_cm
 
 
 def phase_from_voltage(p: PhaseShifterParams, volts: float | np.ndarray) -> float | np.ndarray:
@@ -258,12 +233,21 @@ def imbalance_for_extinction(er_db: float) -> float:
     return imbalance_for_bar_leakage(leakage)
 
 
-def _tustin_coefficients(f_3db_ghz: float, sample_rate_ghz: float) -> tuple[np.ndarray, np.ndarray]:
-    # Bilinear transform prewarped so the half-power point lands exactly at f_3db.
-    lam = math.tan(math.pi * f_3db_ghz / sample_rate_ghz)
-    b = np.array([lam / (1.0 + lam), lam / (1.0 + lam)])
-    a = np.array([1.0, (lam - 1.0) / (1.0 + lam)])
-    return b, a
+def _prewarped_corner(p: PhaseShifterParams, sample_rate_ghz: float) -> float:
+    """``tan(pi f_3db / fs)``, the corner of the shifter's Tustin section.
+
+    The bilinear transform is prewarped so that the half-power point lands
+    exactly at ``f_3db``.
+
+    Raises:
+        AliasingError: unless ``sample_rate_ghz > 2 * f_3db_ghz``.
+    """
+    if not sample_rate_ghz > 2.0 * p.f_3db_ghz:
+        raise AliasingError(
+            f"sample rate {sample_rate_ghz} GHz must exceed twice the bandwidth "
+            f"{p.f_3db_ghz} GHz"
+        )
+    return math.tan(math.pi * p.f_3db_ghz / sample_rate_ghz)
 
 
 def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz: float) -> np.ndarray:
@@ -337,13 +321,8 @@ def eom_slot_response(
     slot, m = np.divmod(idx, samples_per_slot)
     if not math.isfinite(p.f_3db_ghz):
         return v[slot]
-    if sample_rate_ghz <= 2.0 * p.f_3db_ghz:
-        raise AliasingError(
-            f"sample rate {sample_rate_ghz} GHz must exceed twice the bandwidth "
-            f"{p.f_3db_ghz} GHz"
-        )
-    b, a = _tustin_coefficients(p.f_3db_ghz, sample_rate_ghz)
-    g, r = float(b[0]), -float(a[1])
+    lam = _prewarped_corner(p, sample_rate_ghz)
+    g, r = lam / (1.0 + lam), (1.0 - lam) / (1.0 + lam)
     q = r**samples_per_slot
     steps = (1.0 - g) * (v[:-1] - v[1:])
     if abs(q) ** _MAX_SWEEPS > 0.0:  # long memory
@@ -366,143 +345,88 @@ def eom_slot_response(
     return v[slot] + decay * d[slot]
 
 
-def eom_step_response(
-    p: PhaseShifterParams, sample_rate_ghz: float, duration_ns: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit step into the shifter, with zero drive held before time zero.
-
-    Returns (time_ns, response); the response settles exponentially toward
-    one with time constant 1 / (2 pi f_3db).
-    """
-    n = int(round(duration_ns * sample_rate_ghz))
-    t = np.arange(n) / sample_rate_ghz
-    if not math.isfinite(p.f_3db_ghz):
-        return t, np.ones(n)
-    if sample_rate_ghz <= 2.0 * p.f_3db_ghz:
-        raise AliasingError("sample rate must exceed twice the bandwidth")
-    b, a = _tustin_coefficients(p.f_3db_ghz, sample_rate_ghz)
-    g, r = float(b[0]), -float(a[1])
-    # y[0] = g and the error y[n] - 1 shrinks by r per sample.
-    return t, 1.0 + (g - 1.0) * r ** np.arange(float(n))
-
-
-def _steady_state_gain(
-    p: PhaseShifterParams, freq_ghz: float, sample_rate_ghz: float
-) -> float:
-    """Amplitude gain for a sinusoid, measured from a time-domain run."""
-    tau_ns = 1.0 / (2.0 * math.pi * p.f_3db_ghz)
-    settle_ns = 12.0 * tau_ns
-    measure_periods = 40
-    duration_ns = settle_ns + measure_periods / freq_ghz
-    n = int(math.ceil(duration_ns * sample_rate_ghz)) + 1
-    t = np.arange(n) / sample_rate_ghz
-    x = np.sin(2.0 * math.pi * freq_ghz * t)
-    y = eom_response(p, x, sample_rate_ghz)
-    keep = t >= settle_ns
-    ts, ys = t[keep], y[keep]
-    design = np.column_stack(
-        [np.sin(2.0 * math.pi * freq_ghz * ts), np.cos(2.0 * math.pi * freq_ghz * ts), np.ones_like(ts)]
-    )
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return float(np.hypot(coef[0], coef[1]))
-
-
 def eom_s21_db(
     p: PhaseShifterParams, freqs_ghz: Iterable[float], sample_rate_ghz: float
 ) -> np.ndarray:
     """Small-signal power response (dB, 0 dB at DC) at the given frequencies.
 
-    Each point is measured by driving the simulated shifter with a sinusoid
-    and fitting the steady-state output amplitude.
+    The shifter's prewarped Tustin section has the exact magnitude response
+    ``|H|^2 = 1 / (1 + (tan(pi f / fs) / tan(pi f_3db / fs))^2)`` for
+    ``0 < f < fs / 2`` (Oppenheim & Schafer, Discrete-Time Signal
+    Processing, section 7.1).  An instantaneous shifter passes every
+    frequency at 0 dB.
+
+    Raises:
+        AliasingError: when ``sample_rate_ghz <= 2 * f_3db_ghz``.
+        ValueError: for a frequency outside (0, fs / 2).
     """
-    out = []
-    for f in freqs_ghz:
-        if f <= 0:
-            raise ValueError("probe frequencies must be positive")
-        out.append(20.0 * math.log10(_steady_state_gain(p, f, sample_rate_ghz)))
-    return np.array(out)
+    f = np.fromiter(freqs_ghz, dtype=float)
+    if not np.all((f > 0.0) & (f < sample_rate_ghz / 2.0)):
+        raise ValueError(f"probe frequencies must lie in (0, {sample_rate_ghz / 2.0}) GHz")
+    if math.isinf(p.f_3db_ghz):
+        return np.zeros(f.size)
+    ratio = np.tan(np.pi * f / sample_rate_ghz) / _prewarped_corner(p, sample_rate_ghz)
+    return -10.0 * np.log10(1.0 + ratio**2)
 
 
 def s21_crossing_ghz(
-    p: PhaseShifterParams,
-    threshold_db: float = -3.0,
-    sample_rate_ghz: float | None = None,
-    n_points: int = 41,
+    p: PhaseShifterParams, threshold_db: float = -3.0, sample_rate_ghz: float | None = None
 ) -> float:
-    """Frequency where the simulated S21 magnitude crosses ``threshold_db``.
+    """Frequency where the shifter's S21 (:func:`eom_s21_db`) crosses ``threshold_db``.
 
-    Scans a geometric grid bracketing the nominal bandwidth and linearly
-    interpolates the crossing in log-frequency.
+    Inverting the magnitude response gives
+    ``f = (fs / pi) atan(tan(pi f_3db / fs) sqrt(10^(-threshold / 10) - 1))``.
+    ``sample_rate_ghz`` defaults to 24 f_3db.
+
+    Raises:
+        AliasingError: when ``sample_rate_ghz <= 2 * f_3db_ghz``.
+        ValueError: for a threshold that is not negative, or an
+            instantaneous shifter, whose S21 never falls.
     """
+    if not threshold_db < 0.0:
+        raise ValueError(f"threshold_db must be negative, got {threshold_db}")
+    if math.isinf(p.f_3db_ghz):
+        raise ValueError("an instantaneous shifter's S21 crosses no threshold")
     fs = sample_rate_ghz if sample_rate_ghz is not None else 24.0 * p.f_3db_ghz
-    freqs = np.geomspace(p.f_3db_ghz / 4.0, min(p.f_3db_ghz * 4.0, fs / 2.2), n_points)
-    s21 = eom_s21_db(p, freqs, fs)
-    below = np.nonzero(s21 <= threshold_db)[0]
-    if below.size == 0 or below[0] == 0:
-        raise ValueError("threshold not bracketed by the scan grid")
-    hi = below[0]
-    lo = hi - 1
-    logf = np.log(freqs)
-    frac = (threshold_db - s21[lo]) / (s21[hi] - s21[lo])
-    return float(np.exp(logf[lo] + frac * (logf[hi] - logf[lo])))
+    corner = _prewarped_corner(p, fs)
+    # With u = -threshold ln(10) / 20, sqrt(10^(-threshold / 10) - 1) is
+    # e^u sqrt(1 - e^(-2u)); atan2 takes the e^u as a divisor, so a
+    # threshold of any depth gives a crossing in (0, fs / 2] without overflow.
+    u = -threshold_db * math.log(10.0) / 20.0
+    return fs / math.pi * math.atan2(corner * math.sqrt(-math.expm1(-2.0 * u)), math.exp(-u))
 
 
 @dataclass(frozen=True)
 class GratingSpectrum:
-    """Grating coupler efficiency versus wavelength.
+    """Grating coupler efficiency versus wavelength: a parabola in dB around the peak.
 
-    Either a parabola in dB around the peak (``samples`` is None) or a
-    measured curve interpolated linearly in dB.  Wavelengths outside
-    ``band_nm`` raise :class:`BandRangeError`.
+    The efficiency falls by 1 dB at ``bandwidth_1db_nm / 2`` from
+    ``center_wavelength_nm``.  Wavelengths outside ``band_nm`` raise
+    :class:`BandRangeError`.
     """
 
     center_wavelength_nm: float = 930.0
     peak_efficiency_db: float = -3.4
     bandwidth_1db_nm: float = 12.0
     band_nm: tuple[float, float] = (905.0, 955.0)
-    samples: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
+        lo, hi = self.band_nm
+        for name, value in (
+            ("center_wavelength_nm", self.center_wavelength_nm),
+            ("peak_efficiency_db", self.peak_efficiency_db),
+            ("bandwidth_1db_nm", self.bandwidth_1db_nm),
+            ("band_nm", lo),
+            ("band_nm", hi),
+        ):
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.peak_efficiency_db > 0:
             raise ValueError("peak_efficiency_db cannot exceed 0 dB")
         if self.bandwidth_1db_nm <= 0:
             raise ValueError("bandwidth_1db_nm must be positive")
-        lo, hi = self.band_nm
         if not (lo < self.center_wavelength_nm < hi):
             raise ValueError("center wavelength must sit inside the band")
-        if self.samples is not None:
-            wl, db = (np.asarray(v, dtype=float) for v in self.samples)
-            if wl.ndim != 1 or wl.shape != db.shape or wl.size < 2:
-                raise DimensionError("sampled spectrum needs matching 1-d arrays")
-            order = np.argsort(wl)
-            object.__setattr__(self, "samples", (wl[order], db[order]))
-
-    @classmethod
-    def from_csv(cls, path) -> "GratingSpectrum":
-        """Load a sampled spectrum from comma-separated (wavelength_nm, efficiency_db).
-
-        A header line is required; the band is the sampled range and the
-        peak is taken from the data.
-        """
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            try:
-                float(first.split(",")[0])
-            except ValueError:
-                pass
-            else:
-                raise ValueError(f"{path}: missing header line")
-            data = np.loadtxt(fh, delimiter=",")
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise DimensionError(f"{path}: expected two columns")
-        wl, db = data[:, 0], data[:, 1]
-        peak_idx = int(np.argmax(db))
-        return cls(
-            center_wavelength_nm=float(wl[peak_idx]),
-            peak_efficiency_db=float(db[peak_idx]),
-            band_nm=(float(wl.min()), float(wl.max())),
-            samples=(wl, db),
-        )
 
     def efficiency_db(self, wavelength_nm: float) -> float:
         lo, hi = self.band_nm
@@ -510,31 +434,12 @@ class GratingSpectrum:
             raise BandRangeError(
                 f"wavelength {wavelength_nm} nm outside modeled band [{lo}, {hi}] nm"
             )
-        if self.samples is not None:
-            wl, db = self.samples
-            return float(np.interp(wavelength_nm, wl, db))
         detune = (wavelength_nm - self.center_wavelength_nm) / (self.bandwidth_1db_nm / 2.0)
         return self.peak_efficiency_db - detune * detune
 
     def efficiency(self, wavelength_nm: float) -> float:
         """Linear power efficiency at the given wavelength."""
         return 10.0 ** (self.efficiency_db(wavelength_nm) / 10.0)
-
-
-def coupler_efficiency_from_loopback(
-    total_transmission_db: float, waveguide_loss_db: float = 0.0
-) -> float:
-    """Per-coupler efficiency from a two-coupler loopback measurement.
-
-    The loopback passes two nominally identical couplers plus a known
-    stretch of waveguide; after adding the waveguide loss back, the
-    remainder splits evenly: (total_db + waveguide_loss_db) / 2.
-    """
-    if total_transmission_db > 0:
-        raise ValueError("loopback transmission must be expressed as dB <= 0")
-    if waveguide_loss_db < 0:
-        raise ValueError("waveguide_loss_db is a positive magnitude")
-    return (total_transmission_db + waveguide_loss_db) / 2.0
 
 
 def estimate_mzi_loss_from_demux(

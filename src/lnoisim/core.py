@@ -15,10 +15,10 @@ import numpy as np
 from .errors import DimensionError, NormalizationError, OutcomeMismatchError
 
 __all__ = [
+    "PERMANENT_MAX_ORDER",
     "ProbabilityDistribution",
     "as_complex_matrix",
     "haar_random_unitary",
-    "is_subunitary",
     "is_unitary",
     "matrix_distance",
     "permanent",
@@ -52,19 +52,6 @@ def is_unitary(m: object, tol: float = 1e-10) -> bool:
         return False
     gram = arr.conj().T @ arr
     return bool(np.max(np.abs(gram - np.eye(arr.shape[0]))) <= tol)
-
-
-def is_subunitary(m: object, tol: float = 1e-10) -> bool:
-    """Whether every singular value of ``m`` is at most 1 + ``tol``.
-
-    Sub-unitary matrices describe lossy but passive circuits: no output
-    power can exceed the corresponding input power.
-    """
-    arr = as_complex_matrix(m)
-    if arr.size == 0:
-        return True
-    smax = np.linalg.svd(arr, compute_uv=False)[0]
-    return bool(smax <= 1.0 + tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,13 +278,6 @@ class ProbabilityDistribution:
         except ValueError as exc:
             raise OutcomeMismatchError(f"unknown outcome {outcome!r}") from exc
         return float(self.probabilities[idx])
-
-    def renormalized(self) -> "ProbabilityDistribution":
-        """Rescale weights to unit total; errors on an all-zero distribution."""
-        total = self.total
-        if total <= 0.0:
-            raise NormalizationError("cannot renormalize a zero-mass distribution")
-        return ProbabilityDistribution(self.outcomes, self.probabilities / total, normalized=True)
 
 
 def statistical_fidelity(p: ProbabilityDistribution, q: ProbabilityDistribution) -> float:

@@ -5,6 +5,23 @@ bad-input conditions uniformly, while tests and the CLI can discriminate
 the precise failure mode.
 """
 
+__all__ = [
+    "AliasingError",
+    "BandRangeError",
+    "ComplianceError",
+    "ConfigError",
+    "ConvergenceError",
+    "CoverageError",
+    "DimensionError",
+    "FitError",
+    "GaugeError",
+    "LnoisimError",
+    "NormalizationError",
+    "OutcomeMismatchError",
+    "TimingError",
+    "TopologyError",
+]
+
 
 class LnoisimError(Exception):
     """Base class for every error raised by this package."""

@@ -31,7 +31,6 @@ __all__ = [
     "MeshCell",
     "MeshConfig",
     "VoltageProgram",
-    "all_bar_config",
     "all_cross_config",
     "clements_layout",
     "compose",
@@ -39,6 +38,7 @@ __all__ = [
     "gauge_input_phases",
     "modulator_layout",
     "phases_to_voltages",
+    "wrap_phase",
 ]
 
 MESH_SCHEMA_VERSION = 1
@@ -294,12 +294,6 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
     cells = tuple(right_cells + converted)
     config = MeshConfig(n, cells, np.angle(diag_phases))
     return config.canonicalized()
-
-
-def all_bar_config(n: int) -> MeshConfig:
-    """Every cell in the bar state (theta = pi, phi = 0), zero output phases."""
-    cells = tuple(MeshCell(pair, math.pi, 0.0) for pair in clements_layout(n))
-    return MeshConfig(n, cells, np.zeros(n))
 
 
 def all_cross_config(n: int) -> MeshConfig:

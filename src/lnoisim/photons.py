@@ -24,7 +24,6 @@ from .errors import DimensionError, FitError
 __all__ = [
     "SourceModel",
     "TwoPhotonDistribution",
-    "effective_pair_overlap",
     "fit_hom_visibility",
     "fit_hom_visibility_poisson",
     "fringe_contrast_from_overlap",
@@ -59,22 +58,6 @@ class SourceModel:
             raise ValueError("indistinguishability must lie in [0, 1]")
         if not (0.0 <= self.g2_zero < 1.0):
             raise ValueError("g2_zero must lie in [0, 1)")
-
-    @property
-    def repetition_rate_mhz(self) -> float:
-        return 1e3 / self.repetition_period_ns
-
-    @property
-    def two_photon_emission_probability(self) -> float:
-        """Per-pulse accidental pair probability, g2(0) / 2."""
-        return self.g2_zero / 2.0
-
-
-def effective_pair_overlap(source: SourceModel, chip_penalty: float = 1.0) -> float:
-    """Pairwise overlap after an extra on-chip distinguishability penalty."""
-    if not (0.0 <= chip_penalty <= 1.0):
-        raise ValueError("chip_penalty must lie in [0, 1]")
-    return source.indistinguishability * chip_penalty
 
 
 def single_photon_distribution(t: object, input_mode: int) -> ProbabilityDistribution:
@@ -234,7 +217,7 @@ def hom_fringe(
         phases_rad: internal phases to evaluate.
         overlap: pairwise indistinguishability ``x``.
         accidental_floor: phase-independent background added to every
-            point, e.g. ``SourceModel.two_photon_emission_probability``;
+            point, e.g. the source's pair probability ``g2_zero / 2``;
             zero (disabled) by default.
     """
     if accidental_floor < 0:
@@ -267,8 +250,6 @@ def _fringe_model(phase, amplitude, visibility, scale, offset):
 _FRINGE_LOWER = np.array([0.0, 0.0, 0.2, -math.pi])
 _FRINGE_UPPER = np.array([np.inf, 1.2, 5.0, math.pi])
 _FRINGE_MAX_NFEV = 20000
-#: Below this smallest singular value the covariance is taken on unit-norm columns.
-_FRINGE_TINY_SV = 1e-140
 
 
 def _fringe_start(phases, counts, weights) -> np.ndarray:
@@ -293,6 +274,11 @@ def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float,
     A >= 0, 0 <= V <= 1.2, 0.2 <= s <= 5, |d| <= pi, started from ``p0``
     or else from :func:`_fringe_start`.  The covariance is
     ``(J^T W J)^-1 chi^2 / (N - 4)``.
+
+    The fit runs on ``counts / max(counts)`` with weights over their
+    largest one.  V, s, d and V's standard error do not depend on either
+    scale, and A is scaled back, so counts and sigma of any magnitude fit
+    alike, with Jacobian columns of comparable size.
     """
     phases = np.asarray(phases_rad, dtype=float)
     counts = np.asarray(coincidences, dtype=float)
@@ -307,13 +293,14 @@ def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float,
     top = float(counts.max())
     if top <= 0:
         raise FitError("coincidence data has no positive values")
+    counts = counts / top
     if sigma is None:
         weights = np.ones_like(counts)
     else:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != counts.shape or not np.all((sigma > 0) & np.isfinite(sigma)):
             raise FitError("sigma must hold one finite positive value per point")
-        weights = 1.0 / sigma
+        weights = sigma.min() / sigma
 
     def fun_and_jac(p):
         amplitude, visibility, scale, offset = p
@@ -330,7 +317,8 @@ def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float,
 
         return residuals, jac
 
-    start = _fringe_start(phases, counts, weights) if p0 is None else p0
+    units = np.array([top, 1.0, 1.0, 1.0])  # A in units of the largest count
+    start = _fringe_start(phases, counts, weights) if p0 is None else np.asarray(p0) / units
     fit = _levenberg_marquardt(
         fun_and_jac, start, _FRINGE_LOWER, _FRINGE_UPPER, max_nfev=_FRINGE_MAX_NFEV
     )
@@ -338,25 +326,10 @@ def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float,
         raise FitError(f"fringe fit did not converge in {fit.nfev} evaluations")
     # With the weighted Jacobian J = U diag(sv) vt, (J^T W J)^-1 = vt^T diag(sv^-2) vt.
     _, sv, vt = np.linalg.svd(fit.jacobian, full_matrices=False)
-    rank_tol = np.finfo(float).eps * max(fit.jacobian.shape)
-    if sv[-1] <= rank_tol * sv[0]:
-        # A's column scales as 1/sqrt(counts) and V's as sqrt(counts): judge
-        # the rank again on unit-norm columns.  A zero column still fails.
-        norms = np.linalg.norm(fit.jacobian, axis=0)
-        unit_sv = np.linalg.svd(fit.jacobian / np.where(norms > 0, norms, 1.0), compute_uv=False)
-        if unit_sv[-1] <= rank_tol * unit_sv[0]:
-            raise FitError("fringe fit covariance is singular; data cannot constrain V")
-    if sv[-1] >= _FRINGE_TINY_SV:
-        variance = float(np.sum((vt[:, 1] / sv) ** 2)) * fit.cost / (phases.size - 4)
-    else:
-        # Counts near the float floor: sv^-2 would overflow.  On unit-norm
-        # columns, var(V) = (sqrt(cost) / |J_V|)^2 sum((vt_n[:, 1] / sv_n)^2),
-        # where sqrt(cost) and |J_V| both scale with the counts.
-        norms = np.linalg.norm(fit.jacobian, axis=0)
-        _, unit_sv, unit_vt = np.linalg.svd(fit.jacobian / norms, full_matrices=False)
-        spread = math.sqrt(fit.cost) / norms[1]
-        variance = float(np.sum((unit_vt[:, 1] / unit_sv) ** 2)) * spread**2 / (phases.size - 4)
-    return float(fit.x[1]), math.sqrt(variance), fit.x
+    if sv[-1] <= np.finfo(float).eps * max(fit.jacobian.shape) * sv[0]:
+        raise FitError("fringe fit covariance is singular; data cannot constrain V")
+    variance = float(np.sum((vt[:, 1] / sv) ** 2)) * fit.cost / (phases.size - 4)
+    return float(fit.x[1]), math.sqrt(variance), fit.x * units
 
 
 def fit_hom_visibility(

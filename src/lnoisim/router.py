@@ -252,17 +252,6 @@ class TimeTrace:
     def n_events(self) -> int:
         return int(self.times_ns.size)
 
-    @classmethod
-    def load_csv(cls, path, repetition_period_ns: float | None = None) -> "TimeTrace":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != N_OUTPUTS + 1:
-            raise DimensionError(f"expected {N_OUTPUTS + 1} columns in {path}")
-        times = data[:, 0]
-        period = repetition_period_ns
-        if period is None:
-            period = float(times[1] - times[0]) if times.size > 1 else 1.0
-        return cls(times, data[:, 1:], period, SLOTS_PER_FRAME * period)
-
 
 def _switch_phases(
     tree: Sequence[MZIParams], program: PulseProgram, photon_times: np.ndarray

@@ -244,6 +244,42 @@ def tustin_lowpass_by_lfilter(drive, f_3db_ghz, sample_rate_ghz):
     return lfilter(b, a, x, zi=lfilter_zi(b, a) * x[0])[0]
 
 
+def s21_db_by_sine_fit(f_3db_ghz, freq_ghz, sample_rate_ghz):
+    """Power response in dB of :func:`tustin_lowpass_by_lfilter`, measured in time.
+
+    A unit sine runs through the filter for 12 time constants
+    1 / (2 pi f_3db) to settle plus 40 periods; the amplitude of the
+    settled output comes from a least-squares fit of sin, cos and a
+    constant.
+    """
+    settle_ns = 12.0 / (2.0 * math.pi * f_3db_ghz)
+    n = int(math.ceil((settle_ns + 40.0 / freq_ghz) * sample_rate_ghz)) + 1
+    t = np.arange(n) / sample_rate_ghz
+    y = tustin_lowpass_by_lfilter(np.sin(2.0 * math.pi * freq_ghz * t), f_3db_ghz, sample_rate_ghz)
+    keep = t >= settle_ns
+    ts = t[keep]
+    design = np.column_stack(
+        [np.sin(2.0 * math.pi * freq_ghz * ts), np.cos(2.0 * math.pi * freq_ghz * ts), np.ones_like(ts)]
+    )
+    coef = np.linalg.lstsq(design, y[keep], rcond=None)[0]
+    return 20.0 * math.log10(math.hypot(coef[0], coef[1]))
+
+
+def s21_crossing_by_scan(f_3db_ghz, threshold_db, sample_rate_ghz, n_points=41):
+    """Where :func:`s21_db_by_sine_fit` crosses ``threshold_db``, from a scan.
+
+    The scan is geometric over [f_3db / 4, min(4 f_3db, fs / 2.2)]; the
+    crossing is interpolated linearly in log-frequency between the two
+    points that bracket it.
+    """
+    freqs = np.geomspace(f_3db_ghz / 4.0, min(4.0 * f_3db_ghz, sample_rate_ghz / 2.2), n_points)
+    s21 = np.array([s21_db_by_sine_fit(f_3db_ghz, f, sample_rate_ghz) for f in freqs])
+    hi = int(np.argmax(s21 <= threshold_db))
+    assert 0 < hi and s21[hi] <= threshold_db, "threshold not bracketed by the scan"
+    frac = (threshold_db - s21[hi - 1]) / (s21[hi] - s21[hi - 1])
+    return math.exp(math.log(freqs[hi - 1]) + frac * math.log(freqs[hi] / freqs[hi - 1]))
+
+
 def tustin_step_by_lfilter(n_samples, f_3db_ghz, sample_rate_ghz):
     """Unit step through the same filter with zero drive before it, by lfilter."""
     from scipy.signal import lfilter

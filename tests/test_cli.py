@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lnoisim
 from lnoisim import (
     compose,
     decompose,
@@ -625,7 +626,6 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         "if m.startswith('scipy') and mod is not None); "
         "print(loaded()); "
         f"print([lnoisim.cli.main(argv) for argv in {runs!r}]); "
-        "lnoisim.eom_step_response(lnoisim.PhaseShifterParams(), 40.0, 1.0); "
         "lnoisim.eom_response(lnoisim.PhaseShifterParams(), [0.0, 1.0, 1.0], 40.0); "
         "print(loaded()); "
         "program = lnoisim.default_pulse_program(n_frames=1000); "
@@ -636,6 +636,16 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert proc.stdout.splitlines() == [
         "[]", "[0, 0, 0, 0, 0, 0, 0]", "[]", "[('A', 4000), ('B', 4000)]"
     ]
+
+
+def test_package_exports_each_submodule_list_once():
+    modules = (lnoisim.budget, lnoisim.components, lnoisim.core, lnoisim.errors, lnoisim.mesh,
+               lnoisim.photons, lnoisim.reconstruct, lnoisim.router)
+    names = ["__version__"] + [name for module in modules for name in module.__all__]
+    assert sorted(lnoisim.__all__) == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in lnoisim.__all__:
+        assert hasattr(lnoisim, name), name
 
 
 def test_console_script_runs(tmp_path):
@@ -771,6 +781,12 @@ def _statistics_without_pair(pair):
 
 _IDENTITY_2 = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
+
+def _budget_with_grating(**grating):
+    sweep = {"wavelengths_nm": [930.0], "coupler_labels": ["coupler_in"], "grating": grating}
+    return {**_BUDGET, "sweep": sweep}
+
+
 # Configs the run rejects, each with the one diagnostic `validate` must print too.
 _REJECTED = {
     "wavelength-outside-band": (["loss-budget"], {
@@ -821,6 +837,17 @@ _REJECTED = {
         "schema_version": 1, "experiment": "demux", "n_frames": 2,
         "samples_per_slot": 2 * 10**18,
     }, f"field 'samples_per_slot' must be <= {MAX_SAMPLES_PER_SLOT}"),
+    "grating-nan-peak": (["loss-budget"], _budget_with_grating(peak_efficiency_db=math.nan),
+                         "sweep.grating: peak_efficiency_db must be a finite number, got nan"),
+    "grating-infinite-bandwidth": (["loss-budget"], _budget_with_grating(bandwidth_1db_nm=math.inf),
+                                   "sweep.grating: bandwidth_1db_nm must be a finite number, got inf"),
+    "grating-infinite-band-edge": (["loss-budget"], _budget_with_grating(band_nm=[905.0, math.inf]),
+                                   "sweep.grating: band_nm must be a finite number, got inf"),
+    "grating-bool-bandwidth": (["loss-budget"], _budget_with_grating(bandwidth_1db_nm=True),
+                               "sweep.grating: bandwidth_1db_nm must be a finite number, got True"),
+    "grating-samples": (["loss-budget"], _budget_with_grating(samples=[[910, 940], [-4, 3]]),
+                        "sweep.grating: GratingSpectrum.__init__() got an unexpected keyword "
+                        "argument 'samples'"),
 }
 
 

@@ -16,14 +16,12 @@ from lnoisim import (
     MZIParams,
     PhaseShifterParams,
     TopologyError,
-    all_bar_config,
     all_cross_config,
     clements_layout,
     compose,
     decompose,
     gauge_input_phases,
     haar_random_unitary,
-    is_subunitary,
     is_unitary,
     matrix_distance,
     modulator_layout,
@@ -64,7 +62,8 @@ def test_cell_validation():
 
 
 def test_all_bar_is_diagonal_and_all_cross_reverses():
-    bar = compose(all_bar_config(4))
+    cells = [MeshCell(pair, math.pi) for pair in clements_layout(4)]
+    bar = compose(MeshConfig(4, cells, np.zeros(4)))
     assert np.allclose(np.abs(bar), np.eye(4), atol=1e-12)
     cross = compose(all_cross_config(4))
     assert np.allclose(np.abs(cross), np.eye(4)[::-1], atol=1e-12)
@@ -114,7 +113,7 @@ def test_compose_with_real_cells_loss_makes_subunitary():
     cfg = decompose(u)
     lossy = MZIParams(insertion_loss_db=0.3)
     m = compose(cfg, lossy)
-    assert is_subunitary(m)
+    assert np.linalg.svd(m, compute_uv=False)[0] <= 1.0 + 1e-10
     assert not is_unitary(m, tol=1e-6)
     # per-column power deficit bounded by the deepest path (4 cells)
     col_power = np.sum(np.abs(m) ** 2, axis=0)
@@ -132,7 +131,7 @@ def test_compose_with_leaky_cells_stays_unitary():
 
 
 def test_compose_rejects_per_cell_params():
-    cfg = all_bar_config(4)
+    cfg = all_cross_config(4)
     with pytest.raises(TypeError):
         compose(cfg, [MZIParams.ideal() for _ in cfg.cells])
 
@@ -151,7 +150,7 @@ def test_config_json_round_trip():
 
 
 def test_config_json_rejects_unknown_schema(tmp_path):
-    cfg = all_bar_config(4)
+    cfg = all_cross_config(4)
     data = cfg.to_json_dict()
     data["schema_version"] = 99
     with pytest.raises(ValueError):
@@ -161,7 +160,7 @@ def test_config_json_rejects_unknown_schema(tmp_path):
 def test_modulator_count_matches_hardware():
     """Four modes drive ten modulators: one internal phase per cell plus an
     external phase wherever the cell's top input is fed by an earlier cell."""
-    cfg = all_bar_config(4)
+    cfg = all_cross_config(4)
     layout = modulator_layout(cfg)
     internal = [k for k, (_, role) in layout.items() if role == "internal"]
     external = [k for k, (_, role) in layout.items() if role == "external"]
@@ -176,7 +175,7 @@ def test_modulator_count_matches_hardware():
 def test_modulator_count_other_sizes():
     # n(n-1) phases minus floor(n/2) input-facing ones
     for n in (2, 3, 4, 5, 6):
-        cfg = all_bar_config(n)
+        cfg = all_cross_config(n)
         assert cfg.phase_count == n * (n - 1) - n // 2
 
 

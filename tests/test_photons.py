@@ -13,7 +13,6 @@ from lnoisim import (
     MZIParams,
     SourceModel,
     TwoPhotonDistribution,
-    effective_pair_overlap,
     fit_hom_visibility,
     fit_hom_visibility_poisson,
     fringe_contrast_from_overlap,
@@ -39,21 +38,12 @@ from oracles import (
 def test_source_model_derived_quantities():
     src = SourceModel()
     assert src.repetition_period_ns == 13.8
-    assert src.repetition_rate_mhz == pytest.approx(1e3 / 13.8)
     assert src.indistinguishability == 0.945
-    assert src.two_photon_emission_probability == pytest.approx(0.0025)
+    assert src.g2_zero == 0.005
     with pytest.raises(ValueError):
         SourceModel(indistinguishability=1.2)
     with pytest.raises(ValueError):
         SourceModel(g2_zero=-0.1)
-
-
-def test_effective_pair_overlap():
-    src = SourceModel(indistinguishability=0.945)
-    assert effective_pair_overlap(src) == pytest.approx(0.945)
-    assert effective_pair_overlap(src, chip_penalty=0.98) == pytest.approx(0.945 * 0.98)
-    with pytest.raises(ValueError):
-        effective_pair_overlap(src, chip_penalty=1.5)
 
 
 def test_single_photon_distribution():
@@ -252,6 +242,23 @@ def test_fringe_fit_matches_curve_fit(x, extinction_db, scale, offset, n_points,
     v_ref, err_ref, _ = fringe_fit_by_curve_fit(nominal, counts, sigma)
     assert abs(v - v_ref) <= 1e-6
     assert abs(err - err_ref) <= 1e-4 * err_ref
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(-300, 300), st.one_of(st.none(), st.integers(-300, 300)))
+@example(-200, None)
+@example(300, 300)
+def test_fringe_fit_is_scale_free(k, j):
+    # Counts scaled by 10^k, and sigma (if any) by 10^j, give the same V and
+    # standard error: both are ratios in which the scales cancel.
+    phases = np.linspace(0.0, 2 * math.pi, 21)
+    probs = hom_fringe(MZIParams.ideal(), phases, 0.8)
+    counts = np.random.default_rng(7).poisson(500 * probs).astype(float)
+    sigma = None if j is None else np.sqrt(np.maximum(counts, 1.0))
+    v, err = fit_hom_visibility(phases, counts, sigma)
+    v_k, err_k = fit_hom_visibility(phases, counts * 10.0**k, None if j is None else sigma * 10.0**j)
+    assert v_k == pytest.approx(v, rel=1e-12)
+    assert err_k == pytest.approx(err, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=200)
