@@ -160,7 +160,8 @@ def clements_layout(n: int) -> list[tuple[int, int]]:
 
 
 def _ideal_cell_matrix(theta: float, phi: float) -> np.ndarray:
-    # Equal to mzi_transfer(ideal, theta) @ diag(e^{i phi}, 1).
+    # Equal to mzi_transfer(ideal, theta) @ diag(e^{i phi}, 1); decompose
+    # builds its cells one at a time, where this scalar form is fastest.
     half = 0.5 * theta
     s, c = math.sin(half), math.cos(half)
     pref = 1j * complex(math.cos(half), math.sin(half))
@@ -171,17 +172,18 @@ def _ideal_cell_matrix(theta: float, phi: float) -> np.ndarray:
 def _mesh_product(n, modes, thetas, phis, cell_params: MZIParams | None = None) -> np.ndarray:
     """Product of the cells in list order (first cell hits the input first).
 
-    Ideal cells use the closed form; physical cells come from one
-    ``mzi_transfer`` call, with ``e^{i phi}`` on each cell's upper input.
+    ``thetas`` and ``phis`` have shape ``(..., cells)`` and the result has
+    shape ``(..., n, n)``, one matrix per phase vector.  Every cell comes
+    from one ``mzi_transfer`` call (ideal cells when ``cell_params`` is
+    None), with ``e^{i phi}`` on each cell's upper input.
     """
-    if cell_params is None:
-        blocks = map(_ideal_cell_matrix, thetas, phis)
-    else:
-        blocks = mzi_transfer(cell_params, thetas)
-        blocks[:, :, 0] *= np.exp(1j * np.asarray(phis, dtype=float))[:, None]
-    u = np.eye(n, dtype=np.complex128)
-    for (i, j), block in zip(modes, blocks):
-        u[[i, j], :] = block @ u[[i, j], :]
+    thetas = np.asarray(thetas, dtype=float)
+    blocks = mzi_transfer(cell_params or MZIParams(), thetas)
+    blocks[..., 0] *= np.exp(1j * np.asarray(phis, dtype=float))[..., None]
+    u = np.broadcast_to(np.eye(n, dtype=np.complex128), thetas.shape[:-1] + (n, n)).copy()
+    # MeshCell guarantees j = i + 1, so rows i : i + 2 are the cell's pair.
+    for c, (i, _) in enumerate(modes):
+        u[..., i : i + 2, :] = blocks[..., c, :, :] @ u[..., i : i + 2, :]
     return u
 
 
@@ -199,38 +201,18 @@ def compose(config: MeshConfig, cell_params: MZIParams | None = None) -> np.ndar
     """
     if cell_params is not None and not isinstance(cell_params, MZIParams):
         raise TypeError(f"cell_params must be MZIParams or None, got {type(cell_params).__name__}")
-    cells = config.cells
-    u = _mesh_product(
-        config.n_modes,
-        [cell.modes for cell in cells],
-        [cell.theta for cell in cells],
-        [cell.phi for cell in cells],
-        cell_params,
-    )
-    u *= np.exp(1j * config.output_phases)[:, None]
-    return u
+    modes, thetas, phis = zip(*((cell.modes, cell.theta, cell.phi) for cell in config.cells))
+    u = _mesh_product(config.n_modes, modes, thetas, phis, cell_params)
+    return u * np.exp(1j * config.output_phases)[:, None]
 
 
-def _null_with_right(u: np.ndarray, row: int, col: int) -> tuple[float, float]:
-    """Phases (theta, phi) so that u @ T(theta, phi)^{-1} on columns
-    (col, col+1) zeroes u[row, col]."""
-    a, b = u[row, col], u[row, col + 1]
-    if abs(a) < 1e-300:
+def _nulling_phases(num: complex, den: complex) -> tuple[float, float]:
+    """Phases (theta, phi) of the cell that nulls an element, from the ratio
+    ``num / den`` of the two entries it mixes."""
+    if abs(den) < 1e-300:
         # Element already null (or the cell must go full bar); bar is canonical.
         return math.pi, 0.0
-    ratio = -b / a
-    theta = 2.0 * math.atan(abs(ratio))
-    phi = -np.angle(ratio) if ratio != 0 else 0.0
-    return theta, float(phi)
-
-
-def _null_with_left(u: np.ndarray, row: int, col: int) -> tuple[float, float]:
-    """Phases (theta, phi) so that T(theta, phi) @ u on rows (row-1, row)
-    zeroes u[row, col]."""
-    a, b = u[row - 1, col], u[row, col]
-    if abs(b) < 1e-300:
-        return math.pi, 0.0
-    ratio = a / b
+    ratio = num / den
     theta = 2.0 * math.atan(abs(ratio))
     phi = -np.angle(ratio) if ratio != 0 else 0.0
     return theta, float(phi)
@@ -264,7 +246,8 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
         if diag % 2 == 1:
             for j in range(diag):
                 row, col = n - 1 - j, diag - 1 - j
-                theta, phi = _null_with_right(work, row, col)
+                # u @ T(theta, phi)^{-1} on columns (col, col + 1) zeroes u[row, col].
+                theta, phi = _nulling_phases(-work[row, col + 1], work[row, col])
                 tinv = _ideal_cell_matrix(theta, phi).conj().T
                 work[:, [col, col + 1]] = work[:, [col, col + 1]] @ tinv
                 work[row, col] = 0.0
@@ -272,7 +255,8 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
         else:
             for j in range(1, diag + 1):
                 row, col = n + j - diag - 1, j - 1
-                theta, phi = _null_with_left(work, row, col)
+                # T(theta, phi) @ u on rows (row - 1, row) zeroes u[row, col].
+                theta, phi = _nulling_phases(work[row - 1, col], work[row, col])
                 t = _ideal_cell_matrix(theta, phi)
                 work[[row - 1, row], :] = t @ work[[row - 1, row], :]
                 work[row, col] = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -90,9 +91,17 @@ class TwoPhotonDistribution:
     collision_free_only: bool = False
 
     def __post_init__(self):
+        patterns = tuple(tuple(p) for p in self.patterns)
+        for modes in (self.input_pair, *patterns):
+            if not all(isinstance(m, numbers.Integral) and not isinstance(m, bool) for m in modes):
+                raise ValueError(f"modes must be integers, got {list(modes)}")
         k, l = self.input_pair
         if k >= l:
             raise ValueError("input_pair must be distinct modes (k < l)")
+        if not all(0 <= i <= j for i, j in patterns):
+            raise ValueError("each pattern (i, j) must satisfy 0 <= i <= j")
+        if len(set(patterns)) < len(patterns):
+            raise ValueError("patterns must not repeat")
         probs = np.asarray(self.probabilities, dtype=float)
         if probs.shape != (len(self.patterns),):
             raise DimensionError("patterns and probabilities must align 1:1")
@@ -101,7 +110,7 @@ class TwoPhotonDistribution:
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "patterns", tuple(tuple(p) for p in self.patterns))
+        object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "input_pair", (int(k), int(l)))
 
     @property

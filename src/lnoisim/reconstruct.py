@@ -112,6 +112,8 @@ class MeasuredStatistics:
                 raise ValueError(
                     f"distribution stored under {key!r} was taken on pair {dist.input_pair}"
                 )
+            if any(j >= n for _, j in dist.patterns):
+                raise ValueError(f"pair {key!r} has an output pattern beyond mode {n - 1}")
             pairs[(k, l)] = dist
         object.__setattr__(self, "pairs", pairs)
 
@@ -131,10 +133,10 @@ class MeasuredStatistics:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeasuredStatistics":
-        pairs = {}
-        for entry in data["pairs"]:
-            dist = TwoPhotonDistribution.from_json_dict(entry)
-            pairs[dist.input_pair] = dist
+        dists = [TwoPhotonDistribution.from_json_dict(entry) for entry in data["pairs"]]
+        pairs = {dist.input_pair: dist for dist in dists}
+        if len(pairs) < len(dists):
+            raise ValueError("input pairs must not repeat")
         return cls(np.asarray(data["singles"], dtype=float), pairs)
 
 
@@ -185,6 +187,40 @@ class ReconstructionResult:
 _DIFF_STEP = math.sqrt(np.finfo(float).eps)
 
 
+def _fit_model(measured: MeasuredStatistics, overlap: float):
+    """``fun_and_jac`` of the fit: residuals of phase stacks ``(..., 2 cells)``
+    (internal phases, then external) and their forward difference, every
+    column from one stacked call."""
+    n = measured.n_modes
+    layout = clements_layout(n)
+    half = len(layout)
+    iu, ju = np.triu_indices(n, k=1)
+    pair_keys = sorted(measured.pairs)
+    k, l = np.array(pair_keys).T[..., None]
+    outputs = list(zip(iu.tolist(), ju.tolist()))
+    pair_data = [measured.pairs[key].probability(ij) for key in pair_keys for ij in outputs]
+    data = np.concatenate([measured.singles.ravel(), pair_data])
+    x = float(overlap)
+
+    def residuals(phases: np.ndarray) -> np.ndarray:
+        u = _mesh_product(n, layout, phases[..., :half], phases[..., half:])
+        pairs = _coincidence(u[..., iu, k] * u[..., ju, l], u[..., ju, k] * u[..., iu, l], x)
+        flat = u.shape[:-2] + (-1,)
+        return np.concatenate([(np.abs(u) ** 2).reshape(flat), pairs.reshape(flat)], -1) - data
+
+    def residuals_and_jac(phases: np.ndarray):
+        r = residuals(phases)
+
+        def forward_difference() -> np.ndarray:
+            # Each column is divided by the step actually taken.
+            shifted = phases + np.diag(_DIFF_STEP * np.maximum(1.0, np.abs(phases)))
+            return ((residuals(shifted) - r) / (shifted.diagonal() - phases)[:, None]).T
+
+        return r, forward_difference
+
+    return residuals_and_jac
+
+
 def reconstruct_unitary(
     measured: MeasuredStatistics,
     seed: int,
@@ -230,40 +266,8 @@ def reconstruct_unitary(
         raise ValueError("n_restarts must be at least 1")
     n = measured.n_modes
     layout = clements_layout(n)
-    iu, ju = np.triu_indices(n, k=1)
-    pair_keys = sorted(measured.pairs)
-    pair_data = [
-        np.array(
-            [measured.pairs[key].probability((int(i), int(j))) for i, j in zip(iu, ju)]
-        )
-        for key in pair_keys
-    ]
-    singles_data = measured.singles
-    x = float(overlap)
     half = len(layout)
-
-    def residuals(phases: np.ndarray) -> np.ndarray:
-        u = _mesh_product(n, layout, phases[:half], phases[half:])
-        parts = [(np.abs(u) ** 2 - singles_data).ravel()]
-        for (k, l), data in zip(pair_keys, pair_data):
-            amp = np.outer(u[:, k], u[:, l])
-            parts.append(_coincidence(amp[iu, ju], amp[ju, iu], x) - data)
-        return np.concatenate(parts)
-
-    def residuals_and_jac(phases: np.ndarray):
-        r = residuals(phases)
-
-        def forward_difference() -> np.ndarray:
-            steps = _DIFF_STEP * np.maximum(1.0, np.abs(phases))
-            jac = np.empty((r.size, phases.size))
-            for col, step in enumerate(steps):
-                shifted = phases.copy()
-                shifted[col] += step
-                jac[:, col] = (residuals(shifted) - r) / (shifted[col] - phases[col])
-            return jac
-
-        return r, forward_difference
-
+    residuals_and_jac = _fit_model(measured, overlap)
     rng = np.random.default_rng(seed)
     best_x = None
     best_cost = math.inf

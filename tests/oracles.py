@@ -300,3 +300,37 @@ def least_squares_by_minpack(fun, x0, jac="2-point"):
 
     fit = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
     return fit.x, 2.0 * fit.cost
+
+
+def reconstruction_residual_by_pair_loop(u, singles, pairs, x):
+    """Residual vector of the reconstruction fit for one matrix, one input pair at a time.
+
+    ``pairs`` maps each input pair (k, l) to its collision-free
+    probabilities in ``np.triu_indices`` order.  The residual is the
+    singles |u|^2 minus ``singles``, row-major, then for each input pair in
+    sorted order the pair probabilities x |a + b|^2 + (1 - x)(|a|^2 + |b|^2),
+    with a = u[i, k] u[j, l] and b = u[j, k] u[i, l], minus the data.
+    """
+    n = u.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    parts = [(np.abs(u) ** 2 - singles).ravel()]
+    for (k, l), data in sorted(pairs.items()):
+        amp = np.outer(u[:, k], u[:, l])
+        a, b = amp[iu, ju], amp[ju, iu]
+        parts.append(x * np.abs(a + b) ** 2 + (1.0 - x) * (np.abs(a) ** 2 + np.abs(b) ** 2) - data)
+    return np.concatenate(parts)
+
+
+def forward_difference_by_columns(fun, x, rel_step):
+    """Forward-difference Jacobian of ``fun`` at ``x``, one column at a time.
+
+    Column c steps x[c] by ``rel_step * max(1, |x[c]|)`` and divides by the
+    step actually taken, ``(x[c] + step) - x[c]``.
+    """
+    r = fun(x)
+    jac = np.empty((r.size, x.size))
+    for col in range(x.size):
+        shifted = x.copy()
+        shifted[col] += rel_step * max(1.0, abs(x[col]))
+        jac[:, col] = (fun(shifted) - r) / (shifted[col] - x[col])
+    return jac

@@ -779,6 +779,13 @@ def _statistics_without_pair(pair):
     return stats
 
 
+def _reconstruct_with_pairs(edit):
+    """A 3-mode reconstruct config whose list of pair statistics ``edit`` changes in place."""
+    stats = synthesize_statistics(haar_random_unitary(3, seed=5)).to_json_dict()
+    edit(stats["pairs"])
+    return {"schema_version": 1, "experiment": "reconstruct", "seed": 1, "statistics": stats}
+
+
 _IDENTITY_2 = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
 
@@ -813,6 +820,24 @@ _REJECTED = {
         "schema_version": 1, "experiment": "reconstruct", "seed": 0,
         "statistics": _statistics_without_pair((0, 2)),
     }, "field 'statistics': no two-photon data for input pairs [(0, 2)]"),
+    "statistics-pattern-beyond-last-mode": (["reconstruct"], _reconstruct_with_pairs(
+        lambda pairs: pairs[0]["outputs"][0].update(pattern=[7, 9])
+    ), "field 'statistics': pair (0, 1) has an output pattern beyond mode 2"),
+    "statistics-duplicate-pattern": (["reconstruct"], _reconstruct_with_pairs(
+        lambda pairs: pairs[0]["outputs"].append(dict(pairs[0]["outputs"][0]))
+    ), "field 'statistics': patterns must not repeat"),
+    "statistics-fractional-input": (["reconstruct"], _reconstruct_with_pairs(
+        lambda pairs: pairs[0].update(input=[0.5, 1.2])
+    ), "field 'statistics': modes must be integers, got [0.5, 1.2]"),
+    "statistics-duplicate-input-pair": (["reconstruct"], _reconstruct_with_pairs(
+        lambda pairs: pairs.append(pairs[0])
+    ), "field 'statistics': input pairs must not repeat"),
+    "statistics-reversed-pattern": (["reconstruct"], _reconstruct_with_pairs(
+        lambda pairs: pairs[0]["outputs"][0].update(pattern=[1, 0])
+    ), "field 'statistics': each pattern (i, j) must satisfy 0 <= i <= j"),
+    "statistics-fractional-pattern": (["reconstruct"], _reconstruct_with_pairs(
+        lambda pairs: pairs[0]["outputs"][0].update(pattern=[0.5, 1])
+    ), "field 'statistics': modes must be integers, got [0.5, 1]"),
     "poisson-fringe-without-seed": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "poisson_mean_counts": 500,
     }, "seed is required when poisson_mean_counts is set"),

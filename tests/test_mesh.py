@@ -30,6 +30,7 @@ from lnoisim import (
 )
 from lnoisim.cli import _dump_json
 from lnoisim.components import phase_from_voltage
+from lnoisim.mesh import _mesh_product
 from oracles import mesh_by_embedding
 
 
@@ -245,6 +246,35 @@ def test_compose_equals_direct_cell_product(n, d_in, d_out, loss_db, seed):
 
     u = haar_random_unitary(n, seed=seed)
     assert matrix_distance(compose(decompose(u)), u) < 1e-10
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(2, 8),
+    st.sampled_from([(), (3,), (2, 3)]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_mesh_product_equals_per_vector_calls(n, batch, lossy, seed):
+    """A stack of phase vectors composes, bit for bit, as one call per vector,
+    and each matrix is the direct cell product."""
+    rng = np.random.default_rng(seed)
+    layout = clements_layout(n)
+    thetas, phis = rng.uniform(0.0, 2 * math.pi, (2, *batch, len(layout)))
+    d_in, d_out, loss_db = (0.13, -0.07, 0.4) if lossy else (0.0, 0.0, 0.0)
+    params = MZIParams(
+        coupler_in=CouplerParams(imbalance=d_in),
+        coupler_out=CouplerParams(imbalance=d_out),
+        insertion_loss_db=loss_db,
+    ) if lossy else None
+    stacked = _mesh_product(n, layout, thetas, phis, params)
+    assert stacked.shape == (*batch, n, n)
+    for idx in np.ndindex(*batch):
+        single = _mesh_product(n, layout, thetas[idx], phis[idx], params)
+        assert np.array_equal(stacked[idx], single)
+        cells = list(zip(layout, thetas[idx], phis[idx]))
+        want = mesh_by_embedding(n, cells, np.zeros(n), 0.5 + d_in, 0.5 + d_out, loss_db)
+        assert np.abs(single - want).max() < 1e-13
 
 
 def test_decomposition_phases_canonical():

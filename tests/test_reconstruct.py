@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lnoisim import (
     ConvergenceError,
@@ -15,6 +17,13 @@ from lnoisim import (
     reconstruct_unitary,
     synthesize_statistics,
     two_photon_distribution,
+)
+from lnoisim.mesh import clements_layout
+from lnoisim.reconstruct import _DIFF_STEP, _fit_model
+from oracles import (
+    forward_difference_by_columns,
+    mesh_by_embedding,
+    reconstruction_residual_by_pair_loop,
 )
 
 
@@ -33,12 +42,26 @@ def test_phase_gauge_normalizes_first_row_and_column():
     assert np.allclose(np.abs(w), np.abs(u), atol=1e-12)
 
 
-def test_phase_gauge_collapses_port_phase_freedom():
-    rng = np.random.default_rng(5)
-    u = haar_random_unitary(4, seed=8)
-    for _ in range(10):
-        v = random_diag_phases(4, rng) @ u @ random_diag_phases(4, rng)
-        assert np.allclose(canonical_phase_gauge(v), canonical_phase_gauge(u), atol=1e-10)
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(4, 8, 0.9)
+def test_phase_gauge_collapses_port_phase_freedom(n, seed, overlap):
+    # D_out u D_in: the same statistics, gauge and canonical form as u
+    rng = np.random.default_rng(seed)
+    u = haar_random_unitary(n, seed=seed)
+    v = random_diag_phases(n, rng) @ u @ random_diag_phases(n, rng)
+    assert np.allclose(canonical_phase_gauge(v), canonical_phase_gauge(u), atol=1e-10)
+    assert np.allclose(canonical_form(v), canonical_form(u), atol=1e-10)
+    _assert_same_statistics(u, v, overlap)
+
+
+def _assert_same_statistics(u, v, overlap):
+    a = synthesize_statistics(u, overlap=overlap)
+    b = synthesize_statistics(v, overlap=overlap)
+    assert np.allclose(a.singles, b.singles, atol=1e-14)
+    assert sorted(a.pairs) == sorted(b.pairs)
+    for key in a.pairs:
+        assert np.allclose(a.pairs[key].probabilities, b.pairs[key].probabilities, atol=1e-14)
 
 
 def test_canonical_form_absorbs_conjugation():
@@ -49,15 +72,15 @@ def test_canonical_form_absorbs_conjugation():
         assert np.allclose(canonical_form(v), canonical_form(u), atol=1e-10)
 
 
-def test_conjugation_really_is_unobservable():
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(4, 3, 0.9)
+def test_conjugation_really_is_unobservable(n, seed, overlap):
     # the whole reason canonical_form exists: u and conj(u) generate
     # identical singles and pair statistics
-    u = haar_random_unitary(4, seed=3)
-    a = synthesize_statistics(u, overlap=0.9)
-    b = synthesize_statistics(np.conj(u), overlap=0.9)
-    assert np.allclose(a.singles, b.singles, atol=1e-14)
-    for key in a.pairs:
-        assert np.allclose(a.pairs[key].probabilities, b.pairs[key].probabilities, atol=1e-14)
+    u = haar_random_unitary(n, seed=seed)
+    _assert_same_statistics(u, np.conj(u), overlap)
+    assert np.allclose(canonical_form(np.conj(u)), canonical_form(u), atol=1e-10)
 
 
 def test_measured_statistics_validation():
@@ -155,3 +178,23 @@ def test_two_photon_statistics_of_estimate_match_measurement():
             assert got.probability((i, j)) == pytest.approx(
                 want.probability((i, j)), abs=1e-7
             )
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_stacked_fit_residual_and_jacobian_match_loops(n, seed, overlap):
+    """The fit residual matches the per-pair loop, and its stacked forward
+    difference equals the column-by-column one on the same residual."""
+    stats = synthesize_statistics(haar_random_unitary(n, seed=seed), overlap=overlap)
+    residuals_and_jac = _fit_model(stats, overlap)
+    layout = clements_layout(n)
+    phases = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, 2 * len(layout))
+    cells = list(zip(layout, phases[: len(layout)], phases[len(layout) :]))
+    pairs = {key: dist.probabilities for key, dist in stats.pairs.items()}
+    want = reconstruction_residual_by_pair_loop(
+        mesh_by_embedding(n, cells, np.zeros(n)), stats.singles, pairs, overlap
+    )
+    r, jac = residuals_and_jac(phases)
+    assert np.abs(r - want).max() < 1e-13
+    residuals = lambda p: residuals_and_jac(p)[0]  # noqa: E731
+    assert np.array_equal(jac(), forward_difference_by_columns(residuals, phases, _DIFF_STEP))
