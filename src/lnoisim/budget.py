@@ -7,28 +7,15 @@ compose additively in dB; the end-to-end transmission is ``10**(-total/10)``.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .components import GratingSpectrum
+from .core import is_finite_number
 
 __all__ = ["BudgetEntry", "LossBudget", "sweep_wavelength"]
-
-BUDGET_SCHEMA_VERSION = 1
-
-
-def is_finite_number(value) -> bool:
-    """A finite real number; bools, NaN, +-inf and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 @dataclass(frozen=True)
@@ -66,15 +53,6 @@ class BudgetEntry:
             return float(self.loss_db)
         return float(self.db_per_cm * self.length_cm)
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"label": self.label}
-        if self.loss_db is not None:
-            out["loss_db"] = float(self.loss_db)
-        else:
-            out["db_per_cm"] = float(self.db_per_cm)
-            out["length_cm"] = float(self.length_cm)
-        return out
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "BudgetEntry":
         return cls(
@@ -108,24 +86,6 @@ class LossBudget:
     def breakdown(self) -> dict[str, float]:
         return {e.label: e.effective_loss_db for e in self.entries}
 
-    def replace_entry(self, label: str, entry: BudgetEntry) -> "LossBudget":
-        if label not in {e.label for e in self.entries}:
-            raise KeyError(f"no budget entry labelled {label!r}")
-        return LossBudget(tuple(entry if e.label == label else e for e in self.entries))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": BUDGET_SCHEMA_VERSION,
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "LossBudget":
-        version = data.get("schema_version")
-        if version != BUDGET_SCHEMA_VERSION:
-            raise ValueError(f"unsupported budget schema_version {version!r}")
-        return cls(tuple(BudgetEntry.from_json_dict(e) for e in data["entries"]))
-
 
 def sweep_wavelength(
     budget: LossBudget,
@@ -146,11 +106,12 @@ def sweep_wavelength(
     missing = [lbl for lbl in coupler_labels if lbl not in labels]
     if missing:
         raise KeyError(f"budget has no entries named {missing}")
+    swept = set(coupler_labels)
     out = []
     for wl in wavelengths_nm:
         loss_db = -grating.efficiency_db(float(wl))
-        swept = budget
-        for lbl in coupler_labels:
-            swept = swept.replace_entry(lbl, BudgetEntry(label=lbl, loss_db=loss_db))
-        out.append(swept.end_to_end_transmission)
+        total_db = float(
+            sum(loss_db if e.label in swept else e.effective_loss_db for e in budget.entries)
+        )
+        out.append(float(10.0 ** (-total_db / 10.0)))
     return np.array(out)

@@ -35,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .budget import BudgetEntry, LossBudget, is_finite_number, sweep_wavelength
+from .budget import BudgetEntry, LossBudget, sweep_wavelength
 from .components import GratingSpectrum, MZIParams, PhaseShifterParams, phase_from_voltage
-from .core import matrix_distance
+from .core import finite_number_array, is_finite_number, is_integer, matrix_distance
 from .errors import ConfigError, LnoisimError
 from .mesh import MeshConfig, compose, decompose, modulator_layout
 from .photons import (
@@ -101,12 +101,17 @@ def matrix_to_json_dict(u) -> dict:
 
 
 def matrix_from_json_dict(data) -> np.ndarray:
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
-    if re.shape != im.shape or re.ndim != 2:
+    """The matrix of :func:`matrix_to_json_dict`; ``schema_version`` and ``n`` are optional."""
+    re = finite_number_array(data["re"], 2, "matrix 're'")
+    im = finite_number_array(data["im"], 2, "matrix 'im'")
+    if re.shape != im.shape:
         raise ValueError("matrix 're' and 'im' must be matching 2-d arrays")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise ValueError("matrix entries must be finite")
+    version = data.get("schema_version", UNITARY_SCHEMA_VERSION)
+    if not is_integer(version) or version != UNITARY_SCHEMA_VERSION:
+        raise ValueError(f"unsupported matrix schema_version {version!r}")
+    n = data.get("n", re.shape[0])
+    if not is_integer(n) or n != re.shape[0]:
+        raise ValueError(f"matrix 'n' must be its row count {re.shape[0]}, got {n!r}")
     return re + 1j * im
 
 
@@ -181,7 +186,7 @@ def _number(cfg, diags, key, default=None, minimum=None, maximum=None):
 
 
 def _integer(cfg, diags, key, default=None, minimum=None, maximum=None):
-    if key in cfg and (not isinstance(cfg[key], int) or isinstance(cfg[key], bool)):
+    if key in cfg and not is_integer(cfg[key]):
         diags.append(f"field {key!r} must be an integer")
         return default
     return _number(cfg, diags, key, default, minimum, maximum)
@@ -240,7 +245,7 @@ def _switch_cell(diags, shifter, er_db, bar_leakage=None, **loss):
 
 def _check_common(cfg, experiment, diags) -> None:
     version = cfg.get("schema_version")
-    if version != CONFIG_SCHEMA_VERSION:
+    if not is_integer(version) or version != CONFIG_SCHEMA_VERSION:
         diags.append(
             f"schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}"
         )
@@ -333,7 +338,7 @@ def _parse_distribution(cfg, seed, diags):
     if not (
         isinstance(modes, list)
         and len(modes) in (1, 2)
-        and all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in modes)
+        and all(is_integer(m) and m >= 0 for m in modes)
     ):
         diags.append("field 'input_modes' must be a list of 1 or 2 port indices")
     elif len(modes) == 2 and modes[0] == modes[1]:

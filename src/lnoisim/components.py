@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import is_finite_number
 from .errors import AliasingError, BandRangeError, DimensionError
 
 __all__ = [
@@ -77,25 +78,22 @@ class PhaseShifterParams:
 
 @dataclass(frozen=True)
 class CouplerParams:
-    """Directional coupler with a nominal split and a fabrication imbalance.
+    """Directional coupler: a 50:50 split plus a fabrication imbalance.
 
-    ``splitting_ratio`` is the nominal cross-coupled power fraction and
-    ``imbalance`` an additive deviation; their sum must stay in [0, 1].
+    ``imbalance`` is added to the nominal cross-coupled power fraction of
+    one half; the sum, ``effective_ratio``, must stay in [0, 1].
     """
 
-    splitting_ratio: float = 0.5
     imbalance: float = 0.0
 
     def __post_init__(self):
         r = self.effective_ratio
-        if not (0.0 <= self.splitting_ratio <= 1.0):
-            raise ValueError(f"splitting_ratio must lie in [0, 1], got {self.splitting_ratio}")
         if not (0.0 <= r <= 1.0):
             raise ValueError(f"effective ratio {r} outside [0, 1]")
 
     @property
     def effective_ratio(self) -> float:
-        return self.splitting_ratio + self.imbalance
+        return 0.5 + self.imbalance
 
 
 @dataclass(frozen=True)
@@ -419,7 +417,7 @@ class GratingSpectrum:
             ("band_nm", lo),
             ("band_nm", hi),
         ):
-            if isinstance(value, bool) or not math.isfinite(value):
+            if not is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.peak_efficiency_db > 0:
             raise ValueError("peak_efficiency_db cannot exceed 0 dB")
@@ -436,10 +434,6 @@ class GratingSpectrum:
             )
         detune = (wavelength_nm - self.center_wavelength_nm) / (self.bandwidth_1db_nm / 2.0)
         return self.peak_efficiency_db - detune * detune
-
-    def efficiency(self, wavelength_nm: float) -> float:
-        """Linear power efficiency at the given wavelength."""
-        return 10.0 ** (self.efficiency_db(wavelength_nm) / 10.0)
 
 
 def estimate_mzi_loss_from_demux(

@@ -7,6 +7,8 @@ circuit is unitary; uniform loss scales the matrix below unity (sub-unitary).
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
@@ -33,6 +35,30 @@ NORMALIZATION_TOL = 1e-9
 
 #: Smallest Marquardt scale of a parameter, relative to the largest one.
 _SCALE_FLOOR = 1e-6
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number; bools, NaN, +-inf and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def finite_number_array(values, ndim: int, name: str) -> np.ndarray:
+    """``values`` as a float array, refused unless it has ``ndim`` dimensions
+    and every entry passes :func:`is_finite_number`."""
+    arr = np.asarray(values, dtype=object)
+    if arr.ndim != ndim or not all(is_finite_number(v) for v in arr.flat):
+        raise ValueError(f"{name} must be a {ndim}-d array of finite numbers")
+    return arr.astype(float)
 
 
 def as_complex_matrix(m: object) -> np.ndarray:

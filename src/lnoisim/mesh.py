@@ -24,7 +24,7 @@ from .components import (
     mzi_transfer,
     voltage_for_phase,
 )
-from .core import as_complex_matrix, is_unitary
+from .core import as_complex_matrix, finite_number_array, is_finite_number, is_integer, is_unitary
 from .errors import ComplianceError, DimensionError, GaugeError, TopologyError
 
 __all__ = [
@@ -133,17 +133,26 @@ class MeshConfig:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeshConfig":
         version = data.get("schema_version")
-        if version != MESH_SCHEMA_VERSION:
+        if not is_integer(version) or version != MESH_SCHEMA_VERSION:
             raise ValueError(f"unsupported mesh schema_version {version!r}")
+        n_modes = data["n_modes"]
+        if not is_integer(n_modes):
+            raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
         cells = []
         for entry in data["cells"]:
             modes = tuple(entry["modes"])
-            cell = MeshCell(modes, float(entry["theta"]), float(entry.get("phi", 0.0)))
+            if not all(is_integer(m) for m in modes):
+                raise ValueError(f"cell modes must be integers, got {list(modes)}")
+            phases = (entry["theta"], entry.get("phi", 0.0))
+            if not all(is_finite_number(v) for v in phases):
+                raise ValueError(f"cell {list(modes)}: theta and phi must be finite numbers")
+            cell = MeshCell(modes, *(float(v) for v in phases))
             unknown = sorted(set(entry) - _CELL_KEYS)
             if unknown:
                 raise ValueError(f"cell {cell.modes} has unknown keys {unknown}")
             cells.append(cell)
-        return cls(int(data["n_modes"]), cells, np.asarray(data["output_phases"], dtype=float))
+        outputs = finite_number_array(data["output_phases"], 1, "output_phases")
+        return cls(n_modes, cells, outputs)
 
 
 def clements_layout(n: int) -> list[tuple[int, int]]:
@@ -357,9 +366,7 @@ class VoltageProgram:
 
 
 def phases_to_voltages(
-    config: MeshConfig,
-    shifters: PhaseShifterParams | Mapping[str, PhaseShifterParams],
-    compliance_volts: float = 10.0,
+    config: MeshConfig, shifter: PhaseShifterParams, compliance_volts: float = 10.0
 ) -> VoltageProgram:
     """Convert mesh phases into per-modulator drive voltages.
 
@@ -370,8 +377,7 @@ def phases_to_voltages(
     Args:
         config: mesh configuration; input-facing external phases must be
             zero (apply :func:`gauge_input_phases` first).
-        shifters: one parameter set for all modulators, or one per
-            modulator name.
+        shifter: the parameters shared by every modulator.
         compliance_volts: electrical limit; violations raise
             :class:`ComplianceError`.
 
@@ -390,8 +396,7 @@ def phases_to_voltages(
     for name, (idx, role) in layout.items():
         cell = config.cells[idx]
         phase = cell.theta if role == "internal" else cell.phi
-        params = shifters if isinstance(shifters, PhaseShifterParams) else shifters[name]
-        volts = voltage_for_phase(params, phase)
+        volts = voltage_for_phase(shifter, phase)
         if abs(volts) > compliance_volts:
             raise ComplianceError(
                 f"{name}: phase {phase:.6g} rad needs {volts:.6g} V, beyond "

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .components import MZIParams, mzi_transfer
 from .core import PERMANENT_MAX_ORDER, ProbabilityDistribution, _levenberg_marquardt
-from .core import _permanents, as_complex_matrix
+from .core import _permanents, as_complex_matrix, is_finite_number, is_integer
 from .errors import DimensionError, FitError
 
 __all__ = [
@@ -93,7 +92,7 @@ class TwoPhotonDistribution:
     def __post_init__(self):
         patterns = tuple(tuple(p) for p in self.patterns)
         for modes in (self.input_pair, *patterns):
-            if not all(isinstance(m, numbers.Integral) and not isinstance(m, bool) for m in modes):
+            if not all(is_integer(m) for m in modes):
                 raise ValueError(f"modes must be integers, got {list(modes)}")
         k, l = self.input_pair
         if k >= l:
@@ -125,16 +124,6 @@ class TwoPhotonDistribution:
             return 0.0
         return float(self.probabilities[idx])
 
-    def collision_free(self) -> "TwoPhotonDistribution":
-        """Restriction to patterns with the photons in different modes."""
-        keep = [i for i, (a, b) in enumerate(self.patterns) if a != b]
-        return TwoPhotonDistribution(
-            self.input_pair,
-            tuple(self.patterns[i] for i in keep),
-            self.probabilities[keep],
-            collision_free_only=True,
-        )
-
     def to_distribution(self) -> ProbabilityDistribution:
         return ProbabilityDistribution.from_values(self.patterns, self.probabilities)
 
@@ -150,7 +139,10 @@ class TwoPhotonDistribution:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TwoPhotonDistribution":
         patterns = tuple(tuple(entry["pattern"]) for entry in data["outputs"])
-        probs = np.array([float(entry["p"]) for entry in data["outputs"]])
+        probs = [entry["p"] for entry in data["outputs"]]
+        if not all(is_finite_number(p) for p in probs):
+            raise ValueError("each output's probability 'p' must be a finite number")
+        probs = np.array(probs, dtype=float)
         collision_free = all(a != b for a, b in patterns)
         return cls(tuple(data["input"]), patterns, probs, collision_free_only=collision_free)
 

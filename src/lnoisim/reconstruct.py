@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import _levenberg_marquardt, as_complex_matrix
+from .core import _levenberg_marquardt, as_complex_matrix, finite_number_array
 from .errors import ConvergenceError, CoverageError, DimensionError
 from .mesh import MeshCell, MeshConfig, _mesh_product, clements_layout, compose, wrap_phase
 from .photons import TwoPhotonDistribution, _coincidence, two_photon_distribution
@@ -137,7 +137,7 @@ class MeasuredStatistics:
         pairs = {dist.input_pair: dist for dist in dists}
         if len(pairs) < len(dists):
             raise ValueError("input pairs must not repeat")
-        return cls(np.asarray(data["singles"], dtype=float), pairs)
+        return cls(finite_number_array(data["singles"], 2, "singles"), pairs)
 
 
 def synthesize_statistics(
@@ -168,14 +168,12 @@ class ReconstructionResult:
         cost: sum of squared residuals at the best fit.
         converged: whether ``cost`` fell below the success threshold.
         n_restarts_used: random restarts consumed (early stop on success).
-        config: mesh phases realizing the fitted matrix.
     """
 
     unitary: np.ndarray
     cost: float
     converged: bool
     n_restarts_used: int
-    config: MeshConfig
 
     def __post_init__(self):
         mat = as_complex_matrix(self.unitary)
@@ -292,7 +290,6 @@ def reconstruct_unitary(
         cost=best_cost,
         converged=best_cost <= success_cost,
         n_restarts_used=used,
-        config=config,
     )
     if not result.converged:
         raise ConvergenceError(

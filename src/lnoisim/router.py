@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .photons import SourceModel
 
 __all__ = [
     "PulseProgram",
+    "SWITCH_CHANNELS",
     "SwitchMetrics",
     "TimeTrace",
     "default_pulse_program",
@@ -41,8 +42,6 @@ __all__ = [
     "simulate_demux",
     "switch_metrics",
 ]
-
-PULSE_SCHEMA_VERSION = 2
 
 #: Output pair fed by each switch: switch 1 -> outputs (0, 1), switch 2 -> (2, 3).
 N_TREE_SWITCHES = 3
@@ -52,8 +51,8 @@ SLOTS_PER_FRAME = 4
 #: Slack allowed when checking that a program covers the photon train.
 TIMING_TOLERANCE_NS = 1e-9
 
-#: Default slot -> output assignment for the standard program.
-IDENTITY_ASSIGNMENT = {0: 0, 1: 1, 2: 2, 3: 3}
+#: The channel driving each switch: "A" the first layer, "B" both second-layer switches.
+SWITCH_CHANNELS = ("A", "B", "B")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,15 +65,14 @@ class PulseProgram:
     Attributes:
         slot_ns: slot duration.
         samples_per_slot: grid samples per slot (S, at least 2).
-        levels: channel name -> per-slot drive (volts); all equally long.
-        routing: channel name -> switch indices it drives.
+        levels: per-slot drive (volts) of channels "A" and "B", equally long;
+            :data:`SWITCH_CHANNELS` names the switches each one drives.
         start_ns: time of the first sample.
     """
 
     slot_ns: float
     samples_per_slot: int
     levels: dict[str, np.ndarray]
-    routing: dict[str, tuple[int, ...]]
     start_ns: float = 0.0
 
     def __post_init__(self):
@@ -87,6 +85,8 @@ class PulseProgram:
         object.__setattr__(self, "slot_ns", float(self.slot_ns))
         object.__setattr__(self, "samples_per_slot", int(self.samples_per_slot))
         object.__setattr__(self, "start_ns", float(self.start_ns))
+        if set(self.levels) != set(SWITCH_CHANNELS):
+            raise TopologyError(f"the channels must be 'A' and 'B', got {list(self.levels)}")
         levels = {}
         for name, values in self.levels.items():
             arr = np.array(values, dtype=float)
@@ -99,22 +99,6 @@ class PulseProgram:
             arr.setflags(write=False)
             levels[name] = arr
         object.__setattr__(self, "levels", levels)
-        routing = {}
-        driven: set[int] = set()
-        for name, targets in self.routing.items():
-            if name not in levels:
-                raise ValueError(f"routing references unknown channel {name!r}")
-            targets = tuple(int(s) for s in targets)
-            for s in targets:
-                if not (0 <= s < N_TREE_SWITCHES):
-                    raise TopologyError(f"switch index {s} out of range")
-                if s in driven:
-                    raise TopologyError(f"switch {s} driven by more than one channel")
-                driven.add(s)
-            routing[name] = targets
-        if driven != set(range(N_TREE_SWITCHES)):
-            raise TopologyError("every switch in the tree must be driven by a channel")
-        object.__setattr__(self, "routing", routing)
 
     @property
     def n_samples(self) -> int:
@@ -148,12 +132,6 @@ class PulseProgram:
             wave.setflags(write=False)
         return waves
 
-    def channel_for_switch(self, switch: int) -> str:
-        for name, targets in self.routing.items():
-            if switch in targets:
-                return name
-        raise TopologyError(f"no channel drives switch {switch}")
-
     def filtered_drive(
         self, channel: str, shifter: PhaseShifterParams, times_ns: np.ndarray
     ) -> np.ndarray:
@@ -177,26 +155,6 @@ class PulseProgram:
         )
         below, above = ends[: lo.size], ends[lo.size :]
         return below + w * (above - below)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": PULSE_SCHEMA_VERSION,
-            "slot_ns": self.slot_ns,
-            "samples_per_slot": self.samples_per_slot,
-            "start_ns": self.start_ns,
-            "levels": {name: v.tolist() for name, v in self.levels.items()},
-            "routing": {name: list(targets) for name, targets in self.routing.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "PulseProgram":
-        version = data.get("schema_version")
-        if version != PULSE_SCHEMA_VERSION:
-            raise ValueError(f"unsupported pulse program schema_version {version!r}")
-        routing = {name: tuple(v) for name, v in data["routing"].items()}
-        return cls(
-            data["slot_ns"], data["samples_per_slot"], data["levels"], routing, data["start_ns"]
-        )
 
 
 def default_pulse_program(
@@ -224,9 +182,7 @@ def default_pulse_program(
         "A": np.tile([v_pi_volts, v_pi_volts, 0.0, 0.0], n_frames),
         "B": np.tile([v_pi_volts, 0.0, v_pi_volts, 0.0], n_frames),
     }
-    return PulseProgram(
-        repetition_period_ns, samples_per_slot, levels, {"A": (0,), "B": (1, 2)}, start_ns
-    )
+    return PulseProgram(repetition_period_ns, samples_per_slot, levels, start_ns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +191,6 @@ class TimeTrace:
 
     times_ns: np.ndarray
     outputs: np.ndarray  # shape (n_events, N_OUTPUTS)
-    repetition_period_ns: float
-    frame_period_ns: float
 
     def __post_init__(self):
         times = np.asarray(self.times_ns, dtype=float)
@@ -259,8 +213,7 @@ def _switch_phases(
     """Filtered drive phases per switch at each photon instant, shape (3, n)."""
     phases = np.empty((N_TREE_SWITCHES, photon_times.size))
     volts_cache: dict[tuple[str, float], np.ndarray] = {}
-    for s in range(N_TREE_SWITCHES):
-        name = program.channel_for_switch(s)
+    for s, name in enumerate(SWITCH_CHANNELS):
         shifter = tree[s].shifter
         key = (name, shifter.f_3db_ghz)
         if key not in volts_cache:
@@ -299,7 +252,6 @@ def simulate_demux(
     if n_frames < 1:
         raise ValueError("n_frames must be at least 1")
     period = source.repetition_period_ns
-    frame = SLOTS_PER_FRAME * period
     times = train_offset_ns + period * (np.arange(SLOTS_PER_FRAME * n_frames) + 0.5)
     if (
         times[0] < program.start_ns - TIMING_TOLERANCE_NS
@@ -319,7 +271,7 @@ def simulate_demux(
     amplitudes = np.empty((times.size, N_OUTPUTS), dtype=complex)
     np.multiply(pair01, first[0], out=amplitudes[:, :2].T)
     np.multiply(pair23, first[1], out=amplitudes[:, 2:].T)
-    return TimeTrace(times, np.abs(amplitudes) ** 2, period, frame)
+    return TimeTrace(times, np.abs(amplitudes) ** 2)
 
 
 @dataclass(frozen=True)
@@ -341,25 +293,14 @@ class SwitchMetrics:
         }
 
 
-def switch_metrics(
-    trace: TimeTrace, assignment: Mapping[int, int] | None = None
-) -> SwitchMetrics:
-    """Average probability of routing each slot to its assigned output.
+def switch_metrics(trace: TimeTrace) -> SwitchMetrics:
+    """Average probability of routing slot k of each frame to output k.
 
     Per-event probabilities are normalized by the event's total output
     mass, so uniform tree loss does not masquerade as switching error.
     The unswitched residual is reported as ``10 log10(1 - p)``;
     perfect routing gives ``-inf``.
-
-    Args:
-        trace: simulated (or loaded) time trace.
-        assignment: slot index (0-3) -> output index; defaults to identity.
     """
-    chosen = dict(IDENTITY_ASSIGNMENT if assignment is None else assignment)
-    if sorted(chosen) != list(range(SLOTS_PER_FRAME)):
-        raise ValueError(f"assignment must cover slots 0..{SLOTS_PER_FRAME - 1}")
-    if any(not (0 <= v < N_OUTPUTS) for v in chosen.values()):
-        raise ValueError("assigned outputs out of range")
     if trace.n_events == 0:
         raise DimensionError("trace holds no events")
     if trace.n_events % SLOTS_PER_FRAME:
@@ -371,8 +312,7 @@ def switch_metrics(
     # Row f, column s: the event in slot s of frame f.
     frames = trace.outputs.reshape(-1, SLOTS_PER_FRAME, N_OUTPUTS)
     slots = np.arange(SLOTS_PER_FRAME)
-    columns = [chosen[s] for s in range(SLOTS_PER_FRAME)]
-    fractions = frames[:, slots, columns] / totals.reshape(-1, SLOTS_PER_FRAME)
+    fractions = frames[:, slots, slots] / totals.reshape(-1, SLOTS_PER_FRAME)
     per_slot = tuple(float(np.mean(fractions[:, s])) for s in range(SLOTS_PER_FRAME))
     p = float(np.mean(fractions))
     residual = 1.0 - p

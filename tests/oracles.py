@@ -7,6 +7,7 @@ this module loads without it.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -334,3 +335,24 @@ def forward_difference_by_columns(fun, x, rel_step):
         shifted[col] += rel_step * max(1.0, abs(x[col]))
         jac[:, col] = (fun(shifted) - r) / (shifted[col] - x[col])
     return jac
+
+
+def sweep_by_rebuilt_budgets(budget, grating, wavelengths_nm, coupler_labels):
+    """End-to-end transmission per wavelength, from a whole budget rebuilt at each one.
+
+    Every entry labelled in ``coupler_labels`` is replaced, through
+    ``dataclasses.replace``, by a fixed loss equal to the grating's insertion
+    loss at that wavelength; the rebuilt budget's own
+    ``end_to_end_transmission`` is the result.
+    """
+    out = []
+    for wl in wavelengths_nm:
+        loss_db = -grating.efficiency_db(float(wl))
+        entries = tuple(
+            dataclasses.replace(e, loss_db=loss_db, db_per_cm=None, length_cm=None)
+            if e.label in coupler_labels
+            else e
+            for e in budget.entries
+        )
+        out.append(dataclasses.replace(budget, entries=entries).end_to_end_transmission)
+    return np.array(out)

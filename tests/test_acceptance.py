@@ -129,7 +129,7 @@ def test_demux_suppression_and_switched_slot_transmission():
     rows = np.full((12, 4), 0.038 / 3)
     for k in range(12):
         rows[k, k % 4] = 0.962
-    metrics = switch_metrics(TimeTrace(times, rows, 13.8, 4 * 13.8))
+    metrics = switch_metrics(TimeTrace(times, rows))
     assert metrics.suppression_db == pytest.approx(-14.2, abs=0.05)
 
     # cells with 10^-2.1 bar leakage: each photon crosses two switches,

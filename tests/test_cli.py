@@ -779,11 +779,40 @@ def _statistics_without_pair(pair):
     return stats
 
 
+def _reconstruct_with_statistics(edit):
+    """A 3-mode reconstruct config whose statistics object ``edit`` changes in place."""
+    stats = synthesize_statistics(haar_random_unitary(3, seed=5)).to_json_dict()
+    edit(stats)
+    return {"schema_version": 1, "experiment": "reconstruct", "seed": 1, "statistics": stats}
+
+
 def _reconstruct_with_pairs(edit):
     """A 3-mode reconstruct config whose list of pair statistics ``edit`` changes in place."""
-    stats = synthesize_statistics(haar_random_unitary(3, seed=5)).to_json_dict()
-    edit(stats["pairs"])
-    return {"schema_version": 1, "experiment": "reconstruct", "seed": 1, "statistics": stats}
+    return _reconstruct_with_statistics(lambda stats: edit(stats["pairs"]))
+
+
+def _with_unitary(experiment, edit):
+    """A ``distribution`` or ``mesh-decompose`` config whose 2-mode unitary ``edit`` changes."""
+    unitary = matrix_to_json_dict(haar_random_unitary(2, seed=3))
+    edit(unitary)
+    fields = {"input_modes": [0, 1]} if experiment == "distribution" else {}
+    return {"schema_version": 1, "experiment": experiment, "unitary": unitary, **fields}
+
+
+def _compose_with_mesh(edit):
+    """A 4-mode mesh-compose config whose mesh object ``edit`` changes in place."""
+    mesh = decompose(haar_random_unitary(4, seed=32)).to_json_dict()
+    edit(mesh)
+    return {"schema_version": 1, "experiment": "mesh-compose", "mesh": mesh}
+
+
+def _set(path, value):
+    """An edit that sets the item at ``path`` to ``value``."""
+    def edit(node):
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
 
 
 _IDENTITY_2 = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
@@ -838,6 +867,60 @@ _REJECTED = {
     "statistics-fractional-pattern": (["reconstruct"], _reconstruct_with_pairs(
         lambda pairs: pairs[0]["outputs"][0].update(pattern=[0.5, 1])
     ), "field 'statistics': modes must be integers, got [0.5, 1]"),
+    "statistics-string-single": (["reconstruct"], _reconstruct_with_statistics(
+        _set(("singles", 0, 0), "0.25")
+    ), "field 'statistics': singles must be a 2-d array of finite numbers"),
+    "statistics-bool-single": (["reconstruct"], _reconstruct_with_statistics(
+        _set(("singles", 0, 0), True)
+    ), "field 'statistics': singles must be a 2-d array of finite numbers"),
+    "statistics-string-probability": (["reconstruct"], _reconstruct_with_statistics(
+        _set(("pairs", 0, "outputs", 0, "p"), "0.25")
+    ), "field 'statistics': each output's probability 'p' must be a finite number"),
+    "statistics-bool-probability": (["reconstruct"], _reconstruct_with_statistics(
+        _set(("pairs", 0, "outputs", 0, "p"), True)
+    ), "field 'statistics': each output's probability 'p' must be a finite number"),
+    "decompose-string-entry": (["mesh", "decompose"], _with_unitary(
+        "mesh-decompose", _set(("re", 0, 0), "0.5")
+    ), "field 'unitary': matrix 're' must be a 2-d array of finite numbers"),
+    "distribution-bool-entry": (["distribution"], _with_unitary(
+        "distribution", _set(("im", 1, 1), True)
+    ), "field 'unitary': matrix 'im' must be a 2-d array of finite numbers"),
+    "distribution-string-row-count": (["distribution"], _with_unitary(
+        "distribution", _set(("n",), "2")
+    ), "field 'unitary': matrix 'n' must be its row count 2, got '2'"),
+    "decompose-wrong-row-count": (["mesh", "decompose"], _with_unitary(
+        "mesh-decompose", _set(("n",), 3)
+    ), "field 'unitary': matrix 'n' must be its row count 2, got 3"),
+    "decompose-string-matrix-schema": (["mesh", "decompose"], _with_unitary(
+        "mesh-decompose", _set(("schema_version",), "1")
+    ), "field 'unitary': unsupported matrix schema_version '1'"),
+    "decompose-bool-matrix-schema": (["mesh", "decompose"], _with_unitary(
+        "mesh-decompose", _set(("schema_version",), True)
+    ), "field 'unitary': unsupported matrix schema_version True"),
+    "compose-bool-mesh-schema": (["mesh", "compose"], _compose_with_mesh(
+        _set(("schema_version",), True)
+    ), "field 'mesh': unsupported mesh schema_version True"),
+    "fringe-bool-schema": (["hom-fringe"], {
+        "schema_version": True, "experiment": "hom-fringe",
+    }, "schema_version must be 1, got True"),
+    "fringe-fractional-schema": (["hom-fringe"], {
+        "schema_version": 1.0, "experiment": "hom-fringe",
+    }, "schema_version must be 1, got 1.0"),
+    "compose-string-theta": (["mesh", "compose"], _compose_with_mesh(
+        _set(("cells", 0, "theta"), "1.5")
+    ), "field 'mesh': cell [0, 1]: theta and phi must be finite numbers"),
+    "compose-bool-theta": (["mesh", "compose"], _compose_with_mesh(
+        _set(("cells", 0, "theta"), True)
+    ), "field 'mesh': cell [0, 1]: theta and phi must be finite numbers"),
+    "compose-string-output-phase": (["mesh", "compose"], _compose_with_mesh(
+        _set(("output_phases", 3), "0.5")
+    ), "field 'mesh': output_phases must be a 1-d array of finite numbers"),
+    "compose-fractional-mode-count": (["mesh", "compose"], _compose_with_mesh(
+        _set(("n_modes",), 4.7)
+    ), "field 'mesh': n_modes must be an integer, got 4.7"),
+    "compose-fractional-cell-modes": (["mesh", "compose"], _compose_with_mesh(
+        _set(("cells", 0, "modes"), [0.5, 1.5])
+    ), "field 'mesh': cell modes must be integers, got [0.5, 1.5]"),
     "poisson-fringe-without-seed": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "poisson_mean_counts": 500,
     }, "seed is required when poisson_mean_counts is set"),
@@ -925,6 +1008,40 @@ _CONFIG_MUTATIONS = [
         argv, {**payload, "n_restarts": 2} if argv == ["reconstruct"] else payload
     )
 ]
+
+
+def _numeric_leaves(payload):
+    """The path to every int or float (not bool) value below ``payload``."""
+    leaves = []
+    for path, _ in _paths(payload):
+        node = payload
+        for key in path:
+            node = node[key]
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            leaves.append((path, node))
+    return leaves
+
+
+# Each numeric leaf of the 2-mode README configs, written as its str() form.
+_STRINGIFIED = [
+    (argv, {**payload, "n_restarts": 2} if argv == ["reconstruct"] else payload, path, str(value))
+    for argv, payload in _readme_configs(2)
+    for path, value in _numeric_leaves(payload)
+]
+
+
+@pytest.mark.parametrize(
+    "mutation", _STRINGIFIED, ids=[f"{p['experiment']}-{'.'.join(map(str, path))}"
+                                   for _, p, path, _ in _STRINGIFIED]
+)
+def test_numeric_strings_are_config_errors(tmp_path, mutation):
+    # README: "strings where a number belongs are config errors", at any depth.
+    argv, payload, leaf, value = mutation
+    cfg = json.loads(json.dumps(payload))
+    _set(leaf, value)(cfg)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main(["validate", "--config", path, "--quiet"]) == 2
+    assert main([*argv, "--config", path, "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
 
 
 @settings(deadline=None, max_examples=300)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -26,7 +25,7 @@ from lnoisim import (
     simulate_demux,
     switch_metrics,
 )
-from lnoisim.cli import _csv_bytes, _dump_json
+from lnoisim.cli import _csv_bytes
 from oracles import (
     demux_by_photon_loop,
     mzi_by_matmul,
@@ -45,7 +44,6 @@ def make_tree(cell=None):
 def test_default_program_structure():
     prog = default_pulse_program(n_frames=2, samples_per_slot=8)
     assert set(prog.channels) == {"A", "B"}
-    assert prog.routing == {"A": (0,), "B": (1, 2)}
     assert prog.sample_rate_ghz == pytest.approx(8 / 13.8)
     a, b = prog.channels["A"], prog.channels["B"]
     assert set(np.unique(a)) == {0.0, 4.5}
@@ -60,46 +58,22 @@ def test_default_program_structure():
 def test_program_validation():
     v = np.zeros(4)
     with pytest.raises(DimensionError):
-        PulseProgram(13.8, 8, {"A": v, "B": np.zeros(5)}, {"A": (0,), "B": (1, 2)})
+        PulseProgram(13.8, 8, {"A": v, "B": np.zeros(5)})
     with pytest.raises(DimensionError):
-        PulseProgram(13.8, 8, {"A": np.zeros(0)}, {"A": (0, 1, 2)})
+        PulseProgram(13.8, 8, {"A": np.zeros(0), "B": np.zeros(0)})
     with pytest.raises(ValueError):
-        PulseProgram(13.8, 8, {"A": np.array([0.0, math.nan])}, {"A": (0, 1, 2)})
+        PulseProgram(13.8, 8, {"A": np.array([0.0, math.nan]), "B": np.zeros(2)})
     with pytest.raises(ValueError):
-        PulseProgram(13.8, 8, {"A": np.array([0.0, math.inf])}, {"A": (0, 1, 2)})
+        PulseProgram(13.8, 8, {"A": np.array([0.0, math.inf]), "B": np.zeros(2)})
     with pytest.raises(ValueError):
-        PulseProgram(13.8, 1, {"A": v}, {"A": (0, 1, 2)})
+        PulseProgram(13.8, 1, {"A": v, "B": v})
     for slot_ns in (0.0, -13.8):
         with pytest.raises(ValueError):
-            PulseProgram(slot_ns, 8, {"A": v}, {"A": (0, 1, 2)})
-    with pytest.raises(ValueError):
-        PulseProgram(13.8, 8, {"A": v}, {"B": (0, 1, 2)})  # unknown channel
+            PulseProgram(slot_ns, 8, {"A": v, "B": v})
     with pytest.raises(TopologyError):
-        PulseProgram(13.8, 8, {"A": v, "B": v}, {"A": (0, 1), "B": (1, 2)})  # double-driven
+        PulseProgram(13.8, 8, {"A": v})  # no B channel
     with pytest.raises(TopologyError):
-        PulseProgram(13.8, 8, {"A": v}, {"A": (0, 1)})  # switch 2 undriven
-    with pytest.raises(TopologyError):
-        PulseProgram(13.8, 8, {"A": v}, {"A": (0, 1, 3)})  # no switch 3
-
-
-def test_program_json_round_trip():
-    prog = default_pulse_program(n_frames=1, samples_per_slot=4, start_ns=2.5)
-    loaded = PulseProgram.from_json_dict(json.loads(_dump_json(prog.to_json_dict())))
-    assert np.array_equal(loaded.t_ns, prog.t_ns)
-    for name in prog.channels:
-        assert np.array_equal(loaded.channels[name], prog.channels[name])
-    assert loaded.routing == prog.routing
-
-
-def test_program_json_rejects_sampled_schema():
-    # Schema 1 stored every grid sample with its time; it cannot be read back.
-    v1 = {
-        "schema_version": 1,
-        "channels": {"A": {"t_ns": [0.0, 1.0], "v": [0.0, 0.0]}},
-        "routing": {"A": [0, 1, 2]},
-    }
-    with pytest.raises(ValueError, match="unsupported pulse program schema_version 1"):
-        PulseProgram.from_json_dict(v1)
+        PulseProgram(13.8, 8, {"A": v, "B": v, "C": v})  # an extra channel
 
 
 def test_ideal_routing_is_perfect():
@@ -177,29 +151,13 @@ def test_simulate_validation():
         simulate_demux(make_tree(), prog, SourceModel(), 1, phase_errors_rad=(0.0,))
 
 
-def test_metrics_validation():
-    prog = default_pulse_program(n_frames=1)
-    trace = simulate_demux(make_tree(), prog, SourceModel(), 1)
-    with pytest.raises(ValueError):
-        switch_metrics(trace, {0: 0, 1: 1, 2: 2})  # slot 3 unassigned
-    with pytest.raises(ValueError):
-        switch_metrics(trace, {0: 0, 1: 1, 2: 2, 3: 9})
-    custom = switch_metrics(trace, {0: 1, 1: 0, 2: 3, 3: 2})
-    assert custom.average_probability == pytest.approx(0.0, abs=1e-12)
-
-
 @settings(max_examples=150)
-@given(
-    st.integers(1, 60),
-    st.one_of(st.permutations(range(4)), st.lists(st.integers(0, 3), min_size=4, max_size=4)),
-    st.data(),
-)
-def test_switch_metrics_match_event_loop(n_frames, outputs_of_slots, data):
+@given(st.integers(1, 60), st.data())
+def test_switch_metrics_match_event_loop(n_frames, data):
     outputs = data.draw(hnp.arrays(float, (4 * n_frames, 4), elements=st.floats(1e-3, 1.0)))
-    trace = TimeTrace((np.arange(4 * n_frames) + 0.5) * 13.8, outputs, 13.8, 55.2)
-    assignment = dict(enumerate(outputs_of_slots))
-    got = switch_metrics(trace, assignment)
-    average, per_slot = switch_fractions_by_event_loop(outputs, assignment)
+    trace = TimeTrace((np.arange(4 * n_frames) + 0.5) * 13.8, outputs)
+    got = switch_metrics(trace)
+    average, per_slot = switch_fractions_by_event_loop(outputs, {0: 0, 1: 1, 2: 2, 3: 3})
     assert got.n_frames == n_frames
     assert got.average_probability == pytest.approx(average, rel=1e-12)
     assert got.per_slot_probability == pytest.approx(per_slot, rel=1e-12)
@@ -207,7 +165,7 @@ def test_switch_metrics_match_event_loop(n_frames, outputs_of_slots, data):
 
 
 def test_switch_metrics_reject_an_empty_trace():
-    trace = TimeTrace(np.empty(0), np.empty((0, 4)), 13.8, 55.2)
+    trace = TimeTrace(np.empty(0), np.empty((0, 4)))
     with pytest.raises(DimensionError):
         switch_metrics(trace)
 
@@ -230,7 +188,7 @@ def test_synthetic_trace_suppression_value():
     outputs = np.full((8, 4), (1 - 0.962) / 3)
     for k in range(8):
         outputs[k, k % 4] = 0.962
-    trace = TimeTrace(times, outputs, 13.8, 55.2)
+    trace = TimeTrace(times, outputs)
     metrics = switch_metrics(trace)
     assert metrics.average_probability == pytest.approx(0.962)
     assert metrics.suppression_db == pytest.approx(10 * math.log10(0.038), abs=1e-9)
@@ -303,7 +261,7 @@ def test_simulate_demux_matches_photon_loop_oracle(tree, errors, n_frames, offse
     st.floats(0.0, 1.0),
 )
 def test_slot_rate_filter_matches_sample_loop(levels, per_slot, slot_ns, band, start_ns, offset):
-    prog = PulseProgram(slot_ns, per_slot, {"A": levels}, {"A": (0, 1, 2)}, start_ns)
+    prog = PulseProgram(slot_ns, per_slot, {"A": levels, "B": levels}, start_ns)
     fs = prog.sample_rate_ghz
     shifter = PhaseShifterParams(f_3db_ghz=math.inf if band is None else band * fs)
     wave = prog.channels["A"]
