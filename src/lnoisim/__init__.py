@@ -6,22 +6,33 @@ and drive electronics; rectangular mesh synthesis of arbitrary unitaries;
 one- and two-photon counting statistics with partial distinguishability;
 time-domain demultiplexing of a photon train; loss budgeting; and transfer
 matrix reconstruction from measured statistics.
+
+The namespace is lazy (PEP 562): ``import lnoisim`` loads no submodule,
+and a name is imported from the submodule that exports it on first use.
 """
 
-from . import budget, components, core, errors, mesh, photons, reconstruct, router
-from .budget import *
-from .components import *
-from .core import *
-from .errors import *
-from .mesh import *
-from .photons import *
-from .reconstruct import *
-from .router import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"] + [
-    name
-    for module in (core, components, mesh, photons, router, budget, reconstruct, errors)
-    for name in module.__all__
-]
+#: The submodules whose ``__all__`` make up the namespace, each after those it imports.
+_SUBMODULES = ("errors", "core", "components", "photons", "router", "budget", "mesh", "reconstruct")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    modules = map(__getattr__, _SUBMODULES)
+    if name == "__all__":
+        value = ["__version__"] + [export for module in modules for export in module.__all__]
+    else:
+        module = next((module for module in modules if name in module.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*__getattr__("__all__"), *globals()})

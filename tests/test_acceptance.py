@@ -41,7 +41,8 @@ from lnoisim import (
     synthesize_statistics,
     two_photon_distribution,
 )
-from lnoisim.cli import main as cli_main, matrix_to_json_dict
+from lnoisim.cli import main as cli_main
+from lnoisim.experiments import matrix_to_json_dict
 from lnoisim.router import TimeTrace
 
 from oracles import hom_fringe_law, permanent_by_permutation_sum, two_photon_probabilities_by_mode_expansion

@@ -22,13 +22,12 @@ from lnoisim import (
     synthesize_statistics,
 )
 from lnoisim import cli
-from lnoisim.cli import (
+from lnoisim.cli import build_parser, main
+from lnoisim.experiments import (
     MAX_N_FRAMES,
     MAX_N_POINTS,
     MAX_SAMPLES_PER_SLOT,
     _csv_bytes,
-    build_parser,
-    main,
     matrix_from_json_dict,
     matrix_to_json_dict,
 )

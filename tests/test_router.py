@@ -25,7 +25,7 @@ from lnoisim import (
     simulate_demux,
     switch_metrics,
 )
-from lnoisim.cli import _csv_bytes
+from lnoisim.experiments import _csv_bytes
 from oracles import (
     demux_by_photon_loop,
     mzi_by_matmul,
