@@ -34,12 +34,8 @@ def _call(main, argv, outdir: Path, prefix: str) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    mask = lambda text: text.replace(str(outdir), "<out>")  # noqa: E731
-    return {
-        f"{prefix}exit": code,
-        f"{prefix}stdout": _sha256(mask(stdout.getvalue())),
-        f"{prefix}stderr": _sha256(mask(stderr.getvalue())),
-    }
+    out, err = (buf.getvalue().replace(str(outdir), "<out>") for buf in (stdout, stderr))
+    return {f"{prefix}exit": code, f"{prefix}stdout": _sha256(out), f"{prefix}stderr": _sha256(err)}
 
 
 def digests(workdir: Path) -> dict:
