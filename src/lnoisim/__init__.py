@@ -20,7 +20,8 @@ _SUBMODULES = ("errors", "core", "components", "photons", "router", "budget", "m
 
 
 def __getattr__(name):
-    if name in _SUBMODULES:
+    # cli and experiments export no names: import them alone, not every submodule.
+    if name in _SUBMODULES or name in ("cli", "experiments"):
         return importlib.import_module(f"{__name__}.{name}")
     modules = map(__getattr__, _SUBMODULES)
     if name == "__all__":

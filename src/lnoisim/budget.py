@@ -7,13 +7,13 @@ compose additively in dB; the end-to-end transmission is ``10**(-total/10)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .components import GratingSpectrum
-from .core import is_finite_number
+from .core import check_fields, is_finite_number
 
 __all__ = ["BudgetEntry", "LossBudget", "sweep_wavelength"]
 
@@ -55,12 +55,10 @@ class BudgetEntry:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "BudgetEntry":
-        return cls(
-            label=str(data["label"]),
-            loss_db=data.get("loss_db"),
-            db_per_cm=data.get("db_per_cm"),
-            length_cm=data.get("length_cm"),
-        )
+        check_fields(data, [field.name for field in fields(cls)])
+        if not isinstance(data.get("label"), str):
+            raise ValueError("an entry needs a string 'label'")
+        return cls(**data)
 
 
 @dataclass(frozen=True)

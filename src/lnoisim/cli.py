@@ -87,7 +87,7 @@ def _load_config(path: str) -> tuple[dict, str]:
     raw = Path(path).read_bytes()
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(cfg, dict):
         raise ConfigError(["config must be a JSON object"])

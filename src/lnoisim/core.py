@@ -10,11 +10,11 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError, OutcomeMismatchError
+from .errors import ConfigError, DimensionError, NormalizationError, OutcomeMismatchError
 
 __all__ = [
     "PERMANENT_MAX_ORDER",
@@ -59,6 +59,26 @@ def finite_number_array(values, ndim: int, name: str) -> np.ndarray:
     if arr.ndim != ndim or not all(is_finite_number(v) for v in arr.flat):
         raise ValueError(f"{name} must be a {ndim}-d array of finite numbers")
     return arr.astype(float)
+
+
+def check_fields(data, known, where: str = "") -> None:
+    """Raise ConfigError unless ``data`` is a JSON object with no key outside ``known``.
+
+    Each unknown key gets a diagnostic, prefixed by ``where``, that names the
+    closest known key if ``difflib`` (imported only then) finds one.
+    """
+    prefix = f"{where}: " if where else ""
+    if not isinstance(data, Mapping):
+        raise ConfigError([f"{prefix}must be an object, got {type(data).__name__}"])
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        import difflib
+
+        hints = [difflib.get_close_matches(key, known, n=1) for key in unknown]
+        raise ConfigError([
+            f"{prefix}unknown field {key!r}" + (f" (did you mean {hint[0]!r}?)" if hint else "")
+            for key, hint in zip(unknown, hints)
+        ])
 
 
 def as_complex_matrix(m: object) -> np.ndarray:

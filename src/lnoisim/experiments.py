@@ -9,12 +9,13 @@ so a cold ``lnoisim demux`` loads no ``mesh``, ``reconstruct`` or
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
 
 from .cli import _dump_json
-from .core import finite_number_array, is_finite_number, is_integer, matrix_distance
+from .core import check_fields, finite_number_array, is_finite_number, is_integer, matrix_distance
 from .errors import ConfigError
 
 __all__ = ["matrix_from_json_dict", "matrix_to_json_dict"]
@@ -56,6 +57,7 @@ def matrix_to_json_dict(u) -> dict:
 
 def matrix_from_json_dict(data) -> np.ndarray:
     """The matrix of :func:`matrix_to_json_dict`; ``schema_version`` and ``n`` are optional."""
+    check_fields(data, ("schema_version", "n", "re", "im"))
     re = finite_number_array(data["re"], 2, "matrix 're'")
     im = finite_number_array(data["im"], 2, "matrix 'im'")
     if re.shape != im.shape:
@@ -86,54 +88,53 @@ def _csv_bytes(header, columns) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# config parsing: one pass per experiment turns the config into the library
-# objects its run needs and collects every diagnostic on the way.  `validate`
-# runs the same parse and stops there, so `config ok` means the run will not
-# exit 2.  A key the config leaves out is left out of the library call too,
-# so the library's own defaults apply.
+# config parsing: `_read` checks each key against FIELDS, then one parse per
+# experiment checks what involves several keys or a structured value and
+# builds the library objects its run needs, collecting every diagnostic.
+# `validate` runs the same parse and stops there, so `config ok` means the run
+# will not exit 2.  A key the config leaves out is left out of the library
+# call too, so the library's own defaults apply.
 
 
-def _number(cfg, diags, key, default=None, minimum=None, maximum=None):
-    if key not in cfg:
-        return default
-    value = cfg[key]
-    if not is_finite_number(value):
-        diags.append(f"field {key!r} must be a finite number")
-        return default
-    if minimum is not None and value < minimum:
-        diags.append(f"field {key!r} must be >= {minimum}")
-        return default
-    if maximum is not None and value > maximum:
-        diags.append(f"field {key!r} must be <= {maximum}")
-        return default
-    return value
+#: How `_read` checks a config key: ``kind`` is float, int, bool, or None for
+#: a value the parse function checks itself; ``null`` accepts null too.
+Field = collections.namedtuple("Field", "kind minimum maximum null", defaults=(None, None, False))
 
 
-def _integer(cfg, diags, key, default=None, minimum=None, maximum=None):
-    if key in cfg and not is_integer(cfg[key]):
-        diags.append(f"field {key!r} must be an integer")
-        return default
-    return _number(cfg, diags, key, default, minimum, maximum)
+def _read(cfg, table, diags) -> dict:
+    """The keys of ``cfg`` that ``table`` declares and whose values pass its checks;
+    each other key adds a diagnostic."""
+    try:
+        check_fields(cfg, table)
+    except ConfigError as exc:
+        diags.extend(exc.diagnostics)
+    fields = {}
+    for key, (kind, minimum, maximum, null) in table.items():
+        value = cfg.get(key)
+        if key not in cfg or kind is None or (null and value is None):
+            problem = None
+        elif kind is bool:
+            problem = None if isinstance(value, bool) else "true or false"
+        elif kind is int and not is_integer(value):
+            problem = "an integer"
+        elif not is_finite_number(value):
+            problem = "a finite number"
+        elif minimum is not None and value < minimum:
+            problem = f">= {minimum}"
+        elif maximum is not None and value > maximum:
+            problem = f"<= {maximum}"
+        else:
+            problem = None
+        if problem:
+            diags.append(f"field {key!r} must be {problem}")
+        elif key in cfg:
+            fields[key] = value
+    return fields
 
 
-def _boolean(cfg, diags, key):
-    value = cfg.get(key)
-    if key in cfg and not isinstance(value, bool):
-        diags.append(f"field {key!r} must be true or false")
-        return None
-    return value
-
-
-def _optional_number(cfg, diags, key, minimum=None, maximum=None):
-    """A number, or null/absent meaning 'feature disabled'."""
-    if cfg.get(key) is None:
-        return None
-    return _number(cfg, diags, key, minimum=minimum, maximum=maximum)
-
-
-def _given(**options) -> dict:
-    """The keyword arguments a config set; absent ones keep the library default."""
-    return {name: value for name, value in options.items() if value is not None}
+def _given(fields, *keys) -> dict:
+    """The keyword arguments among ``keys`` the config set; absent ones keep the library default."""
+    return {key: fields[key] for key in keys if fields.get(key) is not None}
 
 
 def _build(diags, where, make, /, *args, **kwargs):
@@ -147,16 +148,13 @@ def _build(diags, where, make, /, *args, **kwargs):
     return None
 
 
-def _matrix_field(cfg, diags, key, required=False):
-    if key not in cfg or cfg[key] is None:
-        if required:
-            diags.append(f"missing required field {key!r}")
-        return None
-    obj = cfg[key]
-    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        diags.append(f"field {key!r} must be an object with 're' and 'im' arrays")
-        return None
-    return _build(diags, f"field {key!r}", matrix_from_json_dict, obj)
+def _object(fields, diags, key, make, required=False):
+    """``make`` of the JSON object at ``key``; None if it is absent, null or refused."""
+    if fields.get(key) is not None:
+        return _build(diags, f"field {key!r}", make, fields[key])
+    if required:
+        diags.append(f"missing required field {key!r}")
+    return None
 
 
 def _switch_cell(diags, shifter, er_db, bar_leakage=None, **loss):
@@ -168,67 +166,40 @@ def _switch_cell(diags, shifter, er_db, bar_leakage=None, **loss):
     return MZIParams(shifter=shifter, **loss)
 
 
-def _check_common(cfg, experiment, diags) -> None:
-    version = cfg.get("schema_version")
-    if not is_integer(version) or version != CONFIG_SCHEMA_VERSION:
-        diags.append(
-            f"schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}"
-        )
-    declared = cfg.get("experiment")
-    if declared != experiment:
-        diags.append(f"config experiment {declared!r} does not match command {experiment!r}")
-    if "seed" in cfg and cfg["seed"] is not None:
-        _integer(cfg, diags, "seed", minimum=0)
-
-
-def _parse_hom_fringe(cfg, seed, diags):
+def _parse_hom_fringe(fields, seed, diags):
     from .components import PhaseShifterParams
     from .photons import SourceModel
-    overlap = _number(
-        cfg, diags, "overlap", default=SourceModel.indistinguishability, minimum=0.0, maximum=1.0
-    )
-    v_pi = _number(cfg, diags, "v_pi_volts", default=PhaseShifterParams.v_pi_volts, minimum=1e-9)
-    start = _number(cfg, diags, "voltage_start", default=0.0)
-    stop = _number(cfg, diags, "voltage_stop", default=9.0)
-    n_points = _integer(cfg, diags, "n_points", default=41, minimum=5, maximum=MAX_N_POINTS)
-    floor = _number(cfg, diags, "accidental_floor", minimum=0.0)
-    er = _optional_number(cfg, diags, "extinction_db", minimum=0.1)
-    mean_counts = _optional_number(cfg, diags, "poisson_mean_counts", minimum=1.0)
+    start, stop = fields.get("voltage_start", 0.0), fields.get("voltage_stop", 9.0)
+    floor, mean_counts = fields.get("accidental_floor", 0.0), fields.get("poisson_mean_counts")
     if not stop > start:
         diags.append("voltage_stop must exceed voltage_start")
     if mean_counts is not None and seed is None:
         diags.append("seed is required when poisson_mean_counts is set")
     # A passive cell's coincidence probability is at most 1, plus the floor.
-    if mean_counts is not None and mean_counts * (1.0 + (floor or 0.0)) > _POISSON_LAM_MAX:
+    if mean_counts is not None and mean_counts * (1.0 + floor) > _POISSON_LAM_MAX:
         diags.append(
             f"poisson_mean_counts times (1 + accidental_floor) must not exceed "
             f"{_POISSON_LAM_MAX:.6g}, the largest Poisson mean numpy samples"
         )
-    cell = _switch_cell(diags, PhaseShifterParams(v_pi_volts=v_pi), er)
-    return cell, (start, stop, n_points), overlap, _given(accidental_floor=floor), mean_counts, seed
+    shifter = PhaseShifterParams(**_given(fields, "v_pi_volts"))
+    cell = _switch_cell(diags, shifter, fields.get("extinction_db"))
+    overlap = fields.get("overlap", SourceModel.indistinguishability)
+    sweep = (start, stop, fields.get("n_points", 41))
+    return cell, sweep, overlap, _given(fields, "accidental_floor"), mean_counts, seed
 
 
-def _parse_demux(cfg, seed, diags):
+def _parse_demux(fields, seed, diags):
     from .components import PhaseShifterParams
     from .photons import SourceModel
     from .router import SLOTS_PER_FRAME, TIMING_TOLERANCE_NS, default_pulse_program
-    n_frames = _integer(cfg, diags, "n_frames", default=10, minimum=1, maximum=MAX_N_FRAMES)
-    period = _number(
-        cfg, diags, "repetition_period_ns", default=SourceModel.repetition_period_ns, minimum=1e-9
-    )
-    v_pi = _number(cfg, diags, "v_pi_volts", default=PhaseShifterParams.v_pi_volts, minimum=1e-9)
+    n_frames, offset = fields.get("n_frames", 10), fields.get("train_offset_ns", 0.0)
     # An absent f_3db_ghz keeps the stock bandwidth; null means an instantaneous shifter.
-    f_3db = PhaseShifterParams.f_3db_ghz
-    if "f_3db_ghz" in cfg:
-        f_3db = _optional_number(cfg, diags, "f_3db_ghz", minimum=1e-9)
-        f_3db = math.inf if f_3db is None else f_3db
-    per_slot = _integer(cfg, diags, "samples_per_slot", minimum=2, maximum=MAX_SAMPLES_PER_SLOT)
-    er = _optional_number(cfg, diags, "extinction_db", minimum=0.1)
-    leak = _optional_number(cfg, diags, "bar_leakage", minimum=0.0, maximum=0.499)
-    loss = _number(cfg, diags, "insertion_loss_db", minimum=0.0)
-    offset = _number(cfg, diags, "train_offset_ns", default=0.0, minimum=0.0)
-    program = default_pulse_program(period, v_pi, n_frames, **_given(samples_per_slot=per_slot))
-    if math.isfinite(f_3db) and program.sample_rate_ghz <= 2.0 * f_3db:
+    f_3db = fields.get("f_3db_ghz", PhaseShifterParams.f_3db_ghz)
+    shifter = PhaseShifterParams(**_given(fields, "v_pi_volts"), f_3db_ghz=f_3db or math.inf)
+    source = SourceModel(**_given(fields, "repetition_period_ns"))
+    period, per_slot = source.repetition_period_ns, _given(fields, "samples_per_slot")
+    program = default_pulse_program(period, shifter.v_pi_volts, n_frames, **per_slot)
+    if f_3db is not None and program.sample_rate_ghz <= 2.0 * f_3db:
         diags.append(
             f"samples_per_slot / repetition_period_ns = {program.sample_rate_ghz:.6g} GHz must "
             f"exceed twice f_3db_ghz ({2.0 * f_3db:.6g} GHz)"
@@ -240,90 +211,61 @@ def _parse_demux(cfg, seed, diags):
             f"train_offset_ns puts the last photon at {last_photon:.10g} ns, past the end "
             f"of the pulse program at {program.end_ns:.10g} ns"
         )
-    if cfg.get("extinction_db") is not None and cfg.get("bar_leakage") is not None:
+    er, leak = fields.get("extinction_db"), fields.get("bar_leakage")
+    if er is not None and leak is not None:
         diags.append("give at most one of extinction_db and bar_leakage")
-    errors = cfg.get("phase_errors_rad")
-    if "phase_errors_rad" in cfg and not (
+    errors = fields.get("phase_errors_rad")
+    if "phase_errors_rad" in fields and not (
         isinstance(errors, list) and len(errors) == 3 and all(is_finite_number(v) for v in errors)
     ):
         diags.append("field 'phase_errors_rad' must be a list of 3 finite numbers")
-    shifter = PhaseShifterParams(v_pi_volts=v_pi, f_3db_ghz=f_3db)
-    cell = _switch_cell(diags, shifter, er, leak, **_given(insertion_loss_db=loss))
-    source = SourceModel(repetition_period_ns=period)
-    return (cell, cell, cell), program, source, n_frames, offset, _given(phase_errors_rad=errors)
+    cell = _switch_cell(diags, shifter, er, leak, **_given(fields, "insertion_loss_db"))
+    return (cell, cell, cell), program, source, n_frames, offset, _given(fields, "phase_errors_rad")
 
 
-def _parse_distribution(cfg, seed, diags):
+def _parse_distribution(fields, seed, diags):
     from .mesh import MeshConfig, compose
-    has_unitary = cfg.get("unitary") is not None
-    has_mesh = cfg.get("mesh") is not None
-    if has_unitary == has_mesh:
+    if (fields.get("unitary") is None) == (fields.get("mesh") is None):
         diags.append("give exactly one of 'unitary' and 'mesh'")
-    u = _matrix_field(cfg, diags, "unitary")
-    if has_mesh and not isinstance(cfg["mesh"], dict):
-        diags.append("field 'mesh' must be a mesh configuration object")
-    elif has_mesh:
-        mesh = _build(diags, "field 'mesh'", MeshConfig.from_json_dict, cfg["mesh"])
-        u = None if mesh is None else compose(mesh)
-    modes = cfg.get("input_modes")
-    if not (
-        isinstance(modes, list)
-        and len(modes) in (1, 2)
-        and all(is_integer(m) and m >= 0 for m in modes)
-    ):
+    u = _object(fields, diags, "unitary", matrix_from_json_dict)
+    mesh = _object(fields, diags, "mesh", MeshConfig.from_json_dict)
+    if mesh is not None:
+        u = compose(mesh)
+    modes = fields.get("input_modes")
+    if not (isinstance(modes, list) and len(modes) in (1, 2)
+            and all(is_integer(m) and m >= 0 for m in modes)):
         diags.append("field 'input_modes' must be a list of 1 or 2 port indices")
     elif len(modes) == 2 and modes[0] == modes[1]:
         diags.append("two-photon input_modes must be distinct ports")
     elif u is not None and max(modes) >= u.shape[1]:
-        diags.append(
-            f"field 'input_modes': port {max(modes)} out of range for {u.shape[1]} inputs"
-        )
-    overlap = _number(cfg, diags, "overlap", minimum=0.0, maximum=1.0)
-    collision_free = _boolean(cfg, diags, "collision_free_only")
-    return u, modes, _given(overlap=overlap, collision_free_only=collision_free)
+        diags.append(f"field 'input_modes': port {max(modes)} out of range for {u.shape[1]} inputs")
+    return u, modes, _given(fields, "overlap", "collision_free_only")
 
 
-def _parse_mesh_decompose(cfg, seed, diags):
+def _parse_mesh_decompose(fields, seed, diags):
     from .mesh import decompose
-    u = _matrix_field(cfg, diags, "unitary", required=True)
-    tol = _number(cfg, diags, "tol", minimum=0.0)
+    u = _object(fields, diags, "unitary", matrix_from_json_dict, required=True)
     if u is None:
         return None
-    return u, _build(diags, "field 'unitary'", decompose, u, **_given(tol=tol))
+    return u, _build(diags, "field 'unitary'", decompose, u, **_given(fields, "tol"))
 
 
-def _parse_mesh_compose(cfg, seed, diags):
+def _parse_mesh_compose(fields, seed, diags):
     from .mesh import MeshConfig
-    if not isinstance(cfg.get("mesh"), dict):
-        diags.append("missing required field 'mesh' (mesh configuration object)")
-        return None
-    return _build(diags, "field 'mesh'", MeshConfig.from_json_dict, cfg["mesh"])
+    return _object(fields, diags, "mesh", MeshConfig.from_json_dict, required=True)
 
 
-def _parse_reconstruct(cfg, seed, diags):
+def _parse_reconstruct(fields, seed, diags):
     from .reconstruct import MeasuredStatistics, synthesize_statistics
     if seed is None:
         diags.append("seed is required for reconstruction (random restarts)")
-    has_unitary = cfg.get("unitary") is not None
-    has_stats = cfg.get("statistics") is not None
-    if has_unitary == has_stats:
+    if (fields.get("unitary") is None) == (fields.get("statistics") is None):
         diags.append("give exactly one of 'unitary' and 'statistics'")
-    reference = _matrix_field(cfg, diags, "unitary")
-    stats = None
-    if has_stats and not isinstance(cfg["statistics"], dict):
-        diags.append("field 'statistics' must be a measured-statistics object")
-    elif has_stats:
-        stats = _build(
-            diags, "field 'statistics'", MeasuredStatistics.from_json_dict, cfg["statistics"]
-        )
-    overlap = _given(overlap=_number(cfg, diags, "overlap", minimum=0.0, maximum=1.0))
-    n_restarts = _integer(cfg, diags, "n_restarts", minimum=1)
-    collision_free = _boolean(cfg, diags, "collision_free_only")
+    reference = _object(fields, diags, "unitary", matrix_from_json_dict)
+    stats = _object(fields, diags, "statistics", MeasuredStatistics.from_json_dict)
     if reference is not None:
-        stats = _build(
-            diags, "field 'unitary'", synthesize_statistics, reference,
-            **overlap, **_given(collision_free_only=collision_free),
-        )
+        options = _given(fields, "overlap", "collision_free_only")
+        stats = _build(diags, "field 'unitary'", synthesize_statistics, reference, **options)
     if stats is not None and stats.n_modes < 2:
         source = "unitary" if reference is not None else "statistics"
         diags.append(f"field {source!r}: reconstruction needs at least 2 modes")
@@ -331,38 +273,40 @@ def _parse_reconstruct(cfg, seed, diags):
         diags.append(
             f"field 'statistics': no two-photon data for input pairs {stats.missing_pairs()}"
         )
-    return stats, reference, seed, {**overlap, **_given(n_restarts=n_restarts)}
+    return stats, reference, seed, _given(fields, "overlap", "n_restarts")
 
 
-def _parse_loss_budget(cfg, seed, diags):
-    from .budget import BudgetEntry, LossBudget
+def _grating_spectrum(data):
+    import dataclasses
+
     from .components import GratingSpectrum
-    entries = cfg.get("entries")
+    check_fields(data, [field.name for field in dataclasses.fields(GratingSpectrum)])
+    return GratingSpectrum(**data)
+
+
+def _parse_loss_budget(fields, seed, diags):
+    from .budget import BudgetEntry, LossBudget
+    entries = fields.get("entries")
     if not (isinstance(entries, list) and entries):
         diags.append("field 'entries' must be a non-empty list")
         entries = []
-    parsed = []
-    for idx, entry in enumerate(entries):
-        if isinstance(entry, dict) and isinstance(entry.get("label"), str):
-            parsed.append(_build(diags, f"entries[{idx}]", BudgetEntry.from_json_dict, entry))
-        else:
-            diags.append(f"entries[{idx}] must be an object with a string 'label'")
-            parsed.append(None)
+    parsed = [
+        _build(diags, f"entries[{idx}]", BudgetEntry.from_json_dict, entry)
+        for idx, entry in enumerate(entries)
+    ]
     budget = None
     if parsed and None not in parsed:
         budget = _build(diags, "entries", LossBudget, tuple(parsed))
-    sweep = cfg.get("sweep")
+    sweep = fields.get("sweep")
     if sweep is None:
         return budget, None
     if not isinstance(sweep, dict):
         diags.append("field 'sweep' must be an object")
         return budget, None
+    _build(diags, "sweep", check_fields, sweep, ("wavelengths_nm", "coupler_labels", "grating"))
     wavelengths = sweep.get("wavelengths_nm")
-    if not (
-        isinstance(wavelengths, list)
-        and len(wavelengths) >= 1
-        and all(is_finite_number(v) for v in wavelengths)
-    ):
+    if not (isinstance(wavelengths, list) and wavelengths
+            and all(is_finite_number(v) for v in wavelengths)):
         diags.append("sweep.wavelengths_nm must be a non-empty list of finite numbers")
         wavelengths = []
     wavelengths = [float(v) for v in wavelengths]
@@ -371,14 +315,9 @@ def _parse_loss_budget(cfg, seed, diags):
         diags.append("sweep.coupler_labels must be a non-empty list of entry labels")
     else:
         known = [entry.get("label") for entry in entries if isinstance(entry, dict)]
-        for label in labels:
-            if label not in known:
-                diags.append(f"sweep.coupler_labels: no entry is labelled {label!r}")
-    grating = sweep.get("grating", {})
-    if not isinstance(grating, dict):
-        diags.append("sweep.grating must be an object of grating parameters")
-        return budget, None
-    spectrum = _build(diags, "sweep.grating", GratingSpectrum, **grating)
+        diags += [f"sweep.coupler_labels: no entry is labelled {label!r}" for label in labels
+                  if label not in known]
+    spectrum = _build(diags, "sweep.grating", _grating_spectrum, sweep.get("grating", {}))
     if spectrum is not None:
         for wavelength in wavelengths:
             _build(diags, "sweep.wavelengths_nm", spectrum.efficiency_db, wavelength)
@@ -529,6 +468,41 @@ def _run_loss_budget(parsed):
     return outputs, lines
 
 
+_NUMBER, _POSITIVE, _NON_NEGATIVE = Field(float), Field(float, 1e-9), Field(float, 0.0)
+_OVERLAP, _EXTINCTION, _PARSED = Field(float, 0.0, 1.0), Field(float, 0.1, null=True), Field(None)
+
+#: The keys every config may carry; `parse` checks the first two itself.
+COMMON_FIELDS = {"schema_version": _PARSED, "experiment": _PARSED, "seed": Field(int, 0, null=True)}
+
+#: experiment -> {key: Field} for every other key its config may carry, the
+#: keys of the README key table.  Any key not declared is a config error.
+FIELDS = {
+    "hom-fringe": {
+        "overlap": _OVERLAP, "v_pi_volts": _POSITIVE, "voltage_start": _NUMBER,
+        "voltage_stop": _NUMBER, "n_points": Field(int, 5, MAX_N_POINTS),
+        "accidental_floor": _NON_NEGATIVE, "extinction_db": _EXTINCTION,
+        "poisson_mean_counts": Field(float, 1.0, null=True),
+    },
+    "demux": {
+        "n_frames": Field(int, 1, MAX_N_FRAMES), "repetition_period_ns": _POSITIVE,
+        "v_pi_volts": _POSITIVE, "f_3db_ghz": Field(float, 1e-9, null=True),
+        "samples_per_slot": Field(int, 2, MAX_SAMPLES_PER_SLOT), "extinction_db": _EXTINCTION,
+        "bar_leakage": Field(float, 0.0, 0.499, null=True), "insertion_loss_db": _NON_NEGATIVE,
+        "train_offset_ns": _NON_NEGATIVE, "phase_errors_rad": _PARSED,
+    },
+    "distribution": {
+        "unitary": _PARSED, "mesh": _PARSED, "input_modes": _PARSED, "overlap": _OVERLAP,
+        "collision_free_only": Field(bool),
+    },
+    "mesh-decompose": {"unitary": _PARSED, "tol": _NON_NEGATIVE},
+    "mesh-compose": {"mesh": _PARSED},
+    "reconstruct": {
+        "unitary": _PARSED, "statistics": _PARSED, "overlap": _OVERLAP,
+        "n_restarts": Field(int, 1), "collision_free_only": Field(bool),
+    },
+    "loss-budget": {"entries": _PARSED, "sweep": _PARSED},
+}
+
 #: experiment -> (parse, run); the parse is validate's whole job.
 EXPERIMENTS = {
     "hom-fringe": (_parse_hom_fringe, _run_hom_fringe),
@@ -544,10 +518,15 @@ EXPERIMENTS = {
 def parse(experiment, cfg, seed):
     """The parsed inputs of ``experiment``, or ConfigError with every diagnostic."""
     diags: list[str] = []
-    _check_common(cfg, experiment, diags)
-    parsed = None
-    if not diags or cfg.get("experiment") == experiment:
-        parsed = EXPERIMENTS[experiment][0](cfg, seed, diags)
+    version = cfg.get("schema_version")
+    if not is_integer(version) or version != CONFIG_SCHEMA_VERSION:
+        diags.append(f"schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
+    declared = cfg.get("experiment")
+    if declared != experiment:
+        diags.append(f"config experiment {declared!r} does not match command {experiment!r}")
+        raise ConfigError(diags)
+    fields = _read(cfg, {**COMMON_FIELDS, **FIELDS[experiment]}, diags)
+    parsed = EXPERIMENTS[experiment][0](fields, seed, diags)
     if diags:
         raise ConfigError(diags)
     return parsed

@@ -24,7 +24,7 @@ from .components import (
     mzi_transfer,
     voltage_for_phase,
 )
-from .core import as_complex_matrix, finite_number_array, is_finite_number, is_integer, is_unitary
+from .core import as_complex_matrix, check_fields, finite_number_array, is_finite_number, is_integer, is_unitary
 from .errors import ComplianceError, DimensionError, GaugeError, TopologyError
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
 ]
 
 MESH_SCHEMA_VERSION = 1
-
-#: The keys a cell may carry in a mesh configuration.
-_CELL_KEYS = frozenset({"modes", "theta", "phi"})
 
 _TWO_PI = 2.0 * math.pi
 
@@ -132,6 +129,7 @@ class MeshConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeshConfig":
+        check_fields(data, ("schema_version", "n_modes", "cells", "output_phases"))
         version = data.get("schema_version")
         if not is_integer(version) or version != MESH_SCHEMA_VERSION:
             raise ValueError(f"unsupported mesh schema_version {version!r}")
@@ -139,18 +137,15 @@ class MeshConfig:
         if not is_integer(n_modes):
             raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
         cells = []
-        for entry in data["cells"]:
+        for idx, entry in enumerate(data["cells"]):
+            check_fields(entry, ("modes", "theta", "phi"), f"cells[{idx}]")
             modes = tuple(entry["modes"])
             if not all(is_integer(m) for m in modes):
                 raise ValueError(f"cell modes must be integers, got {list(modes)}")
             phases = (entry["theta"], entry.get("phi", 0.0))
             if not all(is_finite_number(v) for v in phases):
                 raise ValueError(f"cell {list(modes)}: theta and phi must be finite numbers")
-            cell = MeshCell(modes, *(float(v) for v in phases))
-            unknown = sorted(set(entry) - _CELL_KEYS)
-            if unknown:
-                raise ValueError(f"cell {cell.modes} has unknown keys {unknown}")
-            cells.append(cell)
+            cells.append(MeshCell(modes, *(float(v) for v in phases)))
         outputs = finite_number_array(data["output_phases"], 1, "output_phases")
         return cls(n_modes, cells, outputs)
 

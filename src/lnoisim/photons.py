@@ -18,7 +18,7 @@ import numpy as np
 
 from .components import MZIParams, mzi_transfer
 from .core import PERMANENT_MAX_ORDER, ProbabilityDistribution, _levenberg_marquardt
-from .core import _permanents, as_complex_matrix, is_finite_number, is_integer
+from .core import _permanents, as_complex_matrix, check_fields, is_finite_number, is_integer
 from .errors import DimensionError, FitError
 
 __all__ = [
@@ -138,6 +138,9 @@ class TwoPhotonDistribution:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TwoPhotonDistribution":
+        check_fields(data, ("input", "outputs"), "pair")
+        for idx, entry in enumerate(data["outputs"]):
+            check_fields(entry, ("pattern", "p"), f"pair outputs[{idx}]")
         patterns = tuple(tuple(entry["pattern"]) for entry in data["outputs"])
         probs = [entry["p"] for entry in data["outputs"]]
         if not all(is_finite_number(p) for p in probs):

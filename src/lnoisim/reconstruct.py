@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import _levenberg_marquardt, as_complex_matrix, finite_number_array
+from .core import _levenberg_marquardt, as_complex_matrix, check_fields, finite_number_array
 from .errors import ConvergenceError, CoverageError, DimensionError
 from .mesh import MeshCell, MeshConfig, _mesh_product, clements_layout, compose, wrap_phase
 from .photons import TwoPhotonDistribution, _coincidence, two_photon_distribution
@@ -133,6 +133,7 @@ class MeasuredStatistics:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeasuredStatistics":
+        check_fields(data, ("singles", "pairs"))
         dists = [TwoPhotonDistribution.from_json_dict(entry) for entry in data["pairs"]]
         pairs = {dist.input_pair: dist for dist in dists}
         if len(pairs) < len(dists):

@@ -116,6 +116,19 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw", [b'{"x":"\xff"}', b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "nested-too-deep"]
+)
+@pytest.mark.parametrize("argv", [["validate"], ["hom-fringe"]])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, raw, argv):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    assert run([*argv, "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not valid JSON: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert run(["validate", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
@@ -734,7 +747,7 @@ def test_unknown_mesh_cell_key_is_a_config_error(tmp_path, capsys, argv, extra):
     payload = {"schema_version": 1, "experiment": "-".join(argv), "mesh": mesh, **extra}
     cfg = write_config(tmp_path, "mesh.json", payload)
     _assert_config_error_twice(
-        tmp_path, capsys, argv, cfg, "field 'mesh': cell (0, 1) has unknown keys ['phii']"
+        tmp_path, capsys, argv, cfg, "field 'mesh': cells[0]: unknown field 'phii' (did you mean 'phi'?)"
     )
     # phi may still be left out.
     del cell["phii"]
@@ -953,9 +966,39 @@ _REJECTED = {
     "grating-bool-bandwidth": (["loss-budget"], _budget_with_grating(bandwidth_1db_nm=True),
                                "sweep.grating: bandwidth_1db_nm must be a finite number, got True"),
     "grating-samples": (["loss-budget"], _budget_with_grating(samples=[[910, 940], [-4, 3]]),
-                        "sweep.grating: GratingSpectrum.__init__() got an unexpected keyword "
-                        "argument 'samples'"),
+                        "sweep.grating: unknown field 'samples'"),
 }
+
+
+# A misspelt or extra key at any depth, each with the diagnostic both calls print.
+_UNKNOWN_FIELDS = {
+    "top-level": (["hom-fringe"], {"schema_version": 1, "experiment": "hom-fringe", "overlapp": 0.5},
+                  "unknown field 'overlapp' (did you mean 'overlap'?)"),
+    "budget-entry": (["loss-budget"], {
+        **_BUDGET, "entries": [{"label": "coupler_in", "los_db": 3.4}],
+    }, "entries[0]: unknown field 'los_db' (did you mean 'loss_db'?)"),
+    "sweep": (["loss-budget"], {
+        **_BUDGET, "sweep": {"wavelengths_nm": [930.0], "coupler_labels": ["coupler_in"], "extra": 1},
+    }, "sweep: unknown field 'extra'"),
+    "statistics": (["reconstruct"], _reconstruct_with_statistics(_set(("junk",), 1)),
+                   "field 'statistics': unknown field 'junk'"),
+    "pair": (["reconstruct"], _reconstruct_with_pairs(lambda pairs: pairs[0].update(bogus=1)),
+             "field 'statistics': pair: unknown field 'bogus'"),
+    "pair-output": (["reconstruct"], _reconstruct_with_pairs(
+        lambda pairs: pairs[0]["outputs"][1].update(q=0.5)
+    ), "field 'statistics': pair outputs[1]: unknown field 'q'"),
+    "matrix": (["distribution"], _with_unitary("distribution", _set(("imag",), [[0.0] * 2] * 2)),
+               "field 'unitary': unknown field 'imag' (did you mean 'im'?)"),
+    "mesh": (["mesh", "compose"], _compose_with_mesh(_set(("n_mode",), 4)),
+             "field 'mesh': unknown field 'n_mode' (did you mean 'n_modes'?)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNKNOWN_FIELDS))
+def test_unknown_field_is_a_config_error(tmp_path, capsys, case):
+    argv, payload, diagnostic = _UNKNOWN_FIELDS[case]
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    _assert_config_error_twice(tmp_path, capsys, argv, cfg, diagnostic)
 
 
 @pytest.mark.parametrize("case", sorted(_REJECTED))
@@ -983,15 +1026,21 @@ def _paths(node, prefix=()):
 
 
 _DROP = object()
+_RENAME = object()  # rename the key by one edit: its last letter doubled
 _BAD_VALUES = ("x", 7, True, math.nan, math.inf, -math.inf, -1.5, 2**1024, [], None)
 
 
 def _mutations(argv, payload):
-    """(argv, config, path, new value or _DROP) for each single mutation of a config."""
-    changes = []
+    """(argv, config, path, new value, _DROP or _RENAME) for each single mutation of a
+    config; a path ending in "unknown_key" adds that key."""
+    changes = [(("unknown_key",), 0)]
     for path, in_dict in _paths(payload):
-        changes += [(path, _DROP)] if in_dict else []
+        changes += [(path, _DROP), (path, _RENAME)] if in_dict else []
         changes += [(path, value) for value in _BAD_VALUES]
+        node = payload
+        for key in path:
+            node = node[key]
+        changes += [(path + ("unknown_key",), 0)] if isinstance(node, dict) else []
     if argv == ["loss-budget"]:
         changes.append((("entries", 1, "label"), payload["entries"][0]["label"]))
     if argv == ["distribution"]:
@@ -1047,14 +1096,18 @@ def test_numeric_strings_are_config_errors(tmp_path, mutation):
 @given(st.sampled_from(_CONFIG_MUTATIONS))
 def test_mutated_configs_exit_cleanly_and_validate_agrees(mutation):
     # A config `validate` passes never fails the run with a config error, and
-    # no mutation of a valid config ends in a traceback.
+    # no mutation of a valid config ends in a traceback.  A renamed or added
+    # key, at any depth, is a config error.
     argv, payload, (*head, last), value = mutation
     cfg = json.loads(json.dumps(payload))
     parent = cfg
     for key in head:
         parent = parent[key]
+    unknown = value is _RENAME or (isinstance(parent, dict) and last not in parent)
     if value is _DROP:
         del parent[last]
+    elif value is _RENAME:
+        parent[last + last[-1]] = parent.pop(last)
     else:
         parent[last] = value
     with tempfile.TemporaryDirectory() as tmp:
@@ -1065,3 +1118,4 @@ def test_mutated_configs_exit_cleanly_and_validate_agrees(mutation):
         ran = main([*argv, "--config", path, "--output-dir", os.path.join(tmp, "out"), "--quiet"])
     assert checked in (0, 2) and ran in (0, 1, 2)
     assert (checked == 0) == (ran != 2), (cfg, checked, ran)
+    assert not unknown or checked == ran == 2, (cfg, checked, ran)

@@ -56,6 +56,25 @@ def test_experiment_loads_only_the_modules_it_runs(tmp_path, argv, config, unloa
     assert not {f"lnoisim.{name}" for name in unloaded} & set(modules)
 
 
+def test_from_import_of_the_front_end_loads_no_library():
+    code = (
+        "import json, sys; from lnoisim import cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lnoisim'))))"
+    )
+    assert _fresh_python(code) == ["lnoisim", "lnoisim.cli", "lnoisim.errors"]
+
+
+@pytest.mark.parametrize("extra, code", [({}, 0), ({"overlapp": 0.5}, 2)])
+def test_difflib_loads_only_to_hint_at_an_unknown_key(tmp_path, extra, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**json.loads((GOLDEN / "readme-hom-fringe.json").read_text()), **extra}))
+    probe = (
+        "import json, sys; from lnoisim.cli import main; "
+        "print(json.dumps([main(sys.argv[1:]), 'difflib' in sys.modules]))"
+    )
+    assert _fresh_python(probe, "validate", "--config", str(cfg)) == [code, code == 2]
+
+
 def test_package_import_is_lazy():
     # A name loads the submodule that exports it and those before it in
     # dependency order, and then sits in the package's own namespace.
