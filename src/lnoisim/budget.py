@@ -58,7 +58,10 @@ class BudgetEntry:
         check_fields(data, [field.name for field in fields(cls)])
         if not isinstance(data.get("label"), str):
             raise ValueError("an entry needs a string 'label'")
-        return cls(**data)
+        entry = cls(**data)
+        if entry.effective_loss_db < 0:
+            raise ValueError(f"entry {entry.label!r}: a loss is a magnitude, at least 0 dB")
+        return entry
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,8 @@ class LossBudget:
         labels = [e.label for e in self.entries]
         if len(set(labels)) != len(labels):
             raise ValueError("budget entry labels must be unique")
+        if not np.isfinite(self.total_db):
+            raise ValueError(f"the total loss must be finite, got {self.total_db} dB")
 
     @property
     def total_db(self) -> float:

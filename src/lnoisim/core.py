@@ -1,4 +1,4 @@
-"""Complex linear algebra and distribution metrics shared by all simulation layers.
+"""Complex linear algebra and input checks shared by all simulation layers.
 
 Transfer matrices act on column vectors of mode amplitudes.  A lossless
 circuit is unitary; uniform loss scales the matrix below unity (sub-unitary).
@@ -9,29 +9,23 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NormalizationError, OutcomeMismatchError
+from .errors import ConfigError, DimensionError
 
 __all__ = [
     "PERMANENT_MAX_ORDER",
-    "ProbabilityDistribution",
     "as_complex_matrix",
     "haar_random_unitary",
     "is_unitary",
     "matrix_distance",
     "permanent",
-    "statistical_fidelity",
 ]
 
 #: Largest matrix order accepted by :func:`permanent` (cost doubles per row).
 PERMANENT_MAX_ORDER = 20
-
-#: Probability sums within this tolerance of one count as normalized.
-NORMALIZATION_TOL = 1e-9
 
 #: Smallest Marquardt scale of a parameter, relative to the largest one.
 _SCALE_FLOOR = 1e-6
@@ -94,7 +88,8 @@ def as_complex_matrix(m: object) -> np.ndarray:
 def is_unitary(m: object, tol: float = 1e-10) -> bool:
     """Whether ``m`` is square and satisfies m†m = I within ``tol`` (max norm)."""
     arr = as_complex_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
+    # No entry of a unitary exceeds 1; testing that first keeps m†m from overflowing.
+    if arr.shape[0] != arr.shape[1] or np.abs(arr).max(initial=0.0) > 1.0 + tol:
         return False
     gram = arr.conj().T @ arr
     return bool(np.max(np.abs(gram - np.eye(arr.shape[0]))) <= tol)
@@ -269,79 +264,3 @@ def _levenberg_marquardt(
             mu *= nu
             nu *= 2.0
     return LeastSquaresFit(x, r, j, cost, nfev)
-
-
-@dataclass(frozen=True, eq=False)
-class ProbabilityDistribution:
-    """Probabilities over a finite set of hashable outcome labels.
-
-    Attributes:
-        outcomes: outcome labels, unique within the distribution.
-        probabilities: non-negative weights aligned with ``outcomes``.
-        normalized: True when the weights are asserted to sum to one
-            (within 1e-9); sub-unitary circuits legitimately produce
-            distributions with deficit mass, flagged False.
-    """
-
-    outcomes: tuple
-    probabilities: np.ndarray
-    normalized: bool = True
-
-    def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        if probs.ndim != 1 or len(self.outcomes) != probs.shape[0]:
-            raise DimensionError("outcomes and probabilities must align 1:1")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError("outcome labels must be unique")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        if np.any(probs < -1e-14):
-            raise ValueError("probabilities must be non-negative")
-        probs.setflags(write=False)
-        if self.normalized and abs(probs.sum() - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"probabilities sum to {probs.sum():.12g}, expected 1 within {NORMALIZATION_TOL}"
-            )
-
-    @classmethod
-    def from_values(
-        cls, outcomes: Iterable[Hashable], probabilities: Sequence[float]
-    ) -> "ProbabilityDistribution":
-        """Build a distribution, auto-detecting whether it is normalized."""
-        probs = np.asarray(probabilities, dtype=float)
-        normalized = bool(abs(probs.sum() - 1.0) <= NORMALIZATION_TOL)
-        return cls(tuple(outcomes), probs, normalized=normalized)
-
-    @property
-    def total(self) -> float:
-        return float(self.probabilities.sum())
-
-    def probability(self, outcome: Hashable) -> float:
-        try:
-            idx = self.outcomes.index(outcome)
-        except ValueError as exc:
-            raise OutcomeMismatchError(f"unknown outcome {outcome!r}") from exc
-        return float(self.probabilities[idx])
-
-
-def statistical_fidelity(p: ProbabilityDistribution, q: ProbabilityDistribution) -> float:
-    """Bhattacharyya overlap sum_i sqrt(p_i q_i) between two distributions.
-
-    Both inputs must be normalized and defined over the same outcome set;
-    if the label orders differ, ``q`` is aligned to ``p`` by label.  The
-    result lies in [0, 1] and equals 1 only for identical distributions.
-    """
-    for name, dist in (("p", p), ("q", q)):
-        if abs(dist.total - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(f"{name} is not normalized (sum={dist.total:.12g})")
-    if p.outcomes == q.outcomes:
-        q_probs = q.probabilities
-    else:
-        if set(p.outcomes) != set(q.outcomes):
-            raise OutcomeMismatchError("distributions are defined over different outcome sets")
-        lookup = dict(zip(q.outcomes, q.probabilities))
-        q_probs = np.array([lookup[o] for o in p.outcomes])
-    overlap = float(np.sum(np.sqrt(np.clip(p.probabilities, 0.0, None) * np.clip(q_probs, 0.0, None))))
-    return min(overlap, 1.0)

@@ -71,6 +71,17 @@ def matrix_from_json_dict(data) -> np.ndarray:
     return re + 1j * im
 
 
+def _passive_matrix(data) -> np.ndarray:
+    """The matrix of :func:`matrix_from_json_dict`, refused unless it is passive:
+    its largest singular value, the most it can amplify any input, is at most
+    1 + 1e-9, the slack rounding leaves on a lossless matrix."""
+    u = matrix_from_json_dict(data)
+    gain = np.linalg.norm(u, 2)
+    if gain > 1.0 + 1e-9:
+        raise ValueError(f"matrix is not passive: its largest singular value is {gain:.10g}")
+    return u
+
+
 def _csv_bytes(header, columns) -> bytes:
     """CSV of equal-length columns (1-d arrays or 2-d blocks), values as float reprs.
 
@@ -170,6 +181,7 @@ def _parse_hom_fringe(fields, seed, diags):
     from .components import PhaseShifterParams
     from .photons import SourceModel
     start, stop = fields.get("voltage_start", 0.0), fields.get("voltage_stop", 9.0)
+    n_points = fields.get("n_points", 41)
     floor, mean_counts = fields.get("accidental_floor", 0.0), fields.get("poisson_mean_counts")
     if not stop > start:
         diags.append("voltage_stop must exceed voltage_start")
@@ -182,9 +194,13 @@ def _parse_hom_fringe(fields, seed, diags):
             f"{_POISSON_LAM_MAX:.6g}, the largest Poisson mean numpy samples"
         )
     shifter = PhaseShifterParams(**_given(fields, "v_pi_volts"))
+    # The fringe repeats every v_pi volts, so a coarser voltage step aliases it.
+    step = (stop - start) / (n_points - 1)
+    if step > shifter.v_pi_volts / 2.0:
+        diags.append(f"the voltage step {step:.6g} V exceeds v_pi_volts / 2, so the fringe aliases")
     cell = _switch_cell(diags, shifter, fields.get("extinction_db"))
     overlap = fields.get("overlap", SourceModel.indistinguishability)
-    sweep = (start, stop, fields.get("n_points", 41))
+    sweep = (start, stop, n_points)
     return cell, sweep, overlap, _given(fields, "accidental_floor"), mean_counts, seed
 
 
@@ -227,7 +243,7 @@ def _parse_distribution(fields, seed, diags):
     from .mesh import MeshConfig, compose
     if (fields.get("unitary") is None) == (fields.get("mesh") is None):
         diags.append("give exactly one of 'unitary' and 'mesh'")
-    u = _object(fields, diags, "unitary", matrix_from_json_dict)
+    u = _object(fields, diags, "unitary", _passive_matrix)
     mesh = _object(fields, diags, "mesh", MeshConfig.from_json_dict)
     if mesh is not None:
         u = compose(mesh)
@@ -261,7 +277,7 @@ def _parse_reconstruct(fields, seed, diags):
         diags.append("seed is required for reconstruction (random restarts)")
     if (fields.get("unitary") is None) == (fields.get("statistics") is None):
         diags.append("give exactly one of 'unitary' and 'statistics'")
-    reference = _object(fields, diags, "unitary", matrix_from_json_dict)
+    reference = _object(fields, diags, "unitary", _passive_matrix)
     stats = _object(fields, diags, "statistics", MeasuredStatistics.from_json_dict)
     if reference is not None:
         options = _given(fields, "overlap", "collision_free_only")
@@ -378,24 +394,22 @@ def _run_demux(parsed):
 
 
 def _run_distribution(parsed):
-    from .photons import single_photon_distribution, two_photon_distribution
+    from .photons import nphoton_collision_free_distribution, two_photon_distribution
     u, modes, options = parsed
     if len(modes) == 1:
-        dist = single_photon_distribution(u, modes[0])
+        dist = nphoton_collision_free_distribution(u, modes)
         payload = {
             "input_modes": modes,
             "outputs": [
-                {"port": int(o), "p": float(p)}
-                for o, p in zip(dist.outcomes, dist.probabilities)
+                {"port": port, "p": float(p)}
+                for (port,), p in zip(dist.patterns, dist.probabilities)
             ],
         }
-        total = float(np.sum(dist.probabilities))
     else:
         dist = two_photon_distribution(u, (min(modes), max(modes)), **options)
         payload = dist.to_json_dict()
-        total = dist.total
     outputs = {"distribution.json": _dump_json(payload)}
-    return outputs, [f"total probability: {total:.9f}"]
+    return outputs, [f"total probability: {dist.total:.9f}"]
 
 
 def _run_mesh_decompose(parsed):

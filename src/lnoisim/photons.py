@@ -1,4 +1,4 @@
-"""Single- and two-photon counting statistics behind a linear circuit.
+"""Photon counting statistics behind a linear circuit, as :class:`PhotonDistribution`.
 
 Partial distinguishability is handled with the standard convex-combination
 model: for a pairwise overlap ``x`` the two-photon pattern probabilities are
@@ -17,19 +17,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .components import MZIParams, mzi_transfer
-from .core import PERMANENT_MAX_ORDER, ProbabilityDistribution, _levenberg_marquardt
-from .core import _permanents, as_complex_matrix, check_fields, is_finite_number, is_integer
-from .errors import DimensionError, FitError
+from .core import PERMANENT_MAX_ORDER, _levenberg_marquardt, _permanents, as_complex_matrix
+from .core import check_fields, is_finite_number, is_integer
+from .errors import DimensionError, FitError, NormalizationError, OutcomeMismatchError
 
 __all__ = [
+    "PhotonDistribution",
     "SourceModel",
-    "TwoPhotonDistribution",
     "fit_hom_visibility",
     "fit_hom_visibility_poisson",
     "fringe_contrast_from_overlap",
     "hom_fringe",
     "nphoton_collision_free_distribution",
-    "single_photon_distribution",
+    "statistical_fidelity",
     "two_photon_distribution",
 ]
 
@@ -60,76 +60,86 @@ class SourceModel:
             raise ValueError("g2_zero must lie in [0, 1)")
 
 
-def single_photon_distribution(t: object, input_mode: int) -> ProbabilityDistribution:
-    """Output-mode distribution |t[j, k]|^2 for one photon in mode ``k``.
+#: Probability sums within this tolerance of one count as normalized.
+NORMALIZATION_TOL = 1e-9
 
-    For sub-unitary ``t`` the weights sum below one and the result is
-    flagged unnormalized; the deficit is the photon loss probability.
-    """
-    mat = as_complex_matrix(t)
-    n_out, n_in = mat.shape
-    if not (0 <= input_mode < n_in):
-        raise DimensionError(f"input mode {input_mode} out of range for {n_in} inputs")
-    probs = np.abs(mat[:, input_mode]) ** 2
-    return ProbabilityDistribution.from_values(range(n_out), probs)
+
+def _probability_array(values, name: str) -> np.ndarray:
+    """``values`` as a read-only float array, refused unless each is a probability:
+    finite and in [0, 1], with -1e-14 and ``NORMALIZATION_TOL`` as rounding slack."""
+    probs = np.array(values, dtype=float)
+    if not np.all((probs >= -1e-14) & (probs <= 1.0 + NORMALIZATION_TOL)):
+        raise ValueError(f"{name} must be finite numbers in [0, 1]")
+    probs.setflags(write=False)
+    return probs
 
 
 @dataclass(frozen=True, eq=False)
-class TwoPhotonDistribution:
-    """Unordered two-photon output patterns and their probabilities.
+class PhotonDistribution:
+    """Probabilities of the output patterns of photons entering ``input_modes``.
 
-    Patterns are pairs ``(i, j)`` with ``i <= j``; ``i == j`` means both
-    photons bunched into one mode.  ``collision_free_only`` marks
-    distributions restricted to ``i < j`` (bunched mass dropped, so the
-    total may fall below one even for a lossless circuit).
+    ``input_modes`` ascend, one per photon.  A pattern is the ascending
+    tuple of the output modes, one per photon: ``(j,)`` for one photon,
+    ``(i, i)`` for two bunched into mode i.  A pattern the distribution
+    does not list has probability 0, as the bunched patterns of a
+    collision-free view do, so loss and unlisted patterns leave the total
+    below one.  ``probabilities`` is read-only and each lies in [0, 1].
     """
 
-    input_pair: tuple[int, int]
-    patterns: tuple[tuple[int, int], ...]
+    input_modes: tuple[int, ...]
+    patterns: tuple[tuple[int, ...], ...]
     probabilities: np.ndarray
-    collision_free_only: bool = False
 
     def __post_init__(self):
-        patterns = tuple(tuple(p) for p in self.patterns)
-        for modes in (self.input_pair, *patterns):
-            if not all(is_integer(m) for m in modes):
-                raise ValueError(f"modes must be integers, got {list(modes)}")
-        k, l = self.input_pair
-        if k >= l:
-            raise ValueError("input_pair must be distinct modes (k < l)")
-        if not all(0 <= i <= j for i, j in patterns):
+        inputs = tuple(self.input_modes)
+        if not all(is_integer(m) for m in inputs):
+            raise ValueError(f"modes must be integers, got {list(inputs)}")
+        if not (inputs and inputs[0] >= 0 and all(a < b for a, b in zip(inputs, inputs[1:]))):
+            raise ValueError("input_modes must be one or more distinct modes >= 0, ascending")
+        # One numpy pass checks the modes; builders pass an integer array, so it is not copied.
+        n = len(inputs)
+        try:
+            modes = np.asarray(self.patterns).reshape(len(self.patterns), n)
+        except ValueError:
+            raise ValueError(f"each pattern must list {n} output modes, one per photon") from None
+        if modes.size and modes.dtype.kind not in "iu":
+            raise ValueError("pattern modes must be integers")
+        if not (np.all(modes >= 0) and np.all(modes[:, 1:] >= modes[:, :-1])):
             raise ValueError("each pattern (i, j) must satisfy 0 <= i <= j")
+        patterns = tuple(map(tuple, modes.tolist()))
         if len(set(patterns)) < len(patterns):
             raise ValueError("patterns must not repeat")
-        probs = np.asarray(self.probabilities, dtype=float)
-        if probs.shape != (len(self.patterns),):
+        probs = _probability_array(self.probabilities, "probabilities")
+        if probs.shape != (len(patterns),):
             raise DimensionError("patterns and probabilities must align 1:1")
-        if np.any(probs < -1e-14) or not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite and non-negative")
-        probs = probs.copy()
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "input_modes", tuple(map(int, inputs)))
         object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "input_pair", (int(k), int(l)))
+        object.__setattr__(self, "probabilities", probs)
 
     @property
     def total(self) -> float:
         return float(self.probabilities.sum())
 
-    def probability(self, pattern: tuple[int, int]) -> float:
-        key = tuple(sorted(pattern))
+    def probability(self, pattern: Sequence[int]) -> float:
+        """The probability of ``pattern``, in any mode order; 0 if it is not listed."""
         try:
-            idx = self.patterns.index(key)
+            return float(self.probabilities[self.patterns.index(tuple(sorted(pattern)))])
         except ValueError:
             return 0.0
-        return float(self.probabilities[idx])
 
-    def to_distribution(self) -> ProbabilityDistribution:
-        return ProbabilityDistribution.from_values(self.patterns, self.probabilities)
+    @property
+    def outcomes(self) -> tuple[tuple[int, ...], ...]:
+        """``patterns``, under the name the benchmark in ``perfbench/`` reads."""
+        return self.patterns
+
+    def to_distribution(self) -> "PhotonDistribution":
+        """``self``: the benchmark in ``perfbench/`` converts each distribution
+        through this before :func:`statistical_fidelity`."""
+        return self
 
     def to_json_dict(self) -> dict:
         return {
-            "input": list(self.input_pair),
+            "input": list(self.input_modes),
             "outputs": [
                 {"pattern": list(p), "p": float(v)}
                 for p, v in zip(self.patterns, self.probabilities)
@@ -137,17 +147,39 @@ class TwoPhotonDistribution:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "TwoPhotonDistribution":
+    def from_json_dict(cls, data: Mapping) -> "PhotonDistribution":
+        """The distribution of :meth:`to_json_dict`, each mode and probability checked."""
         check_fields(data, ("input", "outputs"), "pair")
         for idx, entry in enumerate(data["outputs"]):
             check_fields(entry, ("pattern", "p"), f"pair outputs[{idx}]")
-        patterns = tuple(tuple(entry["pattern"]) for entry in data["outputs"])
+        patterns = [tuple(entry["pattern"]) for entry in data["outputs"]]
+        for modes in patterns:
+            if not all(is_integer(m) for m in modes):
+                raise ValueError(f"modes must be integers, got {list(modes)}")
         probs = [entry["p"] for entry in data["outputs"]]
         if not all(is_finite_number(p) for p in probs):
             raise ValueError("each output's probability 'p' must be a finite number")
-        probs = np.array(probs, dtype=float)
-        collision_free = all(a != b for a, b in patterns)
-        return cls(tuple(data["input"]), patterns, probs, collision_free_only=collision_free)
+        return cls(tuple(data["input"]), patterns, probs)
+
+
+def statistical_fidelity(p: PhotonDistribution, q: PhotonDistribution) -> float:
+    """Bhattacharyya overlap sum_i sqrt(p_i q_i) between two distributions.
+
+    The score by which reprogrammed circuits are compared with their ideal
+    (Carolan et al., Science 349, 711 (2015)).  Both inputs must sum to one
+    within ``NORMALIZATION_TOL`` and list the same patterns; if their orders
+    differ, ``q`` is aligned to ``p`` by pattern.  The result lies in
+    [0, 1] and equals 1 only for identical distributions.
+    """
+    for name, dist in (("p", p), ("q", q)):
+        if abs(dist.total - 1.0) > NORMALIZATION_TOL:
+            raise NormalizationError(f"{name} is not normalized (sum={dist.total:.12g})")
+    lookup = dict(zip(q.patterns, q.probabilities))
+    if lookup.keys() != set(p.patterns):
+        raise OutcomeMismatchError("distributions are defined over different patterns")
+    q_probs = np.array([lookup[o] for o in p.patterns])
+    overlap = float(np.sum(np.sqrt(np.clip(p.probabilities, 0.0, None) * np.clip(q_probs, 0.0, None))))
+    return min(overlap, 1.0)
 
 
 def _coincidence(a, b, x: float) -> np.ndarray:
@@ -164,7 +196,7 @@ def two_photon_distribution(
     input_pair: tuple[int, int],
     overlap: float = 1.0,
     collision_free_only: bool = False,
-) -> TwoPhotonDistribution:
+) -> PhotonDistribution:
     """Two-photon output statistics for one photon in each input of a pair.
 
     For outputs ``i < j`` the probability is
@@ -184,8 +216,6 @@ def two_photon_distribution(
     k, l = input_pair
     if not (0 <= k < n_in and 0 <= l < n_in):
         raise DimensionError(f"input pair {input_pair} out of range for {n_in} inputs")
-    if k >= l:
-        raise ValueError("input_pair must satisfy k < l")
     if not (0.0 <= overlap <= 1.0):
         raise ValueError("overlap must lie in [0, 1]")
 
@@ -195,10 +225,7 @@ def two_photon_distribution(
     # Row-major upper triangle, as np.triu_indices gives it at several times the cost.
     modes = np.arange(n_out)
     rows, cols = np.nonzero(modes[:, None] < modes if collision_free_only else modes[:, None] <= modes)
-    patterns = tuple(zip(rows.tolist(), cols.tolist()))
-    return TwoPhotonDistribution(
-        (k, l), patterns, probs[rows, cols], collision_free_only=collision_free_only
-    )
+    return PhotonDistribution((k, l), np.stack((rows, cols), axis=1), probs[rows, cols])
 
 
 def hom_fringe(
@@ -386,24 +413,26 @@ def fit_hom_visibility_poisson(
 
 def nphoton_collision_free_distribution(
     t: object, input_modes: Sequence[int]
-) -> ProbabilityDistribution:
+) -> PhotonDistribution:
     """Indistinguishable n-photon statistics over collision-free patterns.
 
     For 1 to 20 photons, each output pattern (one photon per listed mode)
     gets ``|perm(t[pattern, inputs])|^2``.  Bunched patterns are excluded,
-    so the total is below one in general.
+    so the total is below one in general.  One photon in mode k gives
+    ``|t[j, k]|^2`` for each output j, the single-photon law.
     """
     mat = as_complex_matrix(t)
     n_out = mat.shape[0]
-    inputs = list(input_modes)
-    if len(set(inputs)) != len(inputs):
-        raise ValueError("input modes must be distinct")
+    inputs = sorted(input_modes)
     if any(not (0 <= m < mat.shape[1]) for m in inputs):
         raise DimensionError("input mode out of range")
     if not (1 <= len(inputs) <= PERMANENT_MAX_ORDER):
         raise DimensionError(f"need 1 to {PERMANENT_MAX_ORDER} photons, got {len(inputs)}")
     if len(inputs) > n_out:
         raise DimensionError("more photons than output modes for collision-free patterns")
-    patterns = list(itertools.combinations(range(n_out), len(inputs)))
-    amplitudes = _permanents(mat[np.array(patterns)[:, :, None], inputs])
-    return ProbabilityDistribution.from_values(patterns, np.abs(amplitudes) ** 2)
+    # The patterns in itertools order, read flat (faster than nested tuples).
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n_out), len(inputs)))
+    patterns = np.fromiter(flat, np.intp).reshape(-1, len(inputs))
+    # Rows of the input columns: sub[p, i, j] = t[patterns[p, i], inputs[j]].
+    amplitudes = _permanents(mat[:, inputs][patterns])
+    return PhotonDistribution(inputs, patterns, np.abs(amplitudes) ** 2)

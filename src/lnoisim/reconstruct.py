@@ -29,7 +29,7 @@ import numpy as np
 from .core import _levenberg_marquardt, as_complex_matrix, check_fields, finite_number_array
 from .errors import ConvergenceError, CoverageError, DimensionError
 from .mesh import MeshCell, MeshConfig, _mesh_product, clements_layout, compose, wrap_phase
-from .photons import TwoPhotonDistribution, _coincidence, two_photon_distribution
+from .photons import PhotonDistribution, _coincidence, _probability_array, two_photon_distribution
 
 __all__ = [
     "MeasuredStatistics",
@@ -91,30 +91,25 @@ class MeasuredStatistics:
     """
 
     singles: np.ndarray
-    pairs: dict[tuple[int, int], TwoPhotonDistribution]
+    pairs: dict[tuple[int, int], PhotonDistribution]
 
     def __post_init__(self):
-        singles = np.asarray(self.singles, dtype=float)
+        singles = _probability_array(self.singles, "singles")
         if singles.ndim != 2 or singles.shape[0] != singles.shape[1]:
             raise DimensionError("singles must be a square matrix")
-        if np.any(singles < -1e-12) or not np.all(np.isfinite(singles)):
-            raise ValueError("singles must be finite and non-negative")
-        singles = singles.copy()
-        singles.setflags(write=False)
         object.__setattr__(self, "singles", singles)
         n = singles.shape[0]
         pairs = {}
         for key, dist in self.pairs.items():
-            k, l = (int(key[0]), int(key[1]))
-            if not (0 <= k < l < n):
-                raise ValueError(f"invalid input pair {key!r} for {n} modes")
-            if dist.input_pair != (k, l):
+            if tuple(key) != dist.input_modes:
                 raise ValueError(
-                    f"distribution stored under {key!r} was taken on pair {dist.input_pair}"
+                    f"distribution stored under {key!r} was taken on pair {dist.input_modes}"
                 )
+            if len(key) != 2 or key[1] >= n:
+                raise ValueError(f"invalid input pair {key!r} for {n} modes")
             if any(j >= n for _, j in dist.patterns):
                 raise ValueError(f"pair {key!r} has an output pattern beyond mode {n - 1}")
-            pairs[(k, l)] = dist
+            pairs[dist.input_modes] = dist
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -134,8 +129,8 @@ class MeasuredStatistics:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeasuredStatistics":
         check_fields(data, ("singles", "pairs"))
-        dists = [TwoPhotonDistribution.from_json_dict(entry) for entry in data["pairs"]]
-        pairs = {dist.input_pair: dist for dist in dists}
+        dists = [PhotonDistribution.from_json_dict(entry) for entry in data["pairs"]]
+        pairs = {dist.input_modes: dist for dist in dists}
         if len(pairs) < len(dists):
             raise ValueError("input pairs must not repeat")
         return cls(finite_number_array(data["singles"], 2, "singles"), pairs)

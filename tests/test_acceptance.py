@@ -189,9 +189,7 @@ def test_two_photon_statistics_match_oracle_and_survive_hardware_noise():
     got = two_photon_distribution(swept, (0, 1), overlap=1.0)
     want = two_photon_distribution(np.eye(4)[::-1], (0, 1), overlap=1.0)
     assert got.probability((2, 3)) == pytest.approx(1.0, abs=1e-12)
-    assert statistical_fidelity(got.to_distribution(), want.to_distribution()) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert statistical_fidelity(got, want) == pytest.approx(1.0, abs=1e-12)
 
     # with 10^-2.1 bar leakage in every cell and 0.01*pi phase setting
     # noise, the output distribution keeps fidelity >= 0.95 to the ideal
@@ -208,8 +206,8 @@ def test_two_photon_statistics_match_oracle_and_survive_hardware_noise():
         noisy = dataclasses.replace(config, cells=noisy_cells)
         t = compose(noisy, cell_params=leaky)
         fidelity = statistical_fidelity(
-            two_photon_distribution(u, (0, 1), overlap=0.945).to_distribution(),
-            two_photon_distribution(t, (0, 1), overlap=0.945).to_distribution(),
+            two_photon_distribution(u, (0, 1), overlap=0.945),
+            two_photon_distribution(t, (0, 1), overlap=0.945),
         )
         assert fidelity >= 0.95
 

@@ -891,6 +891,33 @@ _REJECTED = {
     "statistics-bool-probability": (["reconstruct"], _reconstruct_with_statistics(
         _set(("pairs", 0, "outputs", 0, "p"), True)
     ), "field 'statistics': each output's probability 'p' must be a finite number"),
+    "statistics-probability-above-one": (["reconstruct"], _reconstruct_with_statistics(
+        _set(("pairs", 0, "outputs", 0, "p"), 1e300)
+    ), "field 'statistics': probabilities must be finite numbers in [0, 1]"),
+    "statistics-single-above-one": (["reconstruct"], _reconstruct_with_statistics(
+        _set(("singles", 0, 0), 1e300)
+    ), "field 'statistics': singles must be finite numbers in [0, 1]"),
+    "statistics-three-mode-pattern": (["reconstruct"], _reconstruct_with_pairs(
+        lambda pairs: pairs[0]["outputs"][0].update(pattern=[0, 1, 2])
+    ), "field 'statistics': each pattern must list 2 output modes, one per photon"),
+    "distribution-one-photon-amplifying-matrix": (["distribution"], {
+        "schema_version": 1, "experiment": "distribution", "input_modes": [0],
+        "unitary": {"re": [[1e300, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    }, "field 'unitary': matrix is not passive: its largest singular value is 1e+300"),
+    "distribution-two-photon-amplifying-matrix": (["distribution"], {
+        "schema_version": 1, "experiment": "distribution", "input_modes": [0, 1],
+        "unitary": {"re": [[1e155, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    }, "field 'unitary': matrix is not passive: its largest singular value is 1e+155"),
+    "budget-negative-loss": (["loss-budget"], {
+        **_BUDGET, "entries": [{"label": "chip", "loss_db": -1e300}],
+    }, "entries[0]: entry 'chip': a loss is a magnitude, at least 0 dB"),
+    "budget-negative-loss-density": (["loss-budget"], {
+        **_BUDGET, "entries": [{"label": "chip", "db_per_cm": -1e300, "length_cm": 1}],
+    }, "entries[0]: entry 'chip': a loss is a magnitude, at least 0 dB"),
+    "budget-infinite-total": (["loss-budget"], {
+        **_BUDGET,
+        "entries": [{"label": "chip", "loss_db": 1e308}, {"label": "fiber", "loss_db": 1e308}],
+    }, "entries: the total loss must be finite, got inf dB"),
     "decompose-string-entry": (["mesh", "decompose"], _with_unitary(
         "mesh-decompose", _set(("re", 0, 0), "0.5")
     ), "field 'unitary': matrix 're' must be a 2-d array of finite numbers"),
@@ -1027,7 +1054,7 @@ def _paths(node, prefix=()):
 
 _DROP = object()
 _RENAME = object()  # rename the key by one edit: its last letter doubled
-_BAD_VALUES = ("x", 7, True, math.nan, math.inf, -math.inf, -1.5, 2**1024, [], None)
+_BAD_VALUES = ("x", 7, True, math.nan, math.inf, -math.inf, -1.5, 1e300, -1e300, 2**1024, [], None)
 
 
 def _mutations(argv, payload):

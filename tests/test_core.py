@@ -9,7 +9,7 @@ from lnoisim import (
     DimensionError,
     NormalizationError,
     OutcomeMismatchError,
-    ProbabilityDistribution,
+    PhotonDistribution,
     haar_random_unitary,
     is_unitary,
     matrix_distance,
@@ -143,47 +143,47 @@ def test_is_unitary_and_subunitary():
     assert not is_unitary(0.5 * np.eye(3))  # sub-unitary: a lossy, passive circuit
 
 
-def test_probability_distribution_normalization_flag():
-    d = ProbabilityDistribution.from_values([(0,), (1,)], [0.5, 0.5])
-    assert d.normalized
-    d2 = ProbabilityDistribution.from_values([(0,), (1,)], [0.4, 0.2])
-    assert not d2.normalized
-    assert d2.total == pytest.approx(0.6)
+def _one_photon(patterns, probabilities):
+    return PhotonDistribution((0,), patterns, probabilities)
 
 
 def test_probability_distribution_rejects_negative():
-    with pytest.raises(ValueError):
-        ProbabilityDistribution.from_values([(0,), (1,)], [1.2, -0.2])
+    # Each probability lies in [0, 1], up to -1e-14 and 1 + 1e-9 of rounding.
+    for bad in (-0.2, -1e-13, 1.0 + 2e-9, 1e300, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _one_photon([(0,), (1,)], [1.0 - bad, bad])
+    assert _one_photon([(0,), (1,)], [1.0 + 1e-9, -1e-14]).total == pytest.approx(1.0)
 
 
 def test_statistical_fidelity_frozen_value():
     # sum_i sqrt(p_i q_i) for p = (0.9, 0.1), q = (0.5, 0.5):
     # sqrt(0.45) + sqrt(0.05) = 0.8944271909999159
-    p = ProbabilityDistribution.from_values([(0,), (1,)], [0.9, 0.1])
-    q = ProbabilityDistribution.from_values([(0,), (1,)], [0.5, 0.5])
+    p = _one_photon([(0,), (1,)], [0.9, 0.1])
+    q = _one_photon([(0,), (1,)], [0.5, 0.5])
     assert statistical_fidelity(p, q) == pytest.approx(0.8944271909999159, abs=1e-12)
 
 
 def test_statistical_fidelity_edge_cases():
-    p = ProbabilityDistribution.from_values([(0,), (1,)], [1.0, 0.0])
+    p = _one_photon([(0,), (1,)], [1.0, 0.0])
     assert statistical_fidelity(p, p) == pytest.approx(1.0)
-    q = ProbabilityDistribution.from_values([(0,), (1,)], [0.0, 1.0])
+    q = _one_photon([(0,), (1,)], [0.0, 1.0])
     assert statistical_fidelity(p, q) == pytest.approx(0.0)
-    # label alignment: same outcomes listed in a different order
-    q2 = ProbabilityDistribution.from_values([(1,), (0,)], [0.0, 1.0])
+    # pattern alignment: same patterns listed in a different order
+    q2 = _one_photon([(1,), (0,)], [0.0, 1.0])
     assert statistical_fidelity(p, q2) == pytest.approx(1.0)
 
 
 def test_statistical_fidelity_outcome_mismatch():
-    p = ProbabilityDistribution.from_values([(0,), (1,)], [0.5, 0.5])
-    q = ProbabilityDistribution.from_values([(0,), (2,)], [0.5, 0.5])
+    p = _one_photon([(0,), (1,)], [0.5, 0.5])
+    q = _one_photon([(0,), (2,)], [0.5, 0.5])
     with pytest.raises(OutcomeMismatchError):
         statistical_fidelity(p, q)
 
 
 def test_statistical_fidelity_requires_normalization():
-    p = ProbabilityDistribution.from_values([(0,), (1,)], [0.5, 0.5])
-    q = ProbabilityDistribution.from_values([(0,), (1,)], [0.3, 0.3])
+    p = _one_photon([(0,), (1,)], [0.5, 0.5])
+    q = _one_photon([(0,), (1,)], [0.3, 0.3])
+    assert q.total == pytest.approx(0.6)
     with pytest.raises(NormalizationError):
         statistical_fidelity(p, q)
 

@@ -11,8 +11,8 @@ from lnoisim import (
     CouplerParams,
     FitError,
     MZIParams,
+    PhotonDistribution,
     SourceModel,
-    TwoPhotonDistribution,
     fit_hom_visibility,
     fit_hom_visibility_poisson,
     fringe_contrast_from_overlap,
@@ -21,7 +21,7 @@ from lnoisim import (
     mzi_transfer,
     nphoton_collision_free_distribution,
     permanent,
-    single_photon_distribution,
+    statistical_fidelity,
     two_photon_distribution,
 )
 from lnoisim.photons import _fit_fringe
@@ -46,25 +46,36 @@ def test_source_model_derived_quantities():
         SourceModel(g2_zero=-0.1)
 
 
-def test_single_photon_distribution():
-    u = haar_random_unitary(4, seed=1)
-    d = single_photon_distribution(u, 2)
-    assert d.normalized
-    assert d.total == pytest.approx(1.0)
-    for i in range(4):
-        assert d.probability(i) == pytest.approx(abs(u[i, 2]) ** 2)
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.data()
+)
+def test_one_photon_distribution_is_the_single_photon_law(n_out, n_in, scale, seed, data):
+    # One photon in mode k follows |t[j, k]|^2 bit for bit, on any passive
+    # matrix: Haar columns, scaled below unity, possibly non-square.
+    t = scale * haar_random_unitary(max(n_out, n_in), seed=seed)[:n_out, :n_in]
+    k = data.draw(st.integers(0, n_in - 1))
+    d = nphoton_collision_free_distribution(t, [k])
+    assert d.input_modes == (k,)
+    assert d.patterns == tuple((j,) for j in range(n_out))
+    assert d.probabilities.tobytes() == (np.abs(t[:, k]) ** 2).tobytes()
+    if n_out >= n_in and scale == 1.0:
+        assert d.total == pytest.approx(1.0)
 
 
-def test_two_photon_matches_mode_expansion_oracle():
-    for seed in range(6):
-        u = haar_random_unitary(4, seed=seed)
-        for k, l in itertools.combinations(range(4), 2):
-            for x in (0.0, 0.37, 0.945, 1.0):
-                d = two_photon_distribution(u, (k, l), overlap=x)
-                want = two_photon_probabilities_by_mode_expansion(u, k, l, x)
-                for pattern, p in zip(d.patterns, d.probabilities):
-                    assert p == pytest.approx(want.get(pattern, 0.0), abs=1e-12)
-                assert d.total == pytest.approx(1.0, abs=1e-12)
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_two_photon_matches_mode_expansion_oracle(n, seed, x):
+    # For a Haar U, every input pair and any overlap x, each pattern matches
+    # the mode expansion, and the full distribution, bunching included, sums to 1.
+    u = haar_random_unitary(n, seed=seed)
+    for k, l in itertools.combinations(range(n), 2):
+        d = two_photon_distribution(u, (k, l), overlap=x)
+        want = two_photon_probabilities_by_mode_expansion(u, k, l, x)
+        assert set(d.patterns) == set(want)
+        for pattern, p in zip(d.patterns, d.probabilities):
+            assert p == pytest.approx(want[pattern], abs=1e-12)
+        assert d.total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_photon_indistinguishable_uses_permanents():
@@ -94,7 +105,6 @@ def test_two_photon_collision_free_view():
     assert cf.patterns == tuple(itertools.combinations(range(4), 2))
     keep = [k for k, (i, j) in enumerate(d.patterns) if i < j]
     assert np.array_equal(cf.probabilities, d.probabilities[keep])
-    assert cf.collision_free_only
     assert cf.total < d.total
     assert d.probability((5, 7)) == 0.0  # unknown pattern reads as zero
 
@@ -112,8 +122,8 @@ def test_two_photon_validation():
 def test_two_photon_json_round_trip():
     u = haar_random_unitary(4, seed=8)
     d = two_photon_distribution(u, (1, 2), overlap=0.5)
-    d2 = TwoPhotonDistribution.from_json_dict(d.to_json_dict())
-    assert d2.input_pair == (1, 2)
+    d2 = PhotonDistribution.from_json_dict(d.to_json_dict())
+    assert d2.input_modes == (1, 2)
     assert d2.patterns == d.patterns
     assert np.array_equal(d2.probabilities, d.probabilities)
 
@@ -277,12 +287,25 @@ def test_fringe_fit_parameters_stay_inside_bounds(counts, span, start):
     assert np.all(params <= [np.inf, 1.2, 5.0, math.pi])
 
 
-def test_nphoton_collision_free_agrees_with_pair_statistics():
-    u = haar_random_unitary(4, seed=12)
-    d2 = two_photon_distribution(u, (0, 3), overlap=1.0, collision_free_only=True)
-    dn = nphoton_collision_free_distribution(u, (0, 3))
-    for pattern in d2.patterns:
-        assert dn.probability(pattern) == pytest.approx(d2.probability(pattern), abs=1e-12)
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.data())
+def test_nphoton_collision_free_agrees_with_pair_statistics(n, seed, data):
+    # At two photons the n-photon distribution is the collision-free pair view.
+    u = haar_random_unitary(n, seed=seed)
+    pair = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+    d2 = two_photon_distribution(u, pair, overlap=1.0, collision_free_only=True)
+    dn = nphoton_collision_free_distribution(u, pair)
+    assert dn.input_modes == d2.input_modes == pair
+    assert dn.patterns == d2.patterns
+    assert np.allclose(dn.probabilities, d2.probabilities, rtol=0.0, atol=1e-12)
+
+
+def test_benchmark_members_alias_the_distribution():
+    # perfbench/ reads `outcomes` and passes `to_distribution()` to the fidelity.
+    d = two_photon_distribution(haar_random_unitary(4, seed=3), (0, 2), overlap=0.9)
+    assert d.outcomes == d.patterns
+    assert d.to_distribution() is d
+    assert statistical_fidelity(d.to_distribution(), d.to_distribution()) == pytest.approx(1.0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -293,7 +316,7 @@ def test_nphoton_probabilities_are_permanents(n_modes, n_photons, seed):
     inputs = sorted(np.random.default_rng(seed).choice(n_modes, n_photons, replace=False))
     d = nphoton_collision_free_distribution(u, inputs)
     patterns = list(itertools.combinations(range(n_modes), n_photons))
-    assert list(d.outcomes) == patterns
+    assert list(d.patterns) == patterns
     total = 0.0
     for pattern in patterns:
         want = abs(permanent_by_permutation_sum(u[np.ix_(pattern, inputs)])) ** 2
