@@ -7,6 +7,8 @@ compose additively in dB; the end-to-end transmission is ``10**(-total/10)``.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -16,6 +18,10 @@ from .components import GratingSpectrum
 from .core import check_fields, is_finite_number
 
 __all__ = ["BudgetEntry", "LossBudget", "sweep_wavelength"]
+
+#: The total loss at and below which ``10**(-total/10)`` overflows a float:
+#: a net gain of about 3,082.5 dB.
+_MIN_TOTAL_DB = -10.0 * math.log10(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,11 @@ class LossBudget:
             raise ValueError("budget entry labels must be unique")
         if not np.isfinite(self.total_db):
             raise ValueError(f"the total loss must be finite, got {self.total_db} dB")
+        if self.total_db <= _MIN_TOTAL_DB:
+            raise ValueError(
+                f"the total loss must be above {_MIN_TOTAL_DB:.1f} dB, where the end-to-end "
+                f"transmission overflows a float; got {self.total_db} dB"
+            )
 
     @property
     def total_db(self) -> float:

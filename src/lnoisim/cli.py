@@ -34,7 +34,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -64,9 +63,13 @@ def _atomic_write(path: Path, data: bytes) -> None:
     writing the new file back inside the rename, and a file the next rerun
     removes is otherwise usually never written to disk at all.  Nothing is
     fsynced, so after a power loss a file may be empty; the manifest
-    digest of an artifact shows it.
+    digest of an artifact shows it.  The temp file is created as a plain
+    ``open`` would create it, mode ``0o666 & ~umask``, so the renamed file
+    has that mode too (``tempfile.mkstemp`` would make it 0600).
     """
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnoisim import BandRangeError, BudgetEntry, GratingSpectrum, LossBudget, sweep_wavelength
+from lnoisim.budget import _MIN_TOTAL_DB
 from oracles import sweep_by_rebuilt_budgets
 
 
@@ -43,6 +44,16 @@ def test_ten_db_is_ten_percent():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         LossBudget((BudgetEntry("a", loss_db=1.0), BudgetEntry("a", loss_db=2.0)))
+
+
+def test_gain_past_float_range_rejected():
+    # 4,000 dB of gain would be a transmission of 1e400.
+    with pytest.raises(ValueError, match="overflows a float"):
+        LossBudget((BudgetEntry("gain", loss_db=-4000.0),))
+    with pytest.raises(ValueError, match="overflows a float"):
+        LossBudget((BudgetEntry("gain", loss_db=_MIN_TOTAL_DB),))
+    edge = LossBudget((BudgetEntry("gain", loss_db=float(np.nextafter(_MIN_TOTAL_DB, 0.0))),))
+    assert 1.79e308 < edge.end_to_end_transmission < np.inf
 
 
 def test_wavelength_sweep_peaks_at_center():

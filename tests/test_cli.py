@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -249,6 +250,20 @@ def test_artifact_path_that_is_a_directory_is_an_error(tmp_path, capsys):
     assert run(["hom-fringe", "--config", cfg, "--output-dir", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["fit.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path, umask, mode):
+    cfg = write_config(tmp_path, "cfg.json", _RERUN_CONFIGS["hom-fringe"])
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert run(["hom-fringe", "--config", cfg, "--output-dir", str(out)]) == 0
+        (out / "plain").write_bytes(b"")
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert modes == dict.fromkeys(["fit.json", "fringe.csv", "manifest.json", "plain"], mode)
 
 
 def test_poisson_fringe_requires_seed(tmp_path, capsys):
@@ -579,6 +594,18 @@ _NANS = np.array(
 _POOL = [0.0, -0.0, *_NANS.tolist(), math.inf, -math.inf, 5e-324, 1e16, 1e-5, 1.0, -7.0, 4e3]
 
 
+def _column_groups(data, draw):
+    """``data`` split into consecutive column groups of 1-4 columns; a
+    one-column group is drawn as a 1-d column or a 2-d block."""
+    groups, start = [], 0
+    while start < data.shape[1]:
+        width = draw(st.integers(1, min(4, data.shape[1] - start)))
+        block = data[:, start : start + width]
+        groups.append(block[:, 0] if width == 1 and draw(st.booleans()) else block)
+        start += width
+    return groups
+
+
 @settings(deadline=None)
 @given(
     st.one_of(
@@ -586,11 +613,50 @@ _POOL = [0.0, -0.0, *_NANS.tolist(), math.inf, -math.inf, 5e-324, 1e16, 1e-5, 1.
         st.lists(st.floats(), max_size=3).flatmap(
             lambda extra: _tables(st.sampled_from([*_POOL, *extra]))
         ),
-    )
+    ),
+    st.data(),
 )
-def test_csv_bytes_match_csv_writer_oracle(header_and_data):
-    header, data = header_and_data
-    assert _csv_bytes(header, (data[:, 0], data[:, 1:])) == csv_by_writer(header, data)
+def test_csv_bytes_match_csv_writer_oracle(header_and_data, data):
+    header, table = header_and_data
+    groups = _column_groups(table, data.draw)
+    assert _csv_bytes(header, groups) == csv_by_writer(header, table)
+
+
+def _large_block(rows):
+    rng = np.random.default_rng(19)
+    block = rng.standard_normal((70_000, 4))
+    if rows == "repeated":
+        # 37 distinct rows, some cells -0.0.
+        return np.where(rng.random((37, 4)) < 0.3, -0.0, block[:37])[rng.integers(0, 37, 70_000)]
+    if rows == "first-column":
+        # Column 0 holds 2**16 distinct cells and the rest are 0.0, so a row
+        # code c0 * (2**16)**4 that is not re-ranked wraps to 0 in int64.
+        block = np.zeros((2**16, 5))
+        block[:, 0] = np.arange(2**16)
+    return block
+
+
+@pytest.mark.parametrize("rows", ["distinct", "repeated", "first-column"])
+def test_csv_bytes_of_a_large_block_match_csv_writer_oracle(rows):
+    # The distinct block has 280,000 distinct cells: its row code, too,
+    # must be re-ranked before it passes int64.
+    block = _large_block(rows)
+    times = np.arange(len(block)) * 0.1
+    header = ["time_ns", *(f"out{j}" for j in range(block.shape[1]))]
+    assert _csv_bytes(header, (times, block)) == csv_by_writer(header, np.column_stack((times, block)))
+
+
+def test_csv_bytes_build_no_container_per_row():
+    # A demux-shaped table: 4,000 distinct time stamps and 48 distinct output rows.
+    rng = np.random.default_rng(5)
+    times = np.arange(4000) * 3.125 + 1.0
+    outputs = rng.random((48, 4))[rng.integers(0, 48, 4000)]
+    header = ["time_ns", "out0", "out1", "out2", "out3"]
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    for _ in range(10):
+        _csv_bytes(header, (times, outputs))
+    assert gc.get_stats()[0]["collections"] - before <= 1
 
 
 def _readme_configs(n_modes):
