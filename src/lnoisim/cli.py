@@ -63,15 +63,14 @@ def _atomic_write(path: Path, data: bytes) -> None:
     writing the new file back inside the rename, and a file the next rerun
     removes is otherwise usually never written to disk at all.  Nothing is
     fsynced, so after a power loss a file may be empty; the manifest
-    digest of an artifact shows it.  The temp file is created as a plain
-    ``open`` would create it, mode ``0o666 & ~umask``, so the renamed file
-    has that mode too (``tempfile.mkstemp`` would make it 0600).
+    digest of an artifact shows it.  The temp file is created by a plain
+    exclusive ``open``, so it and the renamed file get mode
+    ``0o666 & ~umask`` (``tempfile.mkstemp`` would make them 0600).
     """
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
