@@ -115,6 +115,11 @@ def sweep_wavelength(
 
     Returns:
         Array of linear end-to-end transmissions, one per wavelength.
+
+    Raises:
+        ValueError: if the total loss at some wavelength is at or below
+            the net gain where the transmission overflows a float, as
+            :class:`LossBudget` refuses.
     """
     labels = {e.label for e in budget.entries}
     missing = [lbl for lbl in coupler_labels if lbl not in labels]
@@ -127,5 +132,10 @@ def sweep_wavelength(
         total_db = float(
             sum(loss_db if e.label in swept else e.effective_loss_db for e in budget.entries)
         )
+        if total_db <= _MIN_TOTAL_DB:
+            raise ValueError(
+                f"at {wl} nm the total loss {total_db} dB is at or below {_MIN_TOTAL_DB:.1f} dB, "
+                "where the end-to-end transmission overflows a float"
+            )
         out.append(float(10.0 ** (-total_db / 10.0)))
     return np.array(out)

@@ -461,11 +461,12 @@ def estimate_mzi_loss_from_demux(
         raise ValueError("need at least one external and one internal input")
     if set(ext) & set(internal):
         raise ValueError("an input cannot be both external and internal")
-    values = np.asarray(transmissions, dtype=float)
+    db = {}
     for idx in (*ext, *internal):
-        if not (0 <= idx < values.size):
+        if not (0 <= idx < len(transmissions)):
             raise IndexError(f"input index {idx} out of range")
-        if not (0.0 < values[idx] <= 1.0):
+        value = float(transmissions[idx])
+        if not (0.0 < value <= 1.0):
             raise ValueError(f"transmission at index {idx} must lie in (0, 1]")
-    db = 10.0 * np.log10(values)
-    return float(np.mean(db[ext]) - np.mean(db[internal]))
+        db[idx] = 10.0 * math.log10(value)
+    return sum(db[i] for i in ext) / len(ext) - sum(db[i] for i in internal) / len(internal)

@@ -26,7 +26,6 @@ from .components import (
     PhaseShifterParams,
     _mzi_columns,
     eom_slot_response,
-    mzi_transfer,
     phase_from_voltage,
 )
 from .errors import DimensionError, TimingError, TopologyError
@@ -329,15 +328,24 @@ def demux_input_transmissions(
     to any output); 2 and 3 are the spare second-layer inputs (external,
     one MZI).  Returns ``(transmissions, external_indices, internal_indices)``
     ready for :func:`lnoisim.components.estimate_mzi_loss_from_demux`.
+
+    The couplers are lossless, so switch s passes L_s^2 = 10^(-IL_s / 10)
+    of the power from either input: port 2 gives L_1^2, port 3 gives L_2^2
+    and port c gives L_0^2 (f_c L_1^2 + (1 - f_c) L_2^2).  Here f_0 =
+    (1-r1)(1-r2) + r1 r2 - 2 sqrt(r1 (1-r1) r2 (1-r2)) cos(phase_0) is the
+    share of switch 0's input 0 that leaves by its output 0, r1 and r2
+    are that switch's input and output coupler ratios, and f_1 = 1 - f_0.
+    The phases of switches 1 and 2 drop out, and a lossless tree gives
+    exactly 1 on every port.
     """
     tree = list(tree)
     if len(tree) != N_TREE_SWITCHES:
         raise TopologyError(f"tree needs exactly {N_TREE_SWITCHES} switches")
-    m0, m1, m2 = (mzi_transfer(params, ph) for params, ph in zip(tree, phases_rad))
-    branch1 = float(np.sum(np.abs(m1[:, 0]) ** 2))
-    branch2 = float(np.sum(np.abs(m2[:, 0]) ** 2))
-    internal = [
-        float(abs(m0[0, c]) ** 2 * branch1 + abs(m0[1, c]) ** 2 * branch2) for c in (0, 1)
-    ]
-    external = [float(np.sum(np.abs(m[:, 1]) ** 2)) for m in (m1, m2)]
-    return np.array(internal + external), (2, 3), (0, 1)
+    if len(phases_rad) != N_TREE_SWITCHES:
+        raise DimensionError(f"need one phase per switch, got {len(phases_rad)}")
+    r1, r2 = tree[0].coupler_in.effective_ratio, tree[0].coupler_out.effective_ratio
+    mix = 2.0 * math.sqrt(r1 * (1.0 - r1) * r2 * (1.0 - r2)) * math.cos(phases_rad[0])
+    f0 = (1.0 - r1) * (1.0 - r2) + r1 * r2 - mix
+    l0, l1, l2 = (10.0 ** (-m.insertion_loss_db / 10.0) for m in tree)
+    internal = [l0 * (f * l1 + (1.0 - f) * l2) for f in (f0, 1.0 - f0)]
+    return np.array(internal + [l1, l2]), (2, 3), (0, 1)

@@ -102,6 +102,32 @@ def mzi_by_matmul(ratio_in, ratio_out, insertion_loss_db, phase_rad):
     return 10.0 ** (-insertion_loss_db / 20.0) * (coupler(ratio_out) @ inner @ coupler(ratio_in))
 
 
+def tree_transmissions_by_matmul(cells, phases):
+    """Total output power per input port of the 1-to-4 switch tree, by matrices.
+
+    ``cells`` holds three ``MZIParams`` (the first-layer switch, then the
+    switches feeding outputs 0-1 and 2-3) and ``phases`` one phase each;
+    each switch is :func:`mzi_by_matmul`.  The tree is the literal 4x4
+    product (m1 (+) m2) . P . (m0 (+) 1), where P sends the first switch's
+    outputs to input 0 of switches 1 and 2 and ports 2 and 3 to their
+    input 1.  Port j's transmission is the power of column j.
+    """
+    m0, m1, m2 = (
+        mzi_by_matmul(
+            c.coupler_in.effective_ratio, c.coupler_out.effective_ratio, c.insertion_loss_db, ph
+        )
+        for c, ph in zip(cells, phases, strict=True)
+    )
+    first = np.eye(4, dtype=complex)
+    first[:2, :2] = m0
+    wiring = np.eye(4)[[0, 2, 1, 3]]
+    second = np.zeros((4, 4), dtype=complex)
+    second[:2, :2] = m1
+    second[2:, 2:] = m2
+    tree = second @ wiring @ first
+    return np.sum(np.abs(tree) ** 2, axis=0)
+
+
 def mesh_by_embedding(n, cells, output_phases, ratio_in=0.5, ratio_out=0.5, insertion_loss_db=0.0):
     """Mesh transfer matrix as a product of full n x n matrices.
 

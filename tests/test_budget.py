@@ -104,6 +104,16 @@ def test_sweep_equals_rebuilt_budgets(forms, data, center, peak, bandwidth):
     assert got.tobytes() == want.tobytes()
 
 
+def test_sweep_refuses_a_total_whose_transmission_overflows():
+    # the budget itself nets 2,990 dB of gain; at 930 nm the swept coupler
+    # costs 3.4 dB, not 100 dB, which takes the total past _MIN_TOTAL_DB
+    budget = LossBudget((BudgetEntry("gain", loss_db=-3090.0), BudgetEntry("c", loss_db=100.0)))
+    with pytest.raises(ValueError, match="at 930.0 nm"):
+        sweep_wavelength(budget, GratingSpectrum(), [930.0], ["c"])
+    with pytest.raises(ValueError):
+        sweep_by_rebuilt_budgets(budget, GratingSpectrum(), [930.0], ["c"])
+
+
 def test_sweep_past_float_range_reads_zero_transmission():
     # 1 nm off a 1e-300 nm wide peak the grating loss overflows to +inf dB.
     grating = GratingSpectrum(bandwidth_1db_nm=1e-300)

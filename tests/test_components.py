@@ -409,6 +409,12 @@ def test_mzi_loss_estimator_hand_case():
     assert est == pytest.approx(0.8, abs=1e-12)
 
 
+def test_mzi_loss_estimator_reads_only_the_named_inputs():
+    # the zero at index 4, which no list names, is never logged
+    est = estimate_mzi_loss_from_demux([0.5, 0.5, 0.7, 0.7, 0.0], (2, 3), (0, 1))
+    assert est == pytest.approx(10 * math.log10(0.7 / 0.5), abs=1e-12)
+
+
 def test_mzi_loss_estimator_validation():
     with pytest.raises(ValueError):
         estimate_mzi_loss_from_demux([0.5, 0.5, 1.5, 0.5], (2, 3), (0, 1))

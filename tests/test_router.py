@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,6 +30,7 @@ from oracles import (
     demux_by_photon_loop,
     mzi_by_matmul,
     switch_fractions_by_event_loop,
+    tree_transmissions_by_matmul,
     tustin_lowpass_by_sample_loop,
 )
 
@@ -204,6 +205,58 @@ def test_input_transmissions_and_loss_recovery():
     # lossless tree transmits everything from every port
     t0, _, _ = demux_input_transmissions(make_tree())
     assert np.allclose(t0, 1.0, atol=1e-12)
+
+
+# Couplers anywhere in their allowed range, effective ratios 0 to 1.
+any_coupler = st.builds(CouplerParams, imbalance=st.floats(-0.5, 0.5))
+any_phase = st.floats(-100.0, 100.0)
+three_phases = st.lists(any_phase, min_size=3, max_size=3)
+lossless_tree = st.lists(
+    st.builds(MZIParams, coupler_in=any_coupler, coupler_out=any_coupler), min_size=3, max_size=3
+)
+lossy_tree = st.lists(
+    st.builds(
+        MZIParams,
+        coupler_in=any_coupler,
+        coupler_out=any_coupler,
+        insertion_loss_db=st.floats(0.0, 30.0),
+    ),
+    min_size=3,
+    max_size=3,
+)
+
+
+@settings(max_examples=200)
+@given(lossless_tree, three_phases)
+@example([MZIParams.with_extinction(20.0)] * 3, [0.5 * math.pi] * 3)
+@example([MZIParams.with_bar_leakage(0.01)] * 3, [0.5 * math.pi] * 3)
+def test_lossless_tree_calibrates_to_zero_loss(tree, phases):
+    transmissions, external, internal = demux_input_transmissions(tree, phases)
+    assert np.all(transmissions <= 1.0)
+    est = estimate_mzi_loss_from_demux(transmissions, external, internal)
+    assert est == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=200)
+@given(lossy_tree, three_phases)
+def test_tree_transmissions_match_matmul_oracle(tree, phases):
+    got, external, internal = demux_input_transmissions(tree, phases)
+    assert (external, internal) == ((2, 3), (0, 1))
+    np.testing.assert_allclose(got, tree_transmissions_by_matmul(tree, phases), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100)
+@given(lossy_tree, any_phase, st.lists(any_phase, min_size=4, max_size=4))
+def test_second_layer_phases_drop_out(tree, phase0, others):
+    first, _, _ = demux_input_transmissions(tree, [phase0, *others[:2]])
+    second, _, _ = demux_input_transmissions(tree, [phase0, *others[2:]])
+    assert first.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("n_phases", [0, 2, 4])
+def test_input_transmissions_need_one_phase_per_switch(n_phases):
+    with pytest.raises(DimensionError):
+        demux_input_transmissions(make_tree(), [0.0] * n_phases)
 
 
 tree_cells = st.builds(
