@@ -24,6 +24,16 @@ __all__ = ["BudgetEntry", "LossBudget", "sweep_wavelength"]
 _MIN_TOTAL_DB = -10.0 * math.log10(sys.float_info.max)
 
 
+def _transmission(total_db: float, where: str = "") -> float:
+    """``10**(-total_db/10)``; ValueError, prefixed by ``where``, if it would overflow."""
+    if total_db <= _MIN_TOTAL_DB:
+        raise ValueError(
+            f"{where}the total loss {total_db} dB is at or below {_MIN_TOTAL_DB:.1f} dB, "
+            "where the end-to-end transmission overflows a float"
+        )
+    return float(10.0 ** (-total_db / 10.0))
+
+
 @dataclass(frozen=True)
 class BudgetEntry:
     """One lossy element: either a fixed dB value or a density x length.
@@ -83,11 +93,7 @@ class LossBudget:
             raise ValueError("budget entry labels must be unique")
         if not np.isfinite(self.total_db):
             raise ValueError(f"the total loss must be finite, got {self.total_db} dB")
-        if self.total_db <= _MIN_TOTAL_DB:
-            raise ValueError(
-                f"the total loss must be above {_MIN_TOTAL_DB:.1f} dB, where the end-to-end "
-                f"transmission overflows a float; got {self.total_db} dB"
-            )
+        _transmission(self.total_db)
 
     @property
     def total_db(self) -> float:
@@ -95,7 +101,7 @@ class LossBudget:
 
     @property
     def end_to_end_transmission(self) -> float:
-        return float(10.0 ** (-self.total_db / 10.0))
+        return _transmission(self.total_db)
 
     def breakdown(self) -> dict[str, float]:
         return {e.label: e.effective_loss_db for e in self.entries}
@@ -132,10 +138,5 @@ def sweep_wavelength(
         total_db = float(
             sum(loss_db if e.label in swept else e.effective_loss_db for e in budget.entries)
         )
-        if total_db <= _MIN_TOTAL_DB:
-            raise ValueError(
-                f"at {wl} nm the total loss {total_db} dB is at or below {_MIN_TOTAL_DB:.1f} dB, "
-                "where the end-to-end transmission overflows a float"
-            )
-        out.append(float(10.0 ** (-total_db / 10.0)))
+        out.append(_transmission(total_db, f"at {wl} nm "))
     return np.array(out)

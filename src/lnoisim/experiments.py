@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import math
+import sys
 
 import numpy as np
 
@@ -33,6 +34,12 @@ MAX_N_FRAMES = 100_000
 #: count within int64 for every n_frames up to MAX_N_FRAMES.  The 4 is
 #: ``router.SLOTS_PER_FRAME``, written out so this module loads no router.
 MAX_SAMPLES_PER_SLOT = int(np.iinfo(np.int64).max) // (4 * MAX_N_FRAMES)
+
+#: The largest ``demux`` insertion_loss_db, about 1,538 dB.  A photon crosses
+#: two cells, so its power is 10**(-insertion_loss_db / 5), about the smallest
+#: normal float at this bound; past about 1,617 dB it underflows to 0 and no
+#: output can be scored.
+MAX_INSERTION_LOSS_DB = -5.0 * math.log10(sys.float_info.min)
 
 #: The longest ``hom-fringe`` sweep, for the same reason as MAX_N_FRAMES.
 MAX_N_POINTS = 100_000
@@ -558,7 +565,8 @@ FIELDS = {
         "n_frames": Field(int, 1, MAX_N_FRAMES), "repetition_period_ns": _POSITIVE,
         "v_pi_volts": _POSITIVE, "f_3db_ghz": Field(float, 1e-9, null=True),
         "samples_per_slot": Field(int, 2, MAX_SAMPLES_PER_SLOT), "extinction_db": _EXTINCTION,
-        "bar_leakage": Field(float, 0.0, 0.499, null=True), "insertion_loss_db": _NON_NEGATIVE,
+        "bar_leakage": Field(float, 0.0, 0.499, null=True),
+        "insertion_loss_db": Field(float, 0.0, MAX_INSERTION_LOSS_DB),
         "train_offset_ns": _NON_NEGATIVE, "phase_errors_rad": _PARSED,
     },
     "distribution": {

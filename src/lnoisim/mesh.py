@@ -31,7 +31,6 @@ __all__ = [
     "MeshCell",
     "MeshConfig",
     "VoltageProgram",
-    "all_cross_config",
     "clements_layout",
     "compose",
     "decompose",
@@ -284,12 +283,6 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
     return config.canonicalized()
 
 
-def all_cross_config(n: int) -> MeshConfig:
-    """Every cell fully cross (theta = 0); light walks across the mesh."""
-    cells = tuple(MeshCell(pair, 0.0, 0.0) for pair in clements_layout(n))
-    return MeshConfig(n, cells, np.zeros(n))
-
-
 def modulator_layout(config: MeshConfig) -> dict[str, tuple[int, str]]:
     """Drivable modulators of a mesh: name -> (cell index, role).
 
@@ -373,8 +366,8 @@ def phases_to_voltages(
         config: mesh configuration; input-facing external phases must be
             zero (apply :func:`gauge_input_phases` first).
         shifter: the parameters shared by every modulator.
-        compliance_volts: electrical limit; violations raise
-            :class:`ComplianceError`.
+        compliance_volts: electrical limit; :class:`VoltageProgram`
+            raises :class:`ComplianceError` on a voltage beyond it.
 
     Raises:
         GaugeError: when an undrivable input-facing phase is nonzero.
@@ -390,12 +383,5 @@ def phases_to_voltages(
     voltages: dict[str, float] = {}
     for name, (idx, role) in layout.items():
         cell = config.cells[idx]
-        phase = cell.theta if role == "internal" else cell.phi
-        volts = voltage_for_phase(shifter, phase)
-        if abs(volts) > compliance_volts:
-            raise ComplianceError(
-                f"{name}: phase {phase:.6g} rad needs {volts:.6g} V, beyond "
-                f"compliance {compliance_volts} V"
-            )
-        voltages[name] = volts
+        voltages[name] = voltage_for_phase(shifter, cell.theta if role == "internal" else cell.phi)
     return VoltageProgram(voltages, layout, compliance_volts)

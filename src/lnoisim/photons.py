@@ -41,23 +41,16 @@ class SourceModel:
     Attributes:
         repetition_period_ns: pulse-to-pulse separation.
         indistinguishability: pairwise photon overlap in [0, 1].
-        g2_zero: second-order autocorrelation at zero delay; the residual
-            per-pulse two-photon emission probability is ``g2_zero / 2``
-            and contributes only an accidental background, disabled by
-            default in fringe analysis.
     """
 
     repetition_period_ns: float = 13.8
     indistinguishability: float = 0.945
-    g2_zero: float = 0.005
 
     def __post_init__(self):
         if not (self.repetition_period_ns > 0):
             raise ValueError("repetition_period_ns must be positive")
         if not (0.0 <= self.indistinguishability <= 1.0):
             raise ValueError("indistinguishability must lie in [0, 1]")
-        if not (0.0 <= self.g2_zero < 1.0):
-            raise ValueError("g2_zero must lie in [0, 1)")
 
 
 #: Probability sums within this tolerance of one count as normalized.
@@ -248,8 +241,8 @@ def hom_fringe(
         phases_rad: internal phases to evaluate.
         overlap: pairwise indistinguishability ``x``.
         accidental_floor: phase-independent background added to every
-            point, e.g. the source's pair probability ``g2_zero / 2``;
-            zero (disabled) by default.
+            point, e.g. accidental coincidences from the source's
+            multi-photon emission; zero (disabled) by default.
     """
     if accidental_floor < 0:
         raise ValueError("accidental_floor must be non-negative")

@@ -43,38 +43,39 @@ __all__ = [
 _PIVOT_TOL = 1e-9
 
 
-def canonical_phase_gauge(u: np.ndarray, tol: float = _PIVOT_TOL) -> np.ndarray:
+def canonical_phase_gauge(u: np.ndarray) -> np.ndarray:
     """Fix the per-port phase freedom of ``u``.
 
     Columns are rotated so the first row is real and non-negative, then
     rows 1.. are rotated so the first column is real and non-negative.
-    Entries with modulus below ``tol`` are left untouched (their phase is
-    meaningless), which keeps the map well defined for matrices with
-    structural zeros.
+    Pivots with modulus below ``_PIVOT_TOL`` are left untouched (their
+    phase is meaningless), which keeps the map well defined for matrices
+    with structural zeros.
     """
     w = as_complex_matrix(u).copy()
     for j in range(w.shape[1]):
         pivot = w[0, j]
-        if abs(pivot) > tol:
+        if abs(pivot) > _PIVOT_TOL:
             w[:, j] *= np.conj(pivot) / abs(pivot)
     for i in range(1, w.shape[0]):
         pivot = w[i, 0]
-        if abs(pivot) > tol:
+        if abs(pivot) > _PIVOT_TOL:
             w[i, :] *= np.conj(pivot) / abs(pivot)
     return w
 
 
-def canonical_form(u: np.ndarray, tol: float = _PIVOT_TOL) -> np.ndarray:
+def canonical_form(u: np.ndarray) -> np.ndarray:
     """Representative of ``u`` modulo port phases and conjugation.
 
     After phase fixing, the matrix and its conjugate differ only in the
     signs of imaginary parts; the representative is the one whose first
-    entry (row-major) with ``|imag| > tol`` has positive imaginary part.
+    entry (row-major) with ``|imag| > _PIVOT_TOL`` has positive imaginary
+    part.
     ``canonical_form(conj(u))`` therefore equals ``canonical_form(u)``.
     """
-    w = canonical_phase_gauge(u, tol=tol)
+    w = canonical_phase_gauge(u)
     for value in w.ravel():
-        if abs(value.imag) > tol:
+        if abs(value.imag) > _PIVOT_TOL:
             return np.conj(w) if value.imag < 0 else w
     return w
 
@@ -119,12 +120,6 @@ class MeasuredStatistics:
     def missing_pairs(self) -> list[tuple[int, int]]:
         n = self.n_modes
         return [(k, l) for k in range(n) for l in range(k + 1, n) if (k, l) not in self.pairs]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "singles": [[float(v) for v in row] for row in self.singles],
-            "pairs": [d.to_json_dict() for _, d in sorted(self.pairs.items())],
-        }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeasuredStatistics":

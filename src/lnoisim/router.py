@@ -59,31 +59,27 @@ class PulseProgram:
     """Drive levels held for whole slots on a shared uniform sample grid.
 
     Every channel holds one level per slot; slot j covers the samples
-    ``j S .. j S + S - 1`` of a grid with spacing ``slot_ns / S``.
+    ``j S .. j S + S - 1`` of a grid that starts at 0 ns with spacing
+    ``slot_ns / S``.
 
     Attributes:
         slot_ns: slot duration.
         samples_per_slot: grid samples per slot (S, at least 2).
         levels: per-slot drive (volts) of channels "A" and "B", equally long;
             :data:`SWITCH_CHANNELS` names the switches each one drives.
-        start_ns: time of the first sample.
     """
 
     slot_ns: float
     samples_per_slot: int
     levels: dict[str, np.ndarray]
-    start_ns: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.slot_ns) and self.slot_ns > 0):
             raise ValueError(f"slot_ns must be positive and finite, got {self.slot_ns}")
         if int(self.samples_per_slot) != self.samples_per_slot or self.samples_per_slot < 2:
             raise ValueError("samples_per_slot must be an integer of at least 2")
-        if not math.isfinite(self.start_ns):
-            raise ValueError("start_ns must be finite")
         object.__setattr__(self, "slot_ns", float(self.slot_ns))
         object.__setattr__(self, "samples_per_slot", int(self.samples_per_slot))
-        object.__setattr__(self, "start_ns", float(self.start_ns))
         if set(self.levels) != set(SWITCH_CHANNELS):
             raise TopologyError(f"the channels must be 'A' and 'B', got {list(self.levels)}")
         levels = {}
@@ -114,14 +110,7 @@ class PulseProgram:
     @property
     def end_ns(self) -> float:
         """Time of the last sample."""
-        return self.start_ns + self.dt_ns * (self.n_samples - 1)
-
-    @property
-    def t_ns(self) -> np.ndarray:
-        """Sample times, built on each access."""
-        t = self.start_ns + self.dt_ns * np.arange(self.n_samples)
-        t.setflags(write=False)
-        return t
+        return self.dt_ns * (self.n_samples - 1)
 
     @property
     def channels(self) -> dict[str, np.ndarray]:
@@ -138,11 +127,11 @@ class PulseProgram:
 
         The filtered grid samples on either side of each instant come from
         :func:`eom_slot_response` and are joined linearly; instants outside
-        the grid take the nearest end sample, as ``np.interp`` on
-        ``t_ns`` does.
+        the grid take the nearest end sample, as ``np.interp`` on the
+        sample times ``dt_ns * arange(n_samples)`` does.
         """
         last = self.n_samples - 1
-        u = np.clip((np.asarray(times_ns, dtype=float) - self.start_ns) / self.dt_ns, 0.0, last)
+        u = np.clip(np.asarray(times_ns, dtype=float) / self.dt_ns, 0.0, last)
         lo = np.floor(u).astype(np.intp)
         w = u - lo
         ends = eom_slot_response(
@@ -161,7 +150,6 @@ def default_pulse_program(
     v_pi_volts: float = 4.5,
     n_frames: int = 1,
     samples_per_slot: int = 256,
-    start_ns: float = 0.0,
 ) -> PulseProgram:
     """Square-wave program routing slot k of every frame to output k.
 
@@ -181,7 +169,7 @@ def default_pulse_program(
         "A": np.tile([v_pi_volts, v_pi_volts, 0.0, 0.0], n_frames),
         "B": np.tile([v_pi_volts, 0.0, v_pi_volts, 0.0], n_frames),
     }
-    return PulseProgram(repetition_period_ns, samples_per_slot, levels, start_ns)
+    return PulseProgram(repetition_period_ns, samples_per_slot, levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +240,10 @@ def simulate_demux(
         raise ValueError("n_frames must be at least 1")
     period = source.repetition_period_ns
     times = train_offset_ns + period * (np.arange(SLOTS_PER_FRAME * n_frames) + 0.5)
-    if (
-        times[0] < program.start_ns - TIMING_TOLERANCE_NS
-        or times[-1] > program.end_ns + TIMING_TOLERANCE_NS
-    ):
+    if times[0] < -TIMING_TOLERANCE_NS or times[-1] > program.end_ns + TIMING_TOLERANCE_NS:
         raise TimingError(
             f"photon train spans [{times[0]:.6g}, {times[-1]:.6g}] ns but the program "
-            f"covers [{program.start_ns:.6g}, {program.end_ns:.6g}] ns"
+            f"covers [0, {program.end_ns:.6g}] ns"
         )
 
     phases = _switch_phases(tree, program, times) + np.array(errors)[:, None]

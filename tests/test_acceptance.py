@@ -21,7 +21,6 @@ from lnoisim import (
     MeshConfig,
     PhaseShifterParams,
     SourceModel,
-    all_cross_config,
     canonical_form,
     compose,
     decompose,
@@ -45,6 +44,7 @@ from lnoisim.cli import main as cli_main
 from lnoisim.experiments import matrix_to_json_dict
 from lnoisim.router import TimeTrace
 
+from helpers import all_cross_config
 from oracles import hom_fringe_law, permanent_by_permutation_sum, two_photon_probabilities_by_mode_expansion
 
 WIDE = PhaseShifterParams(f_3db_ghz=math.inf)

@@ -25,6 +25,8 @@ from lnoisim import (
 from lnoisim import cli
 from lnoisim.cli import build_parser, main
 from lnoisim.experiments import (
+    FIELDS,
+    MAX_INSERTION_LOSS_DB,
     MAX_N_FRAMES,
     MAX_N_POINTS,
     MAX_SAMPLES_PER_SLOT,
@@ -32,6 +34,7 @@ from lnoisim.experiments import (
     matrix_from_json_dict,
     matrix_to_json_dict,
 )
+from helpers import all_cross_config, statistics_json
 from oracles import csv_by_writer
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -297,6 +300,18 @@ def test_demux_run_reports_clean_routing(tmp_path):
     assert len(rows) == 1 + 3 * 4
 
 
+def test_demux_runs_at_the_largest_insertion_loss(tmp_path):
+    # At MAX_INSERTION_LOSS_DB the power through two cells is still above 0,
+    # so leaky cells are still scored as at no loss: (1 - 0.01)**2.
+    payload = {"schema_version": 1, "experiment": "demux", "n_frames": 2, "bar_leakage": 0.01,
+               "insertion_loss_db": MAX_INSERTION_LOSS_DB}
+    cfg = write_config(tmp_path, "demux.json", payload)
+    assert run(["validate", "--config", cfg]) == 0
+    assert run(["demux", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    metrics = read_json(tmp_path / "out" / "metrics.json")
+    assert metrics["average_probability"] == pytest.approx(0.99**2, rel=1e-12)
+
+
 def test_demux_rejects_conflicting_extinction_settings(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -360,7 +375,7 @@ def test_distribution_single_photon(tmp_path):
 def test_distribution_two_photon_from_mesh(tmp_path):
     # compose and sample in one pass: feed the mesh for the reversal
     # permutation and check the deterministic two-photon outcome
-    mesh_cfg = read_json_mesh_for_reversal(tmp_path)
+    mesh_cfg = all_cross_config(4).to_json_dict()
     cfg = write_config(
         tmp_path,
         "dist.json",
@@ -377,12 +392,6 @@ def test_distribution_two_photon_from_mesh(tmp_path):
     payload = read_json(out / "distribution.json")
     probs = {tuple(entry["pattern"]): entry["p"] for entry in payload["outputs"]}
     assert probs[(2, 3)] == pytest.approx(1.0, abs=1e-12)
-
-
-def read_json_mesh_for_reversal(tmp_path):
-    from lnoisim import all_cross_config
-
-    return all_cross_config(4).to_json_dict()
 
 
 def test_mesh_decompose_compose_round_trip(tmp_path):
@@ -838,7 +847,7 @@ def test_statistics_without_pairs_is_a_config_error(tmp_path, capsys):
 def test_compose_output_matches_library(tmp_path):
     from lnoisim import MeshConfig
 
-    mesh_dict = read_json_mesh_for_reversal(tmp_path)
+    mesh_dict = all_cross_config(4).to_json_dict()
     cfg = write_config(
         tmp_path,
         "comp.json",
@@ -852,14 +861,14 @@ def test_compose_output_matches_library(tmp_path):
 
 
 def _statistics_without_pair(pair):
-    stats = synthesize_statistics(haar_random_unitary(3, seed=5)).to_json_dict()
+    stats = statistics_json(synthesize_statistics(haar_random_unitary(3, seed=5)))
     stats["pairs"] = [p for p in stats["pairs"] if tuple(p["input"]) != pair]
     return stats
 
 
 def _reconstruct_with_statistics(edit):
     """A 3-mode reconstruct config whose statistics object ``edit`` changes in place."""
-    stats = synthesize_statistics(haar_random_unitary(3, seed=5)).to_json_dict()
+    stats = statistics_json(synthesize_statistics(haar_random_unitary(3, seed=5)))
     edit(stats)
     return {"schema_version": 1, "experiment": "reconstruct", "seed": 1, "statistics": stats}
 
@@ -1043,6 +1052,9 @@ _REJECTED = {
     "demux-too-many-frames": (["demux"], {
         "schema_version": 1, "experiment": "demux", "n_frames": MAX_N_FRAMES + 1,
     }, f"field 'n_frames' must be <= {MAX_N_FRAMES}"),
+    "demux-loss-past-float-range": (["demux"], {
+        "schema_version": 1, "experiment": "demux", "insertion_loss_db": 2000.0,
+    }, f"field 'insertion_loss_db' must be <= {MAX_INSERTION_LOSS_DB}"),
     "hom-fringe-too-many-points": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "n_points": MAX_N_POINTS + 1,
     }, f"field 'n_points' must be <= {MAX_N_POINTS}"),
@@ -1183,6 +1195,31 @@ def test_numeric_strings_are_config_errors(tmp_path, mutation):
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main(["validate", "--config", path, "--quiet"]) == 2
     assert main([*argv, "--config", path, "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
+
+
+_GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
+
+
+@pytest.mark.parametrize(
+    "experiment, key", [(experiment, key) for experiment, keys in FIELDS.items() for key in keys]
+)
+def test_every_declared_key_takes_bad_values_cleanly(tmp_path, experiment, key):
+    # Each key of FIELDS, set to each bad value on the shortest golden config of
+    # its experiment that validates, keys the README configs leave out included:
+    # no traceback, and `validate` agrees with the run.
+    argv = experiment.split("-", 1) if experiment.startswith("mesh-") else [experiment]
+    by_size = sorted(_GOLDEN_CONFIGS.glob("*.json"), key=lambda path: (path.stat().st_size, path.name))
+    base = next(
+        cfg for path in by_size
+        if (cfg := json.loads(path.read_text()))["experiment"] == experiment
+        and main(["validate", "--config", str(path), "--quiet"]) == 0
+    )
+    for index, value in enumerate(_BAD_VALUES):  # a new file each: truncating one is slow
+        path = write_config(tmp_path, f"cfg{index}.json", {**base, key: value})
+        checked = main(["validate", "--config", path, "--quiet"])
+        ran = main([*argv, "--config", path, "--output-dir", str(tmp_path / "out"), "--quiet"])
+        assert checked in (0, 2) and ran in (0, 1, 2), (value, checked, ran)
+        assert (checked == 0) == (ran != 2), (value, checked, ran)
 
 
 @settings(deadline=None, max_examples=300)

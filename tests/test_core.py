@@ -199,6 +199,9 @@ def _decay_residuals(t, y):
     return fun_and_jac
 
 
+_ILL_CONDITIONED = "ROADMAP item 7: x and cost comparison unsound where cond(J) reaches 1e5-1e7"
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.floats(0.5, 5.0),
@@ -213,6 +216,21 @@ def _decay_residuals(t, y):
 @example(a=0.5, b=0.375, c=0.0, noise=0.046875, seed=47)
 # Along that valley mu once shrank until J^T J + mu D was singular.
 @example(a=0.560434282729164, b=0.3, c=0.0, noise=0.05, seed=205128210)
+# Four ill-conditioned draws (cond(J) 1e5-1e7) on which the comparison is
+# not sound yet: the first fails the cost check, the others x at 1e-6 with
+# equal costs.  Each must pass, and lose its xfail, once it is.
+@example(a=0.5, b=0.3, c=0.0, noise=0.048847268135134285, seed=2843644910).xfail(
+    raises=AssertionError, reason=_ILL_CONDITIONED
+)
+@example(a=0.5, b=0.3, c=0.0, noise=0.05, seed=3122172471).xfail(
+    raises=AssertionError, reason=_ILL_CONDITIONED
+)
+@example(a=0.5, b=0.3, c=0.3426583905334746, noise=0.05, seed=3568210016).xfail(
+    raises=AssertionError, reason=_ILL_CONDITIONED
+)
+@example(a=0.5, b=0.3, c=-0.9628621242882651, noise=0.05, seed=935278422).xfail(
+    raises=AssertionError, reason=_ILL_CONDITIONED
+)
 def test_levenberg_marquardt_matches_minpack(a, b, c, noise, seed):
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 4.0, 40)

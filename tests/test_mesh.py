@@ -16,7 +16,6 @@ from lnoisim import (
     MZIParams,
     PhaseShifterParams,
     TopologyError,
-    all_cross_config,
     clements_layout,
     compose,
     decompose,
@@ -31,6 +30,7 @@ from lnoisim import (
 from lnoisim.cli import _dump_json
 from lnoisim.components import phase_from_voltage
 from lnoisim.mesh import _mesh_product
+from helpers import all_cross_config
 from oracles import mesh_by_embedding
 
 

@@ -39,11 +39,8 @@ def test_source_model_derived_quantities():
     src = SourceModel()
     assert src.repetition_period_ns == 13.8
     assert src.indistinguishability == 0.945
-    assert src.g2_zero == 0.005
     with pytest.raises(ValueError):
         SourceModel(indistinguishability=1.2)
-    with pytest.raises(ValueError):
-        SourceModel(g2_zero=-0.1)
 
 
 @settings(deadline=None, max_examples=60)

@@ -20,6 +20,7 @@ from lnoisim import (
 )
 from lnoisim.mesh import clements_layout
 from lnoisim.reconstruct import _DIFF_STEP, _fit_model
+from helpers import statistics_json
 from oracles import (
     forward_difference_by_columns,
     mesh_by_embedding,
@@ -98,7 +99,7 @@ def test_measured_statistics_validation():
 
 def test_statistics_json_round_trip():
     stats = synthesize_statistics(haar_random_unitary(4, seed=2), overlap=0.945)
-    loaded = MeasuredStatistics.from_json_dict(stats.to_json_dict())
+    loaded = MeasuredStatistics.from_json_dict(statistics_json(stats))
     assert np.allclose(loaded.singles, stats.singles)
     assert sorted(loaded.pairs) == sorted(stats.pairs)
     for key in stats.pairs:
