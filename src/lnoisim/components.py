@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import is_finite_number
-from .errors import AliasingError, BandRangeError, DimensionError
 
 __all__ = [
     "EXTINCTION_CAP_DB",
@@ -238,10 +237,10 @@ def _prewarped_corner(p: PhaseShifterParams, sample_rate_ghz: float) -> float:
     exactly at ``f_3db``.
 
     Raises:
-        AliasingError: unless ``sample_rate_ghz > 2 * f_3db_ghz``.
+        ValueError: unless ``sample_rate_ghz > 2 * f_3db_ghz``.
     """
     if not sample_rate_ghz > 2.0 * p.f_3db_ghz:
-        raise AliasingError(
+        raise ValueError(
             f"sample rate {sample_rate_ghz} GHz must exceed twice the bandwidth "
             f"{p.f_3db_ghz} GHz"
         )
@@ -261,12 +260,12 @@ def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz:
         sample_rate_ghz: sample rate; must exceed twice the bandwidth.
 
     Raises:
-        AliasingError: when ``sample_rate_ghz <= 2 * f_3db_ghz`` and the
+        ValueError: when ``sample_rate_ghz <= 2 * f_3db_ghz`` and the
             drive is not empty.
     """
     x = np.asarray(drive, dtype=float)
     if x.ndim != 1:
-        raise DimensionError("drive must be a 1-d waveform")
+        raise ValueError("drive must be a 1-d waveform")
     if x.size == 0:
         return x.copy()
     # Every sample is its own one-sample slot.
@@ -304,18 +303,18 @@ def eom_slot_response(
     and the recurrence runs one slot at a time; q alone picks the path.
 
     Raises:
-        AliasingError: when ``sample_rate_ghz <= 2 * f_3db_ghz``.
+        ValueError: when ``sample_rate_ghz <= 2 * f_3db_ghz``.
     """
     v = np.asarray(levels, dtype=float)
     if v.ndim != 1 or v.size == 0:
-        raise DimensionError("levels must be a non-empty 1-d array")
+        raise ValueError("levels must be a non-empty 1-d array")
     if samples_per_slot < 1:
         raise ValueError("samples_per_slot must be at least 1")
     idx = np.asarray(indices)
     if idx.dtype.kind not in "iu":
-        raise DimensionError(f"sample indices must be integers, got dtype {idx.dtype}")
+        raise ValueError(f"sample indices must be integers, got dtype {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= v.size * samples_per_slot):
-        raise DimensionError("sample indices lie outside the drive")
+        raise ValueError("sample indices lie outside the drive")
     slot, m = np.divmod(idx, samples_per_slot)
     if not math.isfinite(p.f_3db_ghz):
         return v[slot]
@@ -355,8 +354,8 @@ def eom_s21_db(
     frequency at 0 dB.
 
     Raises:
-        AliasingError: when ``sample_rate_ghz <= 2 * f_3db_ghz``.
-        ValueError: for a frequency outside (0, fs / 2).
+        ValueError: when ``sample_rate_ghz <= 2 * f_3db_ghz``, or for a
+            frequency outside (0, fs / 2).
     """
     f = np.fromiter(freqs_ghz, dtype=float)
     if not np.all((f > 0.0) & (f < sample_rate_ghz / 2.0)):
@@ -377,9 +376,9 @@ def s21_crossing_ghz(
     ``sample_rate_ghz`` defaults to 24 f_3db.
 
     Raises:
-        AliasingError: when ``sample_rate_ghz <= 2 * f_3db_ghz``.
-        ValueError: for a threshold that is not negative, or an
-            instantaneous shifter, whose S21 never falls.
+        ValueError: when ``sample_rate_ghz <= 2 * f_3db_ghz``, for a
+            threshold that is not negative, or for an instantaneous
+            shifter, whose S21 never falls.
     """
     if not threshold_db < 0.0:
         raise ValueError(f"threshold_db must be negative, got {threshold_db}")
@@ -400,7 +399,7 @@ class GratingSpectrum:
 
     The efficiency falls by 1 dB at ``bandwidth_1db_nm / 2`` from
     ``center_wavelength_nm``.  Wavelengths outside ``band_nm`` raise
-    :class:`BandRangeError`.
+    ``ValueError``.
     """
 
     center_wavelength_nm: float = 930.0
@@ -429,7 +428,7 @@ class GratingSpectrum:
     def efficiency_db(self, wavelength_nm: float) -> float:
         lo, hi = self.band_nm
         if not (lo <= wavelength_nm <= hi):
-            raise BandRangeError(
+            raise ValueError(
                 f"wavelength {wavelength_nm} nm outside modeled band [{lo}, {hi}] nm"
             )
         detune = (wavelength_nm - self.center_wavelength_nm) / (self.bandwidth_1db_nm / 2.0)

@@ -13,7 +13,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 
 __all__ = [
     "PERMANENT_MAX_ORDER",
@@ -79,7 +79,7 @@ def as_complex_matrix(m: object) -> np.ndarray:
     """Coerce input to a 2-d complex array, rejecting non-finite entries."""
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-d matrix, got ndim={arr.ndim}")
+        raise ValueError(f"expected a 2-d matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("matrix entries must be finite")
     return arr
@@ -136,11 +136,11 @@ def permanent(m: object) -> complex:
     arr = as_complex_matrix(m)
     n, ncols = arr.shape
     if n != ncols:
-        raise DimensionError(f"permanent requires a square matrix, got {arr.shape}")
+        raise ValueError(f"permanent requires a square matrix, got {arr.shape}")
     if n == 0:
-        raise DimensionError("permanent of an empty matrix is not defined here")
+        raise ValueError("permanent of an empty matrix is not defined here")
     if n > PERMANENT_MAX_ORDER:
-        raise DimensionError(f"permanent limited to order {PERMANENT_MAX_ORDER}, got {n}")
+        raise ValueError(f"permanent limited to order {PERMANENT_MAX_ORDER}, got {n}")
     return complex(_permanents(arr))
 
 
@@ -155,7 +155,7 @@ def haar_random_unitary(n: int, seed: int) -> np.ndarray:
         seed: RNG seed; equal seeds give identical matrices.
     """
     if n < 1:
-        raise DimensionError(f"unitary order must be >= 1, got {n}")
+        raise ValueError(f"unitary order must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -173,7 +173,7 @@ def matrix_distance(a: object, b: object) -> float:
     am = as_complex_matrix(a)
     bm = as_complex_matrix(b)
     if am.shape != bm.shape:
-        raise DimensionError(f"shape mismatch: {am.shape} vs {bm.shape}")
+        raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
     t = np.trace(bm.conj().T @ am)
     alpha = np.angle(t) if t != 0 else 0.0
     diff = am - np.exp(1j * alpha) * bm

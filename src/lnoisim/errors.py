@@ -1,81 +1,28 @@
-"""Exception types raised by the simulation layers.
+"""Exception types that the CLI tells apart.
 
-Most of these derive from ValueError so that generic callers can catch
-bad-input conditions uniformly, while tests and the CLI can discriminate
-the precise failure mode.
+Bad input to a library call (a wrong shape, an invalid layout, a value out
+of range) raises plain ``ValueError``. The classes here mark the failures
+that a caller handles differently:
+
+- ``ConfigError``: a run configuration failed validation. The CLI exits 2
+  and prints each of its ``diagnostics``.
+- ``FitError``: a fringe fit or a unitary reconstruction that the data
+  cannot support. The CLI exits 1.
+- ``LnoisimError``: the base of both. The CLI exits 1 on any other.
 """
 
-__all__ = [
-    "AliasingError",
-    "BandRangeError",
-    "ComplianceError",
-    "ConfigError",
-    "ConvergenceError",
-    "CoverageError",
-    "DimensionError",
-    "FitError",
-    "GaugeError",
-    "LnoisimError",
-    "NormalizationError",
-    "OutcomeMismatchError",
-    "TimingError",
-    "TopologyError",
-]
+__all__ = ["ConfigError", "FitError", "LnoisimError"]
 
 
 class LnoisimError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionError(LnoisimError, ValueError):
-    """A matrix or vector has the wrong shape for the requested operation."""
-
-
-class NormalizationError(LnoisimError, ValueError):
-    """A probability distribution does not sum to one when it must."""
-
-
-class OutcomeMismatchError(LnoisimError, ValueError):
-    """Two distributions were compared over different outcome sets."""
-
-
-class TopologyError(LnoisimError, ValueError):
-    """A mesh configuration references an invalid cell layout."""
-
-
-class GaugeError(LnoisimError, ValueError):
-    """A mesh configuration carries phases that the hardware cannot drive."""
-
-
-class ComplianceError(LnoisimError, ValueError):
-    """A requested drive voltage exceeds the electrical compliance limit."""
-
-
-class AliasingError(LnoisimError, ValueError):
-    """A waveform is sampled too slowly for the requested analog bandwidth."""
-
-
-class BandRangeError(LnoisimError, ValueError):
-    """A wavelength lies outside the modeled band of a component."""
-
-
-class TimingError(LnoisimError, ValueError):
-    """A pulse program does not cover the simulated photon train."""
-
-
-class CoverageError(LnoisimError, ValueError):
-    """A measurement set is missing data required by an estimator."""
-
-
 class FitError(LnoisimError, RuntimeError):
-    """A least-squares fit failed or the data cannot constrain it."""
+    """A least-squares fit failed or the data cannot constrain it.
 
-
-class ConvergenceError(LnoisimError, RuntimeError):
-    """An iterative solver failed to converge.
-
-    The best iterate found so far is attached as ``best_result`` so callers
-    can inspect how close the solver got.
+    A failed fit may attach its best iterate as ``best_result`` so callers
+    can inspect how close it got.
     """
 
     def __init__(self, message, best_result=None):

@@ -44,6 +44,10 @@ MAX_INSERTION_LOSS_DB = -5.0 * math.log10(sys.float_info.min)
 #: The longest ``hom-fringe`` sweep, for the same reason as MAX_N_FRAMES.
 MAX_N_POINTS = 100_000
 
+#: The largest magnitude of a voltage or ``v_pi_volts``: ``phase_from_voltage``
+#: computes pi * V first, which is finite up to here and overflows past it.
+MAX_VOLTS = sys.float_info.max / math.pi
+
 #: The largest mean numpy's Poisson sampler accepts.
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
@@ -242,8 +246,8 @@ def _switch_cell(diags, shifter, er_db, bar_leakage=None, **loss):
 
 
 def _parse_hom_fringe(fields, seed, diags):
-    from .components import PhaseShifterParams
-    from .photons import SourceModel
+    from .components import PhaseShifterParams, phase_from_voltage
+    from .photons import MIN_FRINGE_SPAN_RAD, SourceModel
     start, stop = fields.get("voltage_start", 0.0), fields.get("voltage_stop", 9.0)
     n_points = fields.get("n_points", 41)
     floor, mean_counts = fields.get("accidental_floor", 0.0), fields.get("poisson_mean_counts")
@@ -262,6 +266,10 @@ def _parse_hom_fringe(fields, seed, diags):
     step = (stop - start) / (n_points - 1)
     if step > shifter.v_pi_volts / 2.0:
         diags.append(f"the voltage step {step:.6g} V exceeds v_pi_volts / 2, so the fringe aliases")
+    # The run's phases span exactly this, as linspace returns both end points.
+    span = phase_from_voltage(shifter, stop) - phase_from_voltage(shifter, start)
+    if stop > start and span < MIN_FRINGE_SPAN_RAD:
+        diags.append(f"the sweep spans {span:.6g} rad, under the pi/2 the fringe fit needs")
     cell = _switch_cell(diags, shifter, fields.get("extinction_db"))
     overlap = fields.get("overlap", SourceModel.indistinguishability)
     sweep = (start, stop, n_points)
@@ -546,7 +554,8 @@ def _run_loss_budget(parsed):
     return outputs, lines
 
 
-_NUMBER, _POSITIVE, _NON_NEGATIVE = Field(float), Field(float, 1e-9), Field(float, 0.0)
+_POSITIVE, _NON_NEGATIVE = Field(float, 1e-9), Field(float, 0.0)
+_VOLTS, _V_PI = Field(float, -MAX_VOLTS, MAX_VOLTS), Field(float, 1e-9, MAX_VOLTS)
 _OVERLAP, _EXTINCTION, _PARSED = Field(float, 0.0, 1.0), Field(float, 0.1, null=True), Field(None)
 
 #: The keys every config may carry; `parse` checks the first two itself.
@@ -556,14 +565,14 @@ COMMON_FIELDS = {"schema_version": _PARSED, "experiment": _PARSED, "seed": Field
 #: keys of the README key table.  Any key not declared is a config error.
 FIELDS = {
     "hom-fringe": {
-        "overlap": _OVERLAP, "v_pi_volts": _POSITIVE, "voltage_start": _NUMBER,
-        "voltage_stop": _NUMBER, "n_points": Field(int, 5, MAX_N_POINTS),
+        "overlap": _OVERLAP, "v_pi_volts": _V_PI, "voltage_start": _VOLTS,
+        "voltage_stop": _VOLTS, "n_points": Field(int, 5, MAX_N_POINTS),
         "accidental_floor": _NON_NEGATIVE, "extinction_db": _EXTINCTION,
         "poisson_mean_counts": Field(float, 1.0, null=True),
     },
     "demux": {
         "n_frames": Field(int, 1, MAX_N_FRAMES), "repetition_period_ns": _POSITIVE,
-        "v_pi_volts": _POSITIVE, "f_3db_ghz": Field(float, 1e-9, null=True),
+        "v_pi_volts": _V_PI, "f_3db_ghz": Field(float, 1e-9, null=True),
         "samples_per_slot": Field(int, 2, MAX_SAMPLES_PER_SLOT), "extinction_db": _EXTINCTION,
         "bar_leakage": Field(float, 0.0, 0.499, null=True),
         "insertion_loss_db": Field(float, 0.0, MAX_INSERTION_LOSS_DB),

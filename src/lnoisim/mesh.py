@@ -25,7 +25,6 @@ from .components import (
     voltage_for_phase,
 )
 from .core import as_complex_matrix, check_fields, finite_number_array, is_finite_number, is_integer, is_unitary
-from .errors import ComplianceError, DimensionError, GaugeError, TopologyError
 
 __all__ = [
     "MeshCell",
@@ -64,7 +63,7 @@ class MeshCell:
     def __post_init__(self):
         i, j = self.modes
         if j != i + 1 or i < 0:
-            raise TopologyError(f"cell must act on adjacent modes, got {self.modes}")
+            raise ValueError(f"cell must act on adjacent modes, got {self.modes}")
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("cell phases must be finite")
         object.__setattr__(self, "modes", (int(i), int(j)))
@@ -80,20 +79,20 @@ class MeshConfig:
 
     def __post_init__(self):
         if self.n_modes < 2:
-            raise TopologyError(f"a mesh needs at least 2 modes, got {self.n_modes}")
+            raise ValueError(f"a mesh needs at least 2 modes, got {self.n_modes}")
         cells = tuple(self.cells)
         object.__setattr__(self, "cells", cells)
         expected = self.n_modes * (self.n_modes - 1) // 2
         if len(cells) != expected:
-            raise TopologyError(
+            raise ValueError(
                 f"{self.n_modes}-mode mesh requires {expected} cells, got {len(cells)}"
             )
         for cell in cells:
             if cell.modes[1] >= self.n_modes:
-                raise TopologyError(f"cell {cell.modes} exceeds mode count {self.n_modes}")
+                raise ValueError(f"cell {cell.modes} exceeds mode count {self.n_modes}")
         phases = np.asarray(self.output_phases, dtype=float)
         if phases.shape != (self.n_modes,):
-            raise DimensionError(
+            raise ValueError(
                 f"output_phases must have length {self.n_modes}, got {phases.shape}"
             )
         if not np.all(np.isfinite(phases)):
@@ -235,9 +234,9 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
     mat = as_complex_matrix(u)
     n, m = mat.shape
     if n != m:
-        raise DimensionError(f"decompose requires a square matrix, got {mat.shape}")
+        raise ValueError(f"decompose requires a square matrix, got {mat.shape}")
     if n < 2:
-        raise DimensionError("decompose requires at least 2 modes")
+        raise ValueError("decompose requires at least 2 modes")
     if not is_unitary(mat, tol=tol):
         raise ValueError("matrix is not unitary within tolerance")
 
@@ -346,7 +345,7 @@ class VoltageProgram:
             if not math.isfinite(volts):
                 raise ValueError(f"voltage for {name} must be finite")
             if abs(volts) > self.compliance_volts:
-                raise ComplianceError(
+                raise ValueError(
                     f"{name}: |{volts:.6g} V| exceeds compliance {self.compliance_volts} V"
                 )
             if name not in self.modulators:
@@ -367,16 +366,16 @@ def phases_to_voltages(
             zero (apply :func:`gauge_input_phases` first).
         shifter: the parameters shared by every modulator.
         compliance_volts: electrical limit; :class:`VoltageProgram`
-            raises :class:`ComplianceError` on a voltage beyond it.
+            raises ``ValueError`` on a voltage beyond it.
 
     Raises:
-        GaugeError: when an undrivable input-facing phase is nonzero.
+        ValueError: when an undrivable input-facing phase is nonzero.
     """
     layout = modulator_layout(config)
     for idx in _gauge_cell_indices(config):
         residual = wrap_phase(config.cells[idx].phi)
         if min(residual, _TWO_PI - residual) > 1e-9:
-            raise GaugeError(
+            raise ValueError(
                 f"cell {idx} carries input-facing phase {residual:.6g} rad with no "
                 "modulator; call gauge_input_phases() first"
             )

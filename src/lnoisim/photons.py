@@ -19,7 +19,7 @@ import numpy as np
 from .components import MZIParams, mzi_transfer
 from .core import PERMANENT_MAX_ORDER, _levenberg_marquardt, _permanents, as_complex_matrix
 from .core import check_fields, is_finite_number, is_integer
-from .errors import DimensionError, FitError, NormalizationError, OutcomeMismatchError
+from .errors import FitError
 
 __all__ = [
     "PhotonDistribution",
@@ -104,7 +104,7 @@ class PhotonDistribution:
             raise ValueError("patterns must not repeat")
         probs = _probability_array(self.probabilities, "probabilities")
         if probs.shape != (len(patterns),):
-            raise DimensionError("patterns and probabilities must align 1:1")
+            raise ValueError("patterns and probabilities must align 1:1")
         object.__setattr__(self, "input_modes", tuple(map(int, inputs)))
         object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "probabilities", probs)
@@ -166,10 +166,10 @@ def statistical_fidelity(p: PhotonDistribution, q: PhotonDistribution) -> float:
     """
     for name, dist in (("p", p), ("q", q)):
         if abs(dist.total - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(f"{name} is not normalized (sum={dist.total:.12g})")
+            raise ValueError(f"{name} is not normalized (sum={dist.total:.12g})")
     lookup = dict(zip(q.patterns, q.probabilities))
     if lookup.keys() != set(p.patterns):
-        raise OutcomeMismatchError("distributions are defined over different patterns")
+        raise ValueError("distributions are defined over different patterns")
     q_probs = np.array([lookup[o] for o in p.patterns])
     overlap = float(np.sum(np.sqrt(np.clip(p.probabilities, 0.0, None) * np.clip(q_probs, 0.0, None))))
     return min(overlap, 1.0)
@@ -208,7 +208,7 @@ def two_photon_distribution(
     n_out, n_in = mat.shape
     k, l = input_pair
     if not (0 <= k < n_in and 0 <= l < n_in):
-        raise DimensionError(f"input pair {input_pair} out of range for {n_in} inputs")
+        raise ValueError(f"input pair {input_pair} out of range for {n_in} inputs")
     if not (0.0 <= overlap <= 1.0):
         raise ValueError("overlap must lie in [0, 1]")
 
@@ -275,6 +275,9 @@ _FRINGE_LOWER = np.array([0.0, 0.0, 0.2, -math.pi])
 _FRINGE_UPPER = np.array([np.inf, 1.2, 5.0, math.pi])
 _FRINGE_MAX_NFEV = 20000
 
+#: The least phase span a fringe fit accepts: half a period (pi/2), less rounding.
+MIN_FRINGE_SPAN_RAD = math.pi / 2.0 - 1e-12
+
 
 def _fringe_start(phases, counts, weights) -> np.ndarray:
     """(A, V, s, d) from the linear fit at s = 1.
@@ -307,12 +310,12 @@ def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float,
     phases = np.asarray(phases_rad, dtype=float)
     counts = np.asarray(coincidences, dtype=float)
     if phases.ndim != 1 or phases.shape != counts.shape:
-        raise DimensionError("phases and coincidences must be matching 1-d arrays")
+        raise ValueError("phases and coincidences must be matching 1-d arrays")
     if not (np.all(np.isfinite(phases)) and np.all(np.isfinite(counts))):
         raise FitError("phases and coincidences must be finite")
     if phases.size < 5:
         raise FitError(f"need at least 5 fringe points, got {phases.size}")
-    if np.ptp(phases) < math.pi / 2.0 - 1e-12:
+    if np.ptp(phases) < MIN_FRINGE_SPAN_RAD:
         raise FitError("fringe data must span at least half a period (pi/2)")
     top = float(counts.max())
     if top <= 0:
@@ -418,11 +421,11 @@ def nphoton_collision_free_distribution(
     n_out = mat.shape[0]
     inputs = sorted(input_modes)
     if any(not (0 <= m < mat.shape[1]) for m in inputs):
-        raise DimensionError("input mode out of range")
+        raise ValueError("input mode out of range")
     if not (1 <= len(inputs) <= PERMANENT_MAX_ORDER):
-        raise DimensionError(f"need 1 to {PERMANENT_MAX_ORDER} photons, got {len(inputs)}")
+        raise ValueError(f"need 1 to {PERMANENT_MAX_ORDER} photons, got {len(inputs)}")
     if len(inputs) > n_out:
-        raise DimensionError("more photons than output modes for collision-free patterns")
+        raise ValueError("more photons than output modes for collision-free patterns")
     # The patterns in itertools order, read flat (faster than nested tuples).
     flat = itertools.chain.from_iterable(itertools.combinations(range(n_out), len(inputs)))
     patterns = np.fromiter(flat, np.intp).reshape(-1, len(inputs))

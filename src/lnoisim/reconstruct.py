@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import _levenberg_marquardt, as_complex_matrix, check_fields, finite_number_array
-from .errors import ConvergenceError, CoverageError, DimensionError
+from .errors import FitError
 from .mesh import MeshCell, MeshConfig, _mesh_product, clements_layout, compose, wrap_phase
 from .photons import PhotonDistribution, _coincidence, _probability_array, two_photon_distribution
 
@@ -97,7 +97,7 @@ class MeasuredStatistics:
     def __post_init__(self):
         singles = _probability_array(self.singles, "singles")
         if singles.ndim != 2 or singles.shape[0] != singles.shape[1]:
-            raise DimensionError("singles must be a square matrix")
+            raise ValueError("singles must be a square matrix")
         object.__setattr__(self, "singles", singles)
         n = singles.shape[0]
         pairs = {}
@@ -137,7 +137,7 @@ def synthesize_statistics(
     """Exact statistics a lossless interferometer ``u`` would produce."""
     mat = as_complex_matrix(u)
     if mat.shape[0] != mat.shape[1]:
-        raise DimensionError("need a square transfer matrix")
+        raise ValueError("need a square transfer matrix")
     n = mat.shape[0]
     singles = np.abs(mat) ** 2
     pairs = {
@@ -239,16 +239,16 @@ def reconstruct_unitary(
         success_cost: squared-residual threshold declaring convergence.
 
     Raises:
-        ValueError: for fewer than 2 modes, which leave no mesh to fit.
-        CoverageError: if any input pair has no two-photon data.
-        ConvergenceError: if no restart converges; the best attempt is
+        ValueError: for fewer than 2 modes, which leave no mesh to fit, or
+            if any input pair has no two-photon data.
+        FitError: if no restart converges; the best attempt is
             attached as ``best_result``.
     """
     if measured.n_modes < 2:
         raise ValueError("reconstruction needs at least 2 modes")
     missing = measured.missing_pairs()
     if missing:
-        raise CoverageError(f"no two-photon data for input pairs {missing}")
+        raise ValueError(f"no two-photon data for input pairs {missing}")
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
     if n_restarts < 1:
@@ -283,7 +283,7 @@ def reconstruct_unitary(
         n_restarts_used=used,
     )
     if not result.converged:
-        raise ConvergenceError(
+        raise FitError(
             f"best of {used} restarts left squared-residual sum {best_cost:.3e} "
             f"above {success_cost:.3e}",
             best_result=result,

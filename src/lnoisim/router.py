@@ -28,7 +28,6 @@ from .components import (
     eom_slot_response,
     phase_from_voltage,
 )
-from .errors import DimensionError, TimingError, TopologyError
 from .photons import SourceModel
 
 __all__ = [
@@ -81,14 +80,14 @@ class PulseProgram:
         object.__setattr__(self, "slot_ns", float(self.slot_ns))
         object.__setattr__(self, "samples_per_slot", int(self.samples_per_slot))
         if set(self.levels) != set(SWITCH_CHANNELS):
-            raise TopologyError(f"the channels must be 'A' and 'B', got {list(self.levels)}")
+            raise ValueError(f"the channels must be 'A' and 'B', got {list(self.levels)}")
         levels = {}
         for name, values in self.levels.items():
             arr = np.array(values, dtype=float)
             if arr.ndim != 1 or arr.size == 0:
-                raise DimensionError(f"channel {name!r} needs a 1-d array of slot levels")
+                raise ValueError(f"channel {name!r} needs a 1-d array of slot levels")
             if levels and arr.size != next(iter(levels.values())).size:
-                raise DimensionError(f"channel {name!r} holds a different number of slots")
+                raise ValueError(f"channel {name!r} holds a different number of slots")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"channel {name!r} has non-finite levels")
             arr.setflags(write=False)
@@ -183,7 +182,7 @@ class TimeTrace:
         times = np.asarray(self.times_ns, dtype=float)
         outs = np.asarray(self.outputs, dtype=float)
         if outs.shape != (times.size, N_OUTPUTS):
-            raise DimensionError(f"outputs must be (n_events, {N_OUTPUTS})")
+            raise ValueError(f"outputs must be (n_events, {N_OUTPUTS})")
         times.setflags(write=False)
         outs.setflags(write=False)
         object.__setattr__(self, "times_ns", times)
@@ -228,20 +227,20 @@ def simulate_demux(
     sum to one at every instant for a lossless tree.
 
     Raises:
-        TimingError: when the program does not cover the photon train.
+        ValueError: when the program does not cover the photon train.
     """
     tree = list(tree)
     if len(tree) != N_TREE_SWITCHES:
-        raise TopologyError(f"tree needs exactly {N_TREE_SWITCHES} switches")
+        raise ValueError(f"tree needs exactly {N_TREE_SWITCHES} switches")
     errors = tuple(float(e) for e in phase_errors_rad)
     if len(errors) != N_TREE_SWITCHES:
-        raise DimensionError("phase_errors_rad needs one entry per switch")
+        raise ValueError("phase_errors_rad needs one entry per switch")
     if n_frames < 1:
         raise ValueError("n_frames must be at least 1")
     period = source.repetition_period_ns
     times = train_offset_ns + period * (np.arange(SLOTS_PER_FRAME * n_frames) + 0.5)
     if times[0] < -TIMING_TOLERANCE_NS or times[-1] > program.end_ns + TIMING_TOLERANCE_NS:
-        raise TimingError(
+        raise ValueError(
             f"photon train spans [{times[0]:.6g}, {times[-1]:.6g}] ns but the program "
             f"covers [0, {program.end_ns:.6g}] ns"
         )
@@ -286,9 +285,9 @@ def switch_metrics(trace: TimeTrace) -> SwitchMetrics:
     perfect routing gives ``-inf``.
     """
     if trace.n_events == 0:
-        raise DimensionError("trace holds no events")
+        raise ValueError("trace holds no events")
     if trace.n_events % SLOTS_PER_FRAME:
-        raise DimensionError("trace length must be a whole number of frames")
+        raise ValueError("trace length must be a whole number of frames")
 
     totals = trace.outputs.sum(axis=1)
     if np.any(totals <= 0):
@@ -325,9 +324,9 @@ def demux_input_transmissions(
     """
     tree = list(tree)
     if len(tree) != N_TREE_SWITCHES:
-        raise TopologyError(f"tree needs exactly {N_TREE_SWITCHES} switches")
+        raise ValueError(f"tree needs exactly {N_TREE_SWITCHES} switches")
     if len(phases_rad) != N_TREE_SWITCHES:
-        raise DimensionError(f"need one phase per switch, got {len(phases_rad)}")
+        raise ValueError(f"need one phase per switch, got {len(phases_rad)}")
     r1, r2 = tree[0].coupler_in.effective_ratio, tree[0].coupler_out.effective_ratio
     mix = 2.0 * math.sqrt(r1 * (1.0 - r1) * r2 * (1.0 - r2)) * math.cos(phases_rad[0])
     f0 = (1.0 - r1) * (1.0 - r2) + r1 * r2 - mix

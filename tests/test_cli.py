@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 import lnoisim
 from lnoisim import (
+    MeasuredStatistics,
     compose,
     decompose,
     haar_random_unitary,
@@ -30,6 +31,7 @@ from lnoisim.experiments import (
     MAX_N_FRAMES,
     MAX_N_POINTS,
     MAX_SAMPLES_PER_SLOT,
+    MAX_VOLTS,
     _csv_bytes,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -131,6 +133,34 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, raw, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: config is not valid JSON: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def _noisy_statistics():
+    """Statistics of a 4-mode Haar unitary, its singles off by 0.1% relative Gaussian noise."""
+    stats = synthesize_statistics(haar_random_unitary(4, 3))
+    noise = np.random.default_rng(0).standard_normal(stats.singles.shape)
+    return statistics_json(MeasuredStatistics(stats.singles * (1.0 + 1e-3 * noise), stats.pairs))
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["hom-fringe"], {
+        "schema_version": 1, "experiment": "hom-fringe", "poisson_mean_counts": 1, "seed": 3,
+        "n_points": 5,
+    }, "error: FitError: fringe fit covariance is singular"),
+    (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "seed": 0, "n_restarts": 1,
+        "statistics": _noisy_statistics(),
+    }, "error: FitError: best of 1 restarts"),
+], ids=["fringe-fit", "reconstruction"])
+def test_data_the_fit_cannot_support_exits_1(tmp_path, capsys, argv, payload, message):
+    # `validate` accepts each config; the run fails on its data, not on the config.
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run(["validate", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert run([*argv, "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):
@@ -1055,6 +1085,12 @@ _REJECTED = {
     "demux-loss-past-float-range": (["demux"], {
         "schema_version": 1, "experiment": "demux", "insertion_loss_db": 2000.0,
     }, f"field 'insertion_loss_db' must be <= {MAX_INSERTION_LOSS_DB}"),
+    "fringe-narrower-than-half-a-period": (["hom-fringe"], {
+        "schema_version": 1, "experiment": "hom-fringe", "voltage_stop": 2.0,
+    }, "the sweep spans 1.39626 rad, under the pi/2 the fringe fit needs"),
+    "demux-v-pi-past-float-range": (["demux"], {
+        "schema_version": 1, "experiment": "demux", "v_pi_volts": 1e308,
+    }, f"field 'v_pi_volts' must be <= {MAX_VOLTS}"),
     "hom-fringe-too-many-points": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "n_points": MAX_N_POINTS + 1,
     }, f"field 'n_points' must be <= {MAX_N_POINTS}"),
@@ -1132,7 +1168,9 @@ def _paths(node, prefix=()):
 
 _DROP = object()
 _RENAME = object()  # rename the key by one edit: its last letter doubled
-_BAD_VALUES = ("x", 7, True, math.nan, math.inf, -math.inf, -1.5, 1e300, -1e300, 2**1024, [], None)
+_BAD_VALUES = (
+    "x", 7, True, math.nan, math.inf, -math.inf, -1.5, 1e300, -1e300, 1e308, -1e308, 2**1024, [], None
+)
 
 
 def _mutations(argv, payload):
@@ -1216,10 +1254,53 @@ def test_every_declared_key_takes_bad_values_cleanly(tmp_path, experiment, key):
     )
     for index, value in enumerate(_BAD_VALUES):  # a new file each: truncating one is slow
         path = write_config(tmp_path, f"cfg{index}.json", {**base, key: value})
+        out = tmp_path / f"out{index}"
         checked = main(["validate", "--config", path, "--quiet"])
-        ran = main([*argv, "--config", path, "--output-dir", str(tmp_path / "out"), "--quiet"])
+        ran = main([*argv, "--config", path, "--output-dir", str(out), "--quiet"])
         assert checked in (0, 2) and ran in (0, 1, 2), (value, checked, ran)
         assert (checked == 0) == (ran != 2), (value, checked, ran)
+        if ran == 0:
+            _assert_finite_artifacts(out)
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+def _assert_finite_artifacts(out):
+    """Every JSON artifact in ``out`` is strict JSON, and no CSV cell is nan or inf."""
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    for path in out.glob("*.csv"):
+        cells = [cell for line in path.read_text().splitlines()[1:] for cell in line.split(",")]
+        assert all(math.isfinite(float(cell)) for cell in cells), path.name
+
+
+def test_largest_v_pi_runs_with_finite_artifacts(tmp_path):
+    # pi * MAX_VOLTS is the largest float; one float further it overflows.
+    assert math.isfinite(math.pi * MAX_VOLTS)
+    assert math.pi * math.nextafter(MAX_VOLTS, math.inf) == math.inf
+    cfg = write_config(tmp_path, "demux.json", {
+        "schema_version": 1, "experiment": "demux", "v_pi_volts": MAX_VOLTS,
+    })
+    assert run(["validate", "--config", cfg]) == 0
+    assert run(["demux", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    _assert_finite_artifacts(tmp_path / "out")
+
+
+@settings(deadline=None, max_examples=100)
+@given(v_pi=st.floats(1e-9, 1e9), rel=st.floats(-1e-9, 1e-9))
+def test_validate_and_run_agree_on_a_sweep_near_half_a_period(v_pi, rel):
+    # The fringe fit needs phases spanning pi/2, and validate refuses exactly
+    # the sweeps from the default 0 V that fall short of it.
+    cfg = {"schema_version": 1, "experiment": "hom-fringe", "v_pi_volts": v_pi,
+           "voltage_stop": v_pi / 2.0 * (1.0 + rel)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), "cfg.json", cfg)
+        checked = main(["validate", "--config", path, "--quiet"])
+        ran = main(["hom-fringe", "--config", path, "--output-dir", os.path.join(tmp, "out"), "--quiet"])
+    assert checked in (0, 2) and ran in (0, 2), (cfg, checked, ran)
+    assert (checked == 0) == (ran == 0), (cfg, checked, ran)
 
 
 @settings(deadline=None, max_examples=300)

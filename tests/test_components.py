@@ -8,10 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from lnoisim import (
     EXTINCTION_CAP_DB,
-    AliasingError,
-    BandRangeError,
     CouplerParams,
-    DimensionError,
     GratingSpectrum,
     MZIParams,
     PhaseShifterParams,
@@ -216,7 +213,7 @@ def test_eom_passes_dc_exactly():
 
 def test_eom_aliasing_guard():
     p = PhaseShifterParams(f_3db_ghz=6.5)
-    with pytest.raises(AliasingError):
+    with pytest.raises(ValueError, match="sample rate .* must exceed twice the bandwidth"):
         eom_response(p, np.zeros(10), sample_rate_ghz=13.0)
     # infinite bandwidth bypasses filtering entirely
     wide = PhaseShifterParams(f_3db_ghz=math.inf)
@@ -272,7 +269,7 @@ def test_slot_response_is_the_sequential_recurrence(levels, run, per_slot, fs, l
 
 @pytest.mark.parametrize("indices", [np.array([]), np.array([0.5])], ids=["empty-float", "fraction"])
 def test_slot_response_rejects_non_integer_indices(indices):
-    with pytest.raises(DimensionError, match="sample indices must be integers"):
+    with pytest.raises(ValueError, match="sample indices must be integers"):
         eom_slot_response(PhaseShifterParams(), [0.0, 4.5], 256, 18.5, indices)
 
 
@@ -364,9 +361,9 @@ def test_s21_edges():
     instant = PhaseShifterParams(f_3db_ghz=math.inf)
     assert np.array_equal(eom_s21_db(instant, [1.0, 19.0], 40.0), [0.0, 0.0])
     p = PhaseShifterParams(f_3db_ghz=6.5)
-    with pytest.raises(AliasingError):
+    with pytest.raises(ValueError, match="sample rate .* must exceed twice the bandwidth"):
         eom_s21_db(p, [1.0], 13.0)
-    with pytest.raises(AliasingError):
+    with pytest.raises(ValueError, match="sample rate .* must exceed twice the bandwidth"):
         s21_crossing_ghz(p, sample_rate_ghz=13.0)
     for freq in (0.0, -1.0, 20.0, 100.0, math.nan):
         with pytest.raises(ValueError, match="probe frequencies"):
@@ -391,9 +388,9 @@ def test_grating_parabola_values():
 
 def test_grating_band_limits():
     g = GratingSpectrum()
-    with pytest.raises(BandRangeError):
+    with pytest.raises(ValueError, match="wavelength 904.9 nm outside modeled band"):
         g.efficiency_db(904.9)
-    with pytest.raises(BandRangeError):
+    with pytest.raises(ValueError, match="wavelength 955.1 nm outside modeled band"):
         g.efficiency_db(955.1)
 
 

@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lnoisim import (
-    AliasingError,
     CouplerParams,
-    DimensionError,
     MZIParams,
     PhaseShifterParams,
     PulseProgram,
     SourceModel,
     TimeTrace,
-    TimingError,
-    TopologyError,
     default_pulse_program,
     demux_input_transmissions,
     eom_response,
@@ -58,9 +54,9 @@ def test_default_program_structure():
 
 def test_program_validation():
     v = np.zeros(4)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="channel 'B' holds a different number of slots"):
         PulseProgram(13.8, 8, {"A": v, "B": np.zeros(5)})
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="channel 'A' needs a 1-d array of slot levels"):
         PulseProgram(13.8, 8, {"A": np.zeros(0), "B": np.zeros(0)})
     with pytest.raises(ValueError):
         PulseProgram(13.8, 8, {"A": np.array([0.0, math.nan]), "B": np.zeros(2)})
@@ -71,10 +67,10 @@ def test_program_validation():
     for slot_ns in (0.0, -13.8):
         with pytest.raises(ValueError):
             PulseProgram(slot_ns, 8, {"A": v, "B": v})
-    with pytest.raises(TopologyError):
-        PulseProgram(13.8, 8, {"A": v})  # no B channel
-    with pytest.raises(TopologyError):
-        PulseProgram(13.8, 8, {"A": v, "B": v, "C": v})  # an extra channel
+    with pytest.raises(ValueError, match=r"the channels must be 'A' and 'B', got \['A'\]"):
+        PulseProgram(13.8, 8, {"A": v})
+    with pytest.raises(ValueError, match="the channels must be 'A' and 'B', got .*'C'"):
+        PulseProgram(13.8, 8, {"A": v, "B": v, "C": v})
 
 
 def test_ideal_routing_is_perfect():
@@ -138,17 +134,17 @@ def test_finite_bandwidth_barely_moves_slot_centers():
 
 def test_program_must_cover_train():
     prog = default_pulse_program(n_frames=1)
-    with pytest.raises(TimingError):
+    with pytest.raises(ValueError, match="photon train spans .* but the program covers"):
         simulate_demux(make_tree(), prog, SourceModel(), 2)
-    with pytest.raises(TimingError):
+    with pytest.raises(ValueError, match="photon train spans .* but the program covers"):
         simulate_demux(make_tree(), prog, SourceModel(), 1, train_offset_ns=30.0)
 
 
 def test_simulate_validation():
     prog = default_pulse_program(n_frames=1)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ValueError, match="tree needs exactly 3 switches"):
         simulate_demux(make_tree()[:2], prog, SourceModel(), 1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="phase_errors_rad needs one entry per switch"):
         simulate_demux(make_tree(), prog, SourceModel(), 1, phase_errors_rad=(0.0,))
 
 
@@ -167,7 +163,7 @@ def test_switch_metrics_match_event_loop(n_frames, data):
 
 def test_switch_metrics_reject_an_empty_trace():
     trace = TimeTrace(np.empty(0), np.empty((0, 4)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="trace holds no events"):
         switch_metrics(trace)
 
 
@@ -255,7 +251,7 @@ def test_second_layer_phases_drop_out(tree, phase0, others):
 
 @pytest.mark.parametrize("n_phases", [0, 2, 4])
 def test_input_transmissions_need_one_phase_per_switch(n_phases):
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=f"need one phase per switch, got {n_phases}"):
         demux_input_transmissions(make_tree(), [0.0] * n_phases)
 
 
@@ -343,8 +339,8 @@ def test_slot_rate_filter_matches_sample_loop(levels, per_slot, slot_ns, band, o
 
 def test_slot_rate_filter_rejects_aliased_grid():
     shifter = PhaseShifterParams(f_3db_ghz=6.5)
-    with pytest.raises(AliasingError):
+    with pytest.raises(ValueError, match="sample rate .* must exceed twice the bandwidth"):
         eom_slot_response(shifter, [0.0, 4.5], 2, 13.0, np.arange(4))
     prog = default_pulse_program(n_frames=1, samples_per_slot=2)
-    with pytest.raises(AliasingError):
+    with pytest.raises(ValueError, match="sample rate .* must exceed twice the bandwidth"):
         simulate_demux(make_tree(MZIParams.ideal(shifter)), prog, SourceModel(), 1)

@@ -5,11 +5,17 @@ The golden configs and the README's Python blocks run under
 public method and property of a class there, must be called by them,
 unless ALLOWED names it with the use that keeps it.  A name that nothing
 uses is deleted, not listed.
+
+An exception class has no public methods for that pass to see, so each
+one must instead be caught by name somewhere in the package or carry data
+of its own.
 """
 
+import ast
 import importlib
 import inspect
 import sys
+from pathlib import Path
 
 import lnoisim
 from golden import regen
@@ -87,3 +93,26 @@ def test_every_public_function_is_used(tmp_path):
     assert not gone, f"ALLOWED names what is no longer public: {gone}"
     reached_anyway = sorted(name for name in ALLOWED if public[name].__code__ in reached)
     assert not reached_anyway, f"ALLOWED names what a golden config or README block reaches: {reached_anyway}"
+
+
+def _caught_names():
+    """The names that an ``except`` clause in the package's source catches."""
+    caught = set()
+    for path in Path(lnoisim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {t.id if isinstance(t, ast.Name) else t.attr for t in types}
+    return caught
+
+
+def test_every_error_class_is_told_apart():
+    # A class is kept only if a handler tells it apart from the others, or
+    # if it defines __init__ to carry data a caller reads.
+    caught = _caught_names()
+    errors = importlib.import_module("lnoisim.errors")
+    bare = sorted(
+        name for name in errors.__all__
+        if name not in caught and "__init__" not in vars(getattr(errors, name))
+    )
+    assert not bare, f"error classes that no except clause catches and that carry no data: {bare}"
