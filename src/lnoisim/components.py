@@ -9,13 +9,15 @@ Conventions used throughout:
   couplers.  With ideal couplers the bar-port power transmission is
   ``sin^2(phase/2)``: zero phase is a full cross state, phase pi is bar.
 * Finite extinction comes from coupler imbalance, not phase error.
-* The phase shifter's bandwidth is one Tustin low-pass section prewarped
-  to its -3 dB corner, so its S21 and threshold crossings are closed forms.
+* The phase shifter's bandwidth is a single pole at its -3 dB corner.  Its
+  response to a drive held one level per slot, its S21 and its threshold
+  crossings are closed forms.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -230,99 +232,66 @@ def imbalance_for_extinction(er_db: float) -> float:
     return imbalance_for_bar_leakage(leakage)
 
 
-def _prewarped_corner(p: PhaseShifterParams, sample_rate_ghz: float) -> float:
-    """``tan(pi f_3db / fs)``, the corner of the shifter's Tustin section.
-
-    The bilinear transform is prewarped so that the half-power point lands
-    exactly at ``f_3db``.
-
-    Raises:
-        ValueError: unless ``sample_rate_ghz > 2 * f_3db_ghz``.
-    """
-    if not sample_rate_ghz > 2.0 * p.f_3db_ghz:
-        raise ValueError(
-            f"sample rate {sample_rate_ghz} GHz must exceed twice the bandwidth "
-            f"{p.f_3db_ghz} GHz"
-        )
-    return math.tan(math.pi * p.f_3db_ghz / sample_rate_ghz)
-
-
 def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz: float) -> np.ndarray:
-    """Filter a drive waveform through the shifter's single-pole response.
+    """The shifter's response to a drive that holds each sample for ``1 / sample_rate_ghz``.
 
-    The filter has exactly unit DC gain and its half-power point sits at
-    ``f_3db_ghz``.  The initial state assumes the drive was held at its
-    first sample forever, so constant drives pass through unchanged.
+    This is :func:`eom_slot_response` with one slot per sample, read at
+    each sample's instant, so constant drives pass through unchanged.
 
     Args:
         p: shifter parameters; ``f_3db_ghz = math.inf`` bypasses filtering.
         drive: waveform samples (volts), uniformly sampled.
-        sample_rate_ghz: sample rate; must exceed twice the bandwidth.
-
-    Raises:
-        ValueError: when ``sample_rate_ghz <= 2 * f_3db_ghz`` and the
-            drive is not empty.
+        sample_rate_ghz: sample rate, positive and finite.
     """
     x = np.asarray(drive, dtype=float)
     if x.ndim != 1:
         raise ValueError("drive must be a 1-d waveform")
+    if not (math.isfinite(sample_rate_ghz) and sample_rate_ghz > 0):
+        raise ValueError(f"sample_rate_ghz must be positive and finite, got {sample_rate_ghz}")
     if x.size == 0:
         return x.copy()
-    # Every sample is its own one-sample slot.
-    return eom_slot_response(p, x, 1, sample_rate_ghz, np.arange(x.size))
+    dt = 1.0 / sample_rate_ghz
+    return eom_slot_response(p, x, dt, dt * np.arange(x.size))
 
 
 def eom_slot_response(
-    p: PhaseShifterParams,
-    levels: Sequence[float],
-    samples_per_slot: int,
-    sample_rate_ghz: float,
-    indices: np.ndarray,
+    p: PhaseShifterParams, levels: Sequence[float], slot_ns: float, times_ns: np.ndarray
 ) -> np.ndarray:
-    """:func:`eom_response` of a piecewise-constant drive, at chosen samples only.
+    """The shifter's response at ``times_ns`` to a drive held one level per slot.
 
-    The drive holds ``levels[j]`` for samples ``j S .. j S + S - 1`` with
-    ``S = samples_per_slot``.  The result equals
-    ``eom_response(p, np.repeat(levels, S), sample_rate_ghz)[indices]``
-    without building or filtering that grid.  Within slot j the filter
-    relaxes geometrically toward the held level, so with the Tustin
-    coefficients g and r (``y[n] = g (x[n] + x[n-1]) + r y[n-1]``)
+    Slot j holds ``levels[j]`` from ``t_j = j slot_ns`` on; the first level
+    was held forever before, and the last is held after the final slot.
+    The shifter is one pole with ``tau = 1 / (2 pi f_3db)``, whose exact
+    response to a piecewise-constant drive is
 
-        y[j S + m] = v_j + r^m d_j,
-        d_j = (1 - g) (v_{j-1} - v_j) + r^S d_{j-1},   d_0 = 0,
+        y(t) = v_j + d_j exp(-(t - t_j) / tau)   in slot j,
+        d_j = (v_{j-1} - v_j) + q d_{j-1},   d_0 = 0,   q = exp(-slot_ns / tau),
 
-    where ``d_0 = 0`` is the first level held forever.  Writing ``c_j``
-    for the step term and ``q = r^S``, numpy sweeps
-    ``d <- c + q shift(d)`` over all slots until the array stops
-    changing.  A fixed point rounds every step as the sequential
-    recurrence does, and only one sequence with ``d_0 = 0`` does that, so
-    by induction on j it is that recurrence, bit for bit.  Sweep k
-    settles at least slots 0 .. k, and an offset in d_{j-k} reaches d_j
-    as q^k, so the sweeps stop about when q^k underflows.  When that
-    takes more than ``_MAX_SWEEPS`` sweeps, ``|q|`` is too close to one
-    and the recurrence runs one slot at a time; q alone picks the path.
-
-    Raises:
-        ValueError: when ``sample_rate_ghz <= 2 * f_3db_ghz``.
+    continuous at every slot edge.  Numpy sweeps ``d <- c + q shift(d)``
+    over all slots, with ``c`` the steps, until the array stops changing.
+    A fixed point rounds every step as the sequential recurrence does, and
+    only one sequence with ``d_0 = 0`` does that, so by induction on j it
+    is that recurrence, bit for bit.  Sweep k settles at least slots
+    0 .. k, and an offset in d_{j-k} reaches d_j as q^k, so the sweeps stop
+    about when q^k underflows.  When that takes more than ``_MAX_SWEEPS``
+    sweeps, q is too close to one and the recurrence runs one slot at a
+    time; q alone picks the path.
     """
     v = np.asarray(levels, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("levels must be a non-empty 1-d array")
-    if samples_per_slot < 1:
-        raise ValueError("samples_per_slot must be at least 1")
-    idx = np.asarray(indices)
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"sample indices must be integers, got dtype {idx.dtype}")
-    if idx.size and (idx.min() < 0 or idx.max() >= v.size * samples_per_slot):
-        raise ValueError("sample indices lie outside the drive")
-    slot, m = np.divmod(idx, samples_per_slot)
+    if not (math.isfinite(slot_ns) and slot_ns > 0):
+        raise ValueError(f"slot_ns must be positive and finite, got {slot_ns}")
+    t = np.asarray(times_ns, dtype=float)
+    starts = slot_ns * np.arange(v.size)
+    slot = np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)
     if not math.isfinite(p.f_3db_ghz):
         return v[slot]
-    lam = _prewarped_corner(p, sample_rate_ghz)
-    g, r = lam / (1.0 + lam), (1.0 - lam) / (1.0 + lam)
-    q = r**samples_per_slot
-    steps = (1.0 - g) * (v[:-1] - v[1:])
-    if abs(q) ** _MAX_SWEEPS > 0.0:  # long memory
+    # 1 / f_3db first: for a band near the float range, 2 pi f_3db overflows.
+    tau = 1.0 / p.f_3db_ghz / (2.0 * math.pi)
+    q = math.exp(-slot_ns / tau)
+    steps = v[:-1] - v[1:]
+    if q**_MAX_SWEEPS > 0.0:  # long memory
         d = np.fromiter(
             accumulate(steps.tolist(), lambda prev, c: c + q * prev, initial=0.0), float, v.size
         )
@@ -334,63 +303,48 @@ def eom_slot_response(
             if np.array_equal(swept.view(np.int64), d[1:].view(np.int64)):
                 break
             d[1:] = swept
-    # A float power of a negative base is slow; a slot has only S offsets.
-    if samples_per_slot < m.size:
-        decay = (r ** np.arange(samples_per_slot))[m]
-    else:
-        decay = r**m
+    # Instants before the first slot see the first level.  A narrow tau
+    # sends the exponent to inf, whose e^-inf = 0 is the limit it stands for.
+    with np.errstate(over="ignore"):
+        decay = np.exp(-np.maximum(t - starts[slot], 0.0) / tau)
     return v[slot] + decay * d[slot]
 
 
-def eom_s21_db(
-    p: PhaseShifterParams, freqs_ghz: Iterable[float], sample_rate_ghz: float
-) -> np.ndarray:
+def eom_s21_db(p: PhaseShifterParams, freqs_ghz: Iterable[float]) -> np.ndarray:
     """Small-signal power response (dB, 0 dB at DC) at the given frequencies.
 
-    The shifter's prewarped Tustin section has the exact magnitude response
-    ``|H|^2 = 1 / (1 + (tan(pi f / fs) / tan(pi f_3db / fs))^2)`` for
-    ``0 < f < fs / 2`` (Oppenheim & Schafer, Discrete-Time Signal
-    Processing, section 7.1).  An instantaneous shifter passes every
-    frequency at 0 dB.
+    The single pole gives ``-10 log10(1 + (f / f_3db)^2)``.  An
+    instantaneous shifter passes every frequency at 0 dB.
 
     Raises:
-        ValueError: when ``sample_rate_ghz <= 2 * f_3db_ghz``, or for a
-            frequency outside (0, fs / 2).
+        ValueError: for a frequency that is not positive and finite.
     """
     f = np.fromiter(freqs_ghz, dtype=float)
-    if not np.all((f > 0.0) & (f < sample_rate_ghz / 2.0)):
-        raise ValueError(f"probe frequencies must lie in (0, {sample_rate_ghz / 2.0}) GHz")
-    if math.isinf(p.f_3db_ghz):
-        return np.zeros(f.size)
-    ratio = np.tan(np.pi * f / sample_rate_ghz) / _prewarped_corner(p, sample_rate_ghz)
-    return -10.0 * np.log10(1.0 + ratio**2)
+    if not np.all((f > 0.0) & (f < math.inf)):
+        raise ValueError("probe frequencies must be positive and finite")
+    # hypot keeps 1 + (f / f_3db)^2 from overflowing.
+    return -20.0 * np.log10(np.hypot(1.0, f / p.f_3db_ghz))
 
 
-def s21_crossing_ghz(
-    p: PhaseShifterParams, threshold_db: float = -3.0, sample_rate_ghz: float | None = None
-) -> float:
+def s21_crossing_ghz(p: PhaseShifterParams, threshold_db: float = -3.0) -> float:
     """Frequency where the shifter's S21 (:func:`eom_s21_db`) crosses ``threshold_db``.
 
-    Inverting the magnitude response gives
-    ``f = (fs / pi) atan(tan(pi f_3db / fs) sqrt(10^(-threshold / 10) - 1))``.
-    ``sample_rate_ghz`` defaults to 24 f_3db.
+    Inverting the single pole gives ``f = f_3db sqrt(10^(-threshold / 10) - 1)``,
+    6.4846 GHz at -3 dB for a 6.5 GHz shifter.
 
     Raises:
-        ValueError: when ``sample_rate_ghz <= 2 * f_3db_ghz``, for a
-            threshold that is not negative, or for an instantaneous
-            shifter, whose S21 never falls.
+        ValueError: for a threshold that is not negative, or for an
+            instantaneous shifter, whose S21 never falls.
     """
     if not threshold_db < 0.0:
         raise ValueError(f"threshold_db must be negative, got {threshold_db}")
     if math.isinf(p.f_3db_ghz):
         raise ValueError("an instantaneous shifter's S21 crosses no threshold")
-    fs = sample_rate_ghz if sample_rate_ghz is not None else 24.0 * p.f_3db_ghz
-    corner = _prewarped_corner(p, fs)
-    # With u = -threshold ln(10) / 20, sqrt(10^(-threshold / 10) - 1) is
-    # e^u sqrt(1 - e^(-2u)); atan2 takes the e^u as a divisor, so a
-    # threshold of any depth gives a crossing in (0, fs / 2] without overflow.
+    # With u = -threshold ln(10) / 20 the root is e^u sqrt(1 - e^(-2u)), which
+    # has no cancellation near 0 dB; past the float range it is inf.
     u = -threshold_db * math.log(10.0) / 20.0
-    return fs / math.pi * math.atan2(corner * math.sqrt(-math.expm1(-2.0 * u)), math.exp(-u))
+    grow = math.exp(u) if u < math.log(sys.float_info.max) else math.inf
+    return p.f_3db_ghz * math.sqrt(-math.expm1(-2.0 * u)) * grow
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,6 @@ UNITARY_SCHEMA_VERSION = 1
 #: trace.csv.
 MAX_N_FRAMES = 100_000
 
-#: The most grid samples per ``demux`` slot: the drive grid indexes its
-#: 4 * n_frames * samples_per_slot samples with int64, and this keeps that
-#: count within int64 for every n_frames up to MAX_N_FRAMES.  The 4 is
-#: ``router.SLOTS_PER_FRAME``, written out so this module loads no router.
-MAX_SAMPLES_PER_SLOT = int(np.iinfo(np.int64).max) // (4 * MAX_N_FRAMES)
-
 #: The largest ``demux`` insertion_loss_db, about 1,538 dB.  A photon crosses
 #: two cells, so its power is 10**(-insertion_loss_db / 5), about the smallest
 #: normal float at this bound; past about 1,617 dB it underflows to 0 and no
@@ -285,16 +279,12 @@ def _parse_demux(fields, seed, diags):
     f_3db = fields.get("f_3db_ghz", PhaseShifterParams.f_3db_ghz)
     shifter = PhaseShifterParams(**_given(fields, "v_pi_volts"), f_3db_ghz=f_3db or math.inf)
     source = SourceModel(**_given(fields, "repetition_period_ns"))
-    period, per_slot = source.repetition_period_ns, _given(fields, "samples_per_slot")
-    program = default_pulse_program(period, shifter.v_pi_volts, n_frames, **per_slot)
-    if f_3db is not None and program.sample_rate_ghz <= 2.0 * f_3db:
-        diags.append(
-            f"samples_per_slot / repetition_period_ns = {program.sample_rate_ghz:.6g} GHz must "
-            f"exceed twice f_3db_ghz ({2.0 * f_3db:.6g} GHz)"
-        )
+    period = source.repetition_period_ns
+    where = "field 'repetition_period_ns'"
+    program = _build(diags, where, default_pulse_program, period, shifter.v_pi_volts, n_frames)
     # The last photon instant of simulate_demux, which the program must reach.
     last_photon = offset + period * (SLOTS_PER_FRAME * n_frames - 0.5)
-    if last_photon > program.end_ns + TIMING_TOLERANCE_NS:
+    if program is not None and last_photon > program.end_ns + TIMING_TOLERANCE_NS:
         diags.append(
             f"train_offset_ns puts the last photon at {last_photon:.10g} ns, past the end "
             f"of the pulse program at {program.end_ns:.10g} ns"
@@ -573,8 +563,7 @@ FIELDS = {
     "demux": {
         "n_frames": Field(int, 1, MAX_N_FRAMES), "repetition_period_ns": _POSITIVE,
         "v_pi_volts": _V_PI, "f_3db_ghz": Field(float, 1e-9, null=True),
-        "samples_per_slot": Field(int, 2, MAX_SAMPLES_PER_SLOT), "extinction_db": _EXTINCTION,
-        "bar_leakage": Field(float, 0.0, 0.499, null=True),
+        "extinction_db": _EXTINCTION, "bar_leakage": Field(float, 0.0, 0.499, null=True),
         "insertion_loss_db": Field(float, 0.0, MAX_INSERTION_LOSS_DB),
         "train_offset_ns": _NON_NEGATIVE, "phase_errors_rad": _PARSED,
     },

@@ -4,8 +4,8 @@ The tree has one first-layer switch (index 0) feeding two second-layer
 switches (1: outputs 0 and 1, 2: outputs 2 and 3).  A photon train with
 one photon per repetition period enters port 0 of the first switch; square
 drive waveforms route consecutive photons to consecutive outputs.  Drive
-channels pass through each shifter's analog low-pass response before the
-phase is evaluated at the photon arrival instants (slot centers).
+channels pass through each shifter's single-pole response, evaluated in
+closed form at the photon arrival instants (slot centers).
 
 Drive levels use {0, V_pi}: zero volts is a full cross state, V_pi is bar.
 The first-layer channel toggles every two slots (it selects the output
@@ -55,15 +55,12 @@ SWITCH_CHANNELS = ("A", "B", "B")
 
 @dataclass(frozen=True, eq=False)
 class PulseProgram:
-    """Drive levels held for whole slots on a shared uniform sample grid.
-
-    Every channel holds one level per slot; slot j covers the samples
-    ``j S .. j S + S - 1`` of a grid that starts at 0 ns with spacing
-    ``slot_ns / S``.
+    """Drive levels held for whole slots; slot j starts at ``j slot_ns``.
 
     Attributes:
         slot_ns: slot duration.
-        samples_per_slot: grid samples per slot (S, at least 2).
+        samples_per_slot: density of the sampled view :attr:`channels` (at
+            least 2); the filtered drive needs no grid.
         levels: per-slot drive (volts) of channels "A" and "B", equally long;
             :data:`SWITCH_CHANNELS` names the switches each one drives.
     """
@@ -93,23 +90,19 @@ class PulseProgram:
             arr.setflags(write=False)
             levels[name] = arr
         object.__setattr__(self, "levels", levels)
-
-    @property
-    def n_samples(self) -> int:
-        return next(iter(self.levels.values())).size * self.samples_per_slot
-
-    @property
-    def dt_ns(self) -> float:
-        return self.slot_ns / self.samples_per_slot
+        if not math.isfinite(self.end_ns):
+            n = levels["A"].size
+            raise ValueError(f"{n} slots of {self.slot_ns} ns end past the float range")
 
     @property
     def sample_rate_ghz(self) -> float:
-        return 1.0 / self.dt_ns
+        """Sample rate of :attr:`channels`."""
+        return self.samples_per_slot / self.slot_ns
 
     @property
     def end_ns(self) -> float:
-        """Time of the last sample."""
-        return self.dt_ns * (self.n_samples - 1)
+        """End of the last slot."""
+        return self.slot_ns * self.levels["A"].size
 
     @property
     def channels(self) -> dict[str, np.ndarray]:
@@ -122,26 +115,9 @@ class PulseProgram:
     def filtered_drive(
         self, channel: str, shifter: PhaseShifterParams, times_ns: np.ndarray
     ) -> np.ndarray:
-        """Channel drive after the shifter's low-pass response, at ``times_ns``.
-
-        The filtered grid samples on either side of each instant come from
-        :func:`eom_slot_response` and are joined linearly; instants outside
-        the grid take the nearest end sample, as ``np.interp`` on the
-        sample times ``dt_ns * arange(n_samples)`` does.
-        """
-        last = self.n_samples - 1
-        u = np.clip(np.asarray(times_ns, dtype=float) / self.dt_ns, 0.0, last)
-        lo = np.floor(u).astype(np.intp)
-        w = u - lo
-        ends = eom_slot_response(
-            shifter,
-            self.levels[channel],
-            self.samples_per_slot,
-            self.sample_rate_ghz,
-            np.concatenate([lo, np.minimum(lo + 1, last)]),
-        )
-        below, above = ends[: lo.size], ends[lo.size :]
-        return below + w * (above - below)
+        """Channel drive after the shifter's single pole, at ``times_ns``
+        (:func:`eom_slot_response`)."""
+        return eom_slot_response(shifter, self.levels[channel], self.slot_ns, times_ns)
 
 
 def default_pulse_program(
@@ -154,11 +130,8 @@ def default_pulse_program(
 
     Channel "A" drives the first-layer switch and toggles every two slots;
     channel "B" is fanned out to both second-layer switches and toggles
-    every slot.  Levels are exactly {0, v_pi_volts}.
-
-    The default grid density keeps the sample rate above twice the stock
-    shifter bandwidth (6.5 GHz) so the drive can be low-pass filtered
-    without aliasing.
+    every slot.  Levels are exactly {0, v_pi_volts}.  ``samples_per_slot``
+    sets only the density of the sampled view ``channels``.
     """
     if repetition_period_ns <= 0:
         raise ValueError("repetition_period_ns must be positive")
@@ -220,9 +193,9 @@ def simulate_demux(
 
     Photons arrive as instants at slot centers,
     ``t_k = train_offset_ns + (k + 1/2) T`` for ``k = 0 .. 4 n_frames - 1``
-    with ``T`` the source repetition period.  Each switch's drive waveform
-    is low-pass filtered by its shifter bandwidth, sampled at the photon
-    instants, and converted to a phase (plus an optional static
+    with ``T`` the source repetition period.  Each switch's drive, after
+    its shifter's single pole, is read at the photon instants and
+    converted to a phase (plus an optional static
     calibration error per switch).  The resulting per-output probabilities
     sum to one at every instant for a lossless tree.
 
@@ -239,7 +212,8 @@ def simulate_demux(
         raise ValueError("n_frames must be at least 1")
     period = source.repetition_period_ns
     times = train_offset_ns + period * (np.arange(SLOTS_PER_FRAME * n_frames) + 0.5)
-    if times[0] < -TIMING_TOLERANCE_NS or times[-1] > program.end_ns + TIMING_TOLERANCE_NS:
+    # Written so that a nan instant fails it too.
+    if not (times[0] >= -TIMING_TOLERANCE_NS and times[-1] <= program.end_ns + TIMING_TOLERANCE_NS):
         raise ValueError(
             f"photon train spans [{times[0]:.6g}, {times[-1]:.6g}] ns but the program "
             f"covers [0, {program.end_ns:.6g}] ns"

@@ -151,8 +151,8 @@ def test_demux_suppression_and_switched_slot_transmission():
 
 
 def test_modulator_bandwidth_crossing_within_one_percent():
-    # the discrete-time response's -3 dB point stays within 1% of the
-    # configured 6.5 GHz corner
+    # the single pole's -3 dB point, f3 sqrt(10^0.3 - 1) = 0.99763 f3, stays
+    # within 1% of the configured 6.5 GHz corner
     crossing = s21_crossing_ghz(PhaseShifterParams(f_3db_ghz=6.5))
     assert crossing == pytest.approx(6.5, rel=0.01)
 

@@ -30,7 +30,6 @@ from lnoisim.experiments import (
     MAX_INSERTION_LOSS_DB,
     MAX_N_FRAMES,
     MAX_N_POINTS,
-    MAX_SAMPLES_PER_SLOT,
     MAX_VOLTS,
     _csv_bytes,
     matrix_from_json_dict,
@@ -356,18 +355,6 @@ def test_demux_rejects_conflicting_extinction_settings(tmp_path, capsys):
     assert run(["demux", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "extinction_db" in err and "bar_leakage" in err
-
-
-def test_demux_rejects_aliased_grid(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "demux.json",
-        {"schema_version": 1, "experiment": "demux", "samples_per_slot": 2, "f_3db_ghz": 6.5},
-    )
-    for args in (["validate", "--config", cfg], ["demux", "--config", cfg]):
-        assert run(args) == 2
-        err = capsys.readouterr().err
-        assert "config error:" in err and "f_3db_ghz" in err
 
 
 def test_demux_rejects_train_past_program(tmp_path, capsys):
@@ -733,7 +720,7 @@ def _readme_sized_runs(tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # No experiment needs SciPy: with it made unimportable, all seven run,
-    # and a finite-bandwidth demux filters its drives at slot rate.
+    # and so does the shifter's response to a sampled drive.
     runs = _readme_sized_runs(tmp_path)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
@@ -1094,10 +1081,12 @@ _REJECTED = {
     "hom-fringe-too-many-points": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "n_points": MAX_N_POINTS + 1,
     }, f"field 'n_points' must be <= {MAX_N_POINTS}"),
-    "demux-samples-past-int64": (["demux"], {
-        "schema_version": 1, "experiment": "demux", "n_frames": 2,
-        "samples_per_slot": 2 * 10**18,
-    }, f"field 'samples_per_slot' must be <= {MAX_SAMPLES_PER_SLOT}"),
+    "demux-retired-samples-per-slot": (["demux"], {
+        "schema_version": 1, "experiment": "demux", "n_frames": 2, "samples_per_slot": 256,
+    }, "unknown field 'samples_per_slot'"),
+    "demux-period-past-float-range": (["demux"], {
+        "schema_version": 1, "experiment": "demux", "repetition_period_ns": 1e308,
+    }, "field 'repetition_period_ns': 40 slots of 1e+308 ns end past the float range"),
     "grating-nan-peak": (["loss-budget"], _budget_with_grating(peak_efficiency_db=math.nan),
                          "sweep.grating: peak_efficiency_db must be a finite number, got nan"),
     "grating-infinite-bandwidth": (["loss-budget"], _budget_with_grating(bandwidth_1db_nm=math.inf),
@@ -1301,6 +1290,55 @@ def test_validate_and_run_agree_on_a_sweep_near_half_a_period(v_pi, rel):
         ran = main(["hom-fringe", "--config", path, "--output-dir", os.path.join(tmp, "out"), "--quiet"])
     assert checked in (0, 2) and ran in (0, 2), (cfg, checked, ran)
     assert (checked == 0) == (ran == 0), (cfg, checked, ran)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    period=st.floats(-9.0, 300.0).map(lambda e: 10.0**e),
+    rel=st.floats(-1e-9, 1e-9),
+    f_3db=st.none() | st.floats(-9.0, 308.0).map(lambda e: 10.0**e),
+)
+def test_validate_and_run_agree_on_a_train_near_the_program_end(period, rel, f_3db):
+    # With train_offset_ns at half a period the last photon sits on the end
+    # of the program; validate refuses exactly the offsets the run cannot
+    # take, and a run that starts ends with finite artifacts.
+    cfg = {"schema_version": 1, "experiment": "demux", "n_frames": 2, "repetition_period_ns": period,
+           "f_3db_ghz": f_3db, "train_offset_ns": period / 2.0 * (1.0 + rel)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), "cfg.json", cfg)
+        out = Path(tmp) / "out"
+        checked = main(["validate", "--config", path, "--quiet"])
+        ran = main(["demux", "--config", path, "--output-dir", str(out), "--quiet"])
+        assert checked in (0, 2) and ran in (0, 2), (cfg, checked, ran)
+        assert (checked == 0) == (ran == 0), (cfg, checked, ran)
+        if ran == 0:
+            _assert_finite_artifacts(out)
+
+
+@pytest.mark.parametrize("f_3db", [1e308, 2e307])
+def test_demux_with_a_band_near_the_float_range_runs_cleanly(tmp_path, capsys, f_3db):
+    # 2 pi f_3db overflows for the first; each photon sits on a slot edge.
+    cfg = write_config(tmp_path, "demux.json", {
+        "schema_version": 1, "experiment": "demux", "n_frames": 3, "f_3db_ghz": f_3db,
+        "train_offset_ns": 6.9,
+    })
+    assert run(["validate", "--config", cfg]) == 0
+    assert run(["demux", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    _assert_finite_artifacts(tmp_path / "out")
+
+
+@pytest.mark.parametrize("offset", [6.85, 6.9])
+def test_demux_train_may_reach_the_end_of_the_last_slot(tmp_path, offset):
+    # README settings: the photons sit 50 ps before, or on, each slot edge,
+    # long after the pole has settled.
+    cfg = write_config(tmp_path, "demux.json", {
+        **json.loads((_GOLDEN_CONFIGS / "readme-demux.json").read_text()), "train_offset_ns": offset,
+    })
+    assert run(["validate", "--config", cfg]) == 0
+    assert run(["demux", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    metrics = read_json(tmp_path / "out" / "metrics.json")
+    assert round(metrics["average_probability"], 6) == 0.984262
 
 
 @settings(deadline=None, max_examples=300)

@@ -4,12 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import lnoisim
-from lnoisim.experiments import MAX_N_FRAMES, MAX_SAMPLES_PER_SLOT
-from lnoisim.router import SLOTS_PER_FRAME
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "configs"
@@ -111,8 +108,3 @@ def test_resolved_name_is_cached_in_the_module_dict():
     vars(lnoisim).pop("switch_metrics", None)
     assert lnoisim.switch_metrics is lnoisim.router.switch_metrics
     assert vars(lnoisim)["switch_metrics"] is lnoisim.router.switch_metrics
-
-
-def test_max_samples_per_slot_keeps_the_grid_within_int64():
-    # experiments writes router.SLOTS_PER_FRAME out as 4, so as not to load router.
-    assert MAX_SAMPLES_PER_SLOT == int(np.iinfo(np.int64).max) // (SLOTS_PER_FRAME * MAX_N_FRAMES)

@@ -33,6 +33,7 @@ ALLOWED = {
     "permanent": "benchmark: the permanent timings of perfbench/circuit.py",
     "eom_response": "benchmark: the sampled drive grid of perfbench/switching.py",
     "PulseProgram.channels": "benchmark: the sampled drive grid of perfbench/switching.py",
+    "PulseProgram.sample_rate_ghz": "benchmark: the sampled drive grid of perfbench/switching.py",
     "PhotonDistribution.outcomes": "benchmark: perfbench/circuit.py reads patterns by this name",
     "PhotonDistribution.to_distribution": "benchmark: perfbench/circuit.py converts through it",
     "eom_s21_db": "README acceptance item 5: modulator bandwidth",
