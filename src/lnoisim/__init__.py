@@ -15,8 +15,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: The submodules whose ``__all__`` make up the namespace, each after those it imports.
-_SUBMODULES = ("errors", "core", "components", "photons", "router", "budget", "mesh", "reconstruct")
+#: The submodules whose ``__all__`` make up the namespace, each after those it
+#: imports.  ``errors`` and ``components`` import no numpy and come first, so a
+#: switch cell builds and calibrates before the lookup reaches ``core``.
+_SUBMODULES = ("errors", "components", "core", "photons", "router", "budget", "mesh", "reconstruct")
 
 
 def __getattr__(name):

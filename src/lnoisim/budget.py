@@ -3,6 +3,7 @@
 A budget is an ordered list of entries, each contributing a loss in dB
 either directly or as a propagation-loss density times a length.  Totals
 compose additively in dB; the end-to-end transmission is ``10**(-total/10)``.
+A wavelength sweep replaces the grating couplers' entries by their spectrum.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .components import GratingSpectrum
 from .core import check_fields, is_finite_number
 
-__all__ = ["BudgetEntry", "LossBudget", "sweep_wavelength"]
+__all__ = ["BudgetEntry", "GratingSpectrum", "LossBudget", "sweep_wavelength"]
 
 #: The total loss at and below which ``10**(-total/10)`` overflows a float:
 #: a net gain of about 3,082.5 dB.
@@ -105,6 +105,48 @@ class LossBudget:
 
     def breakdown(self) -> dict[str, float]:
         return {e.label: e.effective_loss_db for e in self.entries}
+
+
+@dataclass(frozen=True)
+class GratingSpectrum:
+    """Grating coupler efficiency versus wavelength: a parabola in dB around the peak.
+
+    The efficiency falls by 1 dB at ``bandwidth_1db_nm / 2`` from
+    ``center_wavelength_nm``.  Wavelengths outside ``band_nm`` raise
+    ``ValueError``.
+    """
+
+    center_wavelength_nm: float = 930.0
+    peak_efficiency_db: float = -3.4
+    bandwidth_1db_nm: float = 12.0
+    band_nm: tuple[float, float] = (905.0, 955.0)
+
+    def __post_init__(self):
+        lo, hi = self.band_nm
+        for name, value in (
+            ("center_wavelength_nm", self.center_wavelength_nm),
+            ("peak_efficiency_db", self.peak_efficiency_db),
+            ("bandwidth_1db_nm", self.bandwidth_1db_nm),
+            ("band_nm", lo),
+            ("band_nm", hi),
+        ):
+            if not is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.peak_efficiency_db > 0:
+            raise ValueError("peak_efficiency_db cannot exceed 0 dB")
+        if self.bandwidth_1db_nm <= 0:
+            raise ValueError("bandwidth_1db_nm must be positive")
+        if not (lo < self.center_wavelength_nm < hi):
+            raise ValueError("center wavelength must sit inside the band")
+
+    def efficiency_db(self, wavelength_nm: float) -> float:
+        lo, hi = self.band_nm
+        if not (lo <= wavelength_nm <= hi):
+            raise ValueError(
+                f"wavelength {wavelength_nm} nm outside modeled band [{lo}, {hi}] nm"
+            )
+        detune = (wavelength_nm - self.center_wavelength_nm) / (self.bandwidth_1db_nm / 2.0)
+        return self.peak_efficiency_db - detune * detune
 
 
 def sweep_wavelength(

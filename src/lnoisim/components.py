@@ -12,6 +12,11 @@ Conventions used throughout:
 * The phase shifter's bandwidth is a single pole at its -3 dB corner.  Its
   response to a drive held one level per slot, its S21 and its threshold
   crossings are closed forms.
+
+Building and calibrating a cell needs only the standard library.  Numpy
+is imported inside the array kernels alone: :func:`coupler_matrix`,
+:func:`mzi_transfer` and its column helper, :func:`eom_response`,
+:func:`eom_slot_response` and :func:`eom_s21_db`.
 """
 
 from __future__ import annotations
@@ -20,19 +25,18 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from .core import is_finite_number
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EXTINCTION_CAP_DB",
     "CouplerParams",
-    "GratingSpectrum",
     "MZIParams",
     "PhaseShifterParams",
     "coupler_matrix",
+    "demux_input_transmissions",
     "eom_response",
     "eom_s21_db",
     "eom_slot_response",
@@ -48,6 +52,9 @@ __all__ = [
 
 #: Reported in place of an unbounded extinction ratio (perfectly balanced couplers).
 EXTINCTION_CAP_DB = 300.0
+
+#: Switches in the 1-to-4 tree: one first-layer switch feeding two second-layer ones.
+N_TREE_SWITCHES = 3
 
 #: Most sweeps of the slot recurrence worth running before one slot at a time is cheaper.
 _MAX_SWEEPS = 16
@@ -160,6 +167,7 @@ def voltage_for_phase(p: PhaseShifterParams, phase_rad: float) -> float:
 
 def coupler_matrix(c: CouplerParams) -> np.ndarray:
     """2x2 transfer matrix of a directional coupler."""
+    import numpy as np
     r = c.effective_ratio
     t = math.sqrt(1.0 - r)
     k = math.sqrt(r)
@@ -174,6 +182,7 @@ def mzi_transfer(m: MZIParams, phase_rad: float | np.ndarray) -> np.ndarray:
     ``e^{i phase} (c_out[:, 0] x c_in[0, :]) + c_out[:, 1] x c_in[1, :]``.
     Insertion loss scales amplitudes by 10^(-insertion_loss_db / 20).
     """
+    import numpy as np
     entries = _mzi_columns(m, phase_rad, slice(None))
     # C order, so that each 2x2 block multiplies as a plain matrix.
     return np.ascontiguousarray(entries.transpose(*range(2, entries.ndim), 0, 1))
@@ -184,6 +193,7 @@ def _mzi_columns(m: MZIParams, phase_rad: float | np.ndarray, inputs: slice) -> 
 
     Each entry is one pass over all the phases.
     """
+    import numpy as np
     c_in = coupler_matrix(m.coupler_in)
     c_out = coupler_matrix(m.coupler_out)
     rotation = np.exp(1j * np.asarray(phase_rad, dtype=float))
@@ -243,6 +253,7 @@ def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz:
         drive: waveform samples (volts), uniformly sampled.
         sample_rate_ghz: sample rate, positive and finite.
     """
+    import numpy as np
     x = np.asarray(drive, dtype=float)
     if x.ndim != 1:
         raise ValueError("drive must be a 1-d waveform")
@@ -277,6 +288,7 @@ def eom_slot_response(
     sweeps, q is too close to one and the recurrence runs one slot at a
     time; q alone picks the path.
     """
+    import numpy as np
     v = np.asarray(levels, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("levels must be a non-empty 1-d array")
@@ -319,6 +331,7 @@ def eom_s21_db(p: PhaseShifterParams, freqs_ghz: Iterable[float]) -> np.ndarray:
     Raises:
         ValueError: for a frequency that is not positive and finite.
     """
+    import numpy as np
     f = np.fromiter(freqs_ghz, dtype=float)
     if not np.all((f > 0.0) & (f < math.inf)):
         raise ValueError("probe frequencies must be positive and finite")
@@ -347,46 +360,37 @@ def s21_crossing_ghz(p: PhaseShifterParams, threshold_db: float = -3.0) -> float
     return p.f_3db_ghz * math.sqrt(-math.expm1(-2.0 * u)) * grow
 
 
-@dataclass(frozen=True)
-class GratingSpectrum:
-    """Grating coupler efficiency versus wavelength: a parabola in dB around the peak.
+def demux_input_transmissions(
+    tree: Sequence[MZIParams], phases_rad: Sequence[float] = (0.5 * math.pi,) * N_TREE_SWITCHES
+) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]:
+    """Total output power for light injected into each input port of the 1-to-4 tree.
 
-    The efficiency falls by 1 dB at ``bandwidth_1db_nm / 2`` from
-    ``center_wavelength_nm``.  Wavelengths outside ``band_nm`` raise
-    ``ValueError``.
+    Port order: 0 and 1 are the two first-layer inputs (internal, two MZIs
+    to any output); 2 and 3 are the spare second-layer inputs (external,
+    one MZI).  Returns ``(transmissions, external_indices, internal_indices)``
+    ready for :func:`estimate_mzi_loss_from_demux`; ``transmissions`` is a
+    tuple of the four ports' floats.
+
+    The couplers are lossless, so switch s passes L_s^2 = 10^(-IL_s / 10)
+    of the power from either input: port 2 gives L_1^2, port 3 gives L_2^2
+    and port c gives L_0^2 (f_c L_1^2 + (1 - f_c) L_2^2).  Here f_0 =
+    (1-r1)(1-r2) + r1 r2 - 2 sqrt(r1 (1-r1) r2 (1-r2)) cos(phase_0) is the
+    share of switch 0's input 0 that leaves by its output 0, r1 and r2
+    are that switch's input and output coupler ratios, and f_1 = 1 - f_0.
+    The phases of switches 1 and 2 drop out, and a lossless tree gives
+    exactly 1 on every port.
     """
-
-    center_wavelength_nm: float = 930.0
-    peak_efficiency_db: float = -3.4
-    bandwidth_1db_nm: float = 12.0
-    band_nm: tuple[float, float] = (905.0, 955.0)
-
-    def __post_init__(self):
-        lo, hi = self.band_nm
-        for name, value in (
-            ("center_wavelength_nm", self.center_wavelength_nm),
-            ("peak_efficiency_db", self.peak_efficiency_db),
-            ("bandwidth_1db_nm", self.bandwidth_1db_nm),
-            ("band_nm", lo),
-            ("band_nm", hi),
-        ):
-            if not is_finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.peak_efficiency_db > 0:
-            raise ValueError("peak_efficiency_db cannot exceed 0 dB")
-        if self.bandwidth_1db_nm <= 0:
-            raise ValueError("bandwidth_1db_nm must be positive")
-        if not (lo < self.center_wavelength_nm < hi):
-            raise ValueError("center wavelength must sit inside the band")
-
-    def efficiency_db(self, wavelength_nm: float) -> float:
-        lo, hi = self.band_nm
-        if not (lo <= wavelength_nm <= hi):
-            raise ValueError(
-                f"wavelength {wavelength_nm} nm outside modeled band [{lo}, {hi}] nm"
-            )
-        detune = (wavelength_nm - self.center_wavelength_nm) / (self.bandwidth_1db_nm / 2.0)
-        return self.peak_efficiency_db - detune * detune
+    tree = list(tree)
+    if len(tree) != N_TREE_SWITCHES:
+        raise ValueError(f"tree needs exactly {N_TREE_SWITCHES} switches")
+    if len(phases_rad) != N_TREE_SWITCHES:
+        raise ValueError(f"need one phase per switch, got {len(phases_rad)}")
+    r1, r2 = tree[0].coupler_in.effective_ratio, tree[0].coupler_out.effective_ratio
+    mix = 2.0 * math.sqrt(r1 * (1.0 - r1) * r2 * (1.0 - r2)) * math.cos(phases_rad[0])
+    f0 = (1.0 - r1) * (1.0 - r2) + r1 * r2 - mix
+    l0, l1, l2 = (10.0 ** (-m.insertion_loss_db / 10.0) for m in tree)
+    internal = [l0 * (f * l1 + (1.0 - f) * l2) for f in (f0, 1.0 - f0)]
+    return (*internal, l1, l2), (2, 3), (0, 1)
 
 
 def estimate_mzi_loss_from_demux(

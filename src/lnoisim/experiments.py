@@ -256,10 +256,11 @@ def _parse_hom_fringe(fields, seed, diags):
             f"{_POISSON_LAM_MAX:.6g}, the largest Poisson mean numpy samples"
         )
     shifter = PhaseShifterParams(**_given(fields, "v_pi_volts"))
-    # The fringe repeats every v_pi volts, so a coarser voltage step aliases it.
+    # The fringe repeats every v_pi volts, so a step of half that or more aliases it:
+    # at exactly v_pi / 2 it samples cos^2 at only two values.
     step = (stop - start) / (n_points - 1)
-    if step > shifter.v_pi_volts / 2.0:
-        diags.append(f"the voltage step {step:.6g} V exceeds v_pi_volts / 2, so the fringe aliases")
+    if step >= shifter.v_pi_volts / 2.0:
+        diags.append(f"the voltage step {step:.6g} V is not under v_pi_volts / 2, so the fringe aliases")
     # The run's phases span exactly this, as linspace returns both end points.
     span = phase_from_voltage(shifter, stop) - phase_from_voltage(shifter, start)
     if stop > start and span < MIN_FRINGE_SPAN_RAD:
@@ -357,7 +358,7 @@ def _parse_reconstruct(fields, seed, diags):
 def _grating_spectrum(data):
     import dataclasses
 
-    from .components import GratingSpectrum
+    from .budget import GratingSpectrum
     check_fields(data, [field.name for field in dataclasses.fields(GratingSpectrum)])
     return GratingSpectrum(**data)
 

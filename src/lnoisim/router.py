@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .components import (
+    N_TREE_SWITCHES,
     MZIParams,
     PhaseShifterParams,
     _mzi_columns,
@@ -36,13 +37,10 @@ __all__ = [
     "SwitchMetrics",
     "TimeTrace",
     "default_pulse_program",
-    "demux_input_transmissions",
     "simulate_demux",
     "switch_metrics",
 ]
 
-#: Output pair fed by each switch: switch 1 -> outputs (0, 1), switch 2 -> (2, 3).
-N_TREE_SWITCHES = 3
 N_OUTPUTS = 4
 SLOTS_PER_FRAME = 4
 
@@ -275,35 +273,3 @@ def switch_metrics(trace: TimeTrace) -> SwitchMetrics:
     residual = 1.0 - p
     suppression = 10.0 * math.log10(residual) if residual > 0 else -math.inf
     return SwitchMetrics(p, per_slot, suppression, trace.n_events // SLOTS_PER_FRAME)
-
-
-def demux_input_transmissions(
-    tree: Sequence[MZIParams], phases_rad: Sequence[float] = (0.5 * math.pi,) * 3
-) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """Total output power for light injected into each tree input port.
-
-    Port order: 0 and 1 are the two first-layer inputs (internal, two MZIs
-    to any output); 2 and 3 are the spare second-layer inputs (external,
-    one MZI).  Returns ``(transmissions, external_indices, internal_indices)``
-    ready for :func:`lnoisim.components.estimate_mzi_loss_from_demux`.
-
-    The couplers are lossless, so switch s passes L_s^2 = 10^(-IL_s / 10)
-    of the power from either input: port 2 gives L_1^2, port 3 gives L_2^2
-    and port c gives L_0^2 (f_c L_1^2 + (1 - f_c) L_2^2).  Here f_0 =
-    (1-r1)(1-r2) + r1 r2 - 2 sqrt(r1 (1-r1) r2 (1-r2)) cos(phase_0) is the
-    share of switch 0's input 0 that leaves by its output 0, r1 and r2
-    are that switch's input and output coupler ratios, and f_1 = 1 - f_0.
-    The phases of switches 1 and 2 drop out, and a lossless tree gives
-    exactly 1 on every port.
-    """
-    tree = list(tree)
-    if len(tree) != N_TREE_SWITCHES:
-        raise ValueError(f"tree needs exactly {N_TREE_SWITCHES} switches")
-    if len(phases_rad) != N_TREE_SWITCHES:
-        raise ValueError(f"need one phase per switch, got {len(phases_rad)}")
-    r1, r2 = tree[0].coupler_in.effective_ratio, tree[0].coupler_out.effective_ratio
-    mix = 2.0 * math.sqrt(r1 * (1.0 - r1) * r2 * (1.0 - r2)) * math.cos(phases_rad[0])
-    f0 = (1.0 - r1) * (1.0 - r2) + r1 * r2 - mix
-    l0, l1, l2 = (10.0 ** (-m.insertion_loss_db / 10.0) for m in tree)
-    internal = [l0 * (f * l1 + (1.0 - f) * l2) for f in (f0, 1.0 - f0)]
-    return np.array(internal + [l1, l2]), (2, 3), (0, 1)

@@ -143,9 +143,9 @@ def _noisy_statistics():
 
 @pytest.mark.parametrize("argv, payload, message", [
     (["hom-fringe"], {
-        "schema_version": 1, "experiment": "hom-fringe", "poisson_mean_counts": 1, "seed": 3,
-        "n_points": 5,
-    }, "error: FitError: fringe fit covariance is singular"),
+        "schema_version": 1, "experiment": "hom-fringe", "poisson_mean_counts": 1, "seed": 25,
+        "n_points": 6,
+    }, "error: FitError: coincidence data has no positive values"),
     (["reconstruct"], {
         "schema_version": 1, "experiment": "reconstruct", "seed": 0, "n_restarts": 1,
         "statistics": _noisy_statistics(),
@@ -1075,6 +1075,9 @@ _REJECTED = {
     "fringe-narrower-than-half-a-period": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "voltage_stop": 2.0,
     }, "the sweep spans 1.39626 rad, under the pi/2 the fringe fit needs"),
+    "fringe-step-at-half-v-pi": (["hom-fringe"], {
+        "schema_version": 1, "experiment": "hom-fringe", "n_points": 5,
+    }, "the voltage step 2.25 V is not under v_pi_volts / 2, so the fringe aliases"),
     "demux-v-pi-past-float-range": (["demux"], {
         "schema_version": 1, "experiment": "demux", "v_pi_volts": 1e308,
     }, f"field 'v_pi_volts' must be <= {MAX_VOLTS}"),

@@ -221,6 +221,13 @@ def test_fit_rejects_degenerate_data():
         fit_hom_visibility(phases, np.where(phases > 0, -1.0, 1e-3))
 
 
+def test_fit_of_five_points_a_quarter_period_apart_is_singular():
+    # They sample cos^2 at only two values, which cannot fix four parameters.
+    phases = np.linspace(0, 2 * math.pi, 5)
+    with pytest.raises(FitError, match="fringe fit covariance is singular"):
+        fit_hom_visibility(phases, hom_fringe(MZIParams.ideal(), phases, 0.9))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.floats(0.3, 0.99),

@@ -232,7 +232,7 @@ lossy_tree = st.lists(
 @example([MZIParams.with_bar_leakage(0.01)] * 3, [0.5 * math.pi] * 3)
 def test_lossless_tree_calibrates_to_zero_loss(tree, phases):
     transmissions, external, internal = demux_input_transmissions(tree, phases)
-    assert np.all(transmissions <= 1.0)
+    assert all(type(t) is float and t <= 1.0 for t in transmissions)
     est = estimate_mzi_loss_from_demux(transmissions, external, internal)
     assert est == pytest.approx(0.0, abs=1e-12)
 
@@ -250,7 +250,7 @@ def test_tree_transmissions_match_matmul_oracle(tree, phases):
 def test_second_layer_phases_drop_out(tree, phase0, others):
     first, _, _ = demux_input_transmissions(tree, [phase0, *others[:2]])
     second, _, _ = demux_input_transmissions(tree, [phase0, *others[2:]])
-    assert first.tobytes() == second.tobytes()
+    assert np.array(first).tobytes() == np.array(second).tobytes()
 
 
 @pytest.mark.parametrize("n_phases", [0, 2, 4])

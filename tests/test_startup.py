@@ -72,6 +72,22 @@ def test_difflib_loads_only_to_hint_at_an_unknown_key(tmp_path, extra, code):
     assert _fresh_python(probe, "validate", "--config", str(cfg)) == [code, code == 2]
 
 
+def test_switch_cell_calibrates_without_numpy():
+    # The calls of a switch-cell calibration: build, extinction, tree loss.
+    code = (
+        "import json, sys, lnoisim as lib; "
+        "cell = lib.MZIParams.with_extinction(25.0, insertion_loss_db=0.5); "
+        "er = lib.extinction_ratio_db(cell); "
+        "loss = lib.estimate_mzi_loss_from_demux(*lib.demux_input_transmissions([cell] * 3)); "
+        "print(json.dumps([er, loss, sorted(m for m in sys.modules if m.startswith('lnoisim')), "
+        "'numpy' in sys.modules]))"
+    )
+    er, loss, modules, numpy_loaded = _fresh_python(code)
+    assert er == pytest.approx(25.0) and loss == pytest.approx(0.5)
+    assert modules == ["lnoisim", "lnoisim.components", "lnoisim.errors"]
+    assert not numpy_loaded
+
+
 def test_package_import_is_lazy():
     # A name loads the submodule that exports it and those before it in
     # dependency order, and then sits in the package's own namespace.
