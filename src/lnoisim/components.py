@@ -76,8 +76,8 @@ class PhaseShifterParams:
     f_3db_ghz: float = 6.5
 
     def __post_init__(self):
-        if not (self.v_pi_volts > 0):
-            raise ValueError(f"v_pi_volts must be positive, got {self.v_pi_volts}")
+        if not (math.isfinite(self.v_pi_volts) and self.v_pi_volts > 0):
+            raise ValueError(f"v_pi_volts must be positive and finite, got {self.v_pi_volts}")
         if not (self.f_3db_ghz > 0):
             raise ValueError(f"f_3db_ghz must be positive, got {self.f_3db_ghz}")
         if not math.isfinite(self.phase_offset_rad):
@@ -114,8 +114,8 @@ class MZIParams:
     insertion_loss_db: float = 0.0
 
     def __post_init__(self):
-        if self.insertion_loss_db < 0:
-            raise ValueError("insertion_loss_db is a positive magnitude")
+        if not (math.isfinite(self.insertion_loss_db) and self.insertion_loss_db >= 0):
+            raise ValueError("insertion_loss_db is a finite, non-negative magnitude")
 
     @classmethod
     def ideal(cls, shifter: PhaseShifterParams | None = None) -> "MZIParams":

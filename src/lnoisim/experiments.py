@@ -88,64 +88,43 @@ def _passive_matrix(data) -> np.ndarray:
     return u
 
 
-def _distinct(keys):
-    """The sorted distinct values of the 1-d array ``keys``."""
-    ordered = np.sort(keys)
-    keep = np.empty(ordered.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
 def _group_texts(block, prefix, suffix):
     """The text of each row of the 2-d float64 ``block``: ``prefix``, its cells
     as reprs joined by ``,``, then ``suffix``; an object array of strings.
 
-    Each distinct bit pattern is formatted once and each distinct row joined
-    once.  Rows are told apart by a code that combines the cells' pattern
-    indices column by column; the code is re-ranked whenever the next
-    combination could pass int64, so any table fits.  A column whose every
-    cell is distinct, such as a trace's time stamps, is formatted in row
-    order, with no index to apply.
+    One lexicographic sort of the rows by their 64-bit patterns puts equal
+    rows next to each other, and a row that differs from the one before it
+    starts a new distinct row.  Each distinct row is formatted once, one
+    column at a time from a flat list, and every row takes the text of its
+    run.
     """
-    rows, width = block.shape
     bits = block.view(np.uint64)
-    patterns = _distinct(bits.ravel())
-    if width == 1 and len(patterns) == rows:
-        joined = np.array([repr(v) for v in block[:, 0].tolist()], dtype=object)
-        row_of = slice(None)
-    else:
-        texts = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
-        cells = np.searchsorted(patterns, bits)
-        n_patterns = len(patterns)
-        code, n_codes = cells[:, 0], n_patterns
-        for j in range(1, width):
-            if n_codes * n_patterns > np.iinfo(np.int64).max:
-                ranked = _distinct(code)
-                code, n_codes = np.searchsorted(ranked, code), len(ranked)
-            code = code * n_patterns + cells[:, j]
-            n_codes *= n_patterns
-        codes = _distinct(code)
-        row_of = np.searchsorted(codes, code)
-        row_with = np.empty(len(codes), dtype=np.intp)  # a row of each code
-        row_with[row_of] = np.arange(rows)
-        picked = cells[row_with]
-        joined = texts[picked[:, 0]]
-        for j in range(1, width):
-            joined = joined + "," + texts[picked[:, j]]
-    if prefix:
-        joined = prefix + joined
+    order = np.lexsort(bits.T)
+    ordered = bits[order]
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in ordered.T:
+        starts[1:] |= column[1:] != column[:-1]
+    first, *rest = (
+        np.array([repr(v) for v in column.tolist()], dtype=object)
+        for column in ordered[starts].view(np.float64).T
+    )
+    joined = prefix + first if prefix else first
+    for texts in rest:
+        joined = joined + "," + texts
     if suffix:
         joined = joined + suffix
-    return joined[row_of]
+    run_of = np.empty(len(order), dtype=np.intp)
+    run_of[order] = np.cumsum(starts) - 1
+    return joined[run_of]
 
 
 def _csv_bytes(header, columns) -> bytes:
     """CSV of equal-length columns (1-d arrays or 2-d blocks), values as float reprs.
 
     ``repr`` of a float64 is a function of its 64-bit pattern alone, so each
-    column group formats each distinct pattern once, and a 2-d block joins
-    each distinct row once (a demux trace has a few dozen output rows).  A
+    column group sorts its rows by their patterns and formats each distinct
+    row once (a demux trace has a few dozen distinct output rows).  A
     group's texts carry the separators around it: a leading ``,`` unless it
     is the first group, a trailing newline if it is the last.  The body is
     one join over a string per row and group; no container is built per row
@@ -274,7 +253,7 @@ def _parse_hom_fringe(fields, seed, diags):
 def _parse_demux(fields, seed, diags):
     from .components import PhaseShifterParams
     from .photons import SourceModel
-    from .router import SLOTS_PER_FRAME, TIMING_TOLERANCE_NS, default_pulse_program
+    from .router import _photon_times, default_pulse_program
     n_frames, offset = fields.get("n_frames", 10), fields.get("train_offset_ns", 0.0)
     # An absent f_3db_ghz keeps the stock bandwidth; null means an instantaneous shifter.
     f_3db = fields.get("f_3db_ghz", PhaseShifterParams.f_3db_ghz)
@@ -283,13 +262,8 @@ def _parse_demux(fields, seed, diags):
     period = source.repetition_period_ns
     where = "field 'repetition_period_ns'"
     program = _build(diags, where, default_pulse_program, period, shifter.v_pi_volts, n_frames)
-    # The last photon instant of simulate_demux, which the program must reach.
-    last_photon = offset + period * (SLOTS_PER_FRAME * n_frames - 0.5)
-    if program is not None and last_photon > program.end_ns + TIMING_TOLERANCE_NS:
-        diags.append(
-            f"train_offset_ns puts the last photon at {last_photon:.10g} ns, past the end "
-            f"of the pulse program at {program.end_ns:.10g} ns"
-        )
+    if program is not None:
+        _build(diags, "field 'train_offset_ns'", _photon_times, program, period, n_frames, offset)
     er, leak = fields.get("extinction_db"), fields.get("bar_leakage")
     if er is not None and leak is not None:
         diags.append("give at most one of extinction_db and bar_leakage")
@@ -345,13 +319,6 @@ def _parse_reconstruct(fields, seed, diags):
     if reference is not None:
         options = _given(fields, "overlap", "collision_free_only")
         stats = _build(diags, "field 'unitary'", synthesize_statistics, reference, **options)
-    if stats is not None and stats.n_modes < 2:
-        source = "unitary" if reference is not None else "statistics"
-        diags.append(f"field {source!r}: reconstruction needs at least 2 modes")
-    elif stats is not None and stats.missing_pairs():
-        diags.append(
-            f"field 'statistics': no two-photon data for input pairs {stats.missing_pairs()}"
-        )
     return stats, reference, seed, _given(fields, "overlap", "n_restarts")
 
 

@@ -47,8 +47,8 @@ class SourceModel:
     indistinguishability: float = 0.945
 
     def __post_init__(self):
-        if not (self.repetition_period_ns > 0):
-            raise ValueError("repetition_period_ns must be positive")
+        if not (math.isfinite(self.repetition_period_ns) and self.repetition_period_ns > 0):
+            raise ValueError("repetition_period_ns must be positive and finite")
         if not (0.0 <= self.indistinguishability <= 1.0):
             raise ValueError("indistinguishability must lie in [0, 1]")
 
@@ -244,8 +244,8 @@ def hom_fringe(
             point, e.g. accidental coincidences from the source's
             multi-photon emission; zero (disabled) by default.
     """
-    if accidental_floor < 0:
-        raise ValueError("accidental_floor must be non-negative")
+    if not (math.isfinite(accidental_floor) and accidental_floor >= 0):
+        raise ValueError("accidental_floor must be finite and non-negative")
     if not (0.0 <= overlap <= 1.0):
         raise ValueError("overlap must lie in [0, 1]")
     t = mzi_transfer(m, phases_rad)

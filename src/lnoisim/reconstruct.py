@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -88,11 +89,12 @@ class MeasuredStatistics:
         singles: array of shape (n, n); ``singles[i, k]`` is the
             probability that a photon entering port k exits port i.
         pairs: two-photon output distributions keyed by input pair
-            ``(k, l)`` with ``k < l``.
+            ``(k, l)`` with ``k < l``, as a read-only mapping.  Every pair of
+            the n >= 2 modes needs one, or the constructor raises ValueError.
     """
 
     singles: np.ndarray
-    pairs: dict[tuple[int, int], PhotonDistribution]
+    pairs: Mapping[tuple[int, int], PhotonDistribution]
 
     def __post_init__(self):
         singles = _probability_array(self.singles, "singles")
@@ -111,15 +113,16 @@ class MeasuredStatistics:
             if any(j >= n for _, j in dist.patterns):
                 raise ValueError(f"pair {key!r} has an output pattern beyond mode {n - 1}")
             pairs[dist.input_modes] = dist
-        object.__setattr__(self, "pairs", pairs)
+        if n < 2:
+            raise ValueError("reconstruction needs at least 2 modes")
+        missing = [(k, l) for k in range(n) for l in range(k + 1, n) if (k, l) not in pairs]
+        if missing:
+            raise ValueError(f"no two-photon data for input pairs {missing}")
+        object.__setattr__(self, "pairs", MappingProxyType(pairs))
 
     @property
     def n_modes(self) -> int:
         return int(self.singles.shape[0])
-
-    def missing_pairs(self) -> list[tuple[int, int]]:
-        n = self.n_modes
-        return [(k, l) for k in range(n) for l in range(k + 1, n) if (k, l) not in self.pairs]
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeasuredStatistics":
@@ -239,16 +242,9 @@ def reconstruct_unitary(
         success_cost: squared-residual threshold declaring convergence.
 
     Raises:
-        ValueError: for fewer than 2 modes, which leave no mesh to fit, or
-            if any input pair has no two-photon data.
         FitError: if no restart converges; the best attempt is
             attached as ``best_result``.
     """
-    if measured.n_modes < 2:
-        raise ValueError("reconstruction needs at least 2 modes")
-    missing = measured.missing_pairs()
-    if missing:
-        raise ValueError(f"no two-photon data for input pairs {missing}")
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
     if n_restarts < 1:

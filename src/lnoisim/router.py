@@ -179,6 +179,20 @@ def _switch_phases(
     return phases
 
 
+def _photon_times(
+    program: PulseProgram, period_ns: float, n_frames: int, train_offset_ns: float
+) -> np.ndarray:
+    """The photon instants of :func:`simulate_demux`; ValueError unless ``program`` covers them."""
+    times = train_offset_ns + period_ns * (np.arange(SLOTS_PER_FRAME * n_frames) + 0.5)
+    # Written so that a nan instant fails it too.
+    if not (times[0] >= -TIMING_TOLERANCE_NS and times[-1] <= program.end_ns + TIMING_TOLERANCE_NS):
+        raise ValueError(
+            f"photon train spans [{times[0]:.10g}, {times[-1]:.10g}] ns but the program "
+            f"covers [0, {program.end_ns:.10g}] ns"
+        )
+    return times
+
+
 def simulate_demux(
     tree: Sequence[MZIParams],
     program: PulseProgram,
@@ -206,17 +220,11 @@ def simulate_demux(
     errors = tuple(float(e) for e in phase_errors_rad)
     if len(errors) != N_TREE_SWITCHES:
         raise ValueError("phase_errors_rad needs one entry per switch")
+    if not all(map(math.isfinite, errors)):
+        raise ValueError(f"phase_errors_rad must be finite, got {errors}")
     if n_frames < 1:
         raise ValueError("n_frames must be at least 1")
-    period = source.repetition_period_ns
-    times = train_offset_ns + period * (np.arange(SLOTS_PER_FRAME * n_frames) + 0.5)
-    # Written so that a nan instant fails it too.
-    if not (times[0] >= -TIMING_TOLERANCE_NS and times[-1] <= program.end_ns + TIMING_TOLERANCE_NS):
-        raise ValueError(
-            f"photon train spans [{times[0]:.6g}, {times[-1]:.6g}] ns but the program "
-            f"covers [0, {program.end_ns:.6g}] ns"
-        )
-
+    times = _photon_times(program, source.repetition_period_ns, n_frames, train_offset_ns)
     phases = _switch_phases(tree, program, times) + np.array(errors)[:, None]
     # The photon enters port 0 of every cell, so only column 0 is needed;
     # each is (2, n), one row per output port of the cell.

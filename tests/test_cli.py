@@ -655,8 +655,8 @@ def _large_block(rows):
         # 37 distinct rows, some cells -0.0.
         return np.where(rng.random((37, 4)) < 0.3, -0.0, block[:37])[rng.integers(0, 37, 70_000)]
     if rows == "first-column":
-        # Column 0 holds 2**16 distinct cells and the rest are 0.0, so a row
-        # code c0 * (2**16)**4 that is not re-ranked wraps to 0 in int64.
+        # Column 0 holds 2**16 distinct cells and the rest are 0.0: rows
+        # differ only in the column the sort compares last.
         block = np.zeros((2**16, 5))
         block[:, 0] = np.arange(2**16)
     return block
@@ -664,8 +664,8 @@ def _large_block(rows):
 
 @pytest.mark.parametrize("rows", ["distinct", "repeated", "first-column"])
 def test_csv_bytes_of_a_large_block_match_csv_writer_oracle(rows):
-    # The distinct block has 280,000 distinct cells: its row code, too,
-    # must be re-ranked before it passes int64.
+    # Every row distinct, 37 rows repeated out of order, and rows that
+    # differ in one column only: each run of equal rows gets one text.
     block = _large_block(rows)
     times = np.arange(len(block)) * 0.1
     header = ["time_ns", *(f"out{j}" for j in range(block.shape[1]))]

@@ -73,6 +73,20 @@ def test_shifter_validation():
         PhaseShifterParams(f_3db_ghz=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda v: PhaseShifterParams(v_pi_volts=v), "v_pi_volts must be positive and finite"),
+        (lambda v: MZIParams(insertion_loss_db=v), "insertion_loss_db is a finite, non-negative"),
+    ],
+    ids=["v_pi_volts", "insertion_loss_db"],
+)
+def test_cell_parameters_that_are_not_finite_are_refused(make, match, value):
+    with pytest.raises(ValueError, match=match):
+        make(value)
+
+
 # --- couplers and MZI cells -----------------------------------------------
 
 

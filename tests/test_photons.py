@@ -106,6 +106,21 @@ def test_two_photon_collision_free_view():
     assert d.probability((5, 7)) == 0.0  # unknown pattern reads as zero
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda v: SourceModel(repetition_period_ns=v), "repetition_period_ns must be positive and finite"),
+        (lambda v: hom_fringe(MZIParams.ideal(), [0.0], 1.0, accidental_floor=v),
+         "accidental_floor must be finite and non-negative"),
+    ],
+    ids=["repetition_period_ns", "accidental_floor"],
+)
+def test_source_and_fringe_refuse_values_that_are_not_finite(make, match, value):
+    with pytest.raises(ValueError, match=match):
+        make(value)
+
+
 def test_two_photon_validation():
     u = haar_random_unitary(4, seed=5)
     with pytest.raises(ValueError):

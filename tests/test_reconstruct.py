@@ -87,13 +87,17 @@ def test_measured_statistics_validation():
     u = haar_random_unitary(4, seed=1)
     stats = synthesize_statistics(u)
     assert stats.n_modes == 4
-    assert stats.missing_pairs() == []
+    assert sorted(stats.pairs) == [(k, l) for k in range(4) for l in range(k + 1, 4)]
+    with pytest.raises(TypeError):
+        stats.pairs[(0, 1)] = stats.pairs[(0, 2)]
     with pytest.raises(ValueError):
         MeasuredStatistics(stats.singles, {(1, 0): stats.pairs[(0, 1)]})
     with pytest.raises(ValueError):
         MeasuredStatistics(stats.singles, {(0, 2): stats.pairs[(0, 1)]})
-    partial = MeasuredStatistics(stats.singles, {(0, 1): stats.pairs[(0, 1)]})
-    assert (2, 3) in partial.missing_pairs()
+    with pytest.raises(ValueError, match=r"input pairs \[\(0, 2\), .*\(2, 3\)\]"):
+        MeasuredStatistics(stats.singles, {(0, 1): stats.pairs[(0, 1)]})
+    with pytest.raises(ValueError, match="reconstruction needs at least 2 modes"):
+        MeasuredStatistics([[1.0]], {})
 
 
 def test_statistics_json_round_trip():
@@ -140,11 +144,8 @@ def test_reconstruction_result_is_canonical():
 def test_reconstruction_requires_full_pair_coverage():
     u = haar_random_unitary(4, seed=1)
     stats = synthesize_statistics(u)
-    partial = MeasuredStatistics(
-        stats.singles, {k: v for k, v in stats.pairs.items() if k != (1, 3)}
-    )
     with pytest.raises(ValueError, match=r"no two-photon data for input pairs \[\(1, 3\)\]"):
-        reconstruct_unitary(partial, seed=0)
+        MeasuredStatistics(stats.singles, {k: v for k, v in stats.pairs.items() if k != (1, 3)})
 
 
 def test_reconstruction_convergence_error_carries_best():

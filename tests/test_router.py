@@ -152,6 +152,13 @@ def test_simulate_validation():
         simulate_demux(make_tree(), prog, SourceModel(), 1, phase_errors_rad=(0.0,))
 
 
+@pytest.mark.parametrize("error", [math.nan, math.inf, -math.inf])
+def test_simulate_refuses_a_phase_error_that_is_not_finite(error):
+    prog = default_pulse_program(n_frames=1)
+    with pytest.raises(ValueError, match="phase_errors_rad must be finite"):
+        simulate_demux(make_tree(), prog, SourceModel(), 1, phase_errors_rad=(0.0, error, 0.0))
+
+
 @settings(max_examples=150)
 @given(st.integers(1, 60), st.data())
 def test_switch_metrics_match_event_loop(n_frames, data):
