@@ -184,8 +184,10 @@ def _photon_times(
 ) -> np.ndarray:
     """The photon instants of :func:`simulate_demux`; ValueError unless ``program`` covers them."""
     times = train_offset_ns + period_ns * (np.arange(SLOTS_PER_FRAME * n_frames) + 0.5)
-    # Written so that a nan instant fails it too.
-    if not (times[0] >= -TIMING_TOLERANCE_NS and times[-1] <= program.end_ns + TIMING_TOLERANCE_NS):
+    # Rounding can put a photon on the last slot edge a few ulps past a long
+    # program's end.  Written so that a nan instant fails it too.
+    late = TIMING_TOLERANCE_NS + 4 * math.ulp(program.end_ns)
+    if not (times[0] >= -TIMING_TOLERANCE_NS and times[-1] <= program.end_ns + late):
         raise ValueError(
             f"photon train spans [{times[0]:.10g}, {times[-1]:.10g}] ns but the program "
             f"covers [0, {program.end_ns:.10g}] ns"

@@ -311,6 +311,8 @@ def demux_by_oracles(tree, period, n_frames, offset, errors):
     # Up to half a slot, where each photon sits on a slot edge.
     st.floats(0.0, 0.5),
 )
+# The last photon on the last slot edge, which rounds past the program's end.
+@example([MZIParams()] * 3, [0.0] * 3, 3, 10.0**39.6875, 0.5)
 def test_simulate_demux_matches_photon_loop_oracle(tree, errors, n_frames, period, offset_slots):
     offset = offset_slots * period
     prog = default_pulse_program(repetition_period_ns=period, n_frames=n_frames)
