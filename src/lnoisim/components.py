@@ -9,9 +9,9 @@ Conventions used throughout:
   couplers.  With ideal couplers the bar-port power transmission is
   ``sin^2(phase/2)``: zero phase is a full cross state, phase pi is bar.
 * Finite extinction comes from coupler imbalance, not phase error.
-* The phase shifter's bandwidth is a single pole at its -3 dB corner.  Its
-  response to a drive held one level per slot, its S21 and its threshold
-  crossings are closed forms.
+* The phase shifter's phase is pi V / V_pi, and its bandwidth is a single
+  pole at its -3 dB corner.  Its response to a drive held one level per
+  slot, its S21 and its -3 dB crossing are closed forms.
 
 Building and calibrating a cell needs only the standard library.  Numpy
 is imported inside the array kernels alone: :func:`coupler_matrix`,
@@ -22,7 +22,6 @@ is imported inside the array kernels alone: :func:`coupler_matrix`,
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -43,7 +42,6 @@ __all__ = [
     "estimate_mzi_loss_from_demux",
     "extinction_ratio_db",
     "imbalance_for_bar_leakage",
-    "imbalance_for_extinction",
     "mzi_transfer",
     "phase_from_voltage",
     "s21_crossing_ghz",
@@ -65,14 +63,12 @@ class PhaseShifterParams:
     """Electro-optic phase shifter: voltage-to-phase map plus analog bandwidth.
 
     Attributes:
-        v_pi_volts: voltage producing a pi phase shift.
-        phase_offset_rad: static phase at zero volts.
+        v_pi_volts: voltage producing a pi phase shift; zero volts is zero phase.
         f_3db_ghz: single-pole small-signal bandwidth; ``math.inf`` models an
             instantaneous shifter.
     """
 
     v_pi_volts: float = 4.5
-    phase_offset_rad: float = 0.0
     f_3db_ghz: float = 6.5
 
     def __post_init__(self):
@@ -80,8 +76,6 @@ class PhaseShifterParams:
             raise ValueError(f"v_pi_volts must be positive and finite, got {self.v_pi_volts}")
         if not (self.f_3db_ghz > 0):
             raise ValueError(f"f_3db_ghz must be positive, got {self.f_3db_ghz}")
-        if not math.isfinite(self.phase_offset_rad):
-            raise ValueError("phase_offset_rad must be finite")
 
 
 @dataclass(frozen=True)
@@ -137,29 +131,28 @@ class MZIParams:
     def with_extinction(
         cls, er_db: float, shifter: PhaseShifterParams | None = None, insertion_loss_db: float = 0.0
     ) -> "MZIParams":
-        """Cell whose bar-port extinction ratio equals ``er_db``."""
-        delta = imbalance_for_extinction(er_db)
-        return cls(
-            shifter=shifter or PhaseShifterParams(),
-            coupler_in=CouplerParams(imbalance=delta),
-            insertion_loss_db=insertion_loss_db,
-        )
+        """Cell whose bar-port extinction ratio equals ``er_db``: its leakage l
+        gives ``er_db = 10 log10((1 - l) / l)``."""
+        return cls.with_bar_leakage(1.0 / (1.0 + 10.0 ** (er_db / 10.0)), shifter, insertion_loss_db)
 
 
 def phase_from_voltage(p: PhaseShifterParams, volts: float | np.ndarray) -> float | np.ndarray:
-    """Linear electro-optic phase: offset + pi * V / V_pi, elementwise on arrays."""
-    return p.phase_offset_rad + math.pi * volts / p.v_pi_volts
+    """Linear electro-optic phase pi * V / V_pi, elementwise on arrays."""
+    return math.pi * volts / p.v_pi_volts
 
 
 def voltage_for_phase(p: PhaseShifterParams, phase_rad: float) -> float:
     """Smallest-|V| drive realizing ``phase_rad`` modulo 2 pi.
 
-    The phase request is reduced to the representative in (-pi, pi] relative
-    to the shifter's static offset, so a pi request returns +V_pi rather
-    than -V_pi.
+    The phase request is reduced to the representative in (-pi, pi], so a
+    pi request returns +V_pi rather than -V_pi.
+
+    Raises:
+        ValueError: for a phase that is not finite.
     """
-    excess = phase_rad - p.phase_offset_rad
-    wrapped = math.remainder(excess, 2.0 * math.pi)
+    if not math.isfinite(phase_rad):
+        raise ValueError(f"phase_rad must be finite, got {phase_rad}")
+    wrapped = math.remainder(phase_rad, 2.0 * math.pi)
     if wrapped == -math.pi:
         wrapped = math.pi
     return wrapped * p.v_pi_volts / math.pi
@@ -232,14 +225,6 @@ def imbalance_for_bar_leakage(leakage: float) -> float:
     if not (0.0 <= leakage < 0.5):
         raise ValueError(f"leakage must lie in [0, 0.5), got {leakage}")
     return math.sqrt(leakage * (1.0 - leakage))
-
-
-def imbalance_for_extinction(er_db: float) -> float:
-    """Coupler imbalance realizing a bar-port extinction ratio of ``er_db``."""
-    if er_db <= 0:
-        raise ValueError(f"extinction ratio must be positive dB, got {er_db}")
-    leakage = 1.0 / (1.0 + 10.0 ** (er_db / 10.0))
-    return imbalance_for_bar_leakage(leakage)
 
 
 def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz: float) -> np.ndarray:
@@ -339,29 +324,24 @@ def eom_s21_db(p: PhaseShifterParams, freqs_ghz: Iterable[float]) -> np.ndarray:
     return -20.0 * np.log10(np.hypot(1.0, f / p.f_3db_ghz))
 
 
-def s21_crossing_ghz(p: PhaseShifterParams, threshold_db: float = -3.0) -> float:
-    """Frequency where the shifter's S21 (:func:`eom_s21_db`) crosses ``threshold_db``.
+def s21_crossing_ghz(p: PhaseShifterParams) -> float:
+    """Frequency where the shifter's S21 (:func:`eom_s21_db`) crosses -3 dB.
 
-    Inverting the single pole gives ``f = f_3db sqrt(10^(-threshold / 10) - 1)``,
-    6.4846 GHz at -3 dB for a 6.5 GHz shifter.
+    Inverting the single pole gives ``f = f_3db sqrt(10^0.3 - 1)``, 6.4846 GHz
+    for a 6.5 GHz shifter: just below f_3db, as -3 dB is not exactly half power.
 
     Raises:
-        ValueError: for a threshold that is not negative, or for an
-            instantaneous shifter, whose S21 never falls.
+        ValueError: for an instantaneous shifter, whose S21 never falls.
     """
-    if not threshold_db < 0.0:
-        raise ValueError(f"threshold_db must be negative, got {threshold_db}")
     if math.isinf(p.f_3db_ghz):
         raise ValueError("an instantaneous shifter's S21 crosses no threshold")
-    # With u = -threshold ln(10) / 20 the root is e^u sqrt(1 - e^(-2u)), which
-    # has no cancellation near 0 dB; past the float range it is inf.
-    u = -threshold_db * math.log(10.0) / 20.0
-    grow = math.exp(u) if u < math.log(sys.float_info.max) else math.inf
-    return p.f_3db_ghz * math.sqrt(-math.expm1(-2.0 * u)) * grow
+    # With u = 3 ln(10) / 20 the root is e^u sqrt(1 - e^(-2u)).
+    u = 3.0 * math.log(10.0) / 20.0
+    return p.f_3db_ghz * math.sqrt(-math.expm1(-2.0 * u)) * math.exp(u)
 
 
 def demux_input_transmissions(
-    tree: Sequence[MZIParams], phases_rad: Sequence[float] = (0.5 * math.pi,) * N_TREE_SWITCHES
+    tree: Sequence[MZIParams],
 ) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]:
     """Total output power for light injected into each input port of the 1-to-4 tree.
 
@@ -377,16 +357,15 @@ def demux_input_transmissions(
     (1-r1)(1-r2) + r1 r2 - 2 sqrt(r1 (1-r1) r2 (1-r2)) cos(phase_0) is the
     share of switch 0's input 0 that leaves by its output 0, r1 and r2
     are that switch's input and output coupler ratios, and f_1 = 1 - f_0.
-    The phases of switches 1 and 2 drop out, and a lossless tree gives
-    exactly 1 on every port.
+    Switch 0 is held at phase_0 = pi/2; the phases of switches 1 and 2
+    drop out, and a lossless tree gives exactly 1 on every port.
     """
     tree = list(tree)
     if len(tree) != N_TREE_SWITCHES:
         raise ValueError(f"tree needs exactly {N_TREE_SWITCHES} switches")
-    if len(phases_rad) != N_TREE_SWITCHES:
-        raise ValueError(f"need one phase per switch, got {len(phases_rad)}")
     r1, r2 = tree[0].coupler_in.effective_ratio, tree[0].coupler_out.effective_ratio
-    mix = 2.0 * math.sqrt(r1 * (1.0 - r1) * r2 * (1.0 - r2)) * math.cos(phases_rad[0])
+    # Switch 0 at pi/2, whose float cosine is 6.1e-17, not 0.
+    mix = 2.0 * math.sqrt(r1 * (1.0 - r1) * r2 * (1.0 - r2)) * math.cos(0.5 * math.pi)
     f0 = (1.0 - r1) * (1.0 - r2) + r1 * r2 - mix
     l0, l1, l2 = (10.0 ** (-m.insertion_loss_db / 10.0) for m in tree)
     internal = [l0 * (f * l1 + (1.0 - f) * l2) for f in (f0, 1.0 - f0)]

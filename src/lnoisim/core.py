@@ -86,7 +86,14 @@ def as_complex_matrix(m: object) -> np.ndarray:
 
 
 def is_unitary(m: object, tol: float = 1e-10) -> bool:
-    """Whether ``m`` is square and satisfies m†m = I within ``tol`` (max norm)."""
+    """Whether ``m`` is square and satisfies m†m = I within ``tol`` (max norm).
+
+    Raises:
+        ValueError: unless 0 <= ``tol`` < inf.
+    """
+    # Written so that a nan tol fails it too.
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     arr = as_complex_matrix(m)
     # No entry of a unitary exceeds 1; testing that first keeps m†m from overflowing.
     if arr.shape[0] != arr.shape[1] or np.abs(arr).max(initial=0.0) > 1.0 + tol:

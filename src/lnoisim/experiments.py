@@ -220,7 +220,7 @@ def _switch_cell(diags, shifter, er_db, bar_leakage=None, **loss):
 
 def _parse_hom_fringe(fields, seed, diags):
     from .components import PhaseShifterParams, phase_from_voltage
-    from .photons import MIN_FRINGE_SPAN_RAD, SourceModel
+    from .photons import MIN_FRINGE_SPAN_RAD, SOURCE_OVERLAP
     start, stop = fields.get("voltage_start", 0.0), fields.get("voltage_stop", 9.0)
     n_points = fields.get("n_points", 41)
     floor, mean_counts = fields.get("accidental_floor", 0.0), fields.get("poisson_mean_counts")
@@ -245,7 +245,7 @@ def _parse_hom_fringe(fields, seed, diags):
     if stop > start and span < MIN_FRINGE_SPAN_RAD:
         diags.append(f"the sweep spans {span:.6g} rad, under the pi/2 the fringe fit needs")
     cell = _switch_cell(diags, shifter, fields.get("extinction_db"))
-    overlap = fields.get("overlap", SourceModel.indistinguishability)
+    overlap = fields.get("overlap", SOURCE_OVERLAP)
     sweep = (start, stop, n_points)
     return cell, sweep, overlap, _given(fields, "accidental_floor"), mean_counts, seed
 
@@ -317,7 +317,7 @@ def _parse_reconstruct(fields, seed, diags):
     reference = _object(fields, diags, "unitary", _passive_matrix)
     stats = _object(fields, diags, "statistics", MeasuredStatistics.from_json_dict)
     if reference is not None:
-        options = _given(fields, "overlap", "collision_free_only")
+        options = _given(fields, "overlap")
         stats = _build(diags, "field 'unitary'", synthesize_statistics, reference, **options)
     return stats, reference, seed, _given(fields, "overlap", "n_restarts")
 
@@ -542,8 +542,7 @@ FIELDS = {
     "mesh-decompose": {"unitary": _PARSED, "tol": _NON_NEGATIVE},
     "mesh-compose": {"mesh": _PARSED},
     "reconstruct": {
-        "unitary": _PARSED, "statistics": _PARSED, "overlap": _OVERLAP,
-        "n_restarts": Field(int, 1), "collision_free_only": Field(bool),
+        "unitary": _PARSED, "statistics": _PARSED, "overlap": _OVERLAP, "n_restarts": Field(int, 1),
     },
     "loss-budget": {"entries": _PARSED, "sweep": _PARSED},
 }

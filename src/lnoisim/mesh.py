@@ -43,6 +43,9 @@ MESH_SCHEMA_VERSION = 1
 
 _TWO_PI = 2.0 * math.pi
 
+#: The electrical limit on each drive voltage's magnitude.
+COMPLIANCE_VOLTS = 10.0
+
 
 def wrap_phase(value: float) -> float:
     """Canonical representative of a phase in [0, 2 pi)."""
@@ -331,30 +334,24 @@ class VoltageProgram:
     """Static drive voltages realizing a mesh configuration.
 
     Attributes:
-        voltages: volts per modulator name.
+        voltages: volts per modulator name, each within ``COMPLIANCE_VOLTS``.
         modulators: modulator name -> (cell index, "internal" | "external").
-        compliance_volts: limit each |V| was checked against.
     """
 
     voltages: dict[str, float]
     modulators: dict[str, tuple[int, str]]
-    compliance_volts: float
 
     def __post_init__(self):
         for name, volts in self.voltages.items():
             if not math.isfinite(volts):
                 raise ValueError(f"voltage for {name} must be finite")
-            if abs(volts) > self.compliance_volts:
-                raise ValueError(
-                    f"{name}: |{volts:.6g} V| exceeds compliance {self.compliance_volts} V"
-                )
+            if abs(volts) > COMPLIANCE_VOLTS:
+                raise ValueError(f"{name}: |{volts:.6g} V| exceeds compliance {COMPLIANCE_VOLTS} V")
             if name not in self.modulators:
                 raise ValueError(f"voltage for unknown modulator {name}")
 
 
-def phases_to_voltages(
-    config: MeshConfig, shifter: PhaseShifterParams, compliance_volts: float = 10.0
-) -> VoltageProgram:
+def phases_to_voltages(config: MeshConfig, shifter: PhaseShifterParams) -> VoltageProgram:
     """Convert mesh phases into per-modulator drive voltages.
 
     Every requested phase is reduced modulo 2 pi to the smallest-|V|
@@ -365,11 +362,10 @@ def phases_to_voltages(
         config: mesh configuration; input-facing external phases must be
             zero (apply :func:`gauge_input_phases` first).
         shifter: the parameters shared by every modulator.
-        compliance_volts: electrical limit; :class:`VoltageProgram`
-            raises ``ValueError`` on a voltage beyond it.
 
     Raises:
-        ValueError: when an undrivable input-facing phase is nonzero.
+        ValueError: when an undrivable input-facing phase is nonzero, or
+            a voltage exceeds ``COMPLIANCE_VOLTS``.
     """
     layout = modulator_layout(config)
     for idx in _gauge_cell_indices(config):
@@ -383,4 +379,4 @@ def phases_to_voltages(
     for name, (idx, role) in layout.items():
         cell = config.cells[idx]
         voltages[name] = voltage_for_phase(shifter, cell.theta if role == "internal" else cell.phi)
-    return VoltageProgram(voltages, layout, compliance_volts)
+    return VoltageProgram(voltages, layout)

@@ -34,23 +34,23 @@ __all__ = [
 ]
 
 
+#: Pairwise overlap of two photons from the quantum-dot source, hom-fringe's default.
+SOURCE_OVERLAP = 0.945
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """Triggered single-photon source feeding the processor.
 
     Attributes:
         repetition_period_ns: pulse-to-pulse separation.
-        indistinguishability: pairwise photon overlap in [0, 1].
     """
 
     repetition_period_ns: float = 13.8
-    indistinguishability: float = 0.945
 
     def __post_init__(self):
         if not (math.isfinite(self.repetition_period_ns) and self.repetition_period_ns > 0):
             raise ValueError("repetition_period_ns must be positive and finite")
-        if not (0.0 <= self.indistinguishability <= 1.0):
-            raise ValueError("indistinguishability must lie in [0, 1]")
 
 
 #: Probability sums within this tolerance of one count as normalized.
@@ -312,7 +312,7 @@ def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float,
     if phases.ndim != 1 or phases.shape != counts.shape:
         raise ValueError("phases and coincidences must be matching 1-d arrays")
     if not (np.all(np.isfinite(phases)) and np.all(np.isfinite(counts))):
-        raise FitError("phases and coincidences must be finite")
+        raise ValueError("phases and coincidences must be finite")
     if phases.size < 5:
         raise FitError(f"need at least 5 fringe points, got {phases.size}")
     if np.ptp(phases) < MIN_FRINGE_SPAN_RAD:
@@ -380,6 +380,7 @@ def fit_hom_visibility(
         ``(visibility, standard_error)`` from the fit covariance.
 
     Raises:
+        ValueError: for arrays that do not match or hold a non-finite value.
         FitError: for degenerate sampling or a failed fit.
     """
     visibility, stderr, _ = _fit_fringe(phases_rad, coincidences, sigma)

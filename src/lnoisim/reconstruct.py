@@ -43,6 +43,9 @@ __all__ = [
 
 _PIVOT_TOL = 1e-9
 
+#: The squared-residual sum at or below which a restart has converged.
+_SUCCESS_COST = 1e-12
+
 
 def canonical_phase_gauge(u: np.ndarray) -> np.ndarray:
     """Fix the per-port phase freedom of ``u``.
@@ -134,19 +137,15 @@ class MeasuredStatistics:
         return cls(finite_number_array(data["singles"], 2, "singles"), pairs)
 
 
-def synthesize_statistics(
-    u: np.ndarray, overlap: float = 1.0, collision_free_only: bool = True
-) -> MeasuredStatistics:
-    """Exact statistics a lossless interferometer ``u`` would produce."""
+def synthesize_statistics(u: np.ndarray, overlap: float = 1.0) -> MeasuredStatistics:
+    """Exact collision-free statistics a lossless interferometer ``u`` would produce."""
     mat = as_complex_matrix(u)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("need a square transfer matrix")
     n = mat.shape[0]
     singles = np.abs(mat) ** 2
     pairs = {
-        (k, l): two_photon_distribution(
-            mat, (k, l), overlap=overlap, collision_free_only=collision_free_only
-        )
+        (k, l): two_photon_distribution(mat, (k, l), overlap=overlap, collision_free_only=True)
         for k in range(n)
         for l in range(k + 1, n)
     }
@@ -218,7 +217,6 @@ def reconstruct_unitary(
     seed: int,
     overlap: float = 1.0,
     n_restarts: int = 12,
-    success_cost: float = 1e-12,
 ) -> ReconstructionResult:
     """Fit a mesh to measured statistics and return its canonical unitary.
 
@@ -230,8 +228,8 @@ def reconstruct_unitary(
         [singles(model) - singles(data),
          collision-free pair probabilities(model) - (data)]
 
-    stopping early once the squared-residual sum drops below
-    ``success_cost``.
+    stopping early once the squared-residual sum drops to ``_SUCCESS_COST``
+    (1e-12) or below.
 
     Args:
         measured: singles plus two-photon data covering every input pair.
@@ -239,7 +237,6 @@ def reconstruct_unitary(
             for a fixed seed).
         overlap: pairwise wave-packet overlap assumed by the model.
         n_restarts: maximum number of random starts.
-        success_cost: squared-residual threshold declaring convergence.
 
     Raises:
         FitError: if no restart converges; the best attempt is
@@ -264,7 +261,7 @@ def reconstruct_unitary(
         if fit.cost < best_cost:
             best_cost = fit.cost
             best_x = fit.x
-        if best_cost <= success_cost:
+        if best_cost <= _SUCCESS_COST:
             break
 
     cells = [
@@ -275,13 +272,13 @@ def reconstruct_unitary(
     result = ReconstructionResult(
         unitary=canonical_form(compose(config)),
         cost=best_cost,
-        converged=best_cost <= success_cost,
+        converged=best_cost <= _SUCCESS_COST,
         n_restarts_used=used,
     )
     if not result.converged:
         raise FitError(
             f"best of {used} restarts left squared-residual sum {best_cost:.3e} "
-            f"above {success_cost:.3e}",
+            f"above {_SUCCESS_COST:.3e}",
             best_result=result,
         )
     return result

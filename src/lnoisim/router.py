@@ -24,7 +24,6 @@ import numpy as np
 from .components import (
     N_TREE_SWITCHES,
     MZIParams,
-    PhaseShifterParams,
     _mzi_columns,
     eom_slot_response,
     phase_from_voltage,
@@ -110,13 +109,6 @@ class PulseProgram:
             wave.setflags(write=False)
         return waves
 
-    def filtered_drive(
-        self, channel: str, shifter: PhaseShifterParams, times_ns: np.ndarray
-    ) -> np.ndarray:
-        """Channel drive after the shifter's single pole, at ``times_ns``
-        (:func:`eom_slot_response`)."""
-        return eom_slot_response(shifter, self.levels[channel], self.slot_ns, times_ns)
-
 
 def default_pulse_program(
     repetition_period_ns: float = 13.8,
@@ -174,7 +166,9 @@ def _switch_phases(
         shifter = tree[s].shifter
         key = (name, shifter.f_3db_ghz)
         if key not in volts_cache:
-            volts_cache[key] = program.filtered_drive(name, shifter, photon_times)
+            volts_cache[key] = eom_slot_response(
+                shifter, program.levels[name], program.slot_ns, photon_times
+            )
         phases[s] = phase_from_voltage(shifter, volts_cache[key])
     return phases
 

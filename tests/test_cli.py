@@ -1124,6 +1124,10 @@ _UNKNOWN_FIELDS = {
                "field 'unitary': unknown field 'imag' (did you mean 'im'?)"),
     "mesh": (["mesh", "compose"], _compose_with_mesh(_set(("n_mode",), 4)),
              "field 'mesh': unknown field 'n_mode' (did you mean 'n_modes'?)"),
+    # Retired: reconstruction always fits the collision-free pair statistics.
+    "reconstruct-collision_free_only": (["reconstruct"], {
+        **_reconstruct_with_statistics(lambda stats: None), "collision_free_only": True,
+    }, "unknown field 'collision_free_only'"),
 }
 
 

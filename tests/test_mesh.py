@@ -103,6 +103,10 @@ def test_decompose_input_validation():
         decompose(0.5 * np.eye(4))
     with pytest.raises(ValueError, match="decompose requires at least 2 modes"):
         decompose(np.array([[1.0]]))
+    # No tolerance makes 2 U unitary.
+    for tol in (math.inf, math.nan, -1e-9):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            decompose(2.0 * haar_random_unitary(3, seed=0), tol=tol)
 
 
 def test_compose_with_real_cells_loss_makes_subunitary():
@@ -210,8 +214,9 @@ def test_phases_to_voltages_guards():
     with pytest.raises(ValueError, match="carries input-facing phase"):
         phases_to_voltages(cfg, PhaseShifterParams())
     reduced, _ = gauge_input_phases(cfg)
-    with pytest.raises(ValueError, match="exceeds compliance 1.0 V"):
-        phases_to_voltages(reduced, PhaseShifterParams(), compliance_volts=1.0)
+    # A 30 V shifter needs up to 30 V, past the 10 V compliance.
+    with pytest.raises(ValueError, match="exceeds compliance 10.0 V"):
+        phases_to_voltages(reduced, PhaseShifterParams(v_pi_volts=30.0))
 
 
 @settings(deadline=None, max_examples=60)

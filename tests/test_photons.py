@@ -24,7 +24,7 @@ from lnoisim import (
     statistical_fidelity,
     two_photon_distribution,
 )
-from lnoisim.photons import _fit_fringe
+from lnoisim.photons import SOURCE_OVERLAP, _fit_fringe
 from oracles import (
     fringe_fit_by_curve_fit,
     fringe_model,
@@ -38,9 +38,9 @@ from oracles import (
 def test_source_model_derived_quantities():
     src = SourceModel()
     assert src.repetition_period_ns == 13.8
-    assert src.indistinguishability == 0.945
+    assert SOURCE_OVERLAP == 0.945
     with pytest.raises(ValueError):
-        SourceModel(indistinguishability=1.2)
+        SourceModel(repetition_period_ns=0.0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -225,7 +225,8 @@ def test_fit_rejects_degenerate_data():
         fit_hom_visibility(np.linspace(0, 3, 10), np.zeros(10))
     phases = np.linspace(0, 2 * math.pi, 21)
     counts = hom_fringe(MZIParams.ideal(), phases, 0.9)
-    with pytest.raises(FitError):
+    # Non-finite data is bad input, not data the fit cannot support.
+    with pytest.raises(ValueError, match="phases and coincidences must be finite"):
         fit_hom_visibility(phases, np.where(phases > 3, np.nan, counts))
     for sigma in (np.zeros(21), -np.ones(21), np.full(21, np.inf), np.ones(20)):
         with pytest.raises(FitError):

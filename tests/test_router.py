@@ -15,6 +15,7 @@ from lnoisim import (
     TimeTrace,
     default_pulse_program,
     demux_input_transmissions,
+    eom_slot_response,
     estimate_mzi_loss_from_demux,
     simulate_demux,
     switch_metrics,
@@ -217,7 +218,6 @@ def test_input_transmissions_and_loss_recovery():
 # Couplers anywhere in their allowed range, effective ratios 0 to 1.
 any_coupler = st.builds(CouplerParams, imbalance=st.floats(-0.5, 0.5))
 any_phase = st.floats(-100.0, 100.0)
-three_phases = st.lists(any_phase, min_size=3, max_size=3)
 lossless_tree = st.lists(
     st.builds(MZIParams, coupler_in=any_coupler, coupler_out=any_coupler), min_size=3, max_size=3
 )
@@ -234,36 +234,39 @@ lossy_tree = st.lists(
 
 
 @settings(max_examples=200)
-@given(lossless_tree, three_phases)
-@example([MZIParams.with_extinction(20.0)] * 3, [0.5 * math.pi] * 3)
-@example([MZIParams.with_bar_leakage(0.01)] * 3, [0.5 * math.pi] * 3)
-def test_lossless_tree_calibrates_to_zero_loss(tree, phases):
-    transmissions, external, internal = demux_input_transmissions(tree, phases)
+@given(lossless_tree)
+@example([MZIParams.with_extinction(20.0)] * 3)
+@example([MZIParams.with_bar_leakage(0.01)] * 3)
+def test_lossless_tree_calibrates_to_zero_loss(tree):
+    transmissions, external, internal = demux_input_transmissions(tree)
     assert all(type(t) is float and t <= 1.0 for t in transmissions)
     est = estimate_mzi_loss_from_demux(transmissions, external, internal)
     assert est == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=200)
-@given(lossy_tree, three_phases)
-def test_tree_transmissions_match_matmul_oracle(tree, phases):
-    got, external, internal = demux_input_transmissions(tree, phases)
+@given(lossy_tree)
+def test_tree_transmissions_match_matmul_oracle(tree):
+    got, external, internal = demux_input_transmissions(tree)
     assert (external, internal) == ((2, 3), (0, 1))
-    np.testing.assert_allclose(got, tree_transmissions_by_matmul(tree, phases), rtol=1e-12, atol=0)
+    # The calibration holds every switch at pi/2.
+    want = tree_transmissions_by_matmul(tree, [0.5 * math.pi] * 3)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 @settings(max_examples=100)
-@given(lossy_tree, any_phase, st.lists(any_phase, min_size=4, max_size=4))
-def test_second_layer_phases_drop_out(tree, phase0, others):
-    first, _, _ = demux_input_transmissions(tree, [phase0, *others[:2]])
-    second, _, _ = demux_input_transmissions(tree, [phase0, *others[2:]])
-    assert np.array(first).tobytes() == np.array(second).tobytes()
+@given(lossy_tree, st.lists(any_phase, min_size=2, max_size=2))
+def test_second_layer_phases_drop_out(tree, others):
+    # The tree's product with the second-layer switches at any phases.
+    got, _, _ = demux_input_transmissions(tree)
+    want = tree_transmissions_by_matmul(tree, [0.5 * math.pi, *others])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("n_phases", [0, 2, 4])
-def test_input_transmissions_need_one_phase_per_switch(n_phases):
-    with pytest.raises(ValueError, match=f"need one phase per switch, got {n_phases}"):
-        demux_input_transmissions(make_tree(), [0.0] * n_phases)
+@pytest.mark.parametrize("n_switches", [0, 2, 4])
+def test_input_transmissions_need_three_switches(n_switches):
+    with pytest.raises(ValueError, match="tree needs exactly 3 switches"):
+        demux_input_transmissions([MZIParams()] * n_switches)
 
 
 tree_cells = st.builds(
@@ -271,7 +274,6 @@ tree_cells = st.builds(
     shifter=st.builds(
         PhaseShifterParams,
         v_pi_volts=st.floats(3.0, 6.0),
-        phase_offset_rad=st.floats(-0.5, 0.5),
         # Every valid config band: the stock range, and 1e-9 GHz up to the float range.
         f_3db_ghz=st.one_of(
             st.just(math.inf), st.floats(0.5, 8.0), st.floats(-9.0, 308.0).map(lambda e: 10.0**e)
@@ -292,7 +294,7 @@ def demux_by_oracles(tree, period, n_frames, offset, errors):
         shifter = cell.shifter
         levels = prog.levels["A" if s == 0 else "B"]
         volts = pole_response_by_photon_loop(levels, period, shifter.f_3db_ghz, times)
-        phases[s] = shifter.phase_offset_rad + math.pi * volts / shifter.v_pi_volts + errors[s]
+        phases[s] = math.pi * volts / shifter.v_pi_volts + errors[s]
     transfers = [
         lambda p, c=cell: mzi_by_matmul(
             c.coupler_in.effective_ratio, c.coupler_out.effective_ratio, c.insertion_loss_db, p
@@ -331,12 +333,12 @@ def test_simulate_demux_matches_photon_loop_oracle(tree, errors, n_frames, perio
     st.lists(st.floats(-1.0, 13.0), max_size=30),
 )
 def test_slot_rate_filter_matches_sample_loop(levels, per_slot, slot_ns, log_band, at_slots):
-    # filtered_drive at any instants, before the first slot and after the
-    # last included, is the single pole's response, one instant at a time.
+    # The filtered drive at any instants, before the first slot and after
+    # the last included, is the single pole's response, one instant at a time.
     prog = PulseProgram(slot_ns, per_slot, {"A": levels, "B": levels})
     shifter = PhaseShifterParams(f_3db_ghz=math.inf if log_band is None else 10.0**log_band / slot_ns)
     times = slot_ns * np.array([*at_slots, 0.0, len(levels)])
-    volts = prog.filtered_drive("A", shifter, times)
+    volts = eom_slot_response(shifter, prog.levels["A"], prog.slot_ns, times)
     want = pole_response_by_photon_loop(levels, slot_ns, shifter.f_3db_ghz, times)
     assert np.allclose(volts, want, rtol=0.0, atol=1e-13)
 

@@ -1,10 +1,13 @@
 """The public surface is what something that uses the package reaches.
 
-The golden configs and the README's Python blocks run under
+The golden configs and the README's Python blocks run once under
 ``sys.setprofile``.  Every function in a module's ``__all__``, and every
 public method and property of a class there, must be called by them,
-unless ALLOWED names it with the use that keeps it.  A name that nothing
-uses is deleted, not listed.
+unless ALLOWED names it with the use that keeps it.  Every defaulted
+parameter of those functions, and every defaulted field of a dataclass
+there, must be given a value other than its default in the same pass,
+unless ALLOWED_DEFAULTS names it with what sets it.  A name or an option
+that nothing uses is deleted, not listed.
 
 An exception class has no public methods for that pass to see, so each
 one must instead be caught by name somewhere in the package or carry data
@@ -12,10 +15,13 @@ of its own.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 import lnoisim
 from golden import regen
@@ -40,14 +46,31 @@ ALLOWED = {
     "s21_crossing_ghz": "README acceptance item 5: modulator bandwidth",
 }
 
+#: Defaulted parameters, ``function(name)``, and dataclass fields,
+#: ``Class.name``, that no golden config or README block sets, and what sets each.
+ALLOWED_DEFAULTS = {
+    "MZIParams.ideal(shifter)": "benchmark: perfbench/switching.py and perfbench/smoke.py",
+    "default_pulse_program(samples_per_slot)": "benchmark: perfbench/switching.py passes it by name",
+    "default_pulse_program(v_pi_volts)": "the config key demux.v_pi_volts",
+    "fit_hom_visibility(sigma)": "benchmark: the weighted fringe fits of perfbench/switching.py and smoke.py",
+    "MZIParams.coupler_out": "nothing outside the tests yet; ROADMAP item 20 retires it",
+    "GratingSpectrum.center_wavelength_nm": "the config key sweep.grating.center_wavelength_nm of loss-budget",
+    "GratingSpectrum.peak_efficiency_db": "the config key sweep.grating.peak_efficiency_db of loss-budget",
+    "GratingSpectrum.bandwidth_1db_nm": "the config key sweep.grating.bandwidth_1db_nm of loss-budget",
+    "GratingSpectrum.band_nm": "the config key sweep.grating.band_nm of loss-budget",
+}
+
+
+def _public_modules():
+    modules = [importlib.import_module(f"lnoisim.{name}") for name in lnoisim._SUBMODULES]
+    return modules + [lnoisim.cli, lnoisim.experiments]
+
 
 def _public_functions():
     """{qualified name: function} for each function of an ``__all__`` and each
     public method and property of an ``__all__`` class."""
-    modules = [importlib.import_module(f"lnoisim.{name}") for name in lnoisim._SUBMODULES]
-    modules += [lnoisim.cli, lnoisim.experiments]
     found = {}
-    for module in modules:
+    for module in _public_modules():
         for name in module.__all__:
             obj = getattr(module, name)
             if getattr(obj, "__module__", None) != module.__name__:
@@ -65,27 +88,65 @@ def _public_functions():
     return found
 
 
-def _reached_code(tmp_path):
-    """The code objects called while the golden configs and README blocks run."""
-    reached = set()
+def _defaulted_options():
+    """{code object: [(option name, parameter, default)]} for each defaulted
+    parameter of a public function and each defaulted field of an ``__all__``
+    dataclass, read from the generated ``__init__``."""
+    callables = {f"{name}({{}})": func for name, func in _public_functions().items()}
+    for module in _public_modules():
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
+                callables[f"{name}.{{}}"] = obj.__init__
+    options = {}
+    for pattern, func in callables.items():
+        options[func.__code__] = [
+            (pattern.format(param.name), param.name, param.default)
+            for param in inspect.signature(func).parameters.values()
+            if param.default is not param.empty
+        ]
+    return options
+
+
+def _differs(value, default) -> bool:
+    """Whether an argument is other than its parameter's default; an array
+    compared element by element counts as other."""
+    if value is default:
+        return False
+    try:
+        return not bool(value == default)
+    except ValueError:
+        return True
+
+
+@pytest.fixture(scope="module")
+def profiled_pass(tmp_path_factory):
+    """One run of the golden configs and README blocks under ``sys.setprofile``:
+    the code objects it calls, and the options it gives a value other than
+    their default."""
+    reached, set_options = set(), set()
+    options = _defaulted_options()
 
     def profile(frame, event, arg):
         if event == "call":
             reached.add(frame.f_code)
+            for option, param, default in options.get(frame.f_code, ()):
+                if _differs(frame.f_locals[param], default):
+                    set_options.add(option)
 
     sys.setprofile(profile)
     try:
-        regen.digests(tmp_path)
+        regen.digests(tmp_path_factory.mktemp("golden"))
         for index, block in enumerate(BLOCKS):
             exec(compile(block, f"README.md python block {index}", "exec"), {})
     finally:
         sys.setprofile(None)
-    return reached
+    return reached, set_options
 
 
-def test_every_public_function_is_used(tmp_path):
+def test_every_public_function_is_used(profiled_pass):
     public = _public_functions()
-    reached = _reached_code(tmp_path)
+    reached, _ = profiled_pass
     unused = sorted(
         name for name, func in public.items() if func.__code__ not in reached and name not in ALLOWED
     )
@@ -94,6 +155,17 @@ def test_every_public_function_is_used(tmp_path):
     assert not gone, f"ALLOWED names what is no longer public: {gone}"
     reached_anyway = sorted(name for name in ALLOWED if public[name].__code__ in reached)
     assert not reached_anyway, f"ALLOWED names what a golden config or README block reaches: {reached_anyway}"
+
+
+def test_every_option_is_set(profiled_pass):
+    _, set_options = profiled_pass
+    options = {option for entries in _defaulted_options().values() for option, _, _ in entries}
+    unset = sorted(options - set_options - set(ALLOWED_DEFAULTS))
+    assert not unset, f"options no golden config or README block sets: {unset}"
+    gone = sorted(set(ALLOWED_DEFAULTS) - options)
+    assert not gone, f"ALLOWED_DEFAULTS names what is no longer a defaulted option: {gone}"
+    set_anyway = sorted(set(ALLOWED_DEFAULTS) & set_options)
+    assert not set_anyway, f"ALLOWED_DEFAULTS names what a golden config or README block sets: {set_anyway}"
 
 
 def _caught_names():
