@@ -8,14 +8,15 @@ Conventions used throughout:
 * An MZI applies its internal phase on the upper arm between the two
   couplers.  With ideal couplers the bar-port power transmission is
   ``sin^2(phase/2)``: zero phase is a full cross state, phase pi is bar.
-* Finite extinction comes from coupler imbalance, not phase error.
+* Finite extinction comes from an imbalanced input coupler against a
+  balanced output coupler, not from phase error.
 * The phase shifter's phase is pi V / V_pi, and its bandwidth is a single
   pole at its -3 dB corner.  Its response to a drive held one level per
   slot, its S21 and its -3 dB crossing are closed forms.
 
 Building and calibrating a cell needs only the standard library.  Numpy
-is imported inside the array kernels alone: :func:`coupler_matrix`,
-:func:`mzi_transfer` and its column helper, :func:`eom_response`,
+is imported inside the array kernels alone: :func:`mzi_transfer` and its
+column helper, :func:`eom_response`,
 :func:`eom_slot_response` and :func:`eom_s21_db`.
 """
 
@@ -31,24 +32,21 @@ if TYPE_CHECKING:
 
 __all__ = [
     "EXTINCTION_CAP_DB",
-    "CouplerParams",
     "MZIParams",
     "PhaseShifterParams",
-    "coupler_matrix",
     "demux_input_transmissions",
     "eom_response",
     "eom_s21_db",
     "eom_slot_response",
     "estimate_mzi_loss_from_demux",
     "extinction_ratio_db",
-    "imbalance_for_bar_leakage",
     "mzi_transfer",
     "phase_from_voltage",
     "s21_crossing_ghz",
     "voltage_for_phase",
 ]
 
-#: Reported in place of an unbounded extinction ratio (perfectly balanced couplers).
+#: Reported in place of an unbounded extinction ratio (a balanced input coupler).
 EXTINCTION_CAP_DB = 300.0
 
 #: Switches in the 1-to-4 tree: one first-layer switch feeding two second-layer ones.
@@ -79,35 +77,24 @@ class PhaseShifterParams:
 
 
 @dataclass(frozen=True)
-class CouplerParams:
-    """Directional coupler: a 50:50 split plus a fabrication imbalance.
+class MZIParams:
+    """A 2x2 Mach-Zehnder switch cell: two couplers around one phase shifter.
 
-    ``imbalance`` is added to the nominal cross-coupled power fraction of
-    one half; the sum, ``effective_ratio``, must stay in [0, 1].
+    Attributes:
+        shifter: the phase shifter on the upper arm.
+        coupler_imbalance: the input coupler's cross-coupled power fraction
+            is 1/2 plus this, in [0, 1]; the output coupler is balanced.
+        insertion_loss_db: loss of the whole cell, shared by both paths.
     """
 
-    imbalance: float = 0.0
-
-    def __post_init__(self):
-        r = self.effective_ratio
-        if not (0.0 <= r <= 1.0):
-            raise ValueError(f"effective ratio {r} outside [0, 1]")
-
-    @property
-    def effective_ratio(self) -> float:
-        return 0.5 + self.imbalance
-
-
-@dataclass(frozen=True)
-class MZIParams:
-    """A 2x2 Mach-Zehnder switch cell: two couplers around one phase shifter."""
-
     shifter: PhaseShifterParams = field(default_factory=PhaseShifterParams)
-    coupler_in: CouplerParams = field(default_factory=CouplerParams)
-    coupler_out: CouplerParams = field(default_factory=CouplerParams)
+    coupler_imbalance: float = 0.0
     insertion_loss_db: float = 0.0
 
     def __post_init__(self):
+        # Written so that nan fails it.
+        if not abs(self.coupler_imbalance) <= 0.5:
+            raise ValueError(f"coupler_imbalance must lie in [-0.5, 0.5], got {self.coupler_imbalance}")
         if not (math.isfinite(self.insertion_loss_db) and self.insertion_loss_db >= 0):
             raise ValueError("insertion_loss_db is a finite, non-negative magnitude")
 
@@ -119,13 +106,17 @@ class MZIParams:
     def with_bar_leakage(
         cls, leakage: float, shifter: PhaseShifterParams | None = None, insertion_loss_db: float = 0.0
     ) -> "MZIParams":
-        """Cell whose worst-port power leakage equals ``leakage`` (linear)."""
-        delta = imbalance_for_bar_leakage(leakage)
-        return cls(
-            shifter=shifter or PhaseShifterParams(),
-            coupler_in=CouplerParams(imbalance=delta),
-            insertion_loss_db=insertion_loss_db,
-        )
+        """Cell whose worst-port power leakage equals ``leakage`` (linear).
+
+        An input coupler detuned by delta gives a minimum bar power of
+        l = 1/2 - sqrt(1/4 - delta^2); inverting, delta = sqrt(l (1 - l)).
+        The same l is also the bar-state leakage into the cross port, so a
+        single number calibrates both switch states.
+        """
+        if not (0.0 <= leakage < 0.5):
+            raise ValueError(f"leakage must lie in [0, 0.5), got {leakage}")
+        delta = math.sqrt(leakage * (1.0 - leakage))
+        return cls(shifter or PhaseShifterParams(), delta, insertion_loss_db)
 
     @classmethod
     def with_extinction(
@@ -137,7 +128,8 @@ class MZIParams:
 
 
 def phase_from_voltage(p: PhaseShifterParams, volts: float | np.ndarray) -> float | np.ndarray:
-    """Linear electro-optic phase pi * V / V_pi, elementwise on arrays."""
+    """Linear electro-optic phase pi * V / V_pi, elementwise on arrays; a
+    voltage that is not finite passes through as a phase that is not finite."""
     return math.pi * volts / p.v_pi_volts
 
 
@@ -158,22 +150,14 @@ def voltage_for_phase(p: PhaseShifterParams, phase_rad: float) -> float:
     return wrapped * p.v_pi_volts / math.pi
 
 
-def coupler_matrix(c: CouplerParams) -> np.ndarray:
-    """2x2 transfer matrix of a directional coupler."""
-    import numpy as np
-    r = c.effective_ratio
-    t = math.sqrt(1.0 - r)
-    k = math.sqrt(r)
-    return np.array([[t, 1j * k], [1j * k, t]], dtype=np.complex128)
-
-
 def mzi_transfer(m: MZIParams, phase_rad: float | np.ndarray) -> np.ndarray:
     """Transfer matrix C_out . diag(e^{i phase}, 1) . C_in with uniform loss.
 
     ``phase_rad`` may be a scalar or an array of shape S; the result has
     shape S + (2, 2), one matrix per phase.  The product expands to
     ``e^{i phase} (c_out[:, 0] x c_in[0, :]) + c_out[:, 1] x c_in[1, :]``.
-    Insertion loss scales amplitudes by 10^(-insertion_loss_db / 20).
+    Insertion loss scales amplitudes by 10^(-insertion_loss_db / 20).  A
+    phase that is not finite passes through as a matrix of nan.
     """
     import numpy as np
     entries = _mzi_columns(m, phase_rad, slice(None))
@@ -187,12 +171,13 @@ def _mzi_columns(m: MZIParams, phase_rad: float | np.ndarray, inputs: slice) -> 
     Each entry is one pass over all the phases.
     """
     import numpy as np
-    c_in = coupler_matrix(m.coupler_in)
-    c_out = coupler_matrix(m.coupler_out)
+    r = 0.5 + m.coupler_imbalance
+    t, k = math.sqrt(1.0 - r), math.sqrt(r)
+    h = math.sqrt(0.5)  # the balanced output coupler's bar and cross amplitude
     rotation = np.exp(1j * np.asarray(phase_rad, dtype=float))
     per_phase = (...,) + (np.newaxis,) * rotation.ndim
-    upper = np.outer(c_out[:, 0], c_in[0, inputs])[per_phase]
-    lower = np.outer(c_out[:, 1], c_in[1, inputs])[per_phase]
+    upper = np.outer([h, 1j * h], np.array([t, 1j * k])[inputs])[per_phase]
+    lower = np.outer([1j * h, h], np.array([1j * k, t])[inputs])[per_phase]
     return 10.0 ** (-m.insertion_loss_db / 20.0) * (rotation * upper + lower)
 
 
@@ -203,28 +188,16 @@ def extinction_ratio_db(m: MZIParams) -> float:
     factor, which cancels), so the ratio is
     ``20 log10((t1 t2 + k1 k2) / |t1 t2 - k1 k2|)`` with t, k the bar and
     cross amplitudes of the two couplers.  A cell with zero minimum
-    leakage (balanced couplers) is reported at the cap
+    leakage (a balanced input coupler) is reported at the cap
     ``EXTINCTION_CAP_DB``.
     """
-    r1, r2 = m.coupler_in.effective_ratio, m.coupler_out.effective_ratio
-    t1, t2, k1, k2 = math.sqrt(1.0 - r1), math.sqrt(1.0 - r2), math.sqrt(r1), math.sqrt(r2)
+    r1 = 0.5 + m.coupler_imbalance
+    t1, k1 = math.sqrt(1.0 - r1), math.sqrt(r1)
+    t2 = k2 = math.sqrt(0.5)  # the balanced output coupler
     leak = abs(t1 * t2 - k1 * k2)
     if leak == 0.0:
         return EXTINCTION_CAP_DB
     return min(20.0 * math.log10((t1 * t2 + k1 * k2) / leak), EXTINCTION_CAP_DB)
-
-
-def imbalance_for_bar_leakage(leakage: float) -> float:
-    """Coupler imbalance whose MZI leaks ``leakage`` of the power off-port.
-
-    One coupler detuned by delta against an ideal partner gives a minimum
-    bar power of l = 1/2 - sqrt(1/4 - delta^2); inverting, delta =
-    sqrt(l (1 - l)).  The same l is also the bar-state leakage into the
-    cross port, so a single number calibrates both switch states.
-    """
-    if not (0.0 <= leakage < 0.5):
-        raise ValueError(f"leakage must lie in [0, 0.5), got {leakage}")
-    return math.sqrt(leakage * (1.0 - leakage))
 
 
 def eom_response(p: PhaseShifterParams, drive: Sequence[float], sample_rate_ghz: float) -> np.ndarray:
@@ -355,15 +328,15 @@ def demux_input_transmissions(
     of the power from either input: port 2 gives L_1^2, port 3 gives L_2^2
     and port c gives L_0^2 (f_c L_1^2 + (1 - f_c) L_2^2).  Here f_0 =
     (1-r1)(1-r2) + r1 r2 - 2 sqrt(r1 (1-r1) r2 (1-r2)) cos(phase_0) is the
-    share of switch 0's input 0 that leaves by its output 0, r1 and r2
-    are that switch's input and output coupler ratios, and f_1 = 1 - f_0.
+    share of switch 0's input 0 that leaves by its output 0, r1 and r2 =
+    1/2 are its input and output coupler ratios, and f_1 = 1 - f_0.
     Switch 0 is held at phase_0 = pi/2; the phases of switches 1 and 2
     drop out, and a lossless tree gives exactly 1 on every port.
     """
     tree = list(tree)
     if len(tree) != N_TREE_SWITCHES:
         raise ValueError(f"tree needs exactly {N_TREE_SWITCHES} switches")
-    r1, r2 = tree[0].coupler_in.effective_ratio, tree[0].coupler_out.effective_ratio
+    r1, r2 = 0.5 + tree[0].coupler_imbalance, 0.5
     # Switch 0 at pi/2, whose float cosine is 6.1e-17, not 0.
     mix = 2.0 * math.sqrt(r1 * (1.0 - r1) * r2 * (1.0 - r2)) * math.cos(0.5 * math.pi)
     f0 = (1.0 - r1) * (1.0 - r2) + r1 * r2 - mix

@@ -1,8 +1,11 @@
 """Exception types that the CLI tells apart.
 
 Bad input to a library call (a wrong shape, an invalid layout, a value out
-of range) raises plain ``ValueError``. The classes here mark the failures
-that a caller handles differently:
+of range) raises plain ``ValueError``. A scalar parameter (a tolerance, a
+threshold, a dataclass field) refuses nan, inf and -inf that way. An
+element-wise array kernel passes elements that are not finite through, and
+its docstring says so. The classes here mark the failures that a caller
+handles differently:
 
 - ``ConfigError``: a run configuration failed validation. The CLI exits 2
   and prints each of its ``diagnostics``.

@@ -252,8 +252,7 @@ def _parse_hom_fringe(fields, seed, diags):
 
 def _parse_demux(fields, seed, diags):
     from .components import PhaseShifterParams
-    from .photons import SourceModel
-    from .router import _photon_times, default_pulse_program
+    from .router import SourceModel, _photon_times, default_pulse_program
     n_frames, offset = fields.get("n_frames", 10), fields.get("train_offset_ns", 0.0)
     # An absent f_3db_ghz keeps the stock bandwidth; null means an instantaneous shifter.
     f_3db = fields.get("f_3db_ghz", PhaseShifterParams.f_3db_ghz)
@@ -277,13 +276,14 @@ def _parse_demux(fields, seed, diags):
 
 
 def _parse_distribution(fields, seed, diags):
-    from .mesh import MeshConfig, compose
     if (fields.get("unitary") is None) == (fields.get("mesh") is None):
         diags.append("give exactly one of 'unitary' and 'mesh'")
     u = _object(fields, diags, "unitary", _passive_matrix)
-    mesh = _object(fields, diags, "mesh", MeshConfig.from_json_dict)
-    if mesh is not None:
-        u = compose(mesh)
+    if fields.get("mesh") is not None:
+        from .mesh import MeshConfig, compose
+        mesh = _object(fields, diags, "mesh", MeshConfig.from_json_dict)
+        if mesh is not None:
+            u = compose(mesh)
     modes = fields.get("input_modes")
     if not (isinstance(modes, list) and len(modes) in (1, 2)
             and all(is_integer(m) and m >= 0 for m in modes)):

@@ -48,7 +48,13 @@ COMPLIANCE_VOLTS = 10.0
 
 
 def wrap_phase(value: float) -> float:
-    """Canonical representative of a phase in [0, 2 pi)."""
+    """Canonical representative of a phase in [0, 2 pi).
+
+    Raises:
+        ValueError: for a phase that is not finite.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"phase must be finite, got {value}")
     wrapped = float(value) % _TWO_PI
     if _TWO_PI - wrapped < 1e-12:
         wrapped = 0.0

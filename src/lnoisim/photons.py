@@ -23,7 +23,6 @@ from .errors import FitError
 
 __all__ = [
     "PhotonDistribution",
-    "SourceModel",
     "fit_hom_visibility",
     "fit_hom_visibility_poisson",
     "fringe_contrast_from_overlap",
@@ -36,21 +35,6 @@ __all__ = [
 
 #: Pairwise overlap of two photons from the quantum-dot source, hom-fringe's default.
 SOURCE_OVERLAP = 0.945
-
-
-@dataclass(frozen=True)
-class SourceModel:
-    """Triggered single-photon source feeding the processor.
-
-    Attributes:
-        repetition_period_ns: pulse-to-pulse separation.
-    """
-
-    repetition_period_ns: float = 13.8
-
-    def __post_init__(self):
-        if not (math.isfinite(self.repetition_period_ns) and self.repetition_period_ns > 0):
-            raise ValueError("repetition_period_ns must be positive and finite")
 
 
 #: Probability sums within this tolerance of one count as normalized.

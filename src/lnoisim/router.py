@@ -28,11 +28,11 @@ from .components import (
     eom_slot_response,
     phase_from_voltage,
 )
-from .photons import SourceModel
 
 __all__ = [
     "PulseProgram",
     "SWITCH_CHANNELS",
+    "SourceModel",
     "SwitchMetrics",
     "TimeTrace",
     "default_pulse_program",
@@ -48,6 +48,21 @@ TIMING_TOLERANCE_NS = 1e-9
 
 #: The channel driving each switch: "A" the first layer, "B" both second-layer switches.
 SWITCH_CHANNELS = ("A", "B", "B")
+
+
+@dataclass(frozen=True)
+class SourceModel:
+    """Triggered single-photon source feeding the processor.
+
+    Attributes:
+        repetition_period_ns: pulse-to-pulse separation.
+    """
+
+    repetition_period_ns: float = 13.8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.repetition_period_ns) and self.repetition_period_ns > 0):
+            raise ValueError("repetition_period_ns must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -114,9 +114,7 @@ def tree_transmissions_by_matmul(cells, phases):
     input 1.  Port j's transmission is the power of column j.
     """
     m0, m1, m2 = (
-        mzi_by_matmul(
-            c.coupler_in.effective_ratio, c.coupler_out.effective_ratio, c.insertion_loss_db, ph
-        )
+        mzi_by_matmul(0.5 + c.coupler_imbalance, 0.5, c.insertion_loss_db, ph)
         for c, ph in zip(cells, phases, strict=True)
     )
     first = np.eye(4, dtype=complex)

@@ -9,17 +9,14 @@ from hypothesis.extra import numpy as hnp
 
 from lnoisim import (
     EXTINCTION_CAP_DB,
-    CouplerParams,
     GratingSpectrum,
     MZIParams,
     PhaseShifterParams,
-    coupler_matrix,
     eom_response,
     eom_s21_db,
     eom_slot_response,
     estimate_mzi_loss_from_demux,
     extinction_ratio_db,
-    imbalance_for_bar_leakage,
     is_unitary,
     mzi_transfer,
     phase_from_voltage,
@@ -93,22 +90,18 @@ def test_cell_parameters_that_are_not_finite_are_refused(make, match, value):
 # --- couplers and MZI cells -----------------------------------------------
 
 
-def test_coupler_matrix_unitary_and_balanced():
-    m = coupler_matrix(CouplerParams())
-    assert is_unitary(m)
-    assert abs(m[0, 0]) == pytest.approx(1 / math.sqrt(2))
-    assert abs(m[1, 0]) == pytest.approx(1 / math.sqrt(2))
-    # cross amplitude carries the i
-    assert m[0, 1] == pytest.approx(1j * abs(m[0, 1]))
-
-
 def test_coupler_imbalance_shifts_ratio():
-    c = CouplerParams(imbalance=0.1)
-    m = coupler_matrix(c)
-    assert is_unitary(m)
-    assert abs(m[0, 1]) ** 2 == pytest.approx(0.6)
-    with pytest.raises(ValueError):
-        CouplerParams(imbalance=0.6)
+    # 1/2 + 0.1 of the power crosses the input coupler; the output coupler is balanced.
+    cell = MZIParams(coupler_imbalance=0.1)
+    for phase in (0.0, 0.7, math.pi):
+        m = mzi_transfer(cell, phase)
+        assert is_unitary(m)
+        assert np.max(np.abs(m - mzi_by_matmul(0.6, 0.5, 0.0, phase))) <= 1e-14
+    # The cross state leaks 1/2 - sqrt(r (1 - r)) into the bar port.
+    assert abs(mzi_transfer(cell, 0.0)[0, 0]) ** 2 == pytest.approx(0.5 - math.sqrt(0.24))
+    for bad in (0.6, -0.6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="coupler_imbalance must lie in"):
+            MZIParams(coupler_imbalance=bad)
 
 
 def test_mzi_bar_power_follows_half_angle():
@@ -144,46 +137,35 @@ phase_arrays = hnp.arrays(
 )
 
 
-def cell_with(d_in, d_out, loss_db=0.0):
-    return MZIParams(
-        coupler_in=CouplerParams(imbalance=d_in),
-        coupler_out=CouplerParams(imbalance=d_out),
-        insertion_loss_db=loss_db,
-    )
-
-
 @settings(deadline=None)
-@given(imbalances, imbalances, st.floats(0.0, 30.0), phase_arrays)
-def test_batched_mzi_matches_matmul_oracle(d_in, d_out, loss_db, phases):
-    cell = cell_with(d_in, d_out, loss_db)
+@given(imbalances, st.floats(0.0, 30.0), phase_arrays)
+def test_batched_mzi_matches_matmul_oracle(d, loss_db, phases):
+    cell = MZIParams(coupler_imbalance=d, insertion_loss_db=loss_db)
     got = mzi_transfer(cell, phases)
     assert got.shape == phases.shape + (2, 2)
-    r_in, r_out = cell.coupler_in.effective_ratio, cell.coupler_out.effective_ratio
     for idx in np.ndindex(phases.shape):
-        want = mzi_by_matmul(r_in, r_out, loss_db, float(phases[idx]))
+        want = mzi_by_matmul(0.5 + d, 0.5, loss_db, float(phases[idx]))
         assert np.max(np.abs(got[idx] - want)) <= 1e-14
     scalar = float(phases.flat[0]) if phases.size else 0.3
-    want = mzi_by_matmul(r_in, r_out, loss_db, scalar)
+    want = mzi_by_matmul(0.5 + d, 0.5, loss_db, scalar)
     assert np.max(np.abs(mzi_transfer(cell, scalar) - want)) <= 1e-14
 
 
 @settings(deadline=None)
-@given(imbalances, imbalances, phase_arrays)
-def test_lossless_cell_conserves_power_at_every_phase(d_in, d_out, phases):
-    t = mzi_transfer(cell_with(d_in, d_out), phases)
+@given(imbalances, phase_arrays)
+def test_lossless_cell_conserves_power_at_every_phase(d, phases):
+    t = mzi_transfer(MZIParams(coupler_imbalance=d), phases)
     gram = np.conj(np.swapaxes(t, -1, -2)) @ t
     assert np.max(np.abs(gram - np.eye(2)), initial=0.0) <= 1e-14
 
 
 @settings(deadline=None, max_examples=25)
-@given(imbalances, imbalances, st.floats(0.0, 10.0))
-def test_closed_form_extinction_matches_dense_sweep(d_in, d_out, loss_db):
-    cell = cell_with(d_in, d_out, loss_db)
-    got = extinction_ratio_db(cell)
+@given(imbalances, st.floats(0.0, 10.0))
+def test_closed_form_extinction_matches_dense_sweep(d, loss_db):
+    got = extinction_ratio_db(MZIParams(coupler_imbalance=d, insertion_loss_db=loss_db))
     assume(got < 100.0)
-    r_in, r_out = cell.coupler_in.effective_ratio, cell.coupler_out.effective_ratio
     # 2000 phases put both extrema (0 and pi) on the grid
-    want = extinction_by_dense_sweep(lambda p: mzi_by_matmul(r_in, r_out, loss_db, p), n_phases=2000)
+    want = extinction_by_dense_sweep(lambda p: mzi_by_matmul(0.5 + d, 0.5, loss_db, p), n_phases=2000)
     assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -203,15 +185,14 @@ def test_extinction_matches_dense_sweep_oracle():
 
 def test_imbalance_inversions_round_trip():
     for leak in (1e-4, 1e-3, 10 ** (-2.1), 0.05):
-        delta = imbalance_for_bar_leakage(leak)
-        cell = MZIParams(coupler_in=CouplerParams(imbalance=delta))
+        cell = MZIParams.with_bar_leakage(leak)
         worst = min(abs(mzi_transfer(cell, p)[0, 0]) ** 2 for p in np.linspace(0, 2 * math.pi, 2001))
         assert worst == pytest.approx(leak, rel=1e-4)
     for er in (15.0, 21.0, 30.0):
         cell = MZIParams.with_extinction(er)
         assert extinction_ratio_db(cell) == pytest.approx(er, abs=1e-6)
-    with pytest.raises(ValueError):
-        imbalance_for_bar_leakage(0.7)
+    with pytest.raises(ValueError, match="leakage must lie in"):
+        MZIParams.with_bar_leakage(0.7)
     # 0 dB and below ask for a leakage of 1/2 or more.
     for er in (0.0, -3.0):
         with pytest.raises(ValueError, match="leakage must lie in"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lnoisim import (
-    CouplerParams,
     MZIParams,
     PhaseShifterParams,
     PulseProgram,
@@ -215,19 +214,12 @@ def test_input_transmissions_and_loss_recovery():
     assert np.allclose(t0, 1.0, atol=1e-12)
 
 
-# Couplers anywhere in their allowed range, effective ratios 0 to 1.
-any_coupler = st.builds(CouplerParams, imbalance=st.floats(-0.5, 0.5))
+# Input couplers anywhere in their allowed range, cross fractions 0 to 1.
+any_imbalance = st.floats(-0.5, 0.5)
 any_phase = st.floats(-100.0, 100.0)
-lossless_tree = st.lists(
-    st.builds(MZIParams, coupler_in=any_coupler, coupler_out=any_coupler), min_size=3, max_size=3
-)
+lossless_tree = st.lists(st.builds(MZIParams, coupler_imbalance=any_imbalance), min_size=3, max_size=3)
 lossy_tree = st.lists(
-    st.builds(
-        MZIParams,
-        coupler_in=any_coupler,
-        coupler_out=any_coupler,
-        insertion_loss_db=st.floats(0.0, 30.0),
-    ),
+    st.builds(MZIParams, coupler_imbalance=any_imbalance, insertion_loss_db=st.floats(0.0, 30.0)),
     min_size=3,
     max_size=3,
 )
@@ -279,8 +271,7 @@ tree_cells = st.builds(
             st.just(math.inf), st.floats(0.5, 8.0), st.floats(-9.0, 308.0).map(lambda e: 10.0**e)
         ),
     ),
-    coupler_in=st.builds(CouplerParams, imbalance=st.floats(-0.2, 0.2)),
-    coupler_out=st.builds(CouplerParams, imbalance=st.floats(-0.2, 0.2)),
+    coupler_imbalance=st.floats(-0.2, 0.2),
     insertion_loss_db=st.floats(0.0, 3.0),
 )
 
@@ -296,9 +287,7 @@ def demux_by_oracles(tree, period, n_frames, offset, errors):
         volts = pole_response_by_photon_loop(levels, period, shifter.f_3db_ghz, times)
         phases[s] = math.pi * volts / shifter.v_pi_volts + errors[s]
     transfers = [
-        lambda p, c=cell: mzi_by_matmul(
-            c.coupler_in.effective_ratio, c.coupler_out.effective_ratio, c.insertion_loss_db, p
-        )
+        lambda p, c=cell: mzi_by_matmul(0.5 + c.coupler_imbalance, 0.5, c.insertion_loss_db, p)
         for cell in tree
     ]
     return times, demux_by_photon_loop(transfers, phases)

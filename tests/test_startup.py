@@ -44,6 +44,8 @@ def test_front_end_alone_loads_no_numpy(argv):
 @pytest.mark.parametrize("argv, config, unloaded", [
     (["validate"], "readme-loss-budget.json", {"mesh", "photons", "reconstruct", "router"}),
     (["hom-fringe", "--quiet"], "readme-hom-fringe.json", {"mesh", "reconstruct", "router", "budget"}),
+    (["demux", "--quiet"], "readme-demux.json", {"photons", "mesh", "reconstruct", "budget"}),
+    (["distribution", "--quiet"], "readme-distribution.json", {"mesh", "router", "reconstruct", "budget"}),
 ])
 def test_experiment_loads_only_the_modules_it_runs(tmp_path, argv, config, unloaded):
     args = [*argv, "--config", str(GOLDEN / config), "--output-dir", str(tmp_path)]

@@ -53,7 +53,6 @@ ALLOWED_DEFAULTS = {
     "default_pulse_program(samples_per_slot)": "benchmark: perfbench/switching.py passes it by name",
     "default_pulse_program(v_pi_volts)": "the config key demux.v_pi_volts",
     "fit_hom_visibility(sigma)": "benchmark: the weighted fringe fits of perfbench/switching.py and smoke.py",
-    "MZIParams.coupler_out": "nothing outside the tests yet; ROADMAP item 20 retires it",
     "GratingSpectrum.center_wavelength_nm": "the config key sweep.grating.center_wavelength_nm of loss-budget",
     "GratingSpectrum.peak_efficiency_db": "the config key sweep.grating.peak_efficiency_db of loss-budget",
     "GratingSpectrum.bandwidth_1db_nm": "the config key sweep.grating.bandwidth_1db_nm of loss-budget",
