@@ -2,9 +2,9 @@
 
 Each subcommand reads one JSON config, writes its artifacts into an output
 directory, and finishes with a ``manifest.json`` recording the tool
-version, the config digest, the seed, and a sha256 digest per artifact.  Nothing
-time-dependent is written, so a rerun with the same config and seed is
-byte-identical.
+version, the config digest, the config's seed, and a sha256 digest per
+artifact.  The config is a run's only input and nothing time-dependent is
+written, so a rerun with the same config is byte-identical.
 
 A run writes in commit order: it first removes ``manifest.json`` and every
 artifact it is about to write, then writes each artifact, then the
@@ -21,7 +21,8 @@ one attempt.
 
 This module is the front end: argparse, config loading and the writes.
 It imports only the standard library and ``errors``, so ``--version``,
-``--help`` and usage errors never load numpy.  The experiments, each a
+``--help`` and usage errors never load numpy, and it imports ``hashlib``
+and ``json`` only where a command needs them.  The experiments, each a
 config parse and a run, live in ``experiments``, which ``_execute``
 imports once argparse has accepted a command.
 """
@@ -30,8 +31,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -49,6 +48,7 @@ MANIFEST_SCHEMA_VERSION = 1
 
 
 def _dump_json(obj) -> bytes:
+    import json
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -86,6 +86,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def _load_config(path: str) -> tuple[dict, str]:
+    import hashlib
+    import json
     raw = Path(path).read_bytes()
     try:
         cfg = json.loads(raw)
@@ -97,6 +99,7 @@ def _load_config(path: str) -> tuple[dict, str]:
 
 
 def _execute(experiment: str, args) -> int:
+    import hashlib
     cfg, digest = _load_config(args.config)
     from .experiments import EXPERIMENTS, parse
 
@@ -106,8 +109,7 @@ def _execute(experiment: str, args) -> int:
             raise ConfigError(
                 [f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENTS)}"]
             )
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    parsed = parse(experiment, cfg, seed)
+    parsed = parse(experiment, cfg)
     if args.command == "validate":
         if not args.quiet:
             print(f"config ok: {experiment}")
@@ -130,7 +132,7 @@ def _execute(experiment: str, args) -> int:
         "tool_version": __version__,
         "experiment": experiment,
         "config_sha256": digest,
-        "seed": seed,
+        "seed": cfg.get("seed"),
         "outputs": digests,
     }
     _atomic_write(outdir / "manifest.json", _dump_json(manifest))
@@ -147,9 +149,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument(
         "--output-dir", default=".", help="directory for artifacts (default: cwd)"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the config's RNG seed"
     )
     parser.add_argument("--quiet", action="store_true", help="suppress the run summary")
 

@@ -122,8 +122,10 @@ class MZIParams:
     def with_extinction(
         cls, er_db: float, shifter: PhaseShifterParams | None = None, insertion_loss_db: float = 0.0
     ) -> "MZIParams":
-        """Cell whose bar-port extinction ratio equals ``er_db``: its leakage l
-        gives ``er_db = 10 log10((1 - l) / l)``."""
+        """Cell whose bar-port extinction ratio equals ``er_db``, at most
+        ``EXTINCTION_CAP_DB``: its leakage l gives ``er_db = 10 log10((1 - l) / l)``."""
+        if not er_db <= EXTINCTION_CAP_DB:
+            raise ValueError(f"extinction ratio must be at most {EXTINCTION_CAP_DB:g} dB, got {er_db}")
         return cls.with_bar_leakage(1.0 / (1.0 + 10.0 ** (er_db / 10.0)), shifter, insertion_loss_db)
 
 

@@ -218,7 +218,7 @@ def _switch_cell(diags, shifter, er_db, bar_leakage=None, **loss):
     return MZIParams(shifter=shifter, **loss)
 
 
-def _parse_hom_fringe(fields, seed, diags):
+def _parse_hom_fringe(fields, diags):
     from .components import PhaseShifterParams, phase_from_voltage
     from .photons import MIN_FRINGE_SPAN_RAD, SOURCE_OVERLAP
     start, stop = fields.get("voltage_start", 0.0), fields.get("voltage_stop", 9.0)
@@ -226,7 +226,7 @@ def _parse_hom_fringe(fields, seed, diags):
     floor, mean_counts = fields.get("accidental_floor", 0.0), fields.get("poisson_mean_counts")
     if not stop > start:
         diags.append("voltage_stop must exceed voltage_start")
-    if mean_counts is not None and seed is None:
+    if mean_counts is not None and fields["seed"] is None:
         diags.append("seed is required when poisson_mean_counts is set")
     # A passive cell's coincidence probability is at most 1, plus the floor.
     if mean_counts is not None and mean_counts * (1.0 + floor) > _POISSON_LAM_MAX:
@@ -247,10 +247,10 @@ def _parse_hom_fringe(fields, seed, diags):
     cell = _switch_cell(diags, shifter, fields.get("extinction_db"))
     overlap = fields.get("overlap", SOURCE_OVERLAP)
     sweep = (start, stop, n_points)
-    return cell, sweep, overlap, _given(fields, "accidental_floor"), mean_counts, seed
+    return cell, sweep, overlap, _given(fields, "accidental_floor"), mean_counts, fields["seed"]
 
 
-def _parse_demux(fields, seed, diags):
+def _parse_demux(fields, diags):
     from .components import PhaseShifterParams
     from .router import SourceModel, _photon_times, default_pulse_program
     n_frames, offset = fields.get("n_frames", 10), fields.get("train_offset_ns", 0.0)
@@ -275,7 +275,7 @@ def _parse_demux(fields, seed, diags):
     return (cell, cell, cell), program, source, n_frames, offset, _given(fields, "phase_errors_rad")
 
 
-def _parse_distribution(fields, seed, diags):
+def _parse_distribution(fields, diags):
     if (fields.get("unitary") is None) == (fields.get("mesh") is None):
         diags.append("give exactly one of 'unitary' and 'mesh'")
     u = _object(fields, diags, "unitary", _passive_matrix)
@@ -292,10 +292,13 @@ def _parse_distribution(fields, seed, diags):
         diags.append("two-photon input_modes must be distinct ports")
     elif u is not None and max(modes) >= u.shape[1]:
         diags.append(f"field 'input_modes': port {max(modes)} out of range for {u.shape[1]} inputs")
-    return u, modes, _given(fields, "overlap", "collision_free_only")
+    options = _given(fields, "overlap", "collision_free_only")
+    if isinstance(modes, list) and len(modes) == 1:
+        diags += [f"field {key!r} applies to two input modes only" for key in options]
+    return u, modes, options
 
 
-def _parse_mesh_decompose(fields, seed, diags):
+def _parse_mesh_decompose(fields, diags):
     from .mesh import decompose
     u = _object(fields, diags, "unitary", matrix_from_json_dict, required=True)
     if u is None:
@@ -303,14 +306,14 @@ def _parse_mesh_decompose(fields, seed, diags):
     return u, _build(diags, "field 'unitary'", decompose, u, **_given(fields, "tol"))
 
 
-def _parse_mesh_compose(fields, seed, diags):
+def _parse_mesh_compose(fields, diags):
     from .mesh import MeshConfig
     return _object(fields, diags, "mesh", MeshConfig.from_json_dict, required=True)
 
 
-def _parse_reconstruct(fields, seed, diags):
+def _parse_reconstruct(fields, diags):
     from .reconstruct import MeasuredStatistics, synthesize_statistics
-    if seed is None:
+    if fields["seed"] is None:
         diags.append("seed is required for reconstruction (random restarts)")
     if (fields.get("unitary") is None) == (fields.get("statistics") is None):
         diags.append("give exactly one of 'unitary' and 'statistics'")
@@ -319,7 +322,7 @@ def _parse_reconstruct(fields, seed, diags):
     if reference is not None:
         options = _given(fields, "overlap")
         stats = _build(diags, "field 'unitary'", synthesize_statistics, reference, **options)
-    return stats, reference, seed, _given(fields, "overlap", "n_restarts")
+    return stats, reference, fields["seed"], _given(fields, "overlap", "n_restarts")
 
 
 def _grating_spectrum(data):
@@ -330,7 +333,7 @@ def _grating_spectrum(data):
     return GratingSpectrum(**data)
 
 
-def _parse_loss_budget(fields, seed, diags):
+def _parse_loss_budget(fields, diags):
     from .budget import BudgetEntry, LossBudget
     entries = fields.get("entries")
     if not (isinstance(entries, list) and entries):
@@ -428,17 +431,9 @@ def _run_distribution(parsed):
     u, modes, options = parsed
     if len(modes) == 1:
         dist = nphoton_collision_free_distribution(u, modes)
-        payload = {
-            "input_modes": modes,
-            "outputs": [
-                {"port": port, "p": float(p)}
-                for (port,), p in zip(dist.patterns, dist.probabilities)
-            ],
-        }
     else:
         dist = two_photon_distribution(u, (min(modes), max(modes)), **options)
-        payload = dist.to_json_dict()
-    outputs = {"distribution.json": _dump_json(payload)}
+    outputs = {"distribution.json": _dump_json(dist.to_json_dict())}
     return outputs, [f"total probability: {dist.total:.9f}"]
 
 
@@ -559,7 +554,7 @@ EXPERIMENTS = {
 }
 
 
-def parse(experiment, cfg, seed):
+def parse(experiment, cfg):
     """The parsed inputs of ``experiment``, or ConfigError with every diagnostic."""
     diags: list[str] = []
     version = cfg.get("schema_version")
@@ -570,7 +565,9 @@ def parse(experiment, cfg, seed):
         diags.append(f"config experiment {declared!r} does not match command {experiment!r}")
         raise ConfigError(diags)
     fields = _read(cfg, {**COMMON_FIELDS, **FIELDS[experiment]}, diags)
-    parsed = EXPERIMENTS[experiment][0](fields, seed, diags)
+    # A refused seed has a diagnostic of its own, and still counts as given.
+    fields.setdefault("seed", cfg.get("seed"))
+    parsed = EXPERIMENTS[experiment][0](fields, diags)
     if diags:
         raise ConfigError(diags)
     return parsed

@@ -17,10 +17,12 @@ from hypothesis.extra import numpy as hnp
 import lnoisim
 from lnoisim import (
     MeasuredStatistics,
+    PhotonDistribution,
     compose,
     decompose,
     haar_random_unitary,
     matrix_distance,
+    nphoton_collision_free_distribution,
     synthesize_statistics,
 )
 from lnoisim import cli
@@ -66,7 +68,7 @@ def test_parser_accepts_all_subcommands():
     parser = build_parser()
     for argv in (
         ["hom-fringe", "--config", "c.json"],
-        ["demux", "--config", "c.json", "--seed", "3"],
+        ["demux", "--config", "c.json"],
         ["distribution", "--config", "c.json"],
         ["reconstruct", "--config", "c.json"],
         ["loss-budget", "--config", "c.json", "--output-dir", "out"],
@@ -76,6 +78,14 @@ def test_parser_accepts_all_subcommands():
     ):
         args = parser.parse_args(argv)
         assert args.config == "c.json"
+
+
+def test_seed_is_a_config_key_not_a_flag(capsys):
+    # A run's seed is the config's "seed"; there is no flag to override it.
+    with pytest.raises(SystemExit) as exc:
+        main(["demux", "--config", "c.json", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_matrix_json_helpers_round_trip():
@@ -384,9 +394,13 @@ def test_distribution_single_photon(tmp_path):
     out = tmp_path / "out"
     assert run(["distribution", "--config", cfg, "--output-dir", str(out)]) == 0
     payload = read_json(out / "distribution.json")
-    got = {entry["port"]: entry["p"] for entry in payload["outputs"]}
+    got = {entry["pattern"][0]: entry["p"] for entry in payload["outputs"]}
     for port in range(4):
         assert got[port] == pytest.approx(abs(u[port, 2]) ** 2, abs=1e-12)
+    # One photon writes the schema that two photons write.
+    dist = nphoton_collision_free_distribution(u, [2])
+    assert payload == dist.to_json_dict()
+    assert PhotonDistribution.from_json_dict(payload).to_json_dict() == payload
 
 
 def test_distribution_two_photon_from_mesh(tmp_path):
@@ -478,7 +492,7 @@ def test_reconstruct_from_reference_unitary(tmp_path):
     assert read_json(out / "manifest.json")["seed"] == 0
 
 
-def test_seed_flag_overrides_config(tmp_path, capsys):
+def test_quiet_does_not_carry_over_between_calls(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         "fringe.json",
@@ -492,14 +506,12 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     )
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert run(["hom-fringe", "--config", cfg, "--output-dir", str(out_a), "--seed", "2"]) == 0
+    assert run(["hom-fringe", "--config", cfg, "--output-dir", str(out_a)]) == 0
     assert capsys.readouterr().out == ""
-    # The parser is built once per process: neither flag may carry over.
+    # The parser is built once per process: --quiet may not carry over.
     assert main(["hom-fringe", "--config", cfg, "--output-dir", str(out_b)]) == 0
     assert "visibility:" in capsys.readouterr().out
-    assert read_json(out_a / "manifest.json")["seed"] == 2
-    assert read_json(out_b / "manifest.json")["seed"] == 1
-    assert (out_a / "fringe.csv").read_bytes() != (out_b / "fringe.csv").read_bytes()
+    assert (out_a / "fringe.csv").read_bytes() == (out_b / "fringe.csv").read_bytes()
 
 
 def test_loss_budget_with_wavelength_sweep(tmp_path):
@@ -1052,6 +1064,19 @@ _REJECTED = {
     "compose-fractional-cell-modes": (["mesh", "compose"], _compose_with_mesh(
         _set(("cells", 0, "modes"), [0.5, 1.5])
     ), "field 'mesh': cell modes must be integers, got [0.5, 1.5]"),
+    "demux-extinction-past-the-cap": (["demux"], {
+        "schema_version": 1, "experiment": "demux", "extinction_db": 4000,
+    }, "field 'extinction_db': extinction ratio must be at most 300 dB, got 4000"),
+    "hom-fringe-extinction-past-the-cap": (["hom-fringe"], {
+        "schema_version": 1, "experiment": "hom-fringe", "extinction_db": 4000,
+    }, "field 'extinction_db': extinction ratio must be at most 300 dB, got 4000"),
+    "distribution-one-photon-overlap": (["distribution"], {
+        **_with_unitary("distribution", lambda u: None), "input_modes": [1], "overlap": 0.5,
+    }, "field 'overlap' applies to two input modes only"),
+    "distribution-one-photon-collision-free-only": (["distribution"], {
+        **_with_unitary("distribution", lambda u: None), "input_modes": [0],
+        "collision_free_only": False,
+    }, "field 'collision_free_only' applies to two input modes only"),
     "poisson-fringe-without-seed": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "poisson_mean_counts": 500,
     }, "seed is required when poisson_mean_counts is set"),
@@ -1146,11 +1171,26 @@ def test_validate_rejects_what_the_run_rejects(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["poisson-fringe-without-seed", "reconstruct-without-seed"])
-def test_validate_seed_flag_supplies_the_seed(tmp_path, case):
+def test_config_seed_supplies_the_seed(tmp_path, case):
     argv, payload, _ = _REJECTED[case]
-    cfg = write_config(tmp_path, "cfg.json", payload)
-    assert run(["validate", "--config", cfg, "--seed", "3"]) == 0
-    assert run([*argv, "--config", cfg, "--output-dir", str(tmp_path / "out"), "--seed", "3"]) == 0
+    cfg = write_config(tmp_path, "cfg.json", {**payload, "seed": 3})
+    assert run(["validate", "--config", cfg]) == 0
+    assert run([*argv, "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert read_json(tmp_path / "out" / "manifest.json")["seed"] == 3
+
+
+@pytest.mark.parametrize("case", ["poisson-fringe-without-seed", "reconstruct-without-seed"])
+@pytest.mark.parametrize("seed, diagnostic", [
+    (-1, "field 'seed' must be >= 0"), ("x", "field 'seed' must be an integer"),
+    (1.5, "field 'seed' must be an integer"),
+], ids=["negative", "string", "fraction"])
+def test_a_refused_seed_is_not_also_missing(tmp_path, capsys, case, seed, diagnostic):
+    # A seed the config gives counts as given: only its own diagnostic is printed.
+    argv, payload, _ = _REJECTED[case]
+    cfg = write_config(tmp_path, "cfg.json", {**payload, "seed": seed})
+    assert main(["validate", "--config", cfg]) == 2
+    assert run([*argv, "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {diagnostic}\n" * 2
 
 
 def _paths(node, prefix=()):

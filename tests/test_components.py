@@ -87,6 +87,14 @@ def test_cell_parameters_that_are_not_finite_are_refused(make, match, value):
         make(value)
 
 
+@pytest.mark.parametrize("er_db", [400.0, 4000.0, math.inf, math.nan])
+def test_extinction_past_the_cap_is_refused(er_db):
+    # 4000 dB once overflowed 10 ** (er_db / 10), and inf gave an ideal cell.
+    with pytest.raises(ValueError, match="extinction ratio must be at most 300 dB"):
+        MZIParams.with_extinction(er_db)
+    assert extinction_ratio_db(MZIParams.with_extinction(EXTINCTION_CAP_DB)) > 299.0
+
+
 # --- couplers and MZI cells -----------------------------------------------
 
 

@@ -1,8 +1,10 @@
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
+from lnoisim.cli import _add_common_arguments
 from lnoisim.experiments import COMMON_FIELDS, FIELDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -38,3 +40,13 @@ def test_readme_key_table_lists_the_declared_keys():
     assert listed == {(experiment, key) for experiment, keys in FIELDS.items() for key in keys}
     common = next(line for line in lines[:start] if line.startswith("Every config carries"))
     assert set(COMMON_FIELDS) <= set(_names(common + lines[lines.index(common) + 1]))
+
+
+def test_readme_usage_line_names_the_declared_flags():
+    # A flag the CLI retires cannot linger in the usage line, nor a new one go unlisted.
+    usage = next(line for line in README.read_text(encoding="utf-8").splitlines()
+                 if line.startswith("lnoisim <experiment> "))
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_common_arguments(parser)
+    declared = {flag for action in parser._actions for flag in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == declared

@@ -12,15 +12,19 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "configs"
 
 # Runs `python -m lnoisim ARGS` through runpy, then prints the exit code,
-# the lnoisim modules loaded and whether numpy is loaded.
+# the lnoisim modules loaded and whether numpy, hashlib and json are loaded,
+# all read before the probe imports json itself.
 CLI_PROBE = """
-import json, runpy, sys
+import runpy, sys
 sys.argv[0] = "lnoisim"
 try:
     runpy.run_module("lnoisim", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lnoisim")), "numpy" in sys.modules]))
+loaded = set(sys.modules)
+import json
+print(json.dumps([code, sorted(m for m in loaded if m.startswith("lnoisim")),
+                  *(name in loaded for name in ("numpy", "hashlib", "json"))]))
 """
 
 
@@ -35,10 +39,10 @@ def _fresh_python(code, *args):
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["demux"]])
 def test_front_end_alone_loads_no_numpy(argv):
     # `demux` without --config is an argparse usage error: exit 2.
-    code, modules, numpy_loaded = _fresh_python(CLI_PROBE, *argv)
+    code, modules, numpy_loaded, hashlib_loaded, json_loaded = _fresh_python(CLI_PROBE, *argv)
     assert code == (2 if argv == ["demux"] else 0)
     assert modules == ["lnoisim", "lnoisim.cli", "lnoisim.errors"]
-    assert not numpy_loaded
+    assert not (numpy_loaded or hashlib_loaded or json_loaded)
 
 
 @pytest.mark.parametrize("argv, config, unloaded", [
@@ -49,7 +53,7 @@ def test_front_end_alone_loads_no_numpy(argv):
 ])
 def test_experiment_loads_only_the_modules_it_runs(tmp_path, argv, config, unloaded):
     args = [*argv, "--config", str(GOLDEN / config), "--output-dir", str(tmp_path)]
-    code, modules, _ = _fresh_python(CLI_PROBE, *args)
+    code, modules, *_ = _fresh_python(CLI_PROBE, *args)
     assert code == 0
     assert "lnoisim.experiments" in modules
     assert not {f"lnoisim.{name}" for name in unloaded} & set(modules)

@@ -9,6 +9,11 @@ there, must be given a value other than its default in the same pass,
 unless ALLOWED_DEFAULTS names it with what sets it.  A name or an option
 that nothing uses is deleted, not listed.
 
+The same pass records the first call of each of those functions and
+dataclasses.  Replayed with nan, inf or -inf in one parameter annotated
+``float`` at a time, each call must raise ``ValueError``, unless PROPAGATES
+names the parameter with the reason it lets the value through.
+
 An exception class has no public methods for that pass to see, so each
 one must instead be caught by name somewhere in the package or carry data
 of its own.
@@ -18,9 +23,12 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lnoisim
@@ -60,6 +68,18 @@ ALLOWED_DEFAULTS = {
 }
 
 
+#: Parameters, ``function(name)``, and dataclass fields, ``Class.name``,
+#: annotated ``float`` that let nan or an infinity through, and why.
+PROPAGATES = {
+    "phase_from_voltage(volts)": "element-wise kernel: a non-finite voltage is a non-finite phase",
+    "mzi_transfer(phase_rad)": "element-wise kernel: a non-finite phase gives a nan matrix",
+    "PhaseShifterParams.f_3db_ghz": "math.inf models an instantaneous shifter",
+    "SwitchMetrics.average_probability": "a result that switch_metrics builds from a checked trace",
+    "SwitchMetrics.suppression_db": "a result: perfect routing reports -inf",
+    "ReconstructionResult.cost": "a result that reconstruct_unitary builds from its best fit",
+}
+
+
 def _public_modules():
     modules = [importlib.import_module(f"lnoisim.{name}") for name in lnoisim._SUBMODULES]
     return modules + [lnoisim.cli, lnoisim.experiments]
@@ -87,24 +107,44 @@ def _public_functions():
     return found
 
 
-def _defaulted_options():
-    """{code object: [(option name, parameter, default)]} for each defaulted
-    parameter of a public function and each defaulted field of an ``__all__``
-    dataclass, read from the generated ``__init__``."""
-    callables = {f"{name}({{}})": func for name, func in _public_functions().items()}
+def _callables():
+    """(name pattern, callable, function) for each public function, called
+    directly, and each ``__all__`` dataclass, called through its class and
+    read from its generated ``__init__``."""
+    found = [(f"{name}({{}})", func, func) for name, func in _public_functions().items()]
     for module in _public_modules():
         for name in module.__all__:
             obj = getattr(module, name)
             if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
-                callables[f"{name}.{{}}"] = obj.__init__
-    options = {}
-    for pattern, func in callables.items():
-        options[func.__code__] = [
+                found.append((f"{name}.{{}}", obj, obj.__init__))
+    return found
+
+
+def _defaulted_options():
+    """{code object: [(option name, parameter, default)]} for each defaulted
+    parameter of a public function and each defaulted field of an ``__all__``
+    dataclass."""
+    return {
+        func.__code__: [
             (pattern.format(param.name), param.name, param.default)
             for param in inspect.signature(func).parameters.values()
             if param.default is not param.empty
         ]
-    return options
+        for pattern, _, func in _callables()
+    }
+
+
+def _replayable():
+    """{code object: (name pattern, callable, float parameters)} for each of
+    ``_callables``; a parameter counts as float if its annotation is
+    ``float``, alone or in a union."""
+    return {
+        func.__code__: (pattern, target, [
+            param.name for param in inspect.signature(target).parameters.values()
+            if "float" in {part.strip() for part in str(param.annotation).split("|")}
+        ])
+        for pattern, target, func in _callables()
+    }
 
 
 def _differs(value, default) -> bool:
@@ -121,10 +161,10 @@ def _differs(value, default) -> bool:
 @pytest.fixture(scope="module")
 def profiled_pass(tmp_path_factory):
     """One run of the golden configs and README blocks under ``sys.setprofile``:
-    the code objects it calls, and the options it gives a value other than
-    their default."""
-    reached, set_options = set(), set()
-    options = _defaulted_options()
+    the code objects it calls, the options it gives a value other than their
+    default, and the arguments of the first call of each replayable code object."""
+    reached, set_options, first_calls = set(), set(), {}
+    options, replayable = _defaulted_options(), _replayable()
 
     def profile(frame, event, arg):
         if event == "call":
@@ -132,6 +172,11 @@ def profiled_pass(tmp_path_factory):
             for option, param, default in options.get(frame.f_code, ()):
                 if _differs(frame.f_locals[param], default):
                     set_options.add(option)
+            if frame.f_code in replayable and frame.f_code not in first_calls:
+                target = replayable[frame.f_code][1]
+                first_calls[frame.f_code] = {
+                    name: frame.f_locals[name] for name in inspect.signature(target).parameters
+                }
 
     sys.setprofile(profile)
     try:
@@ -140,12 +185,12 @@ def profiled_pass(tmp_path_factory):
             exec(compile(block, f"README.md python block {index}", "exec"), {})
     finally:
         sys.setprofile(None)
-    return reached, set_options
+    return reached, set_options, first_calls
 
 
 def test_every_public_function_is_used(profiled_pass):
     public = _public_functions()
-    reached, _ = profiled_pass
+    reached, *_ = profiled_pass
     unused = sorted(
         name for name, func in public.items() if func.__code__ not in reached and name not in ALLOWED
     )
@@ -157,7 +202,7 @@ def test_every_public_function_is_used(profiled_pass):
 
 
 def test_every_option_is_set(profiled_pass):
-    _, set_options = profiled_pass
+    _, set_options, _ = profiled_pass
     options = {option for entries in _defaulted_options().values() for option, _, _ in entries}
     unset = sorted(options - set_options - set(ALLOWED_DEFAULTS))
     assert not unset, f"options no golden config or README block sets: {unset}"
@@ -165,6 +210,32 @@ def test_every_option_is_set(profiled_pass):
     assert not gone, f"ALLOWED_DEFAULTS names what is no longer a defaulted option: {gone}"
     set_anyway = sorted(set(ALLOWED_DEFAULTS) & set_options)
     assert not set_anyway, f"ALLOWED_DEFAULTS names what a golden config or README block sets: {set_anyway}"
+
+
+def _refuses(target, args) -> bool:
+    try:
+        target(**args)
+    except ValueError:
+        return True
+    return False
+
+
+def test_float_parameters_refuse_values_that_are_not_finite(profiled_pass):
+    *_, first_calls = profiled_pass
+    replayable = _replayable()
+    let_through = set()
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for code, args in first_calls.items():
+            pattern, target, floats = replayable[code]
+            for param in floats:
+                if not all(_refuses(target, {**args, param: value})
+                           for value in (math.nan, math.inf, -math.inf)):
+                    let_through.add(pattern.format(param))
+    accepted = sorted(let_through - set(PROPAGATES))
+    assert not accepted, f"float parameters that accept nan or an infinity: {accepted}"
+    stale = sorted(set(PROPAGATES) - let_through)
+    assert not stale, f"PROPAGATES names what refuses them all or is no longer replayed: {stale}"
 
 
 def _caught_names():
