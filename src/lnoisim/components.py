@@ -18,12 +18,19 @@ Building and calibrating a cell needs only the standard library.  Numpy
 is imported inside the array kernels alone: :func:`mzi_transfer` and its
 column helper, :func:`eom_response`,
 :func:`eom_slot_response` and :func:`eom_s21_db`.
+
+A cell built without a shifter shares one stock ``PhaseShifterParams()``.
+A calibration (:meth:`MZIParams.with_extinction`, :func:`extinction_ratio_db`,
+:func:`demux_input_transmissions`, :func:`estimate_mzi_loss_from_demux`)
+therefore builds the cell and no shifter; the tree's transmissions are
+straight-line scalar code, and the loss estimate is one pass over the
+named inputs, with no copy of the tree, generator or dict per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -76,18 +83,23 @@ class PhaseShifterParams:
             raise ValueError(f"f_3db_ghz must be positive, got {self.f_3db_ghz}")
 
 
+#: The shifter of every cell built without one; frozen, so one instance serves them all.
+_STOCK_SHIFTER = PhaseShifterParams()
+
+
 @dataclass(frozen=True)
 class MZIParams:
     """A 2x2 Mach-Zehnder switch cell: two couplers around one phase shifter.
 
     Attributes:
-        shifter: the phase shifter on the upper arm.
+        shifter: the phase shifter on the upper arm; a cell built without
+            one shares the module's stock ``PhaseShifterParams()``.
         coupler_imbalance: the input coupler's cross-coupled power fraction
             is 1/2 plus this, in [0, 1]; the output coupler is balanced.
         insertion_loss_db: loss of the whole cell, shared by both paths.
     """
 
-    shifter: PhaseShifterParams = field(default_factory=PhaseShifterParams)
+    shifter: PhaseShifterParams = _STOCK_SHIFTER
     coupler_imbalance: float = 0.0
     insertion_loss_db: float = 0.0
 
@@ -100,7 +112,7 @@ class MZIParams:
 
     @classmethod
     def ideal(cls, shifter: PhaseShifterParams | None = None) -> "MZIParams":
-        return cls(shifter=shifter or PhaseShifterParams())
+        return cls(shifter or _STOCK_SHIFTER)
 
     @classmethod
     def with_bar_leakage(
@@ -116,17 +128,24 @@ class MZIParams:
         if not (0.0 <= leakage < 0.5):
             raise ValueError(f"leakage must lie in [0, 0.5), got {leakage}")
         delta = math.sqrt(leakage * (1.0 - leakage))
-        return cls(shifter or PhaseShifterParams(), delta, insertion_loss_db)
+        return cls(shifter or _STOCK_SHIFTER, delta, insertion_loss_db)
 
     @classmethod
     def with_extinction(
         cls, er_db: float, shifter: PhaseShifterParams | None = None, insertion_loss_db: float = 0.0
     ) -> "MZIParams":
-        """Cell whose bar-port extinction ratio equals ``er_db``, at most
-        ``EXTINCTION_CAP_DB``: its leakage l gives ``er_db = 10 log10((1 - l) / l)``."""
-        if not er_db <= EXTINCTION_CAP_DB:
-            raise ValueError(f"extinction ratio must be at most {EXTINCTION_CAP_DB:g} dB, got {er_db}")
-        return cls.with_bar_leakage(1.0 / (1.0 + 10.0 ** (er_db / 10.0)), shifter, insertion_loss_db)
+        """Cell whose bar-port extinction ratio equals ``er_db``, in
+        (0, ``EXTINCTION_CAP_DB``]: its leakage l gives ``er_db = 10 log10((1 - l) / l)``.
+
+        It is the :meth:`with_bar_leakage` cell of that l, bit for bit.
+        Below about 1.45e-15 dB l rounds to 1/2, which that method refuses;
+        the cell is then the fully crossed one, at 0 dB.
+        """
+        # Written so that nan fails it.
+        if not 0.0 < er_db <= EXTINCTION_CAP_DB:
+            raise ValueError(f"extinction ratio must lie in (0, {EXTINCTION_CAP_DB:g}] dB, got {er_db}")
+        leakage = 1.0 / (1.0 + 10.0 ** (er_db / 10.0))
+        return cls(shifter or _STOCK_SHIFTER, math.sqrt(leakage * (1.0 - leakage)), insertion_loss_db)
 
 
 def phase_from_voltage(p: PhaseShifterParams, volts: float | np.ndarray) -> float | np.ndarray:
@@ -335,16 +354,19 @@ def demux_input_transmissions(
     Switch 0 is held at phase_0 = pi/2; the phases of switches 1 and 2
     drop out, and a lossless tree gives exactly 1 on every port.
     """
-    tree = list(tree)
-    if len(tree) != N_TREE_SWITCHES:
-        raise ValueError(f"tree needs exactly {N_TREE_SWITCHES} switches")
-    r1, r2 = 0.5 + tree[0].coupler_imbalance, 0.5
+    try:
+        m0, m1, m2 = tree
+    except ValueError:
+        raise ValueError(f"tree needs exactly {N_TREE_SWITCHES} switches") from None
+    r1, r2 = 0.5 + m0.coupler_imbalance, 0.5
     # Switch 0 at pi/2, whose float cosine is 6.1e-17, not 0.
     mix = 2.0 * math.sqrt(r1 * (1.0 - r1) * r2 * (1.0 - r2)) * math.cos(0.5 * math.pi)
     f0 = (1.0 - r1) * (1.0 - r2) + r1 * r2 - mix
-    l0, l1, l2 = (10.0 ** (-m.insertion_loss_db / 10.0) for m in tree)
-    internal = [l0 * (f * l1 + (1.0 - f) * l2) for f in (f0, 1.0 - f0)]
-    return (*internal, l1, l2), (2, 3), (0, 1)
+    f1 = 1.0 - f0
+    l0 = 10.0 ** (-m0.insertion_loss_db / 10.0)
+    l1 = 10.0 ** (-m1.insertion_loss_db / 10.0)
+    l2 = 10.0 ** (-m2.insertion_loss_db / 10.0)
+    return (l0 * (f0 * l1 + f1 * l2), l0 * (f1 * l1 + (1.0 - f1) * l2), l1, l2), (2, 3), (0, 1)
 
 
 def estimate_mzi_loss_from_demux(
@@ -366,18 +388,20 @@ def estimate_mzi_loss_from_demux(
     Returns:
         Per-MZI loss in positive dB.
     """
-    ext = list(external_inputs)
-    internal = list(internal_inputs)
+    # tuple() returns a tuple argument itself, as demux_input_transmissions gives.
+    ext = tuple(external_inputs)
+    internal = tuple(internal_inputs)
     if not ext or not internal:
         raise ValueError("need at least one external and one internal input")
-    if set(ext) & set(internal):
+    if not set(ext).isdisjoint(internal):
         raise ValueError("an input cannot be both external and internal")
-    db = {}
-    for idx in (*ext, *internal):
+    db = []
+    for idx in ext + internal:
         if not (0 <= idx < len(transmissions)):
             raise IndexError(f"input index {idx} out of range")
         value = float(transmissions[idx])
         if not (0.0 < value <= 1.0):
             raise ValueError(f"transmission at index {idx} must lie in (0, 1]")
-        db[idx] = 10.0 * math.log10(value)
-    return sum(db[i] for i in ext) / len(ext) - sum(db[i] for i in internal) / len(internal)
+        db.append(10.0 * math.log10(value))
+    n_ext = len(ext)
+    return sum(db[:n_ext]) / n_ext - sum(db[n_ext:]) / len(internal)

@@ -158,11 +158,13 @@ def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     phases folded back into Q so the distribution is exactly Haar.
 
     Args:
-        n: matrix order, at least 1.
-        seed: RNG seed; equal seeds give identical matrices.
+        n: matrix order, an integer of at least 1.
+        seed: integer RNG seed; equal seeds give identical matrices.
     """
-    if n < 1:
-        raise ValueError(f"unitary order must be >= 1, got {n}")
+    if not (is_integer(n) and n >= 1):
+        raise ValueError(f"unitary order must be an integer >= 1, got {n}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)

@@ -163,6 +163,8 @@ def clements_layout(n: int) -> list[tuple[int, int]]:
     Columns alternate between pairs starting at mode 0 and mode 1; the
     total count is n (n - 1) / 2.
     """
+    if not is_integer(n):
+        raise ValueError(f"mode count must be an integer, got {n}")
     pairs = []
     for col in range(n):
         for top in range(col % 2, n - 1, 2):

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import _levenberg_marquardt, as_complex_matrix, check_fields, finite_number_array
+from .core import _levenberg_marquardt, as_complex_matrix, check_fields, finite_number_array, is_integer
 from .errors import FitError
 from .mesh import MeshCell, MeshConfig, _mesh_product, clements_layout, compose, wrap_phase
 from .photons import PhotonDistribution, _coincidence, _probability_array, two_photon_distribution
@@ -233,10 +233,10 @@ def reconstruct_unitary(
 
     Args:
         measured: singles plus two-photon data covering every input pair.
-        seed: RNG seed for the restart sequence (results are deterministic
-            for a fixed seed).
+        seed: integer RNG seed for the restart sequence (results are
+            deterministic for a fixed seed).
         overlap: pairwise wave-packet overlap assumed by the model.
-        n_restarts: maximum number of random starts.
+        n_restarts: maximum number of random starts, an integer of at least 1.
 
     Raises:
         FitError: if no restart converges; the best attempt is
@@ -244,8 +244,10 @@ def reconstruct_unitary(
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be at least 1")
+    if not (is_integer(n_restarts) and n_restarts >= 1):
+        raise ValueError(f"n_restarts must be an integer of at least 1, got {n_restarts}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed}")
     n = measured.n_modes
     layout = clements_layout(n)
     half = len(layout)

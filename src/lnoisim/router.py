@@ -28,6 +28,7 @@ from .components import (
     eom_slot_response,
     phase_from_voltage,
 )
+from .core import is_integer
 
 __all__ = [
     "PulseProgram",
@@ -84,7 +85,7 @@ class PulseProgram:
     def __post_init__(self):
         if not (math.isfinite(self.slot_ns) and self.slot_ns > 0):
             raise ValueError(f"slot_ns must be positive and finite, got {self.slot_ns}")
-        if int(self.samples_per_slot) != self.samples_per_slot or self.samples_per_slot < 2:
+        if not (is_integer(self.samples_per_slot) and self.samples_per_slot >= 2):
             raise ValueError("samples_per_slot must be an integer of at least 2")
         object.__setattr__(self, "slot_ns", float(self.slot_ns))
         object.__setattr__(self, "samples_per_slot", int(self.samples_per_slot))
@@ -140,7 +141,7 @@ def default_pulse_program(
     """
     if repetition_period_ns <= 0:
         raise ValueError("repetition_period_ns must be positive")
-    if n_frames < 1 or samples_per_slot < 2:
+    if not (is_integer(n_frames) and n_frames >= 1) or samples_per_slot < 2:
         raise ValueError("need at least one frame and two samples per slot")
     levels = {
         "A": np.tile([v_pi_volts, v_pi_volts, 0.0, 0.0], n_frames),

@@ -1066,10 +1066,10 @@ _REJECTED = {
     ), "field 'mesh': cell modes must be integers, got [0.5, 1.5]"),
     "demux-extinction-past-the-cap": (["demux"], {
         "schema_version": 1, "experiment": "demux", "extinction_db": 4000,
-    }, "field 'extinction_db': extinction ratio must be at most 300 dB, got 4000"),
+    }, "field 'extinction_db': extinction ratio must lie in (0, 300] dB, got 4000"),
     "hom-fringe-extinction-past-the-cap": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "extinction_db": 4000,
-    }, "field 'extinction_db': extinction ratio must be at most 300 dB, got 4000"),
+    }, "field 'extinction_db': extinction ratio must lie in (0, 300] dB, got 4000"),
     "distribution-one-photon-overlap": (["distribution"], {
         **_with_unitary("distribution", lambda u: None), "input_modes": [1], "overlap": 0.5,
     }, "field 'overlap' applies to two input modes only"),

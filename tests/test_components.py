@@ -12,6 +12,7 @@ from lnoisim import (
     GratingSpectrum,
     MZIParams,
     PhaseShifterParams,
+    demux_input_transmissions,
     eom_response,
     eom_s21_db,
     eom_slot_response,
@@ -87,12 +88,39 @@ def test_cell_parameters_that_are_not_finite_are_refused(make, match, value):
         make(value)
 
 
+EXTINCTION_RANGE = r"extinction ratio must lie in \(0, 300\] dB, got "
+
+
 @pytest.mark.parametrize("er_db", [400.0, 4000.0, math.inf, math.nan])
 def test_extinction_past_the_cap_is_refused(er_db):
     # 4000 dB once overflowed 10 ** (er_db / 10), and inf gave an ideal cell.
-    with pytest.raises(ValueError, match="extinction ratio must be at most 300 dB"):
+    with pytest.raises(ValueError, match=EXTINCTION_RANGE):
         MZIParams.with_extinction(er_db)
     assert extinction_ratio_db(MZIParams.with_extinction(EXTINCTION_CAP_DB)) > 299.0
+
+
+@pytest.mark.parametrize("er_db", [0.0, -3.0, -math.inf])
+def test_extinction_of_0_db_and_below_is_refused(er_db):
+    # These once named the leakage they ask for, which the caller did not pass.
+    with pytest.raises(ValueError, match=EXTINCTION_RANGE):
+        MZIParams.with_extinction(er_db)
+
+
+@pytest.mark.parametrize("er_db", [5e-324, 1e-15, 1.4464911998299302e-15])
+def test_extinction_whose_leakage_rounds_to_one_half_is_the_crossed_cell(er_db):
+    cell = MZIParams.with_extinction(er_db)
+    assert cell.coupler_imbalance == 0.5
+    assert extinction_ratio_db(cell) == 0.0
+
+
+def test_a_cell_built_without_a_shifter_has_the_stock_one():
+    stock = MZIParams(shifter=PhaseShifterParams())
+    for cell in (MZIParams(), MZIParams.ideal(), MZIParams.with_bar_leakage(0.01),
+                 MZIParams.with_extinction(20.0)):
+        assert cell.shifter == PhaseShifterParams()
+        assert cell.shifter is MZIParams().shifter
+    assert MZIParams() == stock
+    assert MZIParams.with_extinction(20.0) == MZIParams.with_bar_leakage(1.0 / (1.0 + 10.0**2.0))
 
 
 # --- couplers and MZI cells -----------------------------------------------
@@ -203,7 +231,7 @@ def test_imbalance_inversions_round_trip():
         MZIParams.with_bar_leakage(0.7)
     # 0 dB and below ask for a leakage of 1/2 or more.
     for er in (0.0, -3.0):
-        with pytest.raises(ValueError, match="leakage must lie in"):
+        with pytest.raises(ValueError, match=EXTINCTION_RANGE):
             MZIParams.with_extinction(er)
 
 
@@ -414,3 +442,92 @@ def test_mzi_loss_estimator_validation():
         estimate_mzi_loss_from_demux([0.5, 0.5, 0.5, 0.5], (2, 5), (0, 1))
     with pytest.raises(ValueError):
         estimate_mzi_loss_from_demux([0.5, 0.5, 0.5, 0.5], (1, 2), (0, 1))
+
+
+def test_mzi_loss_estimator_averages_a_repeated_index():
+    # (2, 2) counts index 2 twice; the mean of one value is that value.
+    t = [0.5, 0.5, 0.7, 0.7]
+    d_int, d_ext = 10.0 * math.log10(0.5), 10.0 * math.log10(0.7)
+    assert estimate_mzi_loss_from_demux(t, (2, 2), (0, 1)) == (d_ext + d_ext) / 2 - (d_int + d_int) / 2
+    assert estimate_mzi_loss_from_demux(t, [2, 2, 3], (0,)) == (d_ext + d_ext + d_ext) / 3 - d_int
+
+
+def test_mzi_loss_estimator_takes_iterators():
+    t = [0.5, 0.6, 0.7, 0.8]
+    want = estimate_mzi_loss_from_demux(t, (2, 3), (0, 1))
+    assert estimate_mzi_loss_from_demux(t, (i for i in (2, 3)), iter([0, 1])) == want
+    assert estimate_mzi_loss_from_demux(tuple(t), [2, 3], range(2)) == want
+
+
+@pytest.mark.parametrize(
+    "external, internal, error, match",
+    [
+        ((), (9,), ValueError, "need at least one external and one internal input"),
+        ((9,), (), ValueError, "need at least one external and one internal input"),
+        ((9, 2), (0, 9), ValueError, "an input cannot be both external and internal"),
+        ((5, 2), (0, 1), IndexError, "input index 5 out of range"),
+        ((2, 5), (0, 1), ValueError, r"transmission at index 2 must lie in \(0, 1\]"),
+        ((3,), (9, 2), IndexError, "input index 9 out of range"),
+        ((3,), (2, 9), ValueError, r"transmission at index 2 must lie in \(0, 1\]"),
+        ((-1,), (0,), IndexError, "input index -1 out of range"),
+    ],
+)
+def test_mzi_loss_estimator_checks_in_argument_order(external, internal, error, match):
+    # Index 2 holds a transmission above 1: whichever bad input comes first is named.
+    with pytest.raises(error, match=match):
+        estimate_mzi_loss_from_demux([0.5, 0.5, 1.5, 0.5], external, internal)
+
+
+#: (extinction_ratio_db of cell 0, tree transmissions, loss estimate) of each
+#: tree, as exact reprs.  Any rewrite of the calibration formulas must keep them.
+CALIBRATION_GOLDEN = {
+    "lossless-ideal": (300.0, (1.0, 1.0, 1.0, 1.0), 0.0),
+    "lossless-20db": (20.0, (1.0, 1.0, 1.0, 1.0), 0.0),
+    "calibration-range": (
+        16.25,
+        (0.9388581918730973, 0.9388581918730973, 0.9689469499787371, 0.9689469499787371),
+        0.13699999999999993,
+    ),
+    "demux-extinction-range": (
+        27.500000000000004,
+        (0.6823386941416695, 0.6823386941416696, 0.8260379495771787, 0.8260379495771787),
+        0.8300000000000003,
+    ),
+    "demux-leakage-range": (
+        19.04719942329207,
+        (0.7550922276654339, 0.7550922276654339, 0.8689604292863018, 0.8689604292863018),
+        0.6099999999999997,
+    ),
+    "three-losses": (
+        30.16440692520927,
+        (0.7775335915429876, 0.7775335915429876, 0.7762471166286917, 0.8709635899560807),
+        0.24280839205794025,
+    ),
+}
+
+
+def calibration_trees():
+    """The trees of CALIBRATION_GOLDEN: a lossless one, one lossy cell in each
+    range the benchmark draws (calibration extinction 15-35 dB, demux
+    extinction 18-30 dB, demux bar leakage 0.003-0.02), and three cells of
+    different losses and couplers."""
+    return {
+        "lossless-ideal": [MZIParams()] * 3,
+        "lossless-20db": [MZIParams.with_extinction(20.0)] * 3,
+        "calibration-range": [MZIParams.with_extinction(16.25, insertion_loss_db=0.137)] * 3,
+        "demux-extinction-range": [MZIParams.with_extinction(27.5, insertion_loss_db=0.83)] * 3,
+        "demux-leakage-range": [MZIParams.with_bar_leakage(0.0123, insertion_loss_db=0.61)] * 3,
+        "three-losses": [
+            MZIParams(coupler_imbalance=0.031, insertion_loss_db=0.25),
+            MZIParams(coupler_imbalance=-0.07, insertion_loss_db=1.1),
+            MZIParams(coupler_imbalance=0.0, insertion_loss_db=0.6),
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATION_GOLDEN))
+def test_calibration_keeps_its_bits(name):
+    tree = calibration_trees()[name]
+    transmissions, external, internal = demux_input_transmissions(tree)
+    got = (extinction_ratio_db(tree[0]), transmissions, estimate_mzi_loss_from_demux(transmissions, external, internal))
+    assert repr(got) == repr(CALIBRATION_GOLDEN[name])

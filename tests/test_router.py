@@ -261,6 +261,16 @@ def test_input_transmissions_need_three_switches(n_switches):
         demux_input_transmissions([MZIParams()] * n_switches)
 
 
+def test_input_transmissions_take_a_tree_of_any_kind():
+    tree = [MZIParams.with_extinction(22.0, insertion_loss_db=0.3), MZIParams(), MZIParams(insertion_loss_db=0.9)]
+    want = demux_input_transmissions(tree)
+    assert demux_input_transmissions(tuple(tree)) == want
+    assert demux_input_transmissions(iter(tree)) == want
+    for n_switches in (0, 2, 4):
+        with pytest.raises(ValueError, match="tree needs exactly 3 switches"):
+            demux_input_transmissions((MZIParams(),) * n_switches)
+
+
 tree_cells = st.builds(
     MZIParams,
     shifter=st.builds(

@@ -11,8 +11,8 @@ that nothing uses is deleted, not listed.
 
 The same pass records the first call of each of those functions and
 dataclasses.  Replayed with nan, inf or -inf in one parameter annotated
-``float`` at a time, each call must raise ``ValueError``, unless PROPAGATES
-names the parameter with the reason it lets the value through.
+``float`` or ``int`` at a time, each call must raise ``ValueError``, unless
+PROPAGATES names the parameter with the reason it lets the value through.
 
 An exception class has no public methods for that pass to see, so each
 one must instead be caught by name somewhere in the package or carry data
@@ -60,6 +60,7 @@ ALLOWED_DEFAULTS = {
     "MZIParams.ideal(shifter)": "benchmark: perfbench/switching.py and perfbench/smoke.py",
     "default_pulse_program(samples_per_slot)": "benchmark: perfbench/switching.py passes it by name",
     "default_pulse_program(v_pi_volts)": "the config key demux.v_pi_volts",
+    "MZIParams.with_bar_leakage(insertion_loss_db)": "the config key demux.insertion_loss_db beside bar_leakage",
     "fit_hom_visibility(sigma)": "benchmark: the weighted fringe fits of perfbench/switching.py and smoke.py",
     "GratingSpectrum.center_wavelength_nm": "the config key sweep.grating.center_wavelength_nm of loss-budget",
     "GratingSpectrum.peak_efficiency_db": "the config key sweep.grating.peak_efficiency_db of loss-budget",
@@ -69,7 +70,7 @@ ALLOWED_DEFAULTS = {
 
 
 #: Parameters, ``function(name)``, and dataclass fields, ``Class.name``,
-#: annotated ``float`` that let nan or an infinity through, and why.
+#: annotated ``float`` or ``int`` that let nan or an infinity through, and why.
 PROPAGATES = {
     "phase_from_voltage(volts)": "element-wise kernel: a non-finite voltage is a non-finite phase",
     "mzi_transfer(phase_rad)": "element-wise kernel: a non-finite phase gives a nan matrix",
@@ -77,6 +78,8 @@ PROPAGATES = {
     "SwitchMetrics.average_probability": "a result that switch_metrics builds from a checked trace",
     "SwitchMetrics.suppression_db": "a result: perfect routing reports -inf",
     "ReconstructionResult.cost": "a result that reconstruct_unitary builds from its best fit",
+    "ReconstructionResult.n_restarts_used": "a result: reconstruct_unitary counts its own restarts",
+    "SwitchMetrics.n_frames": "a result that switch_metrics counts from a checked trace",
 }
 
 
@@ -135,13 +138,13 @@ def _defaulted_options():
 
 
 def _replayable():
-    """{code object: (name pattern, callable, float parameters)} for each of
-    ``_callables``; a parameter counts as float if its annotation is
-    ``float``, alone or in a union."""
+    """{code object: (name pattern, callable, numeric parameters)} for each of
+    ``_callables``; a parameter counts as numeric if its annotation is
+    ``float`` or ``int``, alone or in a union."""
     return {
         func.__code__: (pattern, target, [
             param.name for param in inspect.signature(target).parameters.values()
-            if "float" in {part.strip() for part in str(param.annotation).split("|")}
+            if {"float", "int"} & {part.strip() for part in str(param.annotation).split("|")}
         ])
         for pattern, target, func in _callables()
     }
@@ -220,20 +223,20 @@ def _refuses(target, args) -> bool:
     return False
 
 
-def test_float_parameters_refuse_values_that_are_not_finite(profiled_pass):
+def test_numeric_parameters_refuse_values_that_are_not_finite(profiled_pass):
     *_, first_calls = profiled_pass
     replayable = _replayable()
     let_through = set()
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         for code, args in first_calls.items():
-            pattern, target, floats = replayable[code]
-            for param in floats:
+            pattern, target, numeric = replayable[code]
+            for param in numeric:
                 if not all(_refuses(target, {**args, param: value})
                            for value in (math.nan, math.inf, -math.inf)):
                     let_through.add(pattern.format(param))
     accepted = sorted(let_through - set(PROPAGATES))
-    assert not accepted, f"float parameters that accept nan or an infinity: {accepted}"
+    assert not accepted, f"numeric parameters that accept nan or an infinity: {accepted}"
     stale = sorted(set(PROPAGATES) - let_through)
     assert not stale, f"PROPAGATES names what refuses them all or is no longer replayed: {stale}"
 
