@@ -202,34 +202,28 @@ class LeastSquaresFit(NamedTuple):
 def _levenberg_marquardt(
     fun_and_jac: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     x0: Sequence[float],
-    lower: Sequence[float] | None = None,
-    upper: Sequence[float] | None = None,
     tol: float = 1e-12,
     max_nfev: int = 1000,
 ) -> LeastSquaresFit:
-    """Minimize ``sum(r(x)**2)`` by Levenberg-Marquardt, optionally inside a box.
+    """Minimize ``sum(r(x)**2)`` by Levenberg-Marquardt.
 
     ``fun_and_jac(x)`` returns the residual vector r(x) and a callable that
     gives the Jacobian dr/dx at the same x; it is called only for accepted
     points.  Each step solves ``(J^T J + mu D) h = -J^T r`` with Marquardt's
     scaling D, the running maximum of diag(J^T J) (Moré 1978), floored at
     a millionth of its largest entry so that rounding noise in a column the
-    residuals barely see cannot drive the step.  A parameter on a bound
-    that the gradient pushes outward is held there; the step of the others
-    is clipped into ``[lower, upper]``.  The damping mu follows Nielsen's
-    update (Madsen, Nielsen & Tingleff 2004, eq. 3.16): after a step with
-    gain ratio rho > 0 it is multiplied by max(1/3, 1 - (2 rho - 1)^3);
-    after a rejected one by nu, which then doubles.  A damped system that
-    is singular in floating point counts as a rejected step.
+    residuals barely see cannot drive the step.  The damping mu follows
+    Nielsen's update (Madsen, Nielsen & Tingleff 2004, eq. 3.16): after a
+    step with gain ratio rho > 0 it is multiplied by
+    max(1/3, 1 - (2 rho - 1)^3); after a rejected one by nu, which then
+    doubles.  A damped system that is singular in floating point counts as
+    a rejected step.
 
     The iteration stops before evaluating a step with
     ``|h| <= tol (|x| + tol)``, after an accepted step that lowered the
     cost by at most ``tol`` of itself, or after ``max_nfev`` evaluations.
     """
     x = np.array(x0, dtype=float)
-    lo = np.full(x.shape, -np.inf) if lower is None else np.asarray(lower, dtype=float)
-    hi = np.full(x.shape, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    x = np.clip(x, lo, hi)
     r, jac = fun_and_jac(x)
     nfev = 1
     cost = float(r @ r)
@@ -241,18 +235,16 @@ def _levenberg_marquardt(
         grad = j.T @ r
         scale = np.maximum(scale, np.diagonal(normal))
         damping = mu * np.maximum(scale, _SCALE_FLOOR * (scale.max() or 1.0))
-        free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
-        step = np.zeros(x.size)
-        system = (normal + np.diag(damping))[np.ix_(free, free)]
         try:
-            step[free] = -np.linalg.solve(system, grad[free])
+            step = -np.linalg.solve(normal + np.diag(damping), grad)
         except np.linalg.LinAlgError:
             # mu has shrunk below the rounding of J^T J; the floor lifts
             # a mu that underflowed to zero.
             mu = max(mu, np.finfo(float).tiny) * nu
             nu *= 2.0
             continue
-        trial = np.clip(x + step, lo, hi)
+        trial = x + step
+        # The step as taken after rounding, which the gain ratio must use.
         step = trial - x
         if np.linalg.norm(step) <= tol * (np.linalg.norm(x) + tol):
             break

@@ -115,14 +115,6 @@ class MeshConfig:
         """Number of independently drivable phases (see :func:`modulator_layout`)."""
         return len(modulator_layout(self))
 
-    def canonicalized(self) -> "MeshConfig":
-        """Same mesh with every phase wrapped into [0, 2 pi)."""
-        cells = tuple(
-            MeshCell(c.modes, wrap_phase(c.theta), wrap_phase(c.phi)) for c in self.cells
-        )
-        outputs = np.array([wrap_phase(p) for p in self.output_phases])
-        return MeshConfig(self.n_modes, cells, outputs)
-
     def to_json_dict(self) -> dict:
         return {
             "schema_version": MESH_SCHEMA_VERSION,
@@ -264,7 +256,7 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
                 tinv = _ideal_cell_matrix(theta, phi).conj().T
                 work[:, [col, col + 1]] = work[:, [col, col + 1]] @ tinv
                 work[row, col] = 0.0
-                right_cells.append(MeshCell((col, col + 1), theta, phi))
+                right_cells.append(MeshCell((col, col + 1), wrap_phase(theta), wrap_phase(phi)))
         else:
             for j in range(1, diag + 1):
                 row, col = n + j - diag - 1, j - 1
@@ -286,11 +278,10 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
         e_mp = complex(math.cos(phi), -math.sin(phi))
         diag_phases[upper] = -e_mt * e_mp * d2
         diag_phases[upper + 1] = -e_mt * d2
-        converted.append(MeshCell((upper, upper + 1), theta, new_phi))
+        converted.append(MeshCell((upper, upper + 1), wrap_phase(theta), wrap_phase(new_phi)))
 
-    cells = tuple(right_cells + converted)
-    config = MeshConfig(n, cells, np.angle(diag_phases))
-    return config.canonicalized()
+    outputs = [wrap_phase(p) for p in np.angle(diag_phases).tolist()]
+    return MeshConfig(n, tuple(right_cells + converted), outputs)
 
 
 def modulator_layout(config: MeshConfig) -> dict[str, tuple[int, str]]:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .components import MZIParams, mzi_transfer
-from .core import PERMANENT_MAX_ORDER, _levenberg_marquardt, _permanents, as_complex_matrix
+from .core import PERMANENT_MAX_ORDER, _permanents, as_complex_matrix
 from .core import check_fields, is_finite_number, is_integer
 from .errors import FitError
 
@@ -98,7 +98,14 @@ class PhotonDistribution:
         return float(self.probabilities.sum())
 
     def probability(self, pattern: Sequence[int]) -> float:
-        """The probability of ``pattern``, in any mode order; 0 if it is not listed."""
+        """The probability of ``pattern``, in any mode order; 0 if it is not listed.
+
+        Raises:
+            ValueError: unless ``pattern`` lists one mode per photon.
+        """
+        n = len(self.input_modes)
+        if len(pattern) != n:
+            raise ValueError(f"a pattern must list {n} output modes, got {len(pattern)}")
         try:
             return float(self.probabilities[self.patterns.index(tuple(sorted(pattern)))])
         except ValueError:
@@ -249,47 +256,25 @@ def fringe_contrast_from_overlap(overlap: float) -> float:
     return (1.0 + overlap) / (3.0 - overlap)
 
 
-def _fringe_model(phase, amplitude, visibility, scale, offset):
-    shifted = scale * phase + offset
-    return amplitude * (1.0 - visibility + (1.0 + visibility) * np.cos(shifted) ** 2) / 2.0
-
-
-#: Box of the fringe parameters (A, V, s, d).
-_FRINGE_LOWER = np.array([0.0, 0.0, 0.2, -math.pi])
-_FRINGE_UPPER = np.array([np.inf, 1.2, 5.0, math.pi])
-_FRINGE_MAX_NFEV = 20000
-
 #: The least phase span a fringe fit accepts: half a period (pi/2), less rounding.
 MIN_FRINGE_SPAN_RAD = math.pi / 2.0 - 1e-12
 
 
-def _fringe_start(phases, counts, weights) -> np.ndarray:
-    """(A, V, s, d) from the linear fit at s = 1.
+def _fit_fringe(phases_rad, coincidences, sigma) -> tuple[float, float, np.ndarray]:
+    """Fit ``c0 + c1 cos 2phase``; returns ``(V, stderr of V, fitted counts)``.
 
-    The model equals ``A (3 - V) / 4 + A (1 + V) / 4 cos(2 phase + 2 d)``,
-    which at fixed s is linear in ``c0 + c1 cos 2phase + c2 sin 2phase``.
-    """
-    design = np.column_stack([np.ones_like(phases), np.cos(2.0 * phases), np.sin(2.0 * phases)])
-    c0, c1, c2 = np.linalg.lstsq(design * weights[:, None], counts * weights, rcond=None)[0]
-    swing = math.hypot(c1, c2)
-    amplitude = c0 + swing
-    visibility = 4.0 * swing / amplitude - 1.0 if amplitude > 0 else 0.0
-    start = [amplitude, visibility, 1.0, math.atan2(-c2, c1) / 2.0]
-    return np.clip(start, _FRINGE_LOWER, _FRINGE_UPPER)
-
-
-def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float, np.ndarray]:
-    """Fit :func:`_fringe_model`; returns ``(V, stderr of V, parameters)``.
-
-    Levenberg-Marquardt with the analytic Jacobian, inside the box
-    A >= 0, 0 <= V <= 1.2, 0.2 <= s <= 5, |d| <= pi, started from ``p0``
-    or else from :func:`_fringe_start`.  The covariance is
-    ``(J^T W J)^-1 chi^2 / (N - 4)``.
+    The fringe ``A (1 - V + (1 + V) cos^2 phase) / 2`` equals
+    ``A (3 - V) / 4 + A (1 + V) / 4 cos 2phase``, so one weighted linear
+    solve fits it, and ``A = c0 + c1``, ``V = (3 c1 - c0) / (c0 + c1)``.
+    Every cell's :func:`hom_fringe`, at any extinction, loss, overlap or
+    floor, is of this form in the cell's own phase, so noise-free data
+    give its V exactly.  The phases must be the cell's own: a
+    miscalibrated phase axis biases V.  V's standard error is the delta
+    method on ``(X^T W X)^-1 chi^2 / (N - 2)``.
 
     The fit runs on ``counts / max(counts)`` with weights over their
-    largest one.  V, s, d and V's standard error do not depend on either
-    scale, and A is scaled back, so counts and sigma of any magnitude fit
-    alike, with Jacobian columns of comparable size.
+    largest one, so V and its standard error do not depend on the scale
+    of either; the fitted counts are scaled back.
     """
     phases = np.asarray(phases_rad, dtype=float)
     counts = np.asarray(coincidences, dtype=float)
@@ -313,34 +298,24 @@ def _fit_fringe(phases_rad, coincidences, sigma, p0=None) -> tuple[float, float,
             raise FitError("sigma must hold one finite positive value per point")
         weights = sigma.min() / sigma
 
-    def fun_and_jac(p):
-        amplitude, visibility, scale, offset = p
-        angle = 2.0 * (scale * phases + offset)
-        cos2 = np.cos(angle)
-        d_amplitude = (3.0 - visibility) / 4.0 + (1.0 + visibility) / 4.0 * cos2
-        residuals = (amplitude * d_amplitude - counts) * weights
-
-        def jac():
-            d_offset = -amplitude * (1.0 + visibility) / 2.0 * np.sin(angle)
-            d_visibility = amplitude * (cos2 - 1.0) / 4.0
-            columns = [d_amplitude, d_visibility, d_offset * phases, d_offset]
-            return np.column_stack(columns) * weights[:, None]
-
-        return residuals, jac
-
-    units = np.array([top, 1.0, 1.0, 1.0])  # A in units of the largest count
-    start = _fringe_start(phases, counts, weights) if p0 is None else np.asarray(p0) / units
-    fit = _levenberg_marquardt(
-        fun_and_jac, start, _FRINGE_LOWER, _FRINGE_UPPER, max_nfev=_FRINGE_MAX_NFEV
-    )
-    if fit.nfev >= _FRINGE_MAX_NFEV or not math.isfinite(fit.cost):
-        raise FitError(f"fringe fit did not converge in {fit.nfev} evaluations")
-    # With the weighted Jacobian J = U diag(sv) vt, (J^T W J)^-1 = vt^T diag(sv^-2) vt.
-    _, sv, vt = np.linalg.svd(fit.jacobian, full_matrices=False)
-    if sv[-1] <= np.finfo(float).eps * max(fit.jacobian.shape) * sv[0]:
+    design = np.column_stack([np.ones_like(phases), np.cos(2.0 * phases)])
+    # With the weighted design X = U diag(sv) vt, (X^T W X)^-1 = vt^T diag(sv^-2) vt.
+    u, sv, vt = np.linalg.svd(design * weights[:, None], full_matrices=False)
+    if sv[-1] <= np.finfo(float).eps * max(design.shape) * sv[0]:
         raise FitError("fringe fit covariance is singular; data cannot constrain V")
-    variance = float(np.sum((vt[:, 1] / sv) ** 2)) * fit.cost / (phases.size - 4)
-    return float(fit.x[1]), math.sqrt(variance), fit.x * units
+    coefficients = vt.T @ (u.T @ (counts * weights) / sv)
+    c0, c1 = coefficients
+    amplitude = c0 + c1
+    if not amplitude > 0:
+        raise FitError("fitted fringe has no positive amplitude; data cannot constrain V")
+    fitted = design @ coefficients
+    residuals = (fitted - counts) * weights
+    visibility = (3.0 * c1 - c0) / amplitude
+    # The delta method, with dV/d(c0, c1) = (-(1 + V), 3 - V) / A.
+    gradient = np.array([-(1.0 + visibility), 3.0 - visibility]) / amplitude
+    chi2 = float(residuals @ residuals)
+    variance = float(np.sum((vt @ gradient / sv) ** 2)) * chi2 / (phases.size - 2)
+    return float(visibility), math.sqrt(variance), fitted * top
 
 
 def fit_hom_visibility(
@@ -350,13 +325,15 @@ def fit_hom_visibility(
 ) -> tuple[float, float]:
     """Least-squares fringe visibility from coincidence data.
 
-    Fits ``A (1 - V + (1 + V) cos^2(s phase + d)) / 2`` with the amplitude
-    ``A``, visibility ``V``, and a linear phase recalibration ``(s, d)``
-    all free, so uncalibrated voltage-derived phases are tolerated.  The
-    returned visibility estimates the pairwise overlap ``x`` directly.
+    Fits ``A (1 - V + (1 + V) cos^2 phase) / 2`` with the amplitude ``A``
+    and visibility ``V`` free, by one linear solve (see
+    :func:`_fit_fringe`).  The phases are taken as the cell's own: an axis
+    off in scale or offset, as from a miscalibrated ``v_pi_volts``, biases
+    ``V``.  The returned visibility estimates the pairwise overlap ``x``
+    directly, and may fall below 0 when a floor swamps the fringe.
 
     Args:
-        phases_rad: nominal phases, at least 5 points spanning >= pi/2.
+        phases_rad: the cell's phases, at least 5 points spanning >= pi/2.
         coincidences: measured coincidence rates or counts (any scale).
         sigma: optional per-point uncertainties for weighting.
 
@@ -384,11 +361,8 @@ def fit_hom_visibility_poisson(
 
     Returns and raises as :func:`fit_hom_visibility`.
     """
-    *_, popt = _fit_fringe(phases_rad, counts, None)
-    expected = _fringe_model(np.asarray(phases_rad, dtype=float), *popt)
-    visibility, stderr, _ = _fit_fringe(
-        phases_rad, counts, np.sqrt(np.maximum(expected, 1.0)), p0=popt
-    )
+    *_, expected = _fit_fringe(phases_rad, counts, None)
+    visibility, stderr, _ = _fit_fringe(phases_rad, counts, np.sqrt(np.maximum(expected, 1.0)))
     return visibility, stderr
 
 

@@ -258,29 +258,26 @@ def switch_fractions_by_event_loop(outputs, assignment):
     return sum(totals) / sum(counts), [t / c for t, c in zip(totals, counts)]
 
 
-def fringe_model(phase, amplitude, visibility, scale, offset):
-    """A (1 - V + (1 + V) cos^2(s phase + d)) / 2, the fitted HOM fringe."""
-    shifted = scale * np.asarray(phase) + offset
-    return amplitude * (1.0 - visibility + (1.0 + visibility) * np.cos(shifted) ** 2) / 2.0
+def fringe_model(phase, amplitude, visibility):
+    """A (1 - V + (1 + V) cos^2 phase) / 2, the fitted HOM fringe."""
+    return amplitude * (1.0 - visibility + (1.0 + visibility) * np.cos(phase) ** 2) / 2.0
 
 
 def fringe_fit_by_curve_fit(phases, counts, sigma=None):
     """(V, stderr of V, parameters) of :func:`fringe_model` from SciPy's curve_fit.
 
-    Started at (max counts, 1 - 2 min/max, 1, 0) inside the box
-    A >= 0, 0 <= V <= 1.2, 0.2 <= s <= 5, |d| <= pi; the covariance is
-    curve_fit's default, scaled by chi^2 / (N - 4).  The tolerances are
-    tightened from curve_fit's 1e-8 to 1e-14: at 1e-8 a noisy 41-point
-    sweep can stop 1e-6 short of the optimum in V.
+    Unbounded Levenberg-Marquardt, started at (max counts, 1 - 2 min/max);
+    the covariance is curve_fit's default, scaled by chi^2 / (N - 2).  The
+    tolerances are tightened from curve_fit's 1e-8 to 1e-14, so that the
+    fit stops at the optimum in V to well under 1e-6.
     """
     from scipy.optimize import curve_fit
 
     counts = np.asarray(counts, dtype=float)
     top = float(counts.max())
-    p0 = [top, float(np.clip(1.0 - 2.0 * counts.min() / top, 0.0, 1.0)), 1.0, 0.0]
-    bounds = ([0.0, 0.0, 0.2, -math.pi], [np.inf, 1.2, 5.0, math.pi])
+    p0 = [top, 1.0 - 2.0 * counts.min() / top]
     popt, pcov = curve_fit(
-        fringe_model, phases, counts, p0=p0, sigma=sigma, bounds=bounds, maxfev=20000,
+        fringe_model, phases, counts, p0=p0, sigma=sigma, maxfev=20000,
         xtol=1e-14, ftol=1e-14, gtol=1e-14,
     )
     return float(popt[1]), math.sqrt(pcov[1, 1]), popt

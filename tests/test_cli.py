@@ -1339,6 +1339,22 @@ def test_validate_and_run_agree_on_a_sweep_near_half_a_period(v_pi, rel):
     assert (checked == 0) == (ran == 0), (cfg, checked, ran)
 
 
+@pytest.mark.parametrize("fields, want", [
+    # Half a period at 2.3e6 rad of absolute phase once made the fit's phase
+    # scale and offset collinear, and the run exited 1.
+    ({"v_pi_volts": 0.001, "voltage_start": 738.2437764541935,
+      "voltage_stop": 738.2442764541935}, 0.945),
+    # A floor that swamps the fringe gives it a negative visibility,
+    # 1 - 2 P(pi/2) / P(0) = 1 - 2 (0.0275 + 1) / 2.
+    ({"accidental_floor": 1.0}, -0.0275),
+], ids=["far-from-0-v", "floor-of-1"])
+def test_noise_free_fringe_reports_its_own_visibility(tmp_path, fields, want):
+    cfg = write_config(tmp_path, "cfg.json", {"schema_version": 1, "experiment": "hom-fringe", **fields})
+    assert run(["validate", "--config", cfg]) == 0
+    assert run(["hom-fringe", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert read_json(tmp_path / "out" / "fit.json")["visibility"] == pytest.approx(want, abs=1e-9)
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     period=st.floats(-9.0, 300.0).map(lambda e: 10.0**e),

@@ -258,17 +258,3 @@ def test_levenberg_marquardt_matches_minpack(a, b, c, noise, seed):
     else:
         assert fit.cost <= (1.0 + 1e-5) * line_cost
     assert np.allclose(fit.jacobian, fun_and_jac(fit.x)[1](), rtol=0.0, atol=0.0)
-
-
-def test_levenberg_marquardt_keeps_to_the_box():
-    t = np.linspace(0.0, 4.0, 40)
-    fun_and_jac = _decay_residuals(t, 2.0 * np.exp(-1.5 * t) - 0.5)
-    # c >= 0 binds: the constrained optimum lies on that face.
-    fit = _levenberg_marquardt(fun_and_jac, [1.0, 1.0, 0.5], lower=[0.0, 0.0, 0.0])
-    assert fit.x[2] == 0.0
-    assert np.all(fit.x >= 0.0)
-    free = _levenberg_marquardt(_decay_residuals(t, 2.0 * np.exp(-1.5 * t)), [1.0, 1.0, 0.5])
-    assert np.allclose(free.x, [2.0, 1.5, 0.0], atol=1e-9)
-    capped = _levenberg_marquardt(fun_and_jac, [1.0, 1.0, -0.5], upper=[np.inf, 1.0, np.inf])
-    assert capped.x[1] == 1.0
-    assert capped.nfev < 1000

@@ -23,7 +23,7 @@ from lnoisim import (
     statistical_fidelity,
     two_photon_distribution,
 )
-from lnoisim.photons import SOURCE_OVERLAP, _fit_fringe
+from lnoisim.photons import SOURCE_OVERLAP
 from oracles import (
     fringe_fit_by_curve_fit,
     fringe_model,
@@ -103,6 +103,13 @@ def test_two_photon_collision_free_view():
     assert np.array_equal(cf.probabilities, d.probabilities[keep])
     assert cf.total < d.total
     assert d.probability((5, 7)) == 0.0  # unknown pattern reads as zero
+
+
+@pytest.mark.parametrize("pattern", [(0,), (0, 1, 2)])
+def test_probability_refuses_a_pattern_of_the_wrong_length(pattern):
+    d = two_photon_distribution(haar_random_unitary(4, seed=5), (0, 1))
+    with pytest.raises(ValueError, match=f"a pattern must list 2 output modes, got {len(pattern)}"):
+        d.probability(pattern)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -198,16 +205,6 @@ def test_fit_recovers_overlap_exactly_from_clean_data():
         assert err < 1e-6
 
 
-def test_fit_tolerates_scaled_and_offset_phase_axis():
-    # voltage-derived phases with a miscalibrated Vpi and an offset
-    cell = MZIParams.ideal()
-    true_phases = np.linspace(0.2, 2 * math.pi + 0.2, 41)
-    data = hom_fringe(cell, true_phases, 0.9)
-    nominal = (true_phases - 0.2) / 1.07
-    v, _ = fit_hom_visibility(nominal, data)
-    assert v == pytest.approx(0.9, abs=1e-7)
-
-
 def test_fit_rejects_degenerate_data():
     with pytest.raises(FitError):
         fit_hom_visibility([0.0, 0.1, 0.2, 0.3], [1, 1, 1, 1])  # too few points
@@ -224,33 +221,65 @@ def test_fit_rejects_degenerate_data():
     for sigma in (np.zeros(21), -np.ones(21), np.full(21, np.inf), np.ones(20)):
         with pytest.raises(FitError):
             fit_hom_visibility(phases, counts, sigma=sigma)
-    # one positive point among negative ones pins A at 0, which zeroes the
-    # V, s and d columns of the Jacobian, whatever their scale
-    with pytest.raises(FitError):
+    # One positive point among negative ones fits a fringe whose amplitude,
+    # the V denominator, is negative.
+    with pytest.raises(FitError, match="no positive amplitude"):
         fit_hom_visibility(phases, np.where(phases > 0, -1.0, 1e-3))
-
-
-def test_fit_of_five_points_a_quarter_period_apart_is_singular():
-    # They sample cos^2 at only two values, which cannot fix four parameters.
-    phases = np.linspace(0, 2 * math.pi, 5)
+    # Points a whole period of cos 2phase apart sample it at one value.
+    phases = np.linspace(0, 4 * math.pi, 5)
     with pytest.raises(FitError, match="fringe fit covariance is singular"):
         fit_hom_visibility(phases, hom_fringe(MZIParams.ideal(), phases, 0.9))
+
+
+def test_fit_of_five_points_a_quarter_period_apart_recovers_v():
+    # They sample cos 2phase at its two values, 1 and -1, which fix the
+    # fringe's two parameters.
+    phases = np.linspace(0, 2 * math.pi, 5)
+    v, err = fit_hom_visibility(phases, hom_fringe(MZIParams.ideal(), phases, 0.9))
+    assert v == pytest.approx(0.9, abs=1e-12)
+    assert err < 1e-12
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.floats(0.0, 1.0),
+    st.one_of(st.none(), st.floats(0.1, 300.0)),
+    st.floats(-0.49, 0.49),
+    st.floats(0.0, 30.0),
+    st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+    st.floats(-1e6, 1e6),
+    st.integers(5, 200),
+)
+@example(0.945, None, 0.0, 0.0, 1.0, 0.0, 41)  # a floor that swamps the fringe: V < 0
+def test_noise_free_fit_gives_the_fringes_own_visibility(
+    x, extinction_db, imbalance, loss_db, floor, offset, n_points
+):
+    # Every cell's fringe is exactly linear in cos 2phase, so the fit
+    # recovers V = 1 - 2 P(pi/2) / P(0) at any extinction, imbalance, loss,
+    # overlap, floor and phase offset.
+    if extinction_db is None:
+        cell = MZIParams(coupler_imbalance=imbalance, insertion_loss_db=loss_db)
+    else:
+        cell = MZIParams.with_extinction(extinction_db, insertion_loss_db=loss_db)
+    phases = offset + np.linspace(0.0, math.pi, n_points)
+    counts = hom_fringe(cell, phases, x, accidental_floor=floor)
+    v, _ = fit_hom_visibility(phases, counts)
+    low, high = hom_fringe(cell, [math.pi / 2, 0.0], x, accidental_floor=floor)
+    assert v == pytest.approx(1.0 - 2.0 * low / high, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
 @given(
     st.floats(0.3, 0.99),
     st.one_of(st.none(), st.floats(15.0, 35.0)),
-    st.floats(0.9, 1.1),
-    st.floats(-0.3, 0.3),
     st.sampled_from([41, 201, 1001]),
     st.floats(50.0, 2000.0),
     st.integers(0, 2**32 - 1),
 )
-def test_fringe_fit_matches_curve_fit(x, extinction_db, scale, offset, n_points, mean, seed):
+def test_fringe_fit_matches_curve_fit(x, extinction_db, n_points, mean, seed):
     cell = MZIParams.ideal() if extinction_db is None else MZIParams.with_extinction(extinction_db)
     nominal = np.linspace(0.0, 2 * math.pi, n_points)
-    probs = hom_fringe(cell, scale * nominal + offset, x)
+    probs = hom_fringe(cell, nominal, x)
     counts = np.random.default_rng(seed).poisson(probs * mean).astype(float)
 
     v, err = fit_hom_visibility(nominal, counts)
@@ -290,14 +319,13 @@ def test_fringe_fit_is_scale_free(k, j):
 )
 # Counts near the float floor, where the covariance's sv^-2 once overflowed.
 @example(counts=np.full(5, 5.98813789e-159), span=2.0, start=0.0)
-def test_fringe_fit_parameters_stay_inside_bounds(counts, span, start):
+def test_fringe_fit_gives_finite_values_or_fit_error(counts, span, start):
     phases = np.linspace(start, start + span, counts.size)
     try:
-        _, _, params = _fit_fringe(phases, counts, None)
+        v, err = fit_hom_visibility(phases, counts)
     except FitError:
         return
-    assert np.all(params >= [0.0, 0.0, 0.2, -math.pi])
-    assert np.all(params <= [np.inf, 1.2, 5.0, math.pi])
+    assert math.isfinite(v) and math.isfinite(err) and err >= 0.0
 
 
 @settings(deadline=None, max_examples=60)
