@@ -1,13 +1,14 @@
 """Rectangular meshes of 2x2 interferometer cells.
 
-A mesh on ``n`` modes is an ordered sequence of ``n (n - 1) / 2`` cells on
-adjacent mode pairs followed by one phase per output.  Each cell is an MZI
-whose internal phase ``theta`` sets the splitting (``theta = pi`` is bar,
-``theta = 0`` is cross) with an external phase ``phi`` applied to the upper
-mode just before the cell.  Any unitary factors exactly through this
-structure; :func:`decompose` computes the factorization by alternately
-nulling matrix elements from the left and the right and then pushing the
-residual diagonal to the outputs.
+A mesh on ``n`` modes is the ``n (n - 1) / 2`` cells of
+:func:`clements_layout`, in its order, followed by one phase per output; no
+other order is a :class:`MeshConfig`, so ``cell<k>`` names the k-th cell of
+that layout everywhere.  Each cell is an MZI whose internal phase ``theta``
+sets the splitting (``theta = pi`` is bar, ``theta = 0`` is cross) with an
+external phase ``phi`` applied to the upper mode just before the cell.  Any
+unitary factors exactly through this structure; :func:`decompose` computes
+the factorization by alternately nulling matrix elements from the left and
+the right and then pushing the residual diagonal to the outputs.
 """
 
 from __future__ import annotations
@@ -87,23 +88,20 @@ class MeshConfig:
     output_phases: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 2:
-            raise ValueError(f"a mesh needs at least 2 modes, got {self.n_modes}")
+        n = self.n_modes
+        if n < 2:
+            raise ValueError(f"a mesh needs at least 2 modes, got {n}")
+        layout = clements_layout(n)
         cells = tuple(self.cells)
         object.__setattr__(self, "cells", cells)
-        expected = self.n_modes * (self.n_modes - 1) // 2
-        if len(cells) != expected:
-            raise ValueError(
-                f"{self.n_modes}-mode mesh requires {expected} cells, got {len(cells)}"
-            )
-        for cell in cells:
-            if cell.modes[1] >= self.n_modes:
-                raise ValueError(f"cell {cell.modes} exceeds mode count {self.n_modes}")
+        if len(cells) != len(layout):
+            raise ValueError(f"{n}-mode mesh requires {len(layout)} cells, got {len(cells)}")
+        modes = [cell.modes for cell in cells]
+        if modes != layout:
+            raise ValueError(f"{n}-mode mesh needs the cell pairs {layout} in order, got {modes}")
         phases = np.asarray(self.output_phases, dtype=float)
-        if phases.shape != (self.n_modes,):
-            raise ValueError(
-                f"output_phases must have length {self.n_modes}, got {phases.shape}"
-            )
+        if phases.shape != (n,):
+            raise ValueError(f"output_phases must have length {n}, got {phases.shape}")
         if not np.all(np.isfinite(phases)):
             raise ValueError("output phases must be finite")
         phases = phases.copy()
@@ -113,7 +111,7 @@ class MeshConfig:
     @property
     def phase_count(self) -> int:
         """Number of independently drivable phases (see :func:`modulator_layout`)."""
-        return len(modulator_layout(self))
+        return self.n_modes * (self.n_modes - 1) - self.n_modes // 2
 
     def to_json_dict(self) -> dict:
         return {
@@ -281,32 +279,29 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
         converted.append(MeshCell((upper, upper + 1), wrap_phase(theta), wrap_phase(new_phi)))
 
     outputs = [wrap_phase(p) for p in np.angle(diag_phases).tolist()]
-    return MeshConfig(n, tuple(right_cells + converted), outputs)
+    # Cells on disjoint pairs commute, so the k-th cell on a pair in nulling
+    # order takes that pair's k-th slot of the layout.
+    on_pair: dict[tuple[int, int], list[MeshCell]] = {}
+    for cell in right_cells + converted:
+        on_pair.setdefault(cell.modes, []).append(cell)
+    queues = {pair: iter(cells) for pair, cells in on_pair.items()}
+    return MeshConfig(n, tuple(next(queues[pair]) for pair in clements_layout(n)), outputs)
 
 
 def modulator_layout(config: MeshConfig) -> dict[str, tuple[int, str]]:
     """Drivable modulators of a mesh: name -> (cell index, role).
 
-    Every cell carries an internal modulator.  A cell's external phase is
-    drivable only when some earlier cell already touched its upper mode;
-    otherwise that phase sits directly on a chip input, where it is pure
-    gauge and no electrode exists.  For four modes this yields the device's
-    ten modulators (six internal plus four external).
+    Every cell carries an internal modulator.  The first ``n // 2`` cells
+    (column 0) sit directly on chip inputs, where an external phase is pure
+    gauge and no electrode exists; every later cell has one.  For four modes
+    this yields the device's ten modulators (six internal plus four external).
     """
     layout: dict[str, tuple[int, str]] = {}
-    seen: set[int] = set()
-    for idx, cell in enumerate(config.cells):
+    for idx in range(len(config.cells)):
         layout[f"cell{idx}.theta"] = (idx, "internal")
-        upper, lower = cell.modes
-        if upper in seen:
+        if idx >= config.n_modes // 2:
             layout[f"cell{idx}.phi"] = (idx, "external")
-        seen.update((upper, lower))
     return layout
-
-
-def _gauge_cell_indices(config: MeshConfig) -> list[int]:
-    drivable = {idx for idx, role in modulator_layout(config).values() if role == "external"}
-    return [idx for idx in range(len(config.cells)) if idx not in drivable]
 
 
 def gauge_input_phases(config: MeshConfig) -> tuple[MeshConfig, np.ndarray]:
@@ -320,7 +315,7 @@ def gauge_input_phases(config: MeshConfig) -> tuple[MeshConfig, np.ndarray]:
     """
     input_phases = np.zeros(config.n_modes)
     cells = list(config.cells)
-    for idx in _gauge_cell_indices(config):
+    for idx in range(config.n_modes // 2):
         cell = cells[idx]
         input_phases[cell.modes[0]] = wrap_phase(cell.phi)
         cells[idx] = MeshCell(cell.modes, cell.theta, 0.0)
@@ -367,7 +362,7 @@ def phases_to_voltages(config: MeshConfig, shifter: PhaseShifterParams) -> Volta
             a voltage exceeds ``COMPLIANCE_VOLTS``.
     """
     layout = modulator_layout(config)
-    for idx in _gauge_cell_indices(config):
+    for idx in range(config.n_modes // 2):
         residual = wrap_phase(config.cells[idx].phi)
         if min(residual, _TWO_PI - residual) > 1e-9:
             raise ValueError(

@@ -193,16 +193,19 @@ def _photon_times(
     program: PulseProgram, period_ns: float, n_frames: int, train_offset_ns: float
 ) -> np.ndarray:
     """The photon instants of :func:`simulate_demux`; ValueError unless ``program`` covers them."""
-    times = train_offset_ns + period_ns * (np.arange(SLOTS_PER_FRAME * n_frames) + 0.5)
+    count = SLOTS_PER_FRAME * int(n_frames)
+    # The array's ends by its own formula, in Python floats: they overflow without a warning.
+    first = float(train_offset_ns) + float(period_ns) * 0.5
+    last = float(train_offset_ns) + float(period_ns) * (count - 0.5)
     # Rounding can put a photon on the last slot edge a few ulps past a long
     # program's end.  Written so that a nan instant fails it too.
     late = TIMING_TOLERANCE_NS + 4 * math.ulp(program.end_ns)
-    if not (times[0] >= -TIMING_TOLERANCE_NS and times[-1] <= program.end_ns + late):
+    if not (first >= -TIMING_TOLERANCE_NS and last <= program.end_ns + late):
         raise ValueError(
-            f"photon train spans [{times[0]:.10g}, {times[-1]:.10g}] ns but the program "
+            f"photon train spans [{first:.10g}, {last:.10g}] ns but the program "
             f"covers [0, {program.end_ns:.10g}] ns"
         )
-    return times
+    return train_offset_ns + period_ns * (np.arange(count) + 0.5)
 
 
 def simulate_demux(
@@ -234,8 +237,8 @@ def simulate_demux(
         raise ValueError("phase_errors_rad needs one entry per switch")
     if not all(map(math.isfinite, errors)):
         raise ValueError(f"phase_errors_rad must be finite, got {errors}")
-    if n_frames < 1:
-        raise ValueError("n_frames must be at least 1")
+    if not (is_integer(n_frames) and n_frames >= 1):
+        raise ValueError(f"n_frames must be an integer of at least 1, got {n_frames!r}")
     times = _photon_times(program, source.repetition_period_ns, n_frames, train_offset_ns)
     phases = _switch_phases(tree, program, times) + np.array(errors)[:, None]
     # The photon enters port 0 of every cell, so only column 0 is needed;

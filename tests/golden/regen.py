@@ -7,8 +7,10 @@ process through ``lnoisim.cli.main``, and writes ``digests.json``: for
 each config, the exit code and the sha256 of stdout and stderr (with the
 output directory masked) of both calls, and the sha256 of every file the
 run left in its output directory.  ``tests/test_golden.py`` compares a
-fresh run with that table.  Rewrite it only with a change that means to
-alter the bytes, and list the changed files and the reason in CHANGES.md.
+fresh run with that table through :func:`differences`.  Rewrite it only
+with a change that means to alter the bytes; the script prints each
+(config, output) pair it rewrote, the list CHANGES.md must give with the
+reason.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ def digests(workdir: Path) -> dict:
     return runs
 
 
+def differences(recorded: dict, runs: dict) -> list[str]:
+    """``"config: output"`` for every entry that differs between two
+    :func:`digests` results, or that only one of them has."""
+    return [
+        f"{name}: {key}"
+        for name in sorted(recorded.keys() | runs.keys())
+        for key in sorted(recorded.get(name, {}).keys() | runs.get(name, {}).keys())
+        if recorded.get(name, {}).get(key) != runs.get(name, {}).get(key)
+    ]
+
+
 def versions() -> dict:
     import numpy
 
@@ -63,7 +76,11 @@ def versions() -> dict:
 
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parents[1] / "src"))
+    recorded = json.loads(TABLE.read_text())["runs"] if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = {**versions(), "runs": digests(Path(tmp))}
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {TABLE} ({len(table['runs'])} configs)")
+    changed = differences(recorded, table["runs"])
+    for entry in changed:
+        print(f"rewrote {entry}")
+    print(f"wrote {TABLE} ({len(table['runs'])} configs, {len(changed)} entries changed)")

@@ -143,6 +143,25 @@ def mesh_by_embedding(n, cells, output_phases, ratio_in=0.5, ratio_out=0.5, inse
     return np.diag(np.exp(1j * np.asarray(output_phases))) @ u
 
 
+def modulator_layout_by_touched_modes(pairs):
+    """Drivable modulators of a mesh with cells on ``pairs``, in list order:
+    name -> (cell index, role).
+
+    Every cell has an internal modulator.  A cell's external phase is
+    drivable only when some earlier cell already touched its upper mode;
+    otherwise it sits directly on a chip input, where it is pure gauge and
+    no electrode exists.  This holds for any cell order.
+    """
+    layout = {}
+    touched = set()
+    for idx, (upper, lower) in enumerate(pairs):
+        layout[f"cell{idx}.theta"] = (idx, "internal")
+        if upper in touched:
+            layout[f"cell{idx}.phi"] = (idx, "external")
+        touched.update((upper, lower))
+    return layout
+
+
 def demux_by_photon_loop(transfers, phases):
     """Output probabilities of the 1-to-4 switch tree, one photon at a time.
 

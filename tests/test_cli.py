@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,21 @@ def test_demux_rejects_train_past_program(tmp_path, capsys):
         assert run(args) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "train_offset_ns" in err
+
+
+def test_validate_of_a_train_past_the_float_range_prints_one_line(tmp_path, capsys):
+    # The last photon instant overflows to inf.  The coverage check reads it
+    # in Python floats, so no numpy overflow warning comes first.
+    cfg = write_config(tmp_path, "demux.json", {
+        "schema_version": 1, "experiment": "demux", "n_frames": 1,
+        "repetition_period_ns": 4e306, "train_offset_ns": 1.7e308,
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field 'train_offset_ns': photon train spans [")
+    assert err.count("\n") == 1, err
 
 
 def test_distribution_single_photon(tmp_path):
@@ -858,6 +874,26 @@ def test_unknown_mesh_cell_key_is_a_config_error(tmp_path, capsys, argv, extra):
     cfg = write_config(tmp_path, "mesh.json", payload)
     assert main(["validate", "--config", cfg, "--quiet"]) == 0
     assert run([*argv, "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [(["mesh", "compose"], {}), (["distribution"], {"input_modes": [0, 1]})],
+)
+def test_mesh_out_of_layout_order_is_a_config_error(tmp_path, capsys, argv, extra):
+    # The cells of a 5-mode mesh in reverse: the pairs of clements_layout(5),
+    # but not in its order.
+    mesh = decompose(haar_random_unitary(5, seed=8)).to_json_dict()
+    mesh["cells"].reverse()
+    payload = {"schema_version": 1, "experiment": "-".join(argv), "mesh": mesh, **extra}
+    cfg = write_config(tmp_path, "mesh.json", payload)
+    assert main(["validate", "--config", cfg]) == 2
+    assert run([*argv, "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    pairs = "[(0, 1), (2, 3), (1, 2), (3, 4), (0, 1), (2, 3), (1, 2), (3, 4), (0, 1), (2, 3)]"
+    line = f"config error: field 'mesh': 5-mode mesh needs the cell pairs {pairs} in order, got "
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith(line) for e in err), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_statistics_without_pairs_is_a_config_error(tmp_path, capsys):

@@ -26,7 +26,7 @@ from lnoisim.cli import _dump_json
 from lnoisim.components import phase_from_voltage
 from lnoisim.mesh import _mesh_product
 from helpers import all_cross_config
-from oracles import mesh_by_embedding
+from oracles import mesh_by_embedding, modulator_layout_by_touched_modes
 
 
 def test_layout_shape():
@@ -56,8 +56,16 @@ def test_cell_validation():
         MeshCell((3, 2), 0.1)
     with pytest.raises(ValueError, match="4-mode mesh requires 6 cells, got 1"):
         MeshConfig(4, [MeshCell((0, 1), 0.0)], np.zeros(4))
-    with pytest.raises(ValueError, match="exceeds mode count 4"):
+    with pytest.raises(ValueError, match=r"4-mode mesh needs the cell pairs \[\(0, 1\), \(2, 3\), "
+                       r"\(1, 2\), \(0, 1\), \(2, 3\), \(1, 2\)\] in order, got \[\(3, 4\), "):
         MeshConfig(4, [MeshCell((3, 4), 0.0) for _ in range(6)], np.zeros(4))
+    # The pairs of the layout, but two of them swapped.
+    swapped = clements_layout(4)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    with pytest.raises(ValueError, match=r"in order, got \[\(0, 1\), \(1, 2\), \(2, 3\), "):
+        MeshConfig(4, [MeshCell(pair, 0.0) for pair in swapped], np.zeros(4))
+    with pytest.raises(ValueError, match="mode count must be an integer, got 3.0"):
+        MeshConfig(3.0, [MeshCell(pair, 0.0) for pair in clements_layout(3)], np.zeros(3))
 
 
 def test_all_bar_is_diagonal_and_all_cross_reverses():
@@ -269,6 +277,20 @@ def test_stacked_mesh_product_equals_per_vector_calls(n, batch, lossy, seed):
         cells = list(zip(layout, thetas[idx], phis[idx]))
         want = mesh_by_embedding(n, cells, np.zeros(n), 0.5 + d, 0.5, loss_db)
         assert np.abs(single - want).max() < 1e-13
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_decompose_emits_the_layout_and_the_closed_form_modulators(n, seed):
+    """decompose lists its cells in clements_layout order and compose inverts
+    it; the closed-form modulator map agrees with the touched-mode rule."""
+    u = haar_random_unitary(n, seed=seed)
+    cfg = decompose(u)
+    modes = [cell.modes for cell in cfg.cells]
+    assert modes == clements_layout(n)
+    assert matrix_distance(compose(cfg), u) < 1e-10
+    assert modulator_layout(cfg) == modulator_layout_by_touched_modes(modes)
+    assert cfg.phase_count == len(modulator_layout(cfg))
 
 
 def test_decomposition_phases_canonical():

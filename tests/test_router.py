@@ -20,6 +20,7 @@ from lnoisim import (
     switch_metrics,
 )
 from lnoisim.experiments import _csv_bytes
+from lnoisim.router import _photon_times
 from oracles import (
     demux_by_photon_loop,
     mzi_by_matmul,
@@ -142,6 +143,38 @@ def test_program_must_cover_train():
     for offset in (math.nan, math.inf):
         with pytest.raises(ValueError, match="photon train spans .* but the program covers"):
             simulate_demux(make_tree(), prog, SourceModel(), 1, train_offset_ns=offset)
+
+
+@pytest.mark.parametrize("n_frames", [2.5, 1.0, True, 0, -1, math.nan])
+def test_simulate_refuses_a_frame_count_that_is_not_a_whole_number(n_frames):
+    prog = default_pulse_program(n_frames=3)
+    with pytest.raises(ValueError, match="n_frames must be an integer of at least 1, got"):
+        simulate_demux(make_tree(), prog, SourceModel(), n_frames)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    period=st.floats(-9.0, 305.0).map(lambda e: 10.0**e),
+    n_frames=st.integers(1, 50),
+    program_frames=st.integers(1, 50),
+    shift=st.floats(-1e-9, 1e-9) | st.floats(-2.0, 2.0) | st.floats(),
+)
+def test_train_coverage_reads_the_ends_of_the_photon_array(period, n_frames, program_frames, shift):
+    """The scalar coverage check refuses exactly the trains whose photon array
+    starts before the program or ends past it, and returns that array."""
+    # At shift 0 the last photon sits on the end of the program.
+    offset = period * (4 * (program_frames - n_frames) + 0.5 + shift)
+    prog = default_pulse_program(repetition_period_ns=period, n_frames=program_frames)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = offset + period * (np.arange(4 * n_frames) + 0.5)
+    late = 1e-9 + 4 * math.ulp(prog.end_ns)
+    covered = bool(want[0] >= -1e-9 and want[-1] <= prog.end_ns + late)
+    try:
+        got = _photon_times(prog, period, n_frames, offset)
+    except ValueError:
+        assert not covered
+    else:
+        assert covered and np.array_equal(got, want)
 
 
 def test_simulate_validation():
