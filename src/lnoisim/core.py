@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -26,9 +26,6 @@ __all__ = [
 
 #: Largest matrix order accepted by :func:`permanent` (cost doubles per row).
 PERMANENT_MAX_ORDER = 20
-
-#: Smallest Marquardt scale of a parameter, relative to the largest one.
-_SCALE_FLOOR = 1e-6
 
 
 def is_finite_number(value) -> bool:
@@ -187,81 +184,3 @@ def matrix_distance(a: object, b: object) -> float:
     alpha = np.angle(t) if t != 0 else 0.0
     diff = am - np.exp(1j * alpha) * bm
     return float(np.linalg.norm(diff) / np.sqrt(am.shape[0]))
-
-
-class LeastSquaresFit(NamedTuple):
-    """Outcome of :func:`_levenberg_marquardt`; ``cost`` is sum(residuals**2)."""
-
-    x: np.ndarray
-    residuals: np.ndarray
-    jacobian: np.ndarray
-    cost: float
-    nfev: int
-
-
-def _levenberg_marquardt(
-    fun_and_jac: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
-    x0: Sequence[float],
-    tol: float = 1e-12,
-    max_nfev: int = 1000,
-) -> LeastSquaresFit:
-    """Minimize ``sum(r(x)**2)`` by Levenberg-Marquardt.
-
-    ``fun_and_jac(x)`` returns the residual vector r(x) and a callable that
-    gives the Jacobian dr/dx at the same x; it is called only for accepted
-    points.  Each step solves ``(J^T J + mu D) h = -J^T r`` with Marquardt's
-    scaling D, the running maximum of diag(J^T J) (Moré 1978), floored at
-    a millionth of its largest entry so that rounding noise in a column the
-    residuals barely see cannot drive the step.  The damping mu follows
-    Nielsen's update (Madsen, Nielsen & Tingleff 2004, eq. 3.16): after a
-    step with gain ratio rho > 0 it is multiplied by
-    max(1/3, 1 - (2 rho - 1)^3); after a rejected one by nu, which then
-    doubles.  A damped system that is singular in floating point counts as
-    a rejected step.
-
-    The iteration stops before evaluating a step with
-    ``|h| <= tol (|x| + tol)``, after an accepted step that lowered the
-    cost by at most ``tol`` of itself, or after ``max_nfev`` evaluations.
-    """
-    x = np.array(x0, dtype=float)
-    r, jac = fun_and_jac(x)
-    nfev = 1
-    cost = float(r @ r)
-    j = jac()
-    scale = np.zeros(x.size)
-    mu, nu = 1e-3, 2.0
-    while nfev < max_nfev:
-        normal = j.T @ j
-        grad = j.T @ r
-        scale = np.maximum(scale, np.diagonal(normal))
-        damping = mu * np.maximum(scale, _SCALE_FLOOR * (scale.max() or 1.0))
-        try:
-            step = -np.linalg.solve(normal + np.diag(damping), grad)
-        except np.linalg.LinAlgError:
-            # mu has shrunk below the rounding of J^T J; the floor lifts
-            # a mu that underflowed to zero.
-            mu = max(mu, np.finfo(float).tiny) * nu
-            nu *= 2.0
-            continue
-        trial = x + step
-        # The step as taken after rounding, which the gain ratio must use.
-        step = trial - x
-        if np.linalg.norm(step) <= tol * (np.linalg.norm(x) + tol):
-            break
-        r_trial, jac_trial = fun_and_jac(trial)
-        nfev += 1
-        cost_trial = float(r_trial @ r_trial)
-        j_step = j @ step
-        predicted = -(2.0 * float(step @ grad) + float(j_step @ j_step))
-        rho = (cost - cost_trial) / predicted if predicted > 0.0 else -1.0
-        if rho > 0.0:
-            small = cost - cost_trial <= tol * cost
-            x, r, cost, j = trial, r_trial, cost_trial, jac_trial()
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu = 2.0
-            if small:
-                break
-        else:
-            mu *= nu
-            nu *= 2.0
-    return LeastSquaresFit(x, r, j, cost, nfev)

@@ -313,8 +313,8 @@ def _parse_mesh_compose(fields, diags):
 
 def _parse_reconstruct(fields, diags):
     from .reconstruct import MeasuredStatistics, synthesize_statistics
-    if fields["seed"] is None:
-        diags.append("seed is required for reconstruction (random restarts)")
+    if fields.get("overlap") == 0.0:
+        diags.append("field 'overlap' must be > 0: at overlap 0 the pairs carry no phase")
     if (fields.get("unitary") is None) == (fields.get("statistics") is None):
         diags.append("give exactly one of 'unitary' and 'statistics'")
     reference = _object(fields, diags, "unitary", _passive_matrix)
@@ -322,7 +322,7 @@ def _parse_reconstruct(fields, diags):
     if reference is not None:
         options = _given(fields, "overlap")
         stats = _build(diags, "field 'unitary'", synthesize_statistics, reference, **options)
-    return stats, reference, fields["seed"], _given(fields, "overlap", "n_restarts")
+    return stats, reference, _given(fields, "overlap")
 
 
 def _grating_spectrum(data):
@@ -463,13 +463,9 @@ def _run_mesh_compose(config):
 
 def _run_reconstruct(parsed):
     from .reconstruct import canonical_form, reconstruct_unitary
-    stats, reference, seed, options = parsed
-    result = reconstruct_unitary(stats, seed=seed, **options)
-    report = {
-        "cost": result.cost,
-        "converged": result.converged,
-        "n_restarts_used": result.n_restarts_used,
-    }
+    stats, reference, options = parsed
+    result = reconstruct_unitary(stats, **options)
+    report = {"cost": result.cost, "converged": result.converged, "nfev": result.nfev}
     if reference is not None:
         report["distance_to_reference"] = matrix_distance(
             canonical_form(reference), result.unitary
@@ -478,7 +474,7 @@ def _run_reconstruct(parsed):
         "reconstructed.json": _dump_json(matrix_to_json_dict(result.unitary)),
         "report.json": _dump_json(report),
     }
-    lines = [f"fit cost: {result.cost:.3e} after {result.n_restarts_used} restart(s)"]
+    lines = [f"fit cost: {result.cost:.3e} after {result.nfev} evaluation(s)"]
     if reference is not None:
         lines.append(f"distance to reference: {report['distance_to_reference']:.3e}")
     return outputs, lines
@@ -536,9 +532,7 @@ FIELDS = {
     },
     "mesh-decompose": {"unitary": _PARSED, "tol": _NON_NEGATIVE},
     "mesh-compose": {"mesh": _PARSED},
-    "reconstruct": {
-        "unitary": _PARSED, "statistics": _PARSED, "overlap": _OVERLAP, "n_restarts": Field(int, 1),
-    },
+    "reconstruct": {"unitary": _PARSED, "statistics": _PARSED, "overlap": _OVERLAP},
     "loss-budget": {"entries": _PARSED, "sweep": _PARSED},
 }
 

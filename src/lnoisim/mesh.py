@@ -89,8 +89,10 @@ class MeshConfig:
 
     def __post_init__(self):
         n = self.n_modes
-        if n < 2:
-            raise ValueError(f"a mesh needs at least 2 modes, got {n}")
+        if not (is_integer(n) and n >= 2):
+            raise ValueError(f"n_modes must be an integer of at least 2, got {n!r}")
+        n = int(n)
+        object.__setattr__(self, "n_modes", n)
         layout = clements_layout(n)
         cells = tuple(self.cells)
         object.__setattr__(self, "cells", cells)

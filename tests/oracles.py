@@ -367,3 +367,19 @@ def sweep_by_rebuilt_budgets(budget, grating, wavelengths_nm, coupler_labels):
         )
         out.append(dataclasses.replace(budget, entries=entries).end_to_end_transmission)
     return np.array(out)
+
+
+def canonical_form_by_first_row_and_column(u, tol=1e-9):
+    """Port phases fixed on row 0 and column 0 alone, then one conjugation
+    for the whole matrix: the canonical form for a matrix with no zero there."""
+    w = np.array(u, dtype=complex)
+    for j in range(w.shape[1]):
+        if abs(w[0, j]) > tol:
+            w[:, j] *= np.conj(w[0, j]) / abs(w[0, j])
+    for i in range(1, w.shape[0]):
+        if abs(w[i, 0]) > tol:
+            w[i, :] *= np.conj(w[i, 0]) / abs(w[i, 0])
+    for value in w.ravel():
+        if abs(value.imag) > tol:
+            return np.conj(w) if value.imag < 0 else w
+    return w

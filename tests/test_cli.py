@@ -158,9 +158,8 @@ def _noisy_statistics():
         "n_points": 6,
     }, "error: FitError: coincidence data has no positive values"),
     (["reconstruct"], {
-        "schema_version": 1, "experiment": "reconstruct", "seed": 0, "n_restarts": 1,
-        "statistics": _noisy_statistics(),
-    }, "error: FitError: best of 1 restarts"),
+        "schema_version": 1, "experiment": "reconstruct", "statistics": _noisy_statistics(),
+    }, "error: FitError: the fit left squared-residual sum"),
 ], ids=["fringe-fit", "reconstruction"])
 def test_data_the_fit_cannot_support_exits_1(tmp_path, capsys, argv, payload, message):
     # `validate` accepts each config; the run fails on its data, not on the config.
@@ -474,18 +473,16 @@ def test_mesh_decompose_compose_round_trip(tmp_path):
     assert matrix_distance(recovered, u) < 1e-12
 
 
-def test_reconstruct_requires_seed(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "rec.json",
-        {
-            "schema_version": 1,
-            "experiment": "reconstruct",
-            "unitary": matrix_to_json_dict(haar_random_unitary(4, seed=1)),
-        },
+def test_reconstruct_at_overlap_0_is_one_config_error(tmp_path, capsys):
+    # At overlap 0 the pairs carry no phase, and four modes' moduli leave the unitary open.
+    cfg = write_config(tmp_path, "rec.json", {
+        "schema_version": 1, "experiment": "reconstruct", "overlap": 0,
+        "unitary": matrix_to_json_dict(haar_random_unitary(4, seed=1)),
+    })
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: field 'overlap' must be > 0: at overlap 0 the pairs carry no phase\n"
     )
-    assert run(["reconstruct", "--config", cfg]) == 2
-    assert "seed is required" in capsys.readouterr().err
 
 
 def test_reconstruct_from_reference_unitary(tmp_path):
@@ -497,12 +494,12 @@ def test_reconstruct_from_reference_unitary(tmp_path):
             "experiment": "reconstruct",
             "unitary": matrix_to_json_dict(haar_random_unitary(4, seed=13)),
             "seed": 0,
-            "n_restarts": 4,
         },
     )
     out = tmp_path / "out"
     assert run(["reconstruct", "--config", cfg, "--output-dir", str(out)]) == 0
     report = read_json(out / "report.json")
+    assert sorted(report) == ["converged", "cost", "distance_to_reference", "nfev"]
     assert report["converged"] is True
     assert report["distance_to_reference"] < 1e-6
     assert read_json(out / "manifest.json")["seed"] == 0
@@ -1116,9 +1113,9 @@ _REJECTED = {
     "poisson-fringe-without-seed": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "poisson_mean_counts": 500,
     }, "seed is required when poisson_mean_counts is set"),
-    "reconstruct-without-seed": (["reconstruct"], {
-        "schema_version": 1, "experiment": "reconstruct", "unitary": _IDENTITY_2,
-    }, "seed is required for reconstruction (random restarts)"),
+    "reconstruct-overlap-0": (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "unitary": _IDENTITY_2, "overlap": 0,
+    }, "field 'overlap' must be > 0: at overlap 0 the pairs carry no phase"),
     "poisson-mean-too-large": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "seed": 1,
         "poisson_mean_counts": 5e18, "accidental_floor": 1.0,
@@ -1189,6 +1186,10 @@ _UNKNOWN_FIELDS = {
     "reconstruct-collision_free_only": (["reconstruct"], {
         **_reconstruct_with_statistics(lambda stats: None), "collision_free_only": True,
     }, "unknown field 'collision_free_only'"),
+    # Retired: reconstruction is one fit from a closed-form estimate.
+    "reconstruct-n_restarts": (["reconstruct"], {
+        **_reconstruct_with_statistics(lambda stats: None), "n_restarts": 2,
+    }, "unknown field 'n_restarts'"),
 }
 
 
@@ -1206,7 +1207,7 @@ def test_validate_rejects_what_the_run_rejects(tmp_path, capsys, case):
     _assert_config_error_twice(tmp_path, capsys, argv, cfg, diagnostic)
 
 
-@pytest.mark.parametrize("case", ["poisson-fringe-without-seed", "reconstruct-without-seed"])
+@pytest.mark.parametrize("case", ["poisson-fringe-without-seed"])
 def test_config_seed_supplies_the_seed(tmp_path, case):
     argv, payload, _ = _REJECTED[case]
     cfg = write_config(tmp_path, "cfg.json", {**payload, "seed": 3})
@@ -1215,7 +1216,7 @@ def test_config_seed_supplies_the_seed(tmp_path, case):
     assert read_json(tmp_path / "out" / "manifest.json")["seed"] == 3
 
 
-@pytest.mark.parametrize("case", ["poisson-fringe-without-seed", "reconstruct-without-seed"])
+@pytest.mark.parametrize("case", ["poisson-fringe-without-seed"])
 @pytest.mark.parametrize("seed, diagnostic", [
     (-1, "field 'seed' must be >= 0"), ("x", "field 'seed' must be an integer"),
     (1.5, "field 'seed' must be an integer"),
@@ -1263,13 +1264,9 @@ def _mutations(argv, payload):
     return [(argv, payload, path, value) for path, value in changes]
 
 
-# 2-mode matrices and at most 2 reconstruction restarts keep each example fast.
+# 2-mode matrices keep each example fast.
 _CONFIG_MUTATIONS = [
-    mutation
-    for argv, payload in _readme_configs(2)
-    for mutation in _mutations(
-        argv, {**payload, "n_restarts": 2} if argv == ["reconstruct"] else payload
-    )
+    mutation for argv, payload in _readme_configs(2) for mutation in _mutations(argv, payload)
 ]
 
 
@@ -1287,7 +1284,7 @@ def _numeric_leaves(payload):
 
 # Each numeric leaf of the 2-mode README configs, written as its str() form.
 _STRINGIFIED = [
-    (argv, {**payload, "n_restarts": 2} if argv == ["reconstruct"] else payload, path, str(value))
+    (argv, payload, path, str(value))
     for argv, payload in _readme_configs(2)
     for path, value in _numeric_leaves(payload)
 ]

@@ -14,7 +14,8 @@ from lnoisim import (
     permanent,
     statistical_fidelity,
 )
-from lnoisim.core import _levenberg_marquardt, _permanents
+from lnoisim.core import _permanents
+from lnoisim.reconstruct import _levenberg_marquardt
 from oracles import least_squares_by_minpack, permanent_by_permutation_sum
 
 

@@ -64,8 +64,20 @@ def test_cell_validation():
     swapped[1], swapped[2] = swapped[2], swapped[1]
     with pytest.raises(ValueError, match=r"in order, got \[\(0, 1\), \(1, 2\), \(2, 3\), "):
         MeshConfig(4, [MeshCell(pair, 0.0) for pair in swapped], np.zeros(4))
-    with pytest.raises(ValueError, match="mode count must be an integer, got 3.0"):
+    with pytest.raises(ValueError, match="n_modes must be an integer of at least 2, got 3.0"):
         MeshConfig(3.0, [MeshCell(pair, 0.0) for pair in clements_layout(3)], np.zeros(3))
+
+
+@pytest.mark.parametrize("n_modes", ["a", None, True, 1, -4, 4.0], ids=repr)
+def test_mesh_config_refuses_an_n_modes_that_is_no_integer_of_at_least_2(n_modes):
+    with pytest.raises(ValueError, match=f"n_modes must be an integer of at least 2, got {n_modes!r}"):
+        MeshConfig(n_modes, [MeshCell(pair, 0.0) for pair in clements_layout(4)], np.zeros(4))
+
+
+def test_mesh_config_stores_a_numpy_n_modes_as_int():
+    cfg = MeshConfig(np.int64(4), [MeshCell(pair, 0.0) for pair in clements_layout(4)], np.zeros(4))
+    assert type(cfg.n_modes) is int
+    assert json.loads(_dump_json(cfg.to_json_dict()))["n_modes"] == 4
 
 
 def test_all_bar_is_diagonal_and_all_cross_reverses():

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from lnoisim import (
     FitError,
     MeasuredStatistics,
+    MeshCell,
+    MeshConfig,
     canonical_form,
     canonical_phase_gauge,
+    compose,
     haar_random_unitary,
     matrix_distance,
     reconstruct_unitary,
@@ -21,6 +24,7 @@ from lnoisim.mesh import clements_layout
 from lnoisim.reconstruct import _DIFF_STEP, _fit_model
 from helpers import statistics_json
 from oracles import (
+    canonical_form_by_first_row_and_column,
     forward_difference_by_columns,
     mesh_by_embedding,
     reconstruction_residual_by_pair_loop,
@@ -83,6 +87,59 @@ def test_conjugation_really_is_unobservable(n, seed, overlap):
     assert np.allclose(canonical_form(np.conj(u)), canonical_form(u), atol=1e-10)
 
 
+@st.composite
+def bar_and_cross_meshes(draw, max_modes=6):
+    """The unitary of a mesh whose cells may be bar (theta = pi) or cross
+    (theta = 0), so that it can hold zeros anywhere, row 0 and column 0 included."""
+    n = draw(st.integers(2, max_modes))
+    theta = st.sampled_from([0.0, math.pi]) | st.floats(0.3, 2 * math.pi - 0.3)
+    phase = st.floats(0.0, 2 * math.pi)
+    cells = [MeshCell(pair, draw(theta), draw(phase)) for pair in clements_layout(n)]
+    return compose(MeshConfig(n, cells, [draw(phase) for _ in range(n)]))
+
+
+def _mesh(thetas, phis, outputs):
+    n = len(outputs)
+    return compose(MeshConfig(n, [MeshCell(*cell) for cell in zip(clements_layout(n), thetas, phis)], outputs))
+
+
+#: A bar cell 0 keeps input 0 off output 3: u[3, 0] = 0.
+_ZERO_AT_3_0 = _mesh(
+    [math.pi, 1.3, 0.7, 2.1, 0.4, 1.9], [0.3, 2.0, 4.1, 1.1, 5.2, 0.8], [0.5, 1.5, 2.5, 3.5]
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(bar_and_cross_meshes(), st.integers(0, 2**32 - 1))
+@example(np.eye(4), 0)
+@example(_ZERO_AT_3_0, 1)
+def test_canonical_form_is_gauge_invariant_with_zeros_in_row_and_column_0(u, seed):
+    # D_out u D_in and its conjugate have the canonical form of u, also when a
+    # zero in row 0 or column 0 leaves no pivot there.
+    rng = np.random.default_rng(seed)
+    n = u.shape[0]
+    v = random_diag_phases(n, rng) @ u @ random_diag_phases(n, rng)
+    assert matrix_distance(canonical_form(v), canonical_form(u)) < 1e-10
+    assert matrix_distance(canonical_form(np.conj(v)), canonical_form(u)) < 1e-10
+
+
+def test_canonical_form_conjugates_each_block_on_its_own():
+    # No statistic couples the blocks of a block-diagonal matrix, so each
+    # block's conjugation is unobservable on its own.
+    a, b, zero = haar_random_unitary(3, seed=5), haar_random_unitary(3, seed=6), np.zeros((3, 3))
+    u = np.block([[a, zero], [zero, b]])
+    v = np.block([[a, zero], [zero, np.conj(b)]])
+    _assert_same_statistics(u, v, 0.945)
+    assert matrix_distance(canonical_form(v), canonical_form(u)) < 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_canonical_form_without_zeros_in_row_and_column_0_is_the_first_row_and_column_gauge(n, seed):
+    u = haar_random_unitary(n, seed=seed)
+    assert np.array_equal(canonical_form(u), canonical_form_by_first_row_and_column(u))
+
+
 def test_measured_statistics_validation():
     u = haar_random_unitary(4, seed=1)
     stats = synthesize_statistics(u)
@@ -118,7 +175,7 @@ def test_reconstruction_recovers_random_unitaries():
     for seed in range(5):
         u = haar_random_unitary(4, seed=40 + seed)
         stats = synthesize_statistics(u)
-        result = reconstruct_unitary(stats, seed=seed)
+        result = reconstruct_unitary(stats)
         assert result.converged
         # exact statistics are fitted down to rounding level
         assert result.cost < 1e-20
@@ -128,16 +185,78 @@ def test_reconstruction_recovers_random_unitaries():
         assert np.allclose(refit.singles, stats.singles, atol=1e-6)
 
 
+@pytest.mark.parametrize("overlap", [1.0, 0.945, 0.3])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_fit_recovers_20_of_20_haar_unitaries(n, overlap):
+    for seed in range(20):
+        u = haar_random_unitary(n, seed=seed)
+        result = reconstruct_unitary(synthesize_statistics(u, overlap=overlap), overlap=overlap)
+        assert matrix_distance(canonical_form(u), result.unitary) < 1e-10, seed
+
+
+def _dft(n):
+    k = np.arange(n)
+    return np.exp(2j * math.pi * np.outer(k, k) / n) / math.sqrt(n)
+
+
+_BLOCKS = np.block([
+    [haar_random_unitary(2, seed=5), np.zeros((2, 2))], [np.zeros((2, 2)), haar_random_unitary(2, seed=6)]
+])
+
+
+@settings(deadline=None, max_examples=40)
+@given(bar_and_cross_meshes(), st.sampled_from([1.0, 0.945]))
+@example(np.eye(4), 1.0)
+@example(np.eye(4)[[2, 0, 3, 1]], 0.945)
+@example(_BLOCKS, 1.0)
+@example(_dft(4), 0.945)
+@example(_dft(5), 1.0)
+@example(np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))[0], 0.945)
+@example(_mesh([math.pi, 1.0, 2.0, math.pi, 0.5, 1.5], [0.1] * 6, [0.0] * 4), 1.0)
+@example(_ZERO_AT_3_0, 0.945)
+def test_one_fit_fits_structured_unitaries(u, overlap):
+    # Zeros (bar and cross cells, permutations, blocks) and real or
+    # symmetric matrices, whose phases tie, still fit down to the success cost.
+    stats = synthesize_statistics(u, overlap=overlap)
+    assert reconstruct_unitary(stats, overlap=overlap).cost <= 1e-12
+
+
+@pytest.mark.parametrize("overlap", [1e-2, 1e-3, 1e-6])
+def test_small_overlaps_still_fit(overlap):
+    for seed in range(20):
+        u = haar_random_unitary(4, seed=seed)
+        result = reconstruct_unitary(synthesize_statistics(u, overlap=overlap), overlap=overlap)
+        assert matrix_distance(canonical_form(u), result.unitary) < 1e-10, seed
+
+
+def test_overlap_0_is_refused():
+    # At overlap 0 the pair data carry no phase; at 4 modes and more the
+    # moduli alone do not fix the unitary.
+    stats = synthesize_statistics(haar_random_unitary(4, seed=0), overlap=0.0)
+    with pytest.raises(ValueError, match=r"overlap must lie in \(0, 1\], got 0.0"):
+        reconstruct_unitary(stats, overlap=0.0)
+
+
+def test_seed_is_an_unused_integer():
+    # reconstruct_unitary draws nothing; a seed is accepted for the benchmark's calls.
+    stats = synthesize_statistics(haar_random_unitary(3, seed=2))
+    plain = reconstruct_unitary(stats)
+    seeded = reconstruct_unitary(stats, seed=7)
+    assert np.array_equal(plain.unitary, seeded.unitary) and plain.n_restarts_used == 1
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        reconstruct_unitary(stats, seed=1.5)
+
+
 def test_reconstruction_with_partial_overlap_model():
     u = haar_random_unitary(4, seed=77)
     stats = synthesize_statistics(u, overlap=0.945)
-    result = reconstruct_unitary(stats, seed=1, overlap=0.945)
+    result = reconstruct_unitary(stats, overlap=0.945)
     assert matrix_distance(canonical_form(u), result.unitary) < 1e-6
 
 
 def test_reconstruction_result_is_canonical():
     u = haar_random_unitary(4, seed=50)
-    result = reconstruct_unitary(synthesize_statistics(u), seed=0)
+    result = reconstruct_unitary(synthesize_statistics(u))
     assert np.allclose(result.unitary, canonical_form(result.unitary), atol=1e-10)
 
 
@@ -149,18 +268,18 @@ def test_reconstruction_requires_full_pair_coverage():
 
 
 def test_reconstruction_convergence_error_carries_best():
-    # Singles with 0.1% relative noise leave a residual no restart can remove.
+    # Singles with 0.1% relative noise leave a residual no fit can remove.
     u = haar_random_unitary(4, seed=3)
     stats = synthesize_statistics(u)
     noise = 1e-3 * np.random.default_rng(0).standard_normal(stats.singles.shape)
     noisy = MeasuredStatistics(stats.singles * (1.0 + noise), stats.pairs)
-    match = "best of 1 restarts left squared-residual sum .* above 1.000e-12"
+    match = r"the fit left squared-residual sum .* above 1.000e-12 after \d+ evaluations"
     with pytest.raises(FitError, match=match) as excinfo:
-        reconstruct_unitary(noisy, seed=0, n_restarts=1)
+        reconstruct_unitary(noisy)
     best = excinfo.value.best_result
     assert best is not None
     assert not best.converged
-    assert best.n_restarts_used == 1
+    assert best.nfev > 1
     assert 1e-12 < best.cost < 1e-5
     # The best estimate still lies near the truth.
     assert matrix_distance(canonical_form(u), best.unitary) < 1e-2
@@ -169,8 +288,8 @@ def test_reconstruction_convergence_error_carries_best():
 def test_reconstruction_deterministic_for_fixed_seed():
     u = haar_random_unitary(4, seed=60)
     stats = synthesize_statistics(u)
-    r1 = reconstruct_unitary(stats, seed=9)
-    r2 = reconstruct_unitary(stats, seed=9)
+    r1 = reconstruct_unitary(stats)
+    r2 = reconstruct_unitary(stats)
     assert np.array_equal(r1.unitary, r2.unitary)
     assert r1.cost == r2.cost
 
@@ -178,7 +297,7 @@ def test_reconstruction_deterministic_for_fixed_seed():
 def test_two_photon_statistics_of_estimate_match_measurement():
     u = haar_random_unitary(4, seed=90)
     stats = synthesize_statistics(u, overlap=0.945)
-    result = reconstruct_unitary(stats, seed=2, overlap=0.945)
+    result = reconstruct_unitary(stats, overlap=0.945)
     for k, l in itertools.combinations(range(4), 2):
         got = two_photon_distribution(result.unitary, (k, l), overlap=0.945)
         want = stats.pairs[(k, l)]

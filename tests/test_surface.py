@@ -50,6 +50,7 @@ ALLOWED = {
     "PulseProgram.sample_rate_ghz": "benchmark: the sampled drive grid of perfbench/switching.py",
     "PhotonDistribution.outcomes": "benchmark: perfbench/circuit.py reads patterns by this name",
     "PhotonDistribution.to_distribution": "benchmark: perfbench/circuit.py converts through it",
+    "ReconstructionResult.n_restarts_used": "benchmark: perfbench/circuit.py reads the restart count",
     "eom_s21_db": "README acceptance item 5: modulator bandwidth",
     "s21_crossing_ghz": "README acceptance item 5: modulator bandwidth",
 }
@@ -62,6 +63,7 @@ ALLOWED_DEFAULTS = {
     "default_pulse_program(v_pi_volts)": "the config key demux.v_pi_volts",
     "MZIParams.with_bar_leakage(insertion_loss_db)": "the config key demux.insertion_loss_db beside bar_leakage",
     "fit_hom_visibility(sigma)": "benchmark: the weighted fringe fits of perfbench/switching.py and smoke.py",
+    "reconstruct_unitary(seed)": "benchmark: perfbench/circuit.py and perfbench/smoke.py pass a seed",
     "GratingSpectrum.center_wavelength_nm": "the config key sweep.grating.center_wavelength_nm of loss-budget",
     "GratingSpectrum.peak_efficiency_db": "the config key sweep.grating.peak_efficiency_db of loss-budget",
     "GratingSpectrum.bandwidth_1db_nm": "the config key sweep.grating.bandwidth_1db_nm of loss-budget",
@@ -78,7 +80,7 @@ PROPAGATES = {
     "SwitchMetrics.average_probability": "a result that switch_metrics builds from a checked trace",
     "SwitchMetrics.suppression_db": "a result: perfect routing reports -inf",
     "ReconstructionResult.cost": "a result that reconstruct_unitary builds from its best fit",
-    "ReconstructionResult.n_restarts_used": "a result: reconstruct_unitary counts its own restarts",
+    "ReconstructionResult.nfev": "a result: reconstruct_unitary counts its fit's evaluations",
     "SwitchMetrics.n_frames": "a result that switch_metrics counts from a checked trace",
 }
 
