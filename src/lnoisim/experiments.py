@@ -444,7 +444,7 @@ def _run_mesh_decompose(parsed):
     report = {
         "recompose_distance": residual,
         "phase_count": config.phase_count,
-        "n_cells": len(config.cells),
+        "n_cells": len(config.thetas),
         "modulators": sorted(modulator_layout(config)),
     }
     outputs = {

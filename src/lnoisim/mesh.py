@@ -1,21 +1,22 @@
 """Rectangular meshes of 2x2 interferometer cells.
 
 A mesh on ``n`` modes is the ``n (n - 1) / 2`` cells of
-:func:`clements_layout`, in its order, followed by one phase per output; no
-other order is a :class:`MeshConfig`, so ``cell<k>`` names the k-th cell of
-that layout everywhere.  Each cell is an MZI whose internal phase ``theta``
-sets the splitting (``theta = pi`` is bar, ``theta = 0`` is cross) with an
-external phase ``phi`` applied to the upper mode just before the cell.  Any
-unitary factors exactly through this structure; :func:`decompose` computes
-the factorization by alternately nulling matrix elements from the left and
-the right and then pushing the residual diagonal to the outputs.
+:func:`clements_layout`, in its order, followed by one phase per output.  A
+:class:`MeshConfig` is its phases alone: cell k, named ``cell<k>``
+everywhere, sits on the k-th pair of the layout with internal phase
+``thetas[k]``, which sets the splitting (pi is bar, 0 is cross), and
+external phase ``phis[k]`` on its upper input.  ``mesh.json`` still lists
+each cell's ``modes``, checked on read.  Any unitary factors exactly
+through this structure; :func:`decompose` computes the factorization by
+alternately nulling matrix elements from the left and the right and then
+pushing the residual diagonal to the outputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .components import (
 from .core import as_complex_matrix, check_fields, finite_number_array, is_finite_number, is_integer, is_unitary
 
 __all__ = [
-    "MeshCell",
     "MeshConfig",
     "VoltageProgram",
     "clements_layout",
@@ -62,68 +62,63 @@ def wrap_phase(value: float) -> float:
     return abs(wrapped)
 
 
-@dataclass(frozen=True)
-class MeshCell:
-    """One interferometer cell: adjacent mode pair plus (theta, phi)."""
+def _mode_count(n_modes) -> int:
+    if not (is_integer(n_modes) and n_modes >= 2):
+        raise ValueError(f"n_modes must be an integer of at least 2, got {n_modes!r}")
+    return int(n_modes)
 
-    modes: tuple[int, int]
-    theta: float
-    phi: float = 0.0
 
-    def __post_init__(self):
-        i, j = self.modes
-        if j != i + 1 or i < 0:
-            raise ValueError(f"cell must act on adjacent modes, got {self.modes}")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("cell phases must be finite")
-        object.__setattr__(self, "modes", (int(i), int(j)))
+_CellPhases = NamedTuple("_CellPhases", [("theta", float), ("phi", float)])
 
 
 @dataclass(frozen=True, eq=False)
 class MeshConfig:
-    """Complete phase configuration of a rectangular mesh."""
+    """Complete phase configuration of a rectangular mesh.
+
+    Cell k of ``clements_layout(n_modes)`` has internal phase ``thetas[k]``
+    and external phase ``phis[k]``; the arrays are read-only.
+    """
 
     n_modes: int
-    cells: tuple[MeshCell, ...]
+    thetas: np.ndarray
+    phis: np.ndarray
     output_phases: np.ndarray
 
     def __post_init__(self):
-        n = self.n_modes
-        if not (is_integer(n) and n >= 2):
-            raise ValueError(f"n_modes must be an integer of at least 2, got {n!r}")
-        n = int(n)
+        n = _mode_count(self.n_modes)
         object.__setattr__(self, "n_modes", n)
-        layout = clements_layout(n)
-        cells = tuple(self.cells)
-        object.__setattr__(self, "cells", cells)
-        if len(cells) != len(layout):
-            raise ValueError(f"{n}-mode mesh requires {len(layout)} cells, got {len(cells)}")
-        modes = [cell.modes for cell in cells]
-        if modes != layout:
-            raise ValueError(f"{n}-mode mesh needs the cell pairs {layout} in order, got {modes}")
-        phases = np.asarray(self.output_phases, dtype=float)
-        if phases.shape != (n,):
-            raise ValueError(f"output_phases must have length {n}, got {phases.shape}")
-        if not np.all(np.isfinite(phases)):
-            raise ValueError("output phases must be finite")
-        phases = phases.copy()
-        phases.setflags(write=False)
-        object.__setattr__(self, "output_phases", phases)
+        n_cells = n * (n - 1) // 2
+        for name, length in (("thetas", n_cells), ("phis", n_cells), ("output_phases", n)):
+            phases = np.array(getattr(self, name), dtype=float)
+            if phases.shape != (length,):
+                raise ValueError(f"{n}-mode mesh requires {length} {name}, got shape {phases.shape}")
+            if not np.all(np.isfinite(phases)):
+                raise ValueError(f"{name} must be finite")
+            phases.setflags(write=False)
+            object.__setattr__(self, name, phases)
 
     @property
     def phase_count(self) -> int:
         """Number of independently drivable phases (see :func:`modulator_layout`)."""
         return self.n_modes * (self.n_modes - 1) - self.n_modes // 2
 
+    @property
+    def cells(self) -> tuple[_CellPhases, ...]:
+        """``(theta, phi)`` of each cell, in layout order; kept because the
+        benchmark in ``perfbench/`` reads ``cells[k].theta`` and ``.phi``."""
+        return tuple(map(_CellPhases, self.thetas.tolist(), self.phis.tolist()))
+
     def to_json_dict(self) -> dict:
         return {
             "schema_version": MESH_SCHEMA_VERSION,
             "n_modes": self.n_modes,
             "cells": [
-                {"modes": list(c.modes), "theta": float(c.theta), "phi": float(c.phi)}
-                for c in self.cells
+                {"modes": list(pair), "theta": theta, "phi": phi}
+                for pair, theta, phi in zip(
+                    clements_layout(self.n_modes), self.thetas.tolist(), self.phis.tolist()
+                )
             ],
-            "output_phases": [float(p) for p in self.output_phases],
+            "output_phases": self.output_phases.tolist(),
         }
 
     @classmethod
@@ -132,21 +127,26 @@ class MeshConfig:
         version = data.get("schema_version")
         if not is_integer(version) or version != MESH_SCHEMA_VERSION:
             raise ValueError(f"unsupported mesh schema_version {version!r}")
-        n_modes = data["n_modes"]
-        if not is_integer(n_modes):
-            raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
+        n = _mode_count(data["n_modes"])
+        entries, n_cells = list(data["cells"]), n * (n - 1) // 2
+        # Count before building the layout, whose size grows as n squared.
+        if len(entries) != n_cells:
+            raise ValueError(f"{n}-mode mesh requires {n_cells} cells, got {len(entries)}")
         cells = []
-        for idx, entry in enumerate(data["cells"]):
+        for idx, entry in enumerate(entries):
             check_fields(entry, ("modes", "theta", "phi"), f"cells[{idx}]")
-            modes = tuple(entry["modes"])
-            if not all(is_integer(m) for m in modes):
-                raise ValueError(f"cell modes must be integers, got {list(modes)}")
-            phases = (entry["theta"], entry.get("phi", 0.0))
-            if not all(is_finite_number(v) for v in phases):
-                raise ValueError(f"cell {list(modes)}: theta and phi must be finite numbers")
-            cells.append(MeshCell(modes, *(float(v) for v in phases)))
+            pair, theta, phi = tuple(entry["modes"]), entry["theta"], entry.get("phi", 0.0)
+            if not all(is_integer(m) for m in pair):
+                raise ValueError(f"cell modes must be integers, got {list(pair)}")
+            if not (is_finite_number(theta) and is_finite_number(phi)):
+                raise ValueError(f"cell {list(pair)}: theta and phi must be finite numbers")
+            cells.append((pair, float(theta), float(phi)))
+        modes, thetas, phis = map(list, zip(*cells))
+        layout = clements_layout(n)
+        if modes != layout:
+            raise ValueError(f"{n}-mode mesh needs the cell pairs {layout} in order, got {modes}")
         outputs = finite_number_array(data["output_phases"], 1, "output_phases")
-        return cls(n_modes, cells, outputs)
+        return cls(n, thetas, phis, outputs)
 
 
 def clements_layout(n: int) -> list[tuple[int, int]]:
@@ -174,8 +174,9 @@ def _ideal_cell_matrix(theta: float, phi: float) -> np.ndarray:
     return pref * np.array([[eip * s, c], [eip * c, -s]], dtype=np.complex128)
 
 
-def _mesh_product(n, modes, thetas, phis, cell_params: MZIParams | None = None) -> np.ndarray:
-    """Product of the cells in list order (first cell hits the input first).
+def _mesh_product(n, thetas, phis, cell_params: MZIParams | None = None) -> np.ndarray:
+    """Product of the cells of ``clements_layout(n)`` in its order (first cell
+    hits the input first).
 
     ``thetas`` and ``phis`` have shape ``(..., cells)`` and the result has
     shape ``(..., n, n)``, one matrix per phase vector.  Every cell comes
@@ -186,8 +187,7 @@ def _mesh_product(n, modes, thetas, phis, cell_params: MZIParams | None = None) 
     blocks = mzi_transfer(cell_params or MZIParams(), thetas)
     blocks[..., 0] *= np.exp(1j * np.asarray(phis, dtype=float))[..., None]
     u = np.broadcast_to(np.eye(n, dtype=np.complex128), thetas.shape[:-1] + (n, n)).copy()
-    # MeshCell guarantees j = i + 1, so rows i : i + 2 are the cell's pair.
-    for c, (i, _) in enumerate(modes):
+    for c, (i, _) in enumerate(clements_layout(n)):
         u[..., i : i + 2, :] = blocks[..., c, :, :] @ u[..., i : i + 2, :]
     return u
 
@@ -200,14 +200,13 @@ def compose(config: MeshConfig, cell_params: MZIParams | None = None) -> np.ndar
     cell uses that one physical MZI model instead of the ideal one.
 
     Args:
-        config: mesh phases and layout.
+        config: mesh phases.
         cell_params: None for ideal cells, or one ``MZIParams`` shared by
             all cells.
     """
     if cell_params is not None and not isinstance(cell_params, MZIParams):
         raise TypeError(f"cell_params must be MZIParams or None, got {type(cell_params).__name__}")
-    modes, thetas, phis = zip(*((cell.modes, cell.theta, cell.phi) for cell in config.cells))
-    u = _mesh_product(config.n_modes, modes, thetas, phis, cell_params)
+    u = _mesh_product(config.n_modes, config.thetas, config.phis, cell_params)
     return u * np.exp(1j * config.output_phases)[:, None]
 
 
@@ -244,7 +243,7 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
         raise ValueError("matrix is not unitary within tolerance")
 
     work = mat.astype(np.complex128, copy=True)
-    right_cells: list[MeshCell] = []
+    right_cells: list[tuple[int, float, float]] = []  # (upper mode, theta, phi), wrapped
     left_ops: list[tuple[int, float, float]] = []  # (upper mode, theta, phi)
 
     for diag in range(1, n):
@@ -256,7 +255,7 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
                 tinv = _ideal_cell_matrix(theta, phi).conj().T
                 work[:, [col, col + 1]] = work[:, [col, col + 1]] @ tinv
                 work[row, col] = 0.0
-                right_cells.append(MeshCell((col, col + 1), wrap_phase(theta), wrap_phase(phi)))
+                right_cells.append((col, wrap_phase(theta), wrap_phase(phi)))
         else:
             for j in range(1, diag + 1):
                 row, col = n + j - diag - 1, j - 1
@@ -270,7 +269,7 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
     diag_phases = np.diagonal(work).copy()
     # Push the diagonal through the left factors: T^{-1} D = D' T', which
     # keeps theta and rotates phi and the two diagonal entries.
-    converted: list[MeshCell] = []
+    converted: list[tuple[int, float, float]] = []
     for upper, theta, phi in reversed(left_ops):
         d1, d2 = diag_phases[upper], diag_phases[upper + 1]
         new_phi = float(np.angle(d1 / d2))
@@ -278,16 +277,17 @@ def decompose(u: object, tol: float = 1e-8) -> MeshConfig:
         e_mp = complex(math.cos(phi), -math.sin(phi))
         diag_phases[upper] = -e_mt * e_mp * d2
         diag_phases[upper + 1] = -e_mt * d2
-        converted.append(MeshCell((upper, upper + 1), wrap_phase(theta), wrap_phase(new_phi)))
+        converted.append((upper, wrap_phase(theta), wrap_phase(new_phi)))
 
     outputs = [wrap_phase(p) for p in np.angle(diag_phases).tolist()]
     # Cells on disjoint pairs commute, so the k-th cell on a pair in nulling
     # order takes that pair's k-th slot of the layout.
-    on_pair: dict[tuple[int, int], list[MeshCell]] = {}
-    for cell in right_cells + converted:
-        on_pair.setdefault(cell.modes, []).append(cell)
-    queues = {pair: iter(cells) for pair, cells in on_pair.items()}
-    return MeshConfig(n, tuple(next(queues[pair]) for pair in clements_layout(n)), outputs)
+    on_pair: dict[int, list[tuple[float, float]]] = {}
+    for upper, theta, phi in right_cells + converted:
+        on_pair.setdefault(upper, []).append((theta, phi))
+    queues = {upper: iter(cells) for upper, cells in on_pair.items()}
+    thetas, phis = zip(*(next(queues[upper]) for upper, _ in clements_layout(n)))
+    return MeshConfig(n, thetas, phis, outputs)
 
 
 def modulator_layout(config: MeshConfig) -> dict[str, tuple[int, str]]:
@@ -299,7 +299,7 @@ def modulator_layout(config: MeshConfig) -> dict[str, tuple[int, str]]:
     this yields the device's ten modulators (six internal plus four external).
     """
     layout: dict[str, tuple[int, str]] = {}
-    for idx in range(len(config.cells)):
+    for idx in range(len(config.thetas)):
         layout[f"cell{idx}.theta"] = (idx, "internal")
         if idx >= config.n_modes // 2:
             layout[f"cell{idx}.phi"] = (idx, "external")
@@ -315,14 +315,12 @@ def gauge_input_phases(config: MeshConfig) -> tuple[MeshConfig, np.ndarray]:
     Input phases only ever multiply measured amplitudes by a global factor
     per input, so photon statistics are unchanged.
     """
+    # Column 0: cell k sits on modes (2k, 2k + 1).
+    half = config.n_modes // 2
     input_phases = np.zeros(config.n_modes)
-    cells = list(config.cells)
-    for idx in range(config.n_modes // 2):
-        cell = cells[idx]
-        input_phases[cell.modes[0]] = wrap_phase(cell.phi)
-        cells[idx] = MeshCell(cell.modes, cell.theta, 0.0)
-    reduced = MeshConfig(config.n_modes, tuple(cells), config.output_phases)
-    return reduced, input_phases
+    input_phases[: 2 * half : 2] = [wrap_phase(phi) for phi in config.phis[:half].tolist()]
+    phis = np.concatenate([np.zeros(half), config.phis[half:]])
+    return MeshConfig(config.n_modes, config.thetas, phis, config.output_phases), input_phases
 
 
 @dataclass(frozen=True)
@@ -364,15 +362,13 @@ def phases_to_voltages(config: MeshConfig, shifter: PhaseShifterParams) -> Volta
             a voltage exceeds ``COMPLIANCE_VOLTS``.
     """
     layout = modulator_layout(config)
-    for idx in range(config.n_modes // 2):
-        residual = wrap_phase(config.cells[idx].phi)
+    for idx, phi in enumerate(config.phis[: config.n_modes // 2].tolist()):
+        residual = wrap_phase(phi)
         if min(residual, _TWO_PI - residual) > 1e-9:
             raise ValueError(
                 f"cell {idx} carries input-facing phase {residual:.6g} rad with no "
                 "modulator; call gauge_input_phases() first"
             )
-    voltages: dict[str, float] = {}
-    for name, (idx, role) in layout.items():
-        cell = config.cells[idx]
-        voltages[name] = voltage_for_phase(shifter, cell.theta if role == "internal" else cell.phi)
+    phases = {"internal": config.thetas.tolist(), "external": config.phis.tolist()}
+    voltages = {name: voltage_for_phase(shifter, phases[role][idx]) for name, (idx, role) in layout.items()}
     return VoltageProgram(voltages, layout)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import as_complex_matrix, check_fields, finite_number_array, is_integer
 from .errors import FitError
-from .mesh import _mesh_product, clements_layout, decompose
+from .mesh import _mesh_product, decompose
 from .photons import PhotonDistribution, _coincidence, _probability_array, two_photon_distribution
 
 __all__ = [
@@ -307,8 +307,7 @@ def _fit_model(measured: MeasuredStatistics, overlap: float):
     (internal phases, then external) and their forward difference, every
     column from one stacked call."""
     n = measured.n_modes
-    layout = clements_layout(n)
-    half = len(layout)
+    half = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
     pair_keys = sorted(measured.pairs)
     k, l = np.array(pair_keys).T[..., None]
@@ -318,7 +317,7 @@ def _fit_model(measured: MeasuredStatistics, overlap: float):
     x = float(overlap)
 
     def residuals(phases: np.ndarray) -> np.ndarray:
-        u = _mesh_product(n, layout, phases[..., :half], phases[..., half:])
+        u = _mesh_product(n, phases[..., :half], phases[..., half:])
         pairs = _coincidence(u[..., iu, k] * u[..., ju, l], u[..., ju, k] * u[..., iu, l], x)
         flat = u.shape[:-2] + (-1,)
         return np.concatenate([(np.abs(u) ** 2).reshape(flat), pairs.reshape(flat)], -1) - data
@@ -431,11 +430,10 @@ def reconstruct_unitary(
         raise ValueError(f"overlap must lie in (0, 1], got {overlap}: at 0 the pairs carry no phase")
     if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed}")
-    n = measured.n_modes
-    cells = decompose(_estimate(measured, overlap)).cells
-    start = [cell.theta for cell in cells] + [cell.phi for cell in cells]
-    fit = _levenberg_marquardt(_fit_model(measured, overlap), start, tol=1e-14, max_nfev=5000)
-    u = _mesh_product(n, clements_layout(n), fit.x[: len(cells)], fit.x[len(cells) :])
+    start = decompose(_estimate(measured, overlap))
+    x0 = np.concatenate([start.thetas, start.phis])
+    fit = _levenberg_marquardt(_fit_model(measured, overlap), x0, tol=1e-14, max_nfev=5000)
+    u = _mesh_product(measured.n_modes, *np.split(fit.x, 2))
     result = ReconstructionResult(canonical_form(u), fit.cost, fit.cost <= _SUCCESS_COST, fit.nfev)
     if not result.converged:
         raise FitError(

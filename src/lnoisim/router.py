@@ -24,6 +24,7 @@ import numpy as np
 from .components import (
     N_TREE_SWITCHES,
     MZIParams,
+    PhaseShifterParams,
     _mzi_columns,
     eom_slot_response,
     phase_from_voltage,
@@ -127,8 +128,8 @@ class PulseProgram:
 
 
 def default_pulse_program(
-    repetition_period_ns: float = 13.8,
-    v_pi_volts: float = 4.5,
+    repetition_period_ns: float = SourceModel.repetition_period_ns,
+    v_pi_volts: float = PhaseShifterParams.v_pi_volts,
     n_frames: int = 1,
     samples_per_slot: int = 256,
 ) -> PulseProgram:

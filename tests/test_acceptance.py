@@ -17,7 +17,6 @@ import scipy.linalg
 
 from lnoisim import (
     MZIParams,
-    MeshCell,
     MeshConfig,
     PhaseShifterParams,
     SourceModel,
@@ -199,11 +198,9 @@ def test_two_photon_statistics_match_oracle_and_survive_hardware_noise():
     for trial in range(10):
         u = haar_random_unitary(4, seed=300 + trial)
         config = decompose(u)
-        noisy_cells = tuple(
-            MeshCell(c.modes, c.theta + rng.normal(0.0, sigma), c.phi + rng.normal(0.0, sigma))
-            for c in config.cells
-        )
-        noisy = dataclasses.replace(config, cells=noisy_cells)
+        # One (theta, phi) draw per cell, in cell order.
+        noise = rng.normal(0.0, sigma, (len(config.thetas), 2))
+        noisy = dataclasses.replace(config, thetas=config.thetas + noise[:, 0], phis=config.phis + noise[:, 1])
         t = compose(noisy, cell_params=leaky)
         fidelity = statistical_fidelity(
             two_photon_distribution(u, (0, 1), overlap=0.945),

@@ -965,6 +965,7 @@ def _set(path, value):
 
 
 _IDENTITY_2 = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+_HUGE_MESH = {"schema_version": 1, "n_modes": 100000, "cells": [], "output_phases": [0.0]}
 
 
 def _budget_with_grating(**grating):
@@ -1093,10 +1094,17 @@ _REJECTED = {
     ), "field 'mesh': output_phases must be a 1-d array of finite numbers"),
     "compose-fractional-mode-count": (["mesh", "compose"], _compose_with_mesh(
         _set(("n_modes",), 4.7)
-    ), "field 'mesh': n_modes must be an integer, got 4.7"),
+    ), "field 'mesh': n_modes must be an integer of at least 2, got 4.7"),
     "compose-fractional-cell-modes": (["mesh", "compose"], _compose_with_mesh(
         _set(("cells", 0, "modes"), [0.5, 1.5])
     ), "field 'mesh': cell modes must be integers, got [0.5, 1.5]"),
+    # The cells are counted before the layout of 5e9 pairs could be built.
+    "compose-huge-mode-count": (["mesh", "compose"], {
+        "schema_version": 1, "experiment": "mesh-compose", "mesh": _HUGE_MESH,
+    }, "field 'mesh': 100000-mode mesh requires 4999950000 cells, got 0"),
+    "distribution-huge-mode-count": (["distribution"], {
+        "schema_version": 1, "experiment": "distribution", "mesh": _HUGE_MESH, "input_modes": [0, 1],
+    }, "field 'mesh': 100000-mode mesh requires 4999950000 cells, got 0"),
     "demux-extinction-past-the-cap": (["demux"], {
         "schema_version": 1, "experiment": "demux", "extinction_db": 4000,
     }, "field 'extinction_db': extinction ratio must lie in (0, 300] dB, got 4000"),

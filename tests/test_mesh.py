@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnoisim import (
-    MeshCell,
     MeshConfig,
     MZIParams,
     PhaseShifterParams,
@@ -50,39 +51,40 @@ def test_wrap_phase():
 
 
 def test_cell_validation():
-    with pytest.raises(ValueError, match="cell must act on adjacent modes"):
-        MeshCell((0, 2), 0.1)
-    with pytest.raises(ValueError, match="cell must act on adjacent modes"):
-        MeshCell((3, 2), 0.1)
-    with pytest.raises(ValueError, match="4-mode mesh requires 6 cells, got 1"):
-        MeshConfig(4, [MeshCell((0, 1), 0.0)], np.zeros(4))
-    with pytest.raises(ValueError, match=r"4-mode mesh needs the cell pairs \[\(0, 1\), \(2, 3\), "
-                       r"\(1, 2\), \(0, 1\), \(2, 3\), \(1, 2\)\] in order, got \[\(3, 4\), "):
-        MeshConfig(4, [MeshCell((3, 4), 0.0) for _ in range(6)], np.zeros(4))
-    # The pairs of the layout, but two of them swapped.
-    swapped = clements_layout(4)
-    swapped[1], swapped[2] = swapped[2], swapped[1]
-    with pytest.raises(ValueError, match=r"in order, got \[\(0, 1\), \(1, 2\), \(2, 3\), "):
-        MeshConfig(4, [MeshCell(pair, 0.0) for pair in swapped], np.zeros(4))
+    with pytest.raises(ValueError, match=r"4-mode mesh requires 6 thetas, got shape \(1,\)"):
+        MeshConfig(4, [0.0], np.zeros(6), np.zeros(4))
+    with pytest.raises(ValueError, match=r"4-mode mesh requires 6 phis, got shape \(7,\)"):
+        MeshConfig(4, np.zeros(6), np.zeros(7), np.zeros(4))
+    with pytest.raises(ValueError, match=r"4-mode mesh requires 4 output_phases, got shape \(3,\)"):
+        MeshConfig(4, np.zeros(6), np.zeros(6), np.zeros(3))
+    with pytest.raises(ValueError, match="phis must be finite"):
+        MeshConfig(4, np.zeros(6), [0.0] * 5 + [math.nan], np.zeros(4))
     with pytest.raises(ValueError, match="n_modes must be an integer of at least 2, got 3.0"):
-        MeshConfig(3.0, [MeshCell(pair, 0.0) for pair in clements_layout(3)], np.zeros(3))
+        MeshConfig(3.0, np.zeros(3), np.zeros(3), np.zeros(3))
+    # The cell count is arithmetic: no array of a huge mesh's size is built.
+    with pytest.raises(ValueError, match=r"100000-mode mesh requires 4999950000 thetas, got shape \(0,\)"):
+        MeshConfig(100000, [], [], np.zeros(100000))
+    # The config keeps read-only copies of its phases.
+    thetas = np.zeros(6)
+    cfg = MeshConfig(4, thetas, np.zeros(6), np.zeros(4))
+    thetas[0] = 1.0
+    assert cfg.thetas[0] == 0.0 and not cfg.thetas.flags.writeable
 
 
 @pytest.mark.parametrize("n_modes", ["a", None, True, 1, -4, 4.0], ids=repr)
 def test_mesh_config_refuses_an_n_modes_that_is_no_integer_of_at_least_2(n_modes):
     with pytest.raises(ValueError, match=f"n_modes must be an integer of at least 2, got {n_modes!r}"):
-        MeshConfig(n_modes, [MeshCell(pair, 0.0) for pair in clements_layout(4)], np.zeros(4))
+        MeshConfig(n_modes, np.zeros(6), np.zeros(6), np.zeros(4))
 
 
 def test_mesh_config_stores_a_numpy_n_modes_as_int():
-    cfg = MeshConfig(np.int64(4), [MeshCell(pair, 0.0) for pair in clements_layout(4)], np.zeros(4))
+    cfg = MeshConfig(np.int64(4), np.zeros(6), np.zeros(6), np.zeros(4))
     assert type(cfg.n_modes) is int
     assert json.loads(_dump_json(cfg.to_json_dict()))["n_modes"] == 4
 
 
 def test_all_bar_is_diagonal_and_all_cross_reverses():
-    cells = [MeshCell(pair, math.pi) for pair in clements_layout(4)]
-    bar = compose(MeshConfig(4, cells, np.zeros(4)))
+    bar = compose(MeshConfig(4, np.full(6, math.pi), np.zeros(6), np.zeros(4)))
     assert np.allclose(np.abs(bar), np.eye(4), atol=1e-12)
     cross = compose(all_cross_config(4))
     assert np.allclose(np.abs(cross), np.eye(4)[::-1], atol=1e-12)
@@ -92,10 +94,8 @@ def test_identity_decomposes_to_all_bar():
     cfg = decompose(np.eye(4))
     # every cell in the bar state; external phases absorb the residual
     # cell signs so the output phases are exactly zero
-    assert all(c.theta == pytest.approx(math.pi) for c in cfg.cells)
-    assert all(
-        c.phi == pytest.approx(0.0) or c.phi == pytest.approx(math.pi) for c in cfg.cells
-    )
+    assert all(theta == pytest.approx(math.pi) for theta in cfg.thetas)
+    assert all(phi == pytest.approx(0.0) or phi == pytest.approx(math.pi) for phi in cfg.phis)
     assert np.allclose(cfg.output_phases, 0.0)
     assert matrix_distance(compose(cfg), np.eye(4)) < 1e-12
 
@@ -105,7 +105,7 @@ def test_haar_round_trip_many_sizes():
         for seed in range(8):
             u = haar_random_unitary(n, seed=seed)
             cfg = decompose(u)
-            assert len(cfg.cells) == n * (n - 1) // 2
+            assert len(cfg.thetas) == len(cfg.phis) == n * (n - 1) // 2
             assert matrix_distance(compose(cfg), u) < 1e-10
 
 
@@ -156,20 +156,40 @@ def test_compose_with_leaky_cells_stays_unitary():
 def test_compose_rejects_per_cell_params():
     cfg = all_cross_config(4)
     with pytest.raises(TypeError):
-        compose(cfg, [MZIParams.ideal() for _ in cfg.cells])
+        compose(cfg, [MZIParams.ideal() for _ in cfg.thetas])
 
 
 def test_config_json_round_trip():
-    u = haar_random_unitary(4, seed=21)
-    cfg = decompose(u)
-    loaded = MeshConfig.from_json_dict(json.loads(_dump_json(cfg.to_json_dict())))
-    assert loaded.n_modes == 4
-    for a, b in zip(cfg.cells, loaded.cells):
-        assert a.modes == b.modes
-        assert a.theta == b.theta  # exact: repr round-trip
-        assert a.phi == b.phi
-    assert np.array_equal(cfg.output_phases, loaded.output_phases)
-    assert matrix_distance(compose(loaded), u) < 1e-10
+    """mesh.json reads back bit for bit, and its cells' modes, which the
+    config does not store, are checked on read against the layout."""
+    for n in range(2, 9):
+        u = haar_random_unitary(n, seed=21)
+        cfg = decompose(u)
+        data = json.loads(_dump_json(cfg.to_json_dict()))
+        assert [tuple(cell["modes"]) for cell in data["cells"]] == clements_layout(n)
+        loaded = MeshConfig.from_json_dict(data)
+        assert loaded.n_modes == n
+        for name in ("thetas", "phis", "output_phases"):
+            assert np.array_equal(getattr(loaded, name), getattr(cfg, name))  # exact: repr round-trip
+        assert matrix_distance(compose(loaded), u) < 1e-10
+
+        order = "^" + re.escape(f"{n}-mode mesh needs the cell pairs {clements_layout(n)} in order, got ")
+        shifted = copy.deepcopy(data)
+        shifted["cells"][-1]["modes"] = [m + 1 for m in shifted["cells"][-1]["modes"]]
+        with pytest.raises(ValueError, match=order):
+            MeshConfig.from_json_dict(shifted)
+        if n >= 3:
+            # Cell n // 2, the first of column 1, sits on (1, 2), not on (0, 1).
+            swapped = copy.deepcopy(data)
+            first, other = swapped["cells"][0], swapped["cells"][n // 2]
+            first["modes"], other["modes"] = other["modes"], first["modes"]
+            with pytest.raises(ValueError, match=order):
+                MeshConfig.from_json_dict(swapped)
+        short = copy.deepcopy(data)
+        del short["cells"][-1]
+        count = n * (n - 1) // 2
+        with pytest.raises(ValueError, match=rf"^{n}-mode mesh requires {count} cells, got {count - 1}$"):
+            MeshConfig.from_json_dict(short)
 
 
 def test_config_json_rejects_unknown_schema(tmp_path):
@@ -208,8 +228,9 @@ def test_gauge_extraction_preserves_statistics():
     reduced, input_phases = gauge_input_phases(cfg)
     recombined = compose(reduced) @ np.diag(np.exp(1j * input_phases))
     assert matrix_distance(recombined, u) < 1e-12
-    for idx in (0, 1):
-        assert reduced.cells[idx].phi == 0.0
+    assert np.array_equal(reduced.phis[:2], [0.0, 0.0])
+    assert np.array_equal(reduced.phis[2:], cfg.phis[2:])
+    assert np.array_equal(input_phases[[1, 3]], [0.0, 0.0])
     # intensities are blind to input phases
     assert np.allclose(np.abs(compose(reduced)), np.abs(u), atol=1e-12)
 
@@ -223,8 +244,7 @@ def test_phases_to_voltages_round_trip():
     layout = modulator_layout(reduced)
     for name, volts in prog.voltages.items():
         idx, role = layout[name]
-        cell = reduced.cells[idx]
-        want = cell.theta if role == "internal" else cell.phi
+        want = (reduced.thetas if role == "internal" else reduced.phis)[idx]
         got = phase_from_voltage(shifter, volts)
         assert math.remainder(got - want, 2 * math.pi) == pytest.approx(0.0, abs=1e-10)
         assert abs(volts) <= shifter.v_pi_volts + 1e-9
@@ -255,7 +275,7 @@ def test_compose_equals_direct_cell_product(n, d, loss_db, seed):
     layout = clements_layout(n)
     thetas, phis = rng.uniform(0.0, 2 * math.pi, (2, len(layout)))
     cells = list(zip(layout, thetas, phis))
-    cfg = MeshConfig(n, tuple(MeshCell(*cell) for cell in cells), rng.uniform(0.0, 2 * math.pi, n))
+    cfg = MeshConfig(n, thetas, phis, rng.uniform(0.0, 2 * math.pi, n))
     assert np.allclose(compose(cfg), mesh_by_embedding(n, cells, cfg.output_phases), atol=1e-12)
 
     physical = MZIParams(coupler_imbalance=d, insertion_loss_db=loss_db)
@@ -281,10 +301,10 @@ def test_stacked_mesh_product_equals_per_vector_calls(n, batch, lossy, seed):
     thetas, phis = rng.uniform(0.0, 2 * math.pi, (2, *batch, len(layout)))
     d, loss_db = (0.13, 0.4) if lossy else (0.0, 0.0)
     params = MZIParams(coupler_imbalance=d, insertion_loss_db=loss_db) if lossy else None
-    stacked = _mesh_product(n, layout, thetas, phis, params)
+    stacked = _mesh_product(n, thetas, phis, params)
     assert stacked.shape == (*batch, n, n)
     for idx in np.ndindex(*batch):
-        single = _mesh_product(n, layout, thetas[idx], phis[idx], params)
+        single = _mesh_product(n, thetas[idx], phis[idx], params)
         assert np.array_equal(stacked[idx], single)
         cells = list(zip(layout, thetas[idx], phis[idx]))
         want = mesh_by_embedding(n, cells, np.zeros(n), 0.5 + d, 0.5, loss_db)
@@ -294,22 +314,22 @@ def test_stacked_mesh_product_equals_per_vector_calls(n, batch, lossy, seed):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
 def test_decompose_emits_the_layout_and_the_closed_form_modulators(n, seed):
-    """decompose lists its cells in clements_layout order and compose inverts
-    it; the closed-form modulator map agrees with the touched-mode rule."""
+    """decompose puts each cell in its clements_layout slot, so compose
+    inverts it; the closed-form modulator map agrees with the touched-mode rule."""
     u = haar_random_unitary(n, seed=seed)
     cfg = decompose(u)
-    modes = [cell.modes for cell in cfg.cells]
-    assert modes == clements_layout(n)
     assert matrix_distance(compose(cfg), u) < 1e-10
-    assert modulator_layout(cfg) == modulator_layout_by_touched_modes(modes)
+    assert modulator_layout(cfg) == modulator_layout_by_touched_modes(clements_layout(n))
     assert cfg.phase_count == len(modulator_layout(cfg))
 
 
 def test_decomposition_phases_canonical():
     u = haar_random_unitary(4, seed=55)
     cfg = decompose(u)
-    for cell in cfg.cells:
-        assert 0.0 <= cell.theta < 2 * math.pi
-        assert 0.0 <= cell.phi < 2 * math.pi
+    for phases in (cfg.thetas, cfg.phis):
+        assert np.all(phases >= 0.0)
+        assert np.all(phases < 2 * math.pi)
+    # The (theta, phi) view of each cell that the benchmark reads.
+    assert [(c.theta, c.phi) for c in cfg.cells] == list(zip(cfg.thetas.tolist(), cfg.phis.tolist()))
     assert np.all(cfg.output_phases >= 0.0)
     assert np.all(cfg.output_phases < 2 * math.pi)

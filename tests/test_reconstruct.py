@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lnoisim import (
     FitError,
     MeasuredStatistics,
-    MeshCell,
     MeshConfig,
     canonical_form,
     canonical_phase_gauge,
@@ -94,13 +93,12 @@ def bar_and_cross_meshes(draw, max_modes=6):
     n = draw(st.integers(2, max_modes))
     theta = st.sampled_from([0.0, math.pi]) | st.floats(0.3, 2 * math.pi - 0.3)
     phase = st.floats(0.0, 2 * math.pi)
-    cells = [MeshCell(pair, draw(theta), draw(phase)) for pair in clements_layout(n)]
-    return compose(MeshConfig(n, cells, [draw(phase) for _ in range(n)]))
+    thetas, phis = zip(*((draw(theta), draw(phase)) for _ in range(n * (n - 1) // 2)))
+    return compose(MeshConfig(n, thetas, phis, [draw(phase) for _ in range(n)]))
 
 
 def _mesh(thetas, phis, outputs):
-    n = len(outputs)
-    return compose(MeshConfig(n, [MeshCell(*cell) for cell in zip(clements_layout(n), thetas, phis)], outputs))
+    return compose(MeshConfig(len(outputs), thetas, phis, outputs))
 
 
 #: A bar cell 0 keeps input 0 off output 3: u[3, 0] = 0.

@@ -51,6 +51,7 @@ ALLOWED = {
     "PhotonDistribution.outcomes": "benchmark: perfbench/circuit.py reads patterns by this name",
     "PhotonDistribution.to_distribution": "benchmark: perfbench/circuit.py converts through it",
     "ReconstructionResult.n_restarts_used": "benchmark: perfbench/circuit.py reads the restart count",
+    "MeshConfig.cells": "benchmark: perfbench/circuit.py and perfbench/smoke.py read cells[k].theta and .phi",
     "eom_s21_db": "README acceptance item 5: modulator bandwidth",
     "s21_crossing_ghz": "README acceptance item 5: modulator bandwidth",
 }
