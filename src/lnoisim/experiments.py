@@ -312,9 +312,9 @@ def _parse_mesh_compose(fields, diags):
 
 
 def _parse_reconstruct(fields, diags):
-    from .reconstruct import MeasuredStatistics, synthesize_statistics
-    if fields.get("overlap") == 0.0:
-        diags.append("field 'overlap' must be > 0: at overlap 0 the pairs carry no phase")
+    from .reconstruct import MIN_OVERLAP, MeasuredStatistics, synthesize_statistics
+    if fields.get("overlap", 1.0) < MIN_OVERLAP:
+        diags.append(f"field 'overlap' must be >= {MIN_OVERLAP:g}: below it the pairs carry too little phase")
     if (fields.get("unitary") is None) == (fields.get("statistics") is None):
         diags.append("give exactly one of 'unitary' and 'statistics'")
     reference = _object(fields, diags, "unitary", _passive_matrix)

@@ -18,7 +18,10 @@ external phases of a rectangular mesh and fits them to the measured
 statistics with damped least squares, in one fit from a closed-form
 estimate: the singles give the moduli, and the pairs give the cosines of
 the phases (Laing & O'Brien, arXiv:1208.2868; Rahimi-Keshari et al., Opt.
-Express 21, 13450 (2013)).  Nothing is drawn at random.
+Express 21, 13450 (2013)).  The solver sees only the fit's residual
+function and takes its Jacobian by forward differences.  The pairs carry
+the phases at the strength of the overlap, so an overlap below
+``MIN_OVERLAP`` is refused.  Nothing is drawn at random.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +42,6 @@ __all__ = [
     "MeasuredStatistics",
     "ReconstructionResult",
     "canonical_form",
-    "canonical_phase_gauge",
     "reconstruct_unitary",
     "synthesize_statistics",
 ]
@@ -48,6 +50,11 @@ _PIVOT_TOL = 1e-9
 
 #: The squared-residual sum at or below which the fit has converged.
 _SUCCESS_COST = 1e-12
+
+#: The smallest overlap the fit accepts.  Pairs at overlap x carry the
+#: phases at strength x, and from about 1e-13 down a noise-free fit of
+#: 3 to 5 modes can settle on a wrong unitary at a cost of 1e-30.
+MIN_OVERLAP = 1e-9
 
 
 def _spanning_forest(linked: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -75,8 +82,8 @@ def _spanning_forest(linked: np.ndarray) -> tuple[list[tuple[int, int]], np.ndar
     return edges, tree
 
 
-def canonical_phase_gauge(u: np.ndarray) -> np.ndarray:
-    """Fix the per-port phase freedom of ``u``.
+def canonical_form(u: np.ndarray) -> np.ndarray:
+    """Representative of ``u`` modulo port phases and conjugation.
 
     The entries with modulus above ``_PIVOT_TOL`` link their row and
     column; along a breadth-first spanning forest of those links, each row
@@ -86,33 +93,24 @@ def canonical_phase_gauge(u: np.ndarray) -> np.ndarray:
     rows 1.. so the first column is.  The forest depends only on which
     entries link, so the map is well defined for matrices with structural
     zeros.
+
+    After phase fixing, the matrix and its conjugate differ only in the
+    signs of imaginary parts.  Each tree of the forest is a block that no
+    statistic couples to the others, so each is conjugated on its own: the
+    representative is the one whose first entry (row-major) in the block
+    with ``|imag| > _PIVOT_TOL`` has positive imaginary part.
+    ``canonical_form(conj(u))`` therefore equals ``canonical_form(u)``.
     """
     w = as_complex_matrix(u).copy()
     n = w.shape[0]
-    for parent, child in _spanning_forest(np.abs(w) > _PIVOT_TOL)[0]:
+    edges, tree = _spanning_forest(np.abs(w) > _PIVOT_TOL)
+    for parent, child in edges:
         if child < n:
             pivot = w[child, parent - n]
             w[child, :] *= np.conj(pivot) / abs(pivot)
         else:
             pivot = w[parent, child - n]
             w[:, child - n] *= np.conj(pivot) / abs(pivot)
-    return w
-
-
-def canonical_form(u: np.ndarray) -> np.ndarray:
-    """Representative of ``u`` modulo port phases and conjugation.
-
-    After phase fixing, the matrix and its conjugate differ only in the
-    signs of imaginary parts.  Each tree of :func:`canonical_phase_gauge`'s
-    forest is a block that no statistic couples to the others, so each is
-    conjugated on its own: the representative is the one whose first entry
-    (row-major) in the block with ``|imag| > _PIVOT_TOL`` has positive
-    imaginary part.  ``canonical_form(conj(u))`` therefore equals
-    ``canonical_form(u)``.
-    """
-    w = canonical_phase_gauge(u)
-    n = w.shape[0]
-    tree = _spanning_forest(np.abs(w) > _PIVOT_TOL)[1]
     for root in np.unique(tree):
         block = (tree[:n, None] == root) & (tree[None, n:] == root)
         flagged = w[block & (np.abs(w.imag) > _PIVOT_TOL)]
@@ -219,49 +217,58 @@ class ReconstructionResult:
 #: Smallest Marquardt scale of a parameter, relative to the largest one.
 _SCALE_FLOOR = 1e-6
 
+#: Relative forward-difference step of the fit Jacobian, sqrt(machine epsilon).
+_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+
+#: The solver's relative tolerance on the step and the cost decrease, and
+#: the most residual evaluations it may take.
+_TOL, _MAX_NFEV = 1e-14, 5000
+
 
 class LeastSquaresFit(NamedTuple):
-    """Outcome of :func:`_levenberg_marquardt`; ``cost`` is sum(residuals**2)."""
+    """Outcome of :func:`_levenberg_marquardt`; ``cost`` is sum(r(x)**2)."""
 
     x: np.ndarray
-    residuals: np.ndarray
-    jacobian: np.ndarray
     cost: float
     nfev: int
 
 
-def _levenberg_marquardt(
-    fun_and_jac: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
-    x0: Sequence[float],
-    tol: float = 1e-12,
-    max_nfev: int = 1000,
-) -> LeastSquaresFit:
+def _forward_difference(residuals, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of ``residuals`` at ``x``, where they are
+    ``r``: every column from one stacked call."""
+    # Each column is divided by the step actually taken.
+    shifted = x + np.diag(_DIFF_STEP * np.maximum(1.0, np.abs(x)))
+    return ((residuals(shifted) - r) / (shifted.diagonal() - x)[:, None]).T
+
+
+def _levenberg_marquardt(residuals, x0: Sequence[float]) -> LeastSquaresFit:
     """Minimize ``sum(r(x)**2)`` by Levenberg-Marquardt.
 
-    ``fun_and_jac(x)`` returns the residual vector r(x) and a callable that
-    gives the Jacobian dr/dx at the same x; it is called only for accepted
-    points.  Each step solves ``(J^T J + mu D) h = -J^T r`` with Marquardt's
-    scaling D, the running maximum of diag(J^T J) (Moré 1978), floored at
-    a millionth of its largest entry so that rounding noise in a column the
-    residuals barely see cannot drive the step.  The damping mu follows
-    Nielsen's update (Madsen, Nielsen & Tingleff 2004, eq. 3.16): after a
-    step with gain ratio rho > 0 it is multiplied by
+    ``residuals`` maps a stack of parameter vectors ``(..., k)`` to residual
+    vectors.  The Jacobian J is its :func:`_forward_difference`, taken only
+    at accepted points.  Each step solves ``(J^T J + mu D) h = -J^T r`` with
+    Marquardt's scaling D, the running maximum of diag(J^T J) (Moré 1978),
+    floored at a millionth of its largest entry so that rounding noise in a
+    column the residuals barely see cannot drive the step.  The damping mu
+    follows Nielsen's update (Madsen, Nielsen & Tingleff 2004, eq. 3.16):
+    after a step with gain ratio rho > 0 it is multiplied by
     max(1/3, 1 - (2 rho - 1)^3); after a rejected one by nu, which then
     doubles.  A damped system that is singular in floating point counts as
     a rejected step.
 
     The iteration stops before evaluating a step with
-    ``|h| <= tol (|x| + tol)``, after an accepted step that lowered the
-    cost by at most ``tol`` of itself, or after ``max_nfev`` evaluations.
+    ``|h| <= _TOL (|x| + _TOL)``, after an accepted step that lowered the
+    cost by at most ``_TOL`` of itself, or after ``_MAX_NFEV`` evaluations;
+    ``nfev`` counts the evaluations at trial points, not the Jacobian's.
     """
     x = np.array(x0, dtype=float)
-    r, jac = fun_and_jac(x)
+    r = residuals(x)
     nfev = 1
     cost = float(r @ r)
-    j = jac()
+    j = _forward_difference(residuals, x, r)
     scale = np.zeros(x.size)
     mu, nu = 1e-3, 2.0
-    while nfev < max_nfev:
+    while nfev < _MAX_NFEV:
         normal = j.T @ j
         grad = j.T @ r
         scale = np.maximum(scale, np.diagonal(normal))
@@ -277,17 +284,18 @@ def _levenberg_marquardt(
         trial = x + step
         # The step as taken after rounding, which the gain ratio must use.
         step = trial - x
-        if np.linalg.norm(step) <= tol * (np.linalg.norm(x) + tol):
+        if np.linalg.norm(step) <= _TOL * (np.linalg.norm(x) + _TOL):
             break
-        r_trial, jac_trial = fun_and_jac(trial)
+        r_trial = residuals(trial)
         nfev += 1
         cost_trial = float(r_trial @ r_trial)
         j_step = j @ step
         predicted = -(2.0 * float(step @ grad) + float(j_step @ j_step))
         rho = (cost - cost_trial) / predicted if predicted > 0.0 else -1.0
         if rho > 0.0:
-            small = cost - cost_trial <= tol * cost
-            x, r, cost, j = trial, r_trial, cost_trial, jac_trial()
+            small = cost - cost_trial <= _TOL * cost
+            x, r, cost = trial, r_trial, cost_trial
+            j = _forward_difference(residuals, x, r)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
             if small:
@@ -295,17 +303,12 @@ def _levenberg_marquardt(
         else:
             mu *= nu
             nu *= 2.0
-    return LeastSquaresFit(x, r, j, cost, nfev)
-
-
-#: Relative forward-difference step of the fit Jacobian, sqrt(machine epsilon).
-_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+    return LeastSquaresFit(x, cost, nfev)
 
 
 def _fit_model(measured: MeasuredStatistics, overlap: float):
-    """``fun_and_jac`` of the fit: residuals of phase stacks ``(..., 2 cells)``
-    (internal phases, then external) and their forward difference, every
-    column from one stacked call."""
+    """The fit's residuals of phase stacks ``(..., 2 cells)``: internal
+    phases, then external."""
     n = measured.n_modes
     half = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
@@ -322,21 +325,11 @@ def _fit_model(measured: MeasuredStatistics, overlap: float):
         flat = u.shape[:-2] + (-1,)
         return np.concatenate([(np.abs(u) ** 2).reshape(flat), pairs.reshape(flat)], -1) - data
 
-    def residuals_and_jac(phases: np.ndarray):
-        r = residuals(phases)
-
-        def forward_difference() -> np.ndarray:
-            # Each column is divided by the step actually taken.
-            shifted = phases + np.diag(_DIFF_STEP * np.maximum(1.0, np.abs(phases)))
-            return ((residuals(shifted) - r) / (shifted.diagonal() - phases)[:, None]).T
-
-        return r, forward_difference
-
-    return residuals_and_jac
+    return residuals
 
 
 def _estimate(measured: MeasuredStatistics, x: float) -> np.ndarray:
-    """Closed-form estimate of the unitary, in the gauge of :func:`canonical_phase_gauge`.
+    """Closed-form estimate of the unitary, in the gauge of :func:`canonical_form`.
 
     The moduli are the square roots of the singles, and the entries of the
     gauge's spanning forest have phase 0.  Pair (k, l) at outputs (i, j)
@@ -417,22 +410,23 @@ def reconstruct_unitary(
     Args:
         measured: singles plus two-photon data covering every input pair.
         overlap: pairwise wave-packet overlap assumed by the model, in
-            (0, 1]; at 0 the pair data carry no phase.
+            [``MIN_OVERLAP``, 1]; at 0 the pair data carry no phase.
         seed: unused, as the fit draws nothing; an integer, kept for the
             calls of the benchmark in ``perfbench/``.
 
     Raises:
-        ValueError: for an overlap outside (0, 1] or a seed that is not an integer.
+        ValueError: for an overlap outside [``MIN_OVERLAP``, 1] or a seed
+            that is not an integer.
         FitError: if the fit does not converge; its result is attached
             as ``best_result``.
     """
-    if not 0.0 < overlap <= 1.0:
-        raise ValueError(f"overlap must lie in (0, 1], got {overlap}: at 0 the pairs carry no phase")
+    if not MIN_OVERLAP <= overlap <= 1.0:
+        raise ValueError(f"overlap must lie in [{MIN_OVERLAP:g}, 1], got {overlap}: below it the pairs carry too little phase")
     if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed}")
     start = decompose(_estimate(measured, overlap))
     x0 = np.concatenate([start.thetas, start.phis])
-    fit = _levenberg_marquardt(_fit_model(measured, overlap), x0, tol=1e-14, max_nfev=5000)
+    fit = _levenberg_marquardt(_fit_model(measured, overlap), x0)
     u = _mesh_product(measured.n_modes, *np.split(fit.x, 2))
     result = ReconstructionResult(canonical_form(u), fit.cost, fit.cost <= _SUCCESS_COST, fit.nfev)
     if not result.converged:

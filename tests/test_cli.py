@@ -474,15 +474,18 @@ def test_mesh_decompose_compose_round_trip(tmp_path):
 
 
 def test_reconstruct_at_overlap_0_is_one_config_error(tmp_path, capsys):
-    # At overlap 0 the pairs carry no phase, and four modes' moduli leave the unitary open.
-    cfg = write_config(tmp_path, "rec.json", {
-        "schema_version": 1, "experiment": "reconstruct", "overlap": 0,
-        "unitary": matrix_to_json_dict(haar_random_unitary(4, seed=1)),
-    })
-    assert main(["validate", "--config", cfg]) == 2
-    assert capsys.readouterr().err == (
-        "config error: field 'overlap' must be > 0: at overlap 0 the pairs carry no phase\n"
-    )
+    # At overlap 0 the pairs carry no phase, and four modes' moduli leave the
+    # unitary open; from about 1e-13 down the fit can stop on a wrong one,
+    # and at 5e-324 the estimate divides by zero.
+    for overlap in (0, 1e-13, 5e-324):
+        cfg = write_config(tmp_path, "rec.json", {
+            "schema_version": 1, "experiment": "reconstruct", "overlap": overlap,
+            "unitary": matrix_to_json_dict(haar_random_unitary(4, seed=1)),
+        })
+        assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: field 'overlap' must be >= 1e-09: below it the pairs carry too little phase\n"
+        )
 
 
 def test_reconstruct_from_reference_unitary(tmp_path):
@@ -1123,7 +1126,14 @@ _REJECTED = {
     }, "seed is required when poisson_mean_counts is set"),
     "reconstruct-overlap-0": (["reconstruct"], {
         "schema_version": 1, "experiment": "reconstruct", "unitary": _IDENTITY_2, "overlap": 0,
-    }, "field 'overlap' must be > 0: at overlap 0 the pairs carry no phase"),
+    }, "field 'overlap' must be >= 1e-09: below it the pairs carry too little phase"),
+    # Below 1e-9: a wrong unitary with exit 0 at 1e-13, a division by zero in the estimate at 5e-324.
+    "reconstruct-overlap-1e-13": (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "unitary": _IDENTITY_2, "overlap": 1e-13,
+    }, "field 'overlap' must be >= 1e-09: below it the pairs carry too little phase"),
+    "reconstruct-overlap-5e-324": (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "unitary": _IDENTITY_2, "overlap": 5e-324,
+    }, "field 'overlap' must be >= 1e-09: below it the pairs carry too little phase"),
     "poisson-mean-too-large": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "seed": 1,
         "poisson_mean_counts": 5e18, "accidental_floor": 1.0,
