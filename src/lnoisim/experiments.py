@@ -254,9 +254,10 @@ def _parse_demux(fields, diags):
     from .components import PhaseShifterParams
     from .router import SourceModel, _photon_times, default_pulse_program
     n_frames, offset = fields.get("n_frames", 10), fields.get("train_offset_ns", 0.0)
-    # An absent f_3db_ghz keeps the stock bandwidth; null means an instantaneous shifter.
+    # Each switch is driven at 0 and its own V_pi, so only the bandwidth is a key:
+    # an absent f_3db_ghz keeps the stock one, and null means an instantaneous shifter.
     f_3db = fields.get("f_3db_ghz", PhaseShifterParams.f_3db_ghz)
-    shifter = PhaseShifterParams(**_given(fields, "v_pi_volts"), f_3db_ghz=f_3db or math.inf)
+    shifter = PhaseShifterParams(f_3db_ghz=f_3db or math.inf)
     source = SourceModel(**_given(fields, "repetition_period_ns"))
     period = source.repetition_period_ns
     where = "field 'repetition_period_ns'"
@@ -521,7 +522,7 @@ FIELDS = {
     },
     "demux": {
         "n_frames": Field(int, 1, MAX_N_FRAMES), "repetition_period_ns": _POSITIVE,
-        "v_pi_volts": _V_PI, "f_3db_ghz": Field(float, 1e-9, null=True),
+        "f_3db_ghz": Field(float, 1e-9, null=True),
         "extinction_db": _EXTINCTION, "bar_leakage": Field(float, 0.0, 0.499, null=True),
         "insertion_loss_db": Field(float, 0.0, MAX_INSERTION_LOSS_DB),
         "train_offset_ns": _NON_NEGATIVE, "phase_errors_rad": _PARSED,

@@ -1154,9 +1154,6 @@ _REJECTED = {
     "fringe-step-at-half-v-pi": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "n_points": 5,
     }, "the voltage step 2.25 V is not under v_pi_volts / 2, so the fringe aliases"),
-    "demux-v-pi-past-float-range": (["demux"], {
-        "schema_version": 1, "experiment": "demux", "v_pi_volts": 1e308,
-    }, f"field 'v_pi_volts' must be <= {MAX_VOLTS}"),
     "hom-fringe-too-many-points": (["hom-fringe"], {
         "schema_version": 1, "experiment": "hom-fringe", "n_points": MAX_N_POINTS + 1,
     }, f"field 'n_points' must be <= {MAX_N_POINTS}"),
@@ -1208,6 +1205,10 @@ _UNKNOWN_FIELDS = {
     "reconstruct-n_restarts": (["reconstruct"], {
         **_reconstruct_with_statistics(lambda stats: None), "n_restarts": 2,
     }, "unknown field 'n_restarts'"),
+    # Retired: the program drives each switch at its own shifter's V_pi, so a V_pi moves no result.
+    "demux-v_pi_volts": (["demux"], {
+        "schema_version": 1, "experiment": "demux", "v_pi_volts": 3.0,
+    }, "unknown field 'v_pi_volts'"),
 }
 
 
@@ -1367,11 +1368,11 @@ def test_largest_v_pi_runs_with_finite_artifacts(tmp_path):
     # pi * MAX_VOLTS is the largest float; one float further it overflows.
     assert math.isfinite(math.pi * MAX_VOLTS)
     assert math.pi * math.nextafter(MAX_VOLTS, math.inf) == math.inf
-    cfg = write_config(tmp_path, "demux.json", {
-        "schema_version": 1, "experiment": "demux", "v_pi_volts": MAX_VOLTS,
+    cfg = write_config(tmp_path, "hom-fringe.json", {
+        "schema_version": 1, "experiment": "hom-fringe", "v_pi_volts": MAX_VOLTS, "voltage_stop": MAX_VOLTS,
     })
     assert run(["validate", "--config", cfg]) == 0
-    assert run(["demux", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert run(["hom-fringe", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
     _assert_finite_artifacts(tmp_path / "out")
 
 

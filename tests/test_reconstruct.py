@@ -213,6 +213,8 @@ _BLOCKS = np.block([
 @given(bar_and_cross_meshes(), st.sampled_from([1.0, 0.945]))
 @example(np.eye(4), 1.0)
 @example(np.eye(4)[[2, 0, 3, 1]], 0.945)
+@example(np.eye(3)[::-1], 1.0)
+@example(np.eye(4)[::-1], 1.0)
 @example(_BLOCKS, 1.0)
 @example(_dft(4), 0.945)
 @example(_dft(5), 1.0)

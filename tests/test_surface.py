@@ -7,7 +7,9 @@ unless ALLOWED names it with the use that keeps it.  Every defaulted
 parameter of those functions, and every defaulted field of a dataclass
 there, must be given a value other than its default in the same pass,
 unless ALLOWED_DEFAULTS names it with what sets it.  A name or an option
-that nothing uses is deleted, not listed.
+that nothing uses is deleted, not listed.  Every config key an experiment
+declares must be given by a golden config of that experiment that
+``validate`` accepts, with no list of exceptions.
 
 The same pass records the first call of each of those functions and
 dataclasses.  Replayed with nan, inf or -inf in one parameter annotated
@@ -23,6 +25,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import math
 import sys
 import warnings
@@ -33,12 +36,13 @@ import pytest
 
 import lnoisim
 from golden import regen
+from lnoisim.experiments import COMMON_FIELDS, FIELDS
 from test_readme import BLOCKS
 
 #: Public names no golden config or README block calls, and what uses each.
 ALLOWED = {
     "MZIParams.ideal": "benchmark: perfbench/switching.py and perfbench/smoke.py",
-    "voltage_for_phase": "benchmark: the voltage program of perfbench/circuit.py",
+    "voltage_for_phase": "benchmark: phases_to_voltages, which perfbench/circuit.py calls",
     "gauge_input_phases": "benchmark: the voltage program of perfbench/circuit.py",
     "phases_to_voltages": "benchmark: the voltage program of perfbench/circuit.py",
     "extinction_ratio_db": "benchmark: switch-cell calibration; README acceptance item 6",
@@ -61,14 +65,9 @@ ALLOWED = {
 ALLOWED_DEFAULTS = {
     "MZIParams.ideal(shifter)": "benchmark: perfbench/switching.py and perfbench/smoke.py",
     "default_pulse_program(samples_per_slot)": "benchmark: perfbench/switching.py passes it by name",
-    "default_pulse_program(v_pi_volts)": "the config key demux.v_pi_volts",
-    "MZIParams.with_bar_leakage(insertion_loss_db)": "the config key demux.insertion_loss_db beside bar_leakage",
+    "default_pulse_program(v_pi_volts)": "benchmark: perfbench/switching.py passes it by name",
     "fit_hom_visibility(sigma)": "benchmark: the weighted fringe fits of perfbench/switching.py and smoke.py",
     "reconstruct_unitary(seed)": "benchmark: perfbench/circuit.py and perfbench/smoke.py pass a seed",
-    "GratingSpectrum.center_wavelength_nm": "the config key sweep.grating.center_wavelength_nm of loss-budget",
-    "GratingSpectrum.peak_efficiency_db": "the config key sweep.grating.peak_efficiency_db of loss-budget",
-    "GratingSpectrum.bandwidth_1db_nm": "the config key sweep.grating.bandwidth_1db_nm of loss-budget",
-    "GratingSpectrum.band_nm": "the config key sweep.grating.band_nm of loss-budget",
 }
 
 
@@ -216,6 +215,21 @@ def test_every_option_is_set(profiled_pass):
     assert not gone, f"ALLOWED_DEFAULTS names what is no longer a defaulted option: {gone}"
     set_anyway = sorted(set(ALLOWED_DEFAULTS) & set_options)
     assert not set_anyway, f"ALLOWED_DEFAULTS names what a golden config or README block sets: {set_anyway}"
+
+
+def test_every_config_key_is_set_by_a_golden_config():
+    recorded = json.loads(regen.TABLE.read_text())["runs"]
+    given = {experiment: set() for experiment in FIELDS}
+    for path in (regen.HERE / "configs").glob("*.json"):
+        if recorded[path.stem]["validate exit"] == 0:
+            cfg = json.loads(path.read_text())
+            given[cfg["experiment"]] |= cfg.keys()
+    unset = sorted(
+        f"{experiment}.{key}"
+        for experiment, keys in FIELDS.items()
+        for key in {**COMMON_FIELDS, **keys}.keys() - {"schema_version", "experiment"} - given[experiment]
+    )
+    assert not unset, f"config keys no golden config that validate accepts gives: {unset}"
 
 
 def _refuses(target, args) -> bool:
