@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -132,6 +133,15 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["hom-fringe"]])
+def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text("[]")
+    assert run([*argv, "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "raw", [b'{"x":"\xff"}', b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "nested-too-deep"]
 )
@@ -160,7 +170,18 @@ def _noisy_statistics():
     (["reconstruct"], {
         "schema_version": 1, "experiment": "reconstruct", "statistics": _noisy_statistics(),
     }, "error: FitError: the fit left squared-residual sum"),
-], ids=["fringe-fit", "reconstruction"])
+    # The singles' support is a 6-cycle: one entry off the spanning forest
+    # has no relation, so the estimate leaves it at phase 0.
+    (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "statistics": {
+            "singles": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+            "pairs": [
+                {"input": pair, "outputs": [{"pattern": ij, "p": 0.1} for ij in ([0, 1], [0, 2], [1, 2])]}
+                for pair in ([0, 1], [0, 2], [1, 2])
+            ],
+        },
+    }, "error: FitError: the fit left squared-residual sum 1.824e-01"),
+], ids=["fringe-fit", "reconstruction", "reconstruction-entry-without-relation"])
 def test_data_the_fit_cannot_support_exits_1(tmp_path, capsys, argv, payload, message):
     # `validate` accepts each config; the run fails on its data, not on the config.
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -283,6 +304,34 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch, capsys, experime
     assert calls[1] != "manifest.json"
     assert not (out / "manifest.json").exists()
     assert sorted(p.name for p in out.iterdir()) == [calls[0]]
+
+
+@pytest.mark.parametrize("unlink_fails", [False, True], ids=["temp-removed", "unlink-fails"])
+def test_failed_rename_removes_its_temp_file(tmp_path, monkeypatch, capsys, unlink_fails):
+    cfg = write_config(tmp_path, "cfg.json", _RERUN_CONFIGS["hom-fringe"])
+    out = tmp_path / "out"
+    unlink = os.unlink
+
+    def refuse_rename(src, dst):
+        raise OSError(f"cannot rename onto {Path(dst).name}")
+
+    def refuse_temp_unlink(path, *args, **kwargs):
+        if Path(path).name.startswith("."):
+            raise OSError("cannot remove the temp file")
+        unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", refuse_rename)
+    if unlink_fails:
+        monkeypatch.setattr(os, "unlink", refuse_temp_unlink)
+    assert run(["hom-fringe", "--config", cfg, "--output-dir", str(out)]) == 1
+    # The rename's error is the one reported, whether or not the clean-up worked.
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot rename onto ") and err.count("\n") == 1, err
+    left = [p.name for p in out.iterdir()]
+    if unlink_fails:
+        assert len(left) == 1 and re.fullmatch(r"\.\w+\.\w+\.[0-9a-f]{12}", left[0]), left
+    else:
+        assert left == []
 
 
 def test_artifact_path_that_is_a_directory_is_an_error(tmp_path, capsys):
@@ -1173,6 +1222,39 @@ _REJECTED = {
                                "sweep.grating: bandwidth_1db_nm must be a finite number, got True"),
     "grating-samples": (["loss-budget"], _budget_with_grating(samples=[[910, 940], [-4, 3]]),
                         "sweep.grating: unknown field 'samples'"),
+    "grating-gain": (["loss-budget"], _budget_with_grating(peak_efficiency_db=1.0),
+                     "sweep.grating: peak_efficiency_db cannot exceed 0 dB"),
+    "grating-zero-bandwidth": (["loss-budget"], _budget_with_grating(bandwidth_1db_nm=0.0),
+                               "sweep.grating: bandwidth_1db_nm must be positive"),
+    "grating-center-outside-band": (["loss-budget"], _budget_with_grating(center_wavelength_nm=990.0),
+                                    "sweep.grating: center wavelength must sit inside the band"),
+    # A negative density times a negative length would pass as a positive loss.
+    "budget-negative-length": (["loss-budget"], {
+        **_BUDGET, "entries": [{"label": "a", "db_per_cm": -1.0, "length_cm": -2.0}],
+    }, "entries[0]: entry 'a': negative length"),
+    "budget-label-not-a-string": (["loss-budget"], {
+        **_BUDGET, "entries": [{"label": 1, "loss_db": 1.0}],
+    }, "entries[0]: an entry needs a string 'label'"),
+    "budget-coupler-labels-not-a-list": (["loss-budget"], {
+        **_BUDGET, "sweep": {"wavelengths_nm": [930.0], "coupler_labels": "gc"},
+    }, "sweep.coupler_labels must be a non-empty list of entry labels"),
+    "distribution-mismatched-re-im": (["distribution"], _with_unitary(
+        "distribution", _set(("im",), [[0.0, 0.0]])
+    ), "field 'unitary': matrix 're' and 'im' must be matching 2-d arrays"),
+    "distribution-repeated-input-mode": (["distribution"], {
+        "schema_version": 1, "experiment": "distribution", "unitary": _IDENTITY_2,
+        "input_modes": [1, 1],
+    }, "two-photon input_modes must be distinct ports"),
+    "statistics-non-square-singles": (["reconstruct"], _reconstruct_with_statistics(
+        _set(("singles",), [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]])
+    ), "field 'statistics': singles must be a square matrix"),
+    "statistics-input-pair-beyond-last-mode": (["reconstruct"], {
+        "schema_version": 1, "experiment": "reconstruct", "statistics": {
+            "singles": [[1.0, 0.0], [0.0, 1.0]],
+            "pairs": [{"input": [0, 1], "outputs": [{"pattern": [0, 1], "p": 1.0}]},
+                      {"input": [0, 5], "outputs": [{"pattern": [0, 1], "p": 1.0}]}],
+        },
+    }, "field 'statistics': invalid input pair (0, 5) for 2 modes"),
 }
 
 

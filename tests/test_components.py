@@ -259,6 +259,17 @@ def test_eom_takes_any_sample_rate():
             eom_response(p, x, fs)
 
 
+def test_eom_drive_shapes():
+    p = PhaseShifterParams()
+    with pytest.raises(ValueError, match="drive must be a 1-d waveform"):
+        eom_response(p, np.zeros((2, 3)), 40.0)
+    # An empty drive is an empty response; the slot kernel refuses empty levels.
+    empty = eom_response(p, [], 40.0)
+    assert empty.shape == (0,) and empty.dtype == float
+    with pytest.raises(ValueError, match="levels must be a non-empty 1-d array"):
+        eom_slot_response(p, [], 1.0, [0.0])
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     hnp.arrays(float, st.integers(1, 3000), elements=st.floats(-10.0, 10.0)),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lnoisim import (
     PhotonDistribution,
+    as_complex_matrix,
     haar_random_unitary,
     is_unitary,
     matrix_distance,
@@ -44,6 +45,9 @@ def test_permanent_rejects_bad_shapes():
         permanent(np.ones((2, 3)))
     with pytest.raises(ValueError, match="expected a 2-d matrix, got ndim=1"):
         permanent(np.ones(4))
+    for bad in (math.nan, complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            as_complex_matrix([[bad]])
     with pytest.raises(ValueError, match="permanent of an empty matrix"):
         permanent(np.ones((0, 0)))
     with pytest.raises(ValueError, match="permanent limited to order 20, got 21"):

@@ -12,6 +12,7 @@ from lnoisim import (
     MeshConfig,
     MZIParams,
     PhaseShifterParams,
+    VoltageProgram,
     clements_layout,
     compose,
     decompose,
@@ -259,6 +260,12 @@ def test_phases_to_voltages_guards():
     # A 30 V shifter needs up to 30 V, past the 10 V compliance.
     with pytest.raises(ValueError, match="exceeds compliance 10.0 V"):
         phases_to_voltages(reduced, PhaseShifterParams(v_pi_volts=30.0))
+    layout = modulator_layout(reduced)
+    name = next(iter(layout))
+    with pytest.raises(ValueError, match=f"voltage for {name} must be finite"):
+        VoltageProgram({name: math.nan}, layout)
+    with pytest.raises(ValueError, match="voltage for unknown modulator nowhere"):
+        VoltageProgram({"nowhere": 1.0}, layout)
 
 
 @settings(deadline=None, max_examples=60)

@@ -137,6 +137,22 @@ def test_two_photon_validation():
         two_photon_distribution(u, (0, 7), overlap=1.0)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: PhotonDistribution((0,), [(0.0,), (1.0,)], [0.5, 0.5]), "pattern modes must be integers"),
+    (lambda: PhotonDistribution((0,), [(0,), (1,)], [1.0]),
+     "patterns and probabilities must align 1:1"),
+    (lambda: fit_hom_visibility([0.0, 1.0, 2.0], [1.0, 2.0]),
+     "phases and coincidences must be matching 1-d arrays"),
+    (lambda: nphoton_collision_free_distribution(np.eye(2), [5]), "input mode out of range"),
+    (lambda: nphoton_collision_free_distribution(np.eye(3)[:2], [0, 1, 2]),
+     "more photons than output modes for collision-free patterns"),
+], ids=["float-pattern-modes", "probabilities-short", "fringe-lengths", "nphoton-input-range",
+        "nphoton-too-many-photons"])
+def test_distributions_and_fit_refuse_mismatched_inputs(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_two_photon_json_round_trip():
     u = haar_random_unitary(4, seed=8)
     d = two_photon_distribution(u, (1, 2), overlap=0.5)

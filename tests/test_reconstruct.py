@@ -294,6 +294,25 @@ def test_reconstruction_convergence_error_carries_best():
     assert matrix_distance(canonical_form(u), best.unitary) < 1e-2
 
 
+def test_noisy_fit_ends_on_the_relative_cost_stop():
+    # At 1% noise most fits stop on an accepted step that barely lowers the
+    # cost; without that stop this one runs 22 evaluations.
+    stats = synthesize_statistics(haar_random_unitary(4, seed=0), overlap=0.945)
+    noise = 0.01 * np.random.default_rng(100).standard_normal((4, 4))
+    noisy = MeasuredStatistics(np.clip(stats.singles * (1.0 + noise), 0.0, 1.0), stats.pairs)
+    with pytest.raises(FitError) as excinfo:
+        reconstruct_unitary(noisy, overlap=0.945)
+    assert excinfo.value.best_result.nfev == 7
+
+
+def test_fit_of_an_inconsistent_residual_ends_on_the_relative_cost_stop():
+    # r(x) = (x - 1, x + 1) has least cost 2, at x = 0; without the stop it takes 17 evaluations.
+    fit = _levenberg_marquardt(lambda x: np.concatenate([x - 1.0, x + 1.0], axis=-1), [5.0])
+    assert fit.cost == pytest.approx(2.0, rel=1e-15)
+    assert abs(fit.x[0]) < 1e-12
+    assert fit.nfev == 6
+
+
 def test_reconstruction_deterministic_for_fixed_seed():
     u = haar_random_unitary(4, seed=60)
     stats = synthesize_statistics(u)

@@ -61,11 +61,18 @@ def test_program_validation():
         PulseProgram(13.8, 8, {"A": np.array([0.0, math.nan]), "B": np.zeros(2)})
     with pytest.raises(ValueError):
         PulseProgram(13.8, 8, {"A": np.array([0.0, math.inf]), "B": np.zeros(2)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples_per_slot must be an integer of at least 2"):
         PulseProgram(13.8, 1, {"A": v, "B": v})
     for slot_ns in (0.0, -13.8):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="slot_ns must be positive and finite, got"):
             PulseProgram(slot_ns, 8, {"A": v, "B": v})
+    # default_pulse_program checks only the frame count, which np.tile needs.
+    with pytest.raises(ValueError, match="n_frames must be an integer of at least 1, got 2.5"):
+        default_pulse_program(n_frames=2.5)
+    with pytest.raises(ValueError, match="samples_per_slot must be an integer of at least 2"):
+        default_pulse_program(samples_per_slot=1)
+    with pytest.raises(ValueError, match="slot_ns must be positive and finite, got -1.0"):
+        default_pulse_program(repetition_period_ns=-1.0)
     with pytest.raises(ValueError, match="4 slots of 1e[+]308 ns end past the float range"):
         PulseProgram(1e308, 8, {"A": v, "B": v})
     assert PulseProgram(13.8, 8, {"A": v, "B": v}).end_ns == 4 * 13.8
@@ -209,6 +216,16 @@ def test_switch_metrics_reject_an_empty_trace():
     trace = TimeTrace(np.empty(0), np.empty((0, 4)))
     with pytest.raises(ValueError, match="trace holds no events"):
         switch_metrics(trace)
+
+
+def test_trace_validation():
+    with pytest.raises(ValueError, match=r"outputs must be \(n_events, 4\)"):
+        TimeTrace(np.zeros(1), np.zeros((1, 3)))
+    times = (np.arange(4) + 0.5) * 13.8
+    with pytest.raises(ValueError, match="trace length must be a whole number of frames"):
+        switch_metrics(TimeTrace(times[:3], np.eye(4)[:3]))
+    with pytest.raises(ValueError, match="trace contains events with zero total probability"):
+        switch_metrics(TimeTrace(times, np.zeros((4, 4))))
 
 
 def test_trace_csv_round_trip(tmp_path):
